@@ -27,31 +27,14 @@ from .experiments import (
     build_signal,
     config_hash,
     derive_rng,
-    format_value,
     render_csv,
     resolve_sigma,
     run_experiment,
 )
 from .noise import check_a1, check_a2, check_a3, check_a4
-from .selection import search_candidates, select_penalized
-from .structures import Caps, SparseSet, SparsityFamily
+from .selection import nested_path, search_candidates, select_penalized
+from .structures import Caps, SparsityFamily
 from .errors import UnsupportedFamilyError
-
-
-def _csv_field(value) -> str:
-    text = format_value(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_csv(path: str, header, rows, seed: int, config: dict) -> None:
-    lines = [f"# projstruct={__version__} seed={seed} config_sha256={config_hash(config)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_field(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def load_config(path: str) -> dict:
@@ -106,9 +89,7 @@ def _posterior_for(y, family, cfg: DdmConfig, rng):
     size path (sparsity) or a restricted candidate set from the heuristic
     search paths."""
     if isinstance(family, SparsityFamily) and family.n > 16:
-        order = np.argsort(-np.abs(y), kind="stable")
-        candidates = [SparseSet(tuple(sorted(int(i) for i in order[:s])))
-                      for s in range(family.n + 1)]
+        candidates = [s for s, _ in nested_path(y, family)]
         return structure_posterior(y, family, cfg, candidates=candidates,
                                    method="symmetric-polynomial")
     try:
@@ -179,7 +160,8 @@ def _caps_from(config: dict) -> Caps | None:
                 max_blocks=spec.get("max_blocks"))
 
 
-def cmd_check(config: dict, seed: int, out_path: str) -> None:
+def cmd_check(config: dict, seed: int):
+    """Header and rows of the requested condition check."""
     which = _require(config, "check")
     caps = _caps_from(config)
     rng = derive_rng(seed, "check", which)
@@ -218,7 +200,7 @@ def cmd_check(config: dict, seed: int, out_path: str) -> None:
         out = [[r.M, r.psi1, r.psi2] for r in rows]
     else:
         raise ConfigError(f"unknown check {which!r}; choose a1, a2, a3 or a4")
-    write_csv(out_path, header, out, seed, config)
+    return header, out
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +231,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "select":
             cmd_select(config, args.seed, args.out)
-        elif args.command == "simulate":
-            header, rows = run_experiment(config, args.seed, max(1, args.workers))
+        else:
+            if args.command == "simulate":
+                header, rows = run_experiment(config, args.seed, max(1, args.workers))
+            else:
+                header, rows = cmd_check(config, args.seed)
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(render_csv(header, rows, args.seed, config))
-        else:
-            cmd_check(config, args.seed, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

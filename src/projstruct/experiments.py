@@ -588,9 +588,16 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _csv_field(value) -> str:
+    text = format_value(value)
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(header, rows, seed: int, config: dict) -> str:
     lines = [f"# projstruct={__version__} seed={seed} config_sha256={config_hash(config)}"]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(_csv_field(v) for v in row))
     return "\n".join(lines) + "\n"

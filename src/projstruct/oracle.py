@@ -11,9 +11,8 @@ too large for desk-scale experiments.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,9 +118,6 @@ class FrameworkConstants:
         # M0' from the strong-form size relation
         return 2.0 * self.kappa * self.alpha
 
-    def with_overrides(self, **kwargs) -> "FrameworkConstants":
-        return replace(self, **kwargs)
-
     def snapshot(self) -> dict:
         return {
             "alpha": self.alpha, "nu": self.nu, "kappa": self.kappa,
@@ -175,11 +171,6 @@ def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,
     return OracleReport(structure, approx, complexity, approx + complexity, tau)
 
 
-def tau_oracle_structure(theta, family: Family, sigma: float, tau: float,
-                         mode: str = "exact"):
-    return oracle_rate(theta, family, sigma, tau, mode=mode).structure
-
-
 def ebr_ratio(theta, family: Family, sigma: float, constants: FrameworkConstants,
               mode: str = "exact") -> float:
     """Excessive bias ratio b(theta) = ||theta - P_{I*}theta||^2 / (sigma^2 (1 + rho(I*)))
@@ -195,7 +186,3 @@ def ebr_member(theta, family: Family, sigma: float, constants: FrameworkConstant
     if t < 0:
         raise ValueError("t must be nonnegative")
     return ebr_ratio(theta, family, sigma, constants, mode=mode) <= t
-
-
-def report_to_json_str(report: OracleReport, family: Family) -> str:
-    return json.dumps(report.to_json(family), sort_keys=True)

@@ -2,9 +2,12 @@
 
 The selected structure minimizes  ||Y - P_I Y||^2 + sigma^2 * pen(I)  with
 pen(I) = 2*kappa*rho(I) (or the model-averaging variant that adds dim L_I).
-Every family gets a brute-force selector over its capped enumeration; the
-families with special form get fast exact algorithms, and the combinatorial
-ones get multi-start heuristics.
+The method is looked up by family tag.  Nested-path families (`_PATHS`:
+smoothness, banding, sparsity, jump) score one (structure, SSE) pair per
+size; leveled sparsity scans each level alone; the rest are enumerated
+within `EXACT_CAPS`.  Heuristic mode runs the family's search (`_SEARCHES`:
+regression greedy, bicluster alternation, clustering DP), or the exact
+selector when it has none; `search_candidates` returns what the search visits.
 
 Ties are broken deterministically: objectives within a relative 1e-12 band
 count as equal, and among tied structures the one with the smallest majorant,
@@ -25,21 +28,12 @@ from .linalg import sq_norm
 from .structures import (
     Band,
     Bicluster,
-    BiclusterFamily,
-    BandingFamily,
     Caps,
-    ClusteringFamily,
     Family,
-    JumpFamily,
     JumpSet,
-    KnotFamily,
-    LeveledSparsityFamily,
     MultiLevelPartition,
-    RegressionFamily,
     RegressionSupport,
-    SmoothnessFamily,
     SparseSet,
-    SparsityFamily,
     Truncation,
     canonical_partition,
     sorted_tuple,
@@ -101,6 +95,19 @@ def select_bruteforce(Y, family: Family, sigma: float, kappa: float,
     return tracker.result()
 
 
+def _finish(Y, family, sigma, kappa, pen_variant, scored):
+    tracker = _ArgminTracker(family)
+    for structure, obj in scored:
+        tracker.offer(structure, obj)
+    structure, _ = tracker.result()
+    # report the objective through the shared evaluator for cross-checks
+    return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
+
+
+def _pen(family, structure, sigma, kappa, pen_variant):
+    return sigma**2 * penalty(family, structure, kappa, pen_variant)
+
+
 # ---------------------------------------------------------------------------
 # Segmentation dynamic program (piecewise-constant SSE)
 # ---------------------------------------------------------------------------
@@ -123,13 +130,16 @@ def segment_dp(values, max_breaks: int):
     cs = np.concatenate([[0.0], np.cumsum(y)])
     cs2 = np.concatenate([[0.0], np.cumsum(y * y)])
 
-    def seg_cost(lo, hi):  # SSE of y[lo:hi] around its mean
-        m = hi - lo
-        total = cs[hi] - cs[lo]
-        return max((cs2[hi] - cs2[lo]) - total * total / m, 0.0)
-
-    cost = np.array([[seg_cost(lo, hi) if lo < hi else 0.0 for hi in range(n + 1)]
-                     for lo in range(n + 1)])
+    # cost[lo, hi]: SSE of y[lo:hi] around its mean (0 when lo >= hi); built
+    # in place to hold few (n+1)^2 temporaries
+    lo, hi = np.ogrid[:n + 1, :n + 1]
+    t = cs[hi] - cs[lo]
+    t *= t
+    t /= np.maximum(hi - lo, 1)
+    cost = cs2[hi] - cs2[lo]
+    cost -= t
+    np.maximum(cost, 0.0, out=cost)
+    cost[lo >= hi] = 0.0
 
     best = np.full((max_breaks + 1, n + 1), np.inf)
     back = np.zeros((max_breaks + 1, n + 1), dtype=int)
@@ -145,7 +155,7 @@ def segment_dp(values, max_breaks: int):
         breaks = []
         hi = n
         for kk in range(k, 0, -1):
-            lo = back[kk, hi]
+            lo = int(back[kk, hi])
             breaks.append(lo - 1)  # break sits after index lo-1
             hi = lo
         out.append((float(best[k, n]), tuple(sorted(breaks))))
@@ -153,67 +163,53 @@ def segment_dp(values, max_breaks: int):
 
 
 # ---------------------------------------------------------------------------
-# Family-specific exact selectors
+# Nested paths: (structure, SSE) pairs, one per size, holding the minimizer
 # ---------------------------------------------------------------------------
 
 
-def _finish(Y, family, sigma, kappa, pen_variant, scored):
-    tracker = _ArgminTracker(family)
-    for structure, obj in scored:
-        tracker.offer(structure, obj)
-    structure, _ = tracker.result()
-    # report the objective through the shared evaluator for cross-checks
-    return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
-
-
-def _pen(family, structure, sigma, kappa, pen_variant):
-    return sigma**2 * penalty(family, structure, kappa, pen_variant)
-
-
-def _select_smoothness(Y, family: SmoothnessFamily, sigma, kappa, pen_variant):
-    y = np.asarray(Y, dtype=float)
+def _smoothness_path(y, family):
     tails = np.concatenate([np.cumsum((y * y)[::-1])[::-1], [0.0]])
-
-    def scored():
-        for level in range(family.n + 1):
-            s = Truncation(level)
-            yield s, tails[level] + _pen(family, s, sigma, kappa, pen_variant)
-
-    return _finish(Y, family, sigma, kappa, pen_variant, scored())
+    return [(Truncation(level), tails[level]) for level in range(family.n + 1)]
 
 
-def _select_banding(Y, family: BandingFamily, sigma, kappa, pen_variant):
-    y = np.asarray(Y, dtype=float).reshape(family.p, family.p)
+def _banding_path(y, family):
+    y = y.reshape(family.p, family.p)
     sym = 0.5 * (y + y.T)
     total = float(np.sum(y * y))
     idx = np.arange(family.p)
     dist = np.abs(idx[:, None] - idx[None, :])
     # captured energy of the symmetric part per band width
     energy = np.array([float(np.sum((sym * sym)[dist <= w])) for w in range(family.p)])
-
-    def scored():
-        for w in range(family.p):
-            s = Band(w)
-            yield s, (total - energy[w]) + _pen(family, s, sigma, kappa, pen_variant)
-
-    return _finish(Y, family, sigma, kappa, pen_variant, scored())
+    return [(Band(w), total - energy[w]) for w in range(family.p)]
 
 
-def _select_sparsity(Y, family: SparsityFamily, sigma, kappa, pen_variant):
-    y = np.asarray(Y, dtype=float)
+def _sparsity_path(y, family):
     order = np.argsort(-np.abs(y), kind="stable")
     gains = np.concatenate([[0.0], np.cumsum((y * y)[order])])
-    total = gains[-1]
-
-    def scored():
-        for size in range(family.n + 1):
-            s = SparseSet(sorted_tuple(order[:size]))
-            yield s, (total - gains[size]) + _pen(family, s, sigma, kappa, pen_variant)
-
-    return _finish(Y, family, sigma, kappa, pen_variant, scored())
+    return [(SparseSet(sorted_tuple(order[:size])), gains[-1] - gains[size])
+            for size in range(family.n + 1)]
 
 
-def _select_leveled(Y, family: LeveledSparsityFamily, sigma, kappa, pen_variant):
+def _jump_path(y, family):
+    return [(JumpSet(breaks), sse) for sse, breaks in segment_dp(y, family.n - 1)]
+
+
+_PATHS = {
+    "smoothness": _smoothness_path,
+    "banding": _banding_path,
+    "sparsity": _sparsity_path,
+    "jump": _jump_path,
+}
+
+
+def nested_path(Y, family: Family):
+    """(structure, SSE) pairs along the family's nested path, one per size,
+    or None when the family has no such path."""
+    path = _PATHS.get(family.tag)
+    return None if path is None else path(np.asarray(Y, dtype=float), family)
+
+
+def _select_leveled(Y, family, sigma, kappa, pen_variant):
     # the objective decomposes over levels, so each level scans independently
     y = np.asarray(Y, dtype=float)
     chosen = []
@@ -225,7 +221,7 @@ def _select_leveled(Y, family: LeveledSparsityFamily, sigma, kappa, pen_variant)
         total = gains[-1]
         best_size, best_val = 0, math.inf
         for size in range(2**j + 1):
-            pen_j = 2.0 * kappa * 2.0 * (size * math.log(math.e * 2**j / size) if size else 0.0)
+            pen_j = 2.0 * kappa * family.level_majorant(j, size)
             if pen_variant == "map":
                 pen_j += size
             val = (total - gains[size]) + sigma**2 * pen_j
@@ -237,34 +233,13 @@ def _select_leveled(Y, family: LeveledSparsityFamily, sigma, kappa, pen_variant)
     return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
 
 
-def _select_jump(Y, family: JumpFamily, sigma, kappa, pen_variant):
-    table = segment_dp(Y, family.n - 1)
-
-    def scored():
-        for k, (sse, breaks) in enumerate(table):
-            s = JumpSet(breaks)
-            yield s, sse + _pen(family, s, sigma, kappa, pen_variant)
-
-    return _finish(Y, family, sigma, kappa, pen_variant, scored())
-
-
-def _select_exhaustive(Y, family, sigma, kappa, pen_variant, caps):
-    try:
-        return select_bruteforce(Y, family, sigma, kappa, caps, pen_variant)
-    except CapExceededError as exc:
-        raise ExactModeUnavailableError(
-            f"exact selection for family {family.tag} exceeds caps: {exc}"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
-# Heuristics
+# Heuristic searches: (structure, objective) pairs visited
 # ---------------------------------------------------------------------------
 
 
-def _greedy_regression_path(Y, family: RegressionFamily, sigma, kappa, pen_variant):
-    """Forward greedy over supports inside the small family, then the I_r elbow;
-    returns every (structure, objective) the search visits."""
+def _greedy_regression_path(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+    """Forward greedy over supports inside the small family, then the I_r elbow."""
     current: list[int] = []
     visited = [(RegressionSupport(()),
                 objective(Y, family, RegressionSupport(()), sigma, kappa, pen_variant))]
@@ -286,11 +261,6 @@ def _greedy_regression_path(Y, family: RegressionFamily, sigma, kappa, pen_varia
     return visited
 
 
-def _greedy_regression(Y, family, sigma, kappa, pen_variant):
-    visited = _greedy_regression_path(Y, family, sigma, kappa, pen_variant)
-    return _finish(Y, family, sigma, kappa, pen_variant, visited)
-
-
 @dataclass
 class AlternatingTrace:
     structure: Bicluster
@@ -308,7 +278,7 @@ def _labels_to_blocks(labels, k):
     return [tuple(np.flatnonzero(labels == b)) for b in range(k) if np.any(labels == b)]
 
 
-def alternating_bicluster(Y, family: BiclusterFamily, sigma, kappa, k1, k2, rng,
+def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                           pen_variant="main", restarts=10, max_iter=50):
     """Alternating row/column reassignment; objective never increases."""
     mat = np.asarray(Y, dtype=float).reshape(family.n1, family.n2)
@@ -373,35 +343,21 @@ def alternating_bicluster(Y, family: BiclusterFamily, sigma, kappa, k1, k2, rng,
     return best
 
 
-def _bicluster_search_traces(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
-    traces = []
-    b1 = min(max_blocks, family.n1)
-    b2 = min(max_blocks, family.n2)
-    for k1 in range(1, b1 + 1):
-        for k2 in range(1, b2 + 1):
-            traces.append(alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
-                                                pen_variant=pen_variant))
-    return traces
+def _bicluster_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+    """Best alternating trace for every block-count pair up to max_blocks."""
+    visited = []
+    for k1 in range(1, min(max_blocks, family.n1) + 1):
+        for k2 in range(1, min(max_blocks, family.n2) + 1):
+            trace = alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
+                                          pen_variant=pen_variant)
+            visited.append((trace.structure, trace.objective))
+    return visited
 
 
-def _heuristic_bicluster(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
-    tracker = _ArgminTracker(family)
-    for trace in _bicluster_search_traces(Y, family, sigma, kappa, pen_variant, rng,
-                                          max_blocks):
-        tracker.offer(trace.structure, trace.objective)
-    structure, _ = tracker.result()
-    return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
-
-
-def _heuristic_clustering(Y, family, sigma, kappa, pen_variant, max_clusters, max_free):
-    candidates = _clustering_candidates(Y, family, sigma, kappa, pen_variant,
-                                        max_clusters, max_free)
-    return _finish(Y, family, sigma, kappa, pen_variant, candidates)
-
-
-def _clustering_candidates(Y, family: ClusteringFamily, sigma, kappa, pen_variant,
-                           max_clusters, max_free):
-    """Sorted-order DP: clusters contiguous in value order, small free set exhaustive.
+def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+    """Sorted-order DP: clusters contiguous in value order, free sets of up to
+    two coordinates swept exhaustively (none when n > 20), at most max_blocks
+    clusters.
 
     Optimality is not claimed; the penalty's per-cluster term -log|I_k|! is
     separable, so for a fixed free set and cluster count the DP is exact over
@@ -409,8 +365,7 @@ def _clustering_candidates(Y, family: ClusteringFamily, sigma, kappa, pen_varian
     """
     y = np.asarray(Y, dtype=float)
     n = family.n
-    if n > 20:  # the exhaustive free-set sweep is quadratic in n
-        max_free = 0
+    max_free = 2 if n <= 20 else 0  # the exhaustive free-set sweep is quadratic in n
     candidates = []
 
     def dp_clusters(values, m):
@@ -448,7 +403,7 @@ def _clustering_candidates(Y, family: ClusteringFamily, sigma, kappa, pen_varian
             free = sorted_tuple(free_combo)
             rest = [i for i in order if i not in free]
             vals = y[rest]
-            for m in range(0, max_clusters + 1):
+            for m in range(0, max_blocks + 1):
                 fit = dp_clusters(vals, m)
                 if fit is None:
                     continue
@@ -459,24 +414,30 @@ def _clustering_candidates(Y, family: ClusteringFamily, sigma, kappa, pen_varian
     return candidates
 
 
+# every search takes (Y, family, sigma, kappa, pen_variant, rng, max_blocks)
+_SEARCHES = {
+    "regression": _greedy_regression_path,
+    "bicluster": _bicluster_search,
+    "clustering": _clustering_search,
+}
+
+
+def _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+    """(structure, objective) pairs visited by the family's heuristic search."""
+    search = _SEARCHES.get(family.tag)
+    if search is None:
+        raise ExactModeUnavailableError(
+            f"no heuristic search path for family {family.tag}; enumerate instead")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    return search(Y, family, sigma, kappa, pen_variant, rng, max_blocks)
+
+
 def search_candidates(Y, family: Family, sigma: float, kappa: float,
                       pen_variant: str = "main", rng=None, max_blocks: int = 4):
     """Structures visited by the heuristic search paths, duplicate-free in
     canonical order; the honest candidate set for restricted posteriors over
     non-enumerable families."""
-    if isinstance(family, RegressionFamily):
-        found = [s for s, _ in _greedy_regression_path(Y, family, sigma, kappa,
-                                                       pen_variant)]
-    elif isinstance(family, BiclusterFamily):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        found = [t.structure for t in _bicluster_search_traces(
-            Y, family, sigma, kappa, pen_variant, rng, max_blocks)]
-    elif isinstance(family, ClusteringFamily):
-        found = [s for s, _ in _clustering_candidates(Y, family, sigma, kappa,
-                                                      pen_variant, max_blocks, 2)]
-    else:
-        raise ExactModeUnavailableError(
-            f"no heuristic search path for family {family.tag}; enumerate instead")
+    found = [s for s, _ in _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks)]
     return sorted(set(found), key=family.sort_key)
 
 
@@ -500,35 +461,29 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     Exact mode is available for smoothness, banding, sparsity, leveled
     sparsity, jump and knot shape sets, regression within caps, and tiny
     bicluster/clustering instances; heuristic mode covers regression
-    (forward greedy) and bicluster/clustering searches.
+    (forward greedy) and bicluster/clustering searches, and falls back to
+    exact mode, with the same caps, for the other families.
     """
     if sigma <= 0 or kappa <= 0:
         raise ValueError("sigma and kappa must be positive")
-    if mode == "exact":
-        if isinstance(family, SmoothnessFamily):
-            return _select_smoothness(Y, family, sigma, kappa, pen_variant)
-        if isinstance(family, BandingFamily):
-            return _select_banding(Y, family, sigma, kappa, pen_variant)
-        if isinstance(family, SparsityFamily):
-            return _select_sparsity(Y, family, sigma, kappa, pen_variant)
-        if isinstance(family, LeveledSparsityFamily):
-            return _select_leveled(Y, family, sigma, kappa, pen_variant)
-        if isinstance(family, JumpFamily):
-            return _select_jump(Y, family, sigma, kappa, pen_variant)
-        if isinstance(family, (KnotFamily, RegressionFamily, BiclusterFamily,
-                               ClusteringFamily)):
-            return _select_exhaustive(Y, family, sigma, kappa, pen_variant,
-                                      caps or EXACT_CAPS[family.tag])
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "heuristic" and family.tag in _SEARCHES:
+        return _finish(Y, family, sigma, kappa, pen_variant,
+                       _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks))
+    path = nested_path(Y, family)
+    if path is not None:
+        return _finish(Y, family, sigma, kappa, pen_variant,
+                       ((s, sse + _pen(family, s, sigma, kappa, pen_variant))
+                        for s, sse in path))
+    if family.tag == "leveled":
+        return _select_leveled(Y, family, sigma, kappa, pen_variant)
+    if family.tag not in EXACT_CAPS:
         raise ExactModeUnavailableError(f"no exact selector for family {family.tag}")
-    if mode == "heuristic":
-        if isinstance(family, RegressionFamily):
-            return _greedy_regression(Y, family, sigma, kappa, pen_variant)
-        if isinstance(family, BiclusterFamily):
-            rng = rng if rng is not None else np.random.default_rng(0)
-            return _heuristic_bicluster(Y, family, sigma, kappa, pen_variant, rng, max_blocks)
-        if isinstance(family, ClusteringFamily):
-            return _heuristic_clustering(Y, family, sigma, kappa, pen_variant,
-                                         max_clusters=max_blocks, max_free=2)
-        # cheap families: the exact algorithm is the heuristic
-        return select_penalized(Y, family, sigma, kappa, "exact", pen_variant)
-    raise ValueError(f"unknown mode {mode!r}")
+    try:
+        return select_bruteforce(Y, family, sigma, kappa, caps or EXACT_CAPS[family.tag],
+                                 pen_variant)
+    except CapExceededError as exc:
+        raise ExactModeUnavailableError(
+            f"exact selection for family {family.tag} exceeds caps: {exc}"
+        ) from exc

@@ -447,8 +447,13 @@ class LeveledSparsityFamily(Family):
     def _dim(self, s):
         return sum(len(lv) for lv in s.levels)
 
+    def level_majorant(self, j: int, size: int) -> float:
+        """Share of the majorant from `size` indices on level j."""
+        return 2.0 * xlog(size, math.e * 2**j)
+
     def _majorant(self, s):
-        return 2.0 * sum(xlog(len(lv), math.e * 2**j) for j, lv in enumerate(s.levels))
+        # start at 0.0 so the empty structure's majorant stays a float
+        return sum((self.level_majorant(j, len(lv)) for j, lv in enumerate(s.levels)), 0.0)
 
     def _slicing(self, s):
         return (len(s.levels) - 1,) + tuple(len(lv) for lv in s.levels)

@@ -86,6 +86,20 @@ def test_select_sparsity_large_uses_symmetric_polynomial(tmp_path):
     assert doc["theta_tilde"] is not None
 
 
+def test_select_jump_with_step_writes_integer_breaks(tmp_path):
+    data = tmp_path / "y.csv"
+    data.write_text("\n".join(str(v) for v in [0.1, -0.2, 0.0, 0.2, -0.1, 0.0,
+                                                 9.9, 10.2, 10.0, 9.8, 10.1, 10.0]) + "\n")
+    cfg = write_config(tmp_path, {
+        "family": {"kind": "jump", "n": 12}, "sigma": 1.0, "kappa": 1.0,
+        "data": {"file": str(data)}})
+    out = tmp_path / "sel.json"
+    r = run_cli("select", "--config", cfg, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert doc["structure"] == {"family": "jump", "data": {"breaks": [5]}}
+
+
 def test_invalid_json_reports_location(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text('{"family": ,}')

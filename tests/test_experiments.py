@@ -113,13 +113,14 @@ def test_derived_rngs_are_stable_and_distinct():
 
 
 def test_render_csv_format():
-    text = render_csv(["a", "b"], [[1, 2.5], [3, float("inf")]], seed=9,
-                      config={"x": 1})
+    text = render_csv(["a", "b"], [[1, 2.5], [3, float("inf")], ['{"k": 1, "j": 2}', 0]],
+                      seed=9, config={"x": 1})
     lines = text.split("\n")
     assert lines[0].startswith("# projstruct=") and "seed=9" in lines[0]
     assert "config_sha256=" + config_hash({"x": 1}) in lines[0]
     assert lines[1] == "a,b"
     assert lines[2] == "1,2.5"
+    assert lines[4] == '"{""k"": 1, ""j"": 2}",0'
     assert text.endswith("\n")
 
 

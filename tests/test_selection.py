@@ -3,9 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from projstruct.errors import ExactModeUnavailableError
+from projstruct.linalg import sq_norm
 from projstruct.selection import (
     alternating_bicluster,
+    nested_path,
     objective,
+    search_candidates,
     segment_dp,
     select_bruteforce,
     select_penalized,
@@ -163,3 +167,26 @@ def test_exact_matches_bruteforce_under_map_penalty_variant():
                                        pen_variant="map")
             assert s1 == s2, name
             assert abs(o1 - o2) <= 1e-9 * (1.0 + abs(o2)), name
+
+
+@pytest.mark.parametrize("name", sorted(small_families()))
+def test_dispatch_table_paths_searches_and_heuristic_fallback(name):
+    fam = small_families()[name]
+    y = np.random.default_rng(41).standard_normal(fam.ambient_dim) * 2.0
+    path = nested_path(y, fam)
+    if name in ("smoothness", "banding", "sparsity", "jump"):
+        assert len({fam.dim(s) for s, _ in path}) == len(path)
+        for s, sse in path:
+            assert sse == pytest.approx(sq_norm(y - fam.project(s, y)), rel=1e-9, abs=1e-9)
+    else:
+        assert path is None
+
+    heuristic = select_penalized(y, fam, 1.0, 1.0, mode="heuristic",
+                                 rng=np.random.default_rng(3))
+    if name in ("regression", "bicluster", "clustering"):
+        found = search_candidates(y, fam, 1.0, 1.0, rng=np.random.default_rng(3))
+        assert heuristic[0] in found
+    else:
+        assert heuristic == select_penalized(y, fam, 1.0, 1.0)
+        with pytest.raises(ExactModeUnavailableError):
+            search_candidates(y, fam, 1.0, 1.0)
