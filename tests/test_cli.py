@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from projstruct.cli import main
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+GOLDEN_SIMULATE = sorted((DATA_DIR / "golden_simulate").glob("*.json"))
 
 
 def run_cli(*args):
@@ -193,3 +196,13 @@ def test_select_bicluster_restricted_posterior(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["posterior"]["method"] == "restricted-candidate-set"
     assert doc["theta_tilde"] is not None
+
+
+@pytest.mark.parametrize("config", GOLDEN_SIMULATE, ids=lambda p: p.stem)
+def test_simulate_reproduces_golden_csv(tmp_path, config):
+    """`projstruct simulate --config <name>.json --seed 31337` must write the
+    bytes of `<name>.csv`, which pins simulate output across commits."""
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--seed", "31337"]) == 0
+    assert out.read_bytes() == config.with_suffix(".csv").read_bytes()
