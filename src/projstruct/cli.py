@@ -7,7 +7,8 @@
 Configs are single JSON documents (schema in the README).  Outputs are
 deterministic functions of (config, seed): CSV files carry a metadata comment
 line with version, seed, and config hash; floats print with '.' decimal
-separator via repr.  Exit codes: 0 success, 2 config error, 3 cap error.
+separator via repr.  Exit codes: 0 success, 2 config error, 3 cap error or a
+worker process that died.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
         return 2
     except (CapExceededError, ExactModeUnavailableError) as exc:
         print(f"cap error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,16 +1,22 @@
 """Monte Carlo experiments: contraction, risk, coverage, size, recovery.
 
-Everything is driven by a single JSON-able config document.  Replication
-seeds derive from sha256(master_seed, cell key, rep index), so outputs are
-bit-identical across runs and independent of worker count; rows are emitted
-in grid order.
+Everything is driven by a single JSON-able config document.  Each (n, sigma)
+grid cell is built once into a context (family, signal, noise, constants and
+the cached oracle rate), and config-only checks run on it before any
+replication starts; every replication of the cell then receives that same
+context, in process or pickled to a worker.  Replication seeds derive from
+sha256(master_seed, cell stream, rep index), so outputs are bit-identical
+across runs and independent of worker count; rows are emitted in grid order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -191,10 +197,14 @@ def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str
 
 
 class _Ctx:
-    """Per-cell context rebuilt inside workers from the JSON config."""
+    """One grid cell, built once from the JSON config: the family, sigma,
+    signal, noise and constants, plus the master seed that keys the
+    replication streams.  Every replication of the cell receives this same
+    object, pickled whole when it runs in a worker process."""
 
-    def __init__(self, config: dict, n: float | None, sigma_spec):
+    def __init__(self, config: dict, seed: int, n: float | None, sigma_spec):
         self.config = config
+        self.seed = seed
         self.family = build_family(config["family"], None if n is None else int(n))
         self.sigma = resolve_sigma(sigma_spec, self.family.ambient_dim)
         self.kappa = float(config.get("kappa", 1.0))
@@ -205,8 +215,29 @@ class _Ctx:
         self.theta = build_signal(config["signal"], self.family, self.sigma)
         self.constants = build_constants(config.get("constants"))
 
+    @functools.cached_property
+    def rate(self) -> float:
+        return oracle_rate(self.theta, self.family, self.sigma, mode=self.mode).rate_sq
+
+    @property
+    def cell(self) -> list:
+        """The n and sigma columns that start every output row."""
+        return [self.family.ambient_dim, self.sigma]
+
+    def highly_structured(self) -> int:
+        return int(highly_structured(self.rate, self.sigma, self.family.ambient_dim,
+                                     float(self.config.get("structured_c", 1.0))))
+
     def draw(self, rng) -> np.ndarray:
         return self.theta + self.sigma * self.noise.sample(rng, self.family.ambient_dim)
+
+    def select(self, y, rng):
+        return select_penalized(y, self.family, self.sigma, self.kappa, mode=self.mode,
+                                pen_variant=self.pen_variant, rng=rng)[0]
+
+    def estimate(self, y, rng, sigma: float | None = None):
+        return point_estimate(y, self.family, self.sigma if sigma is None else sigma,
+                              self.kappa, self.estimator, self.mode, self.pen_variant, rng)
 
 
 def _grid(config: dict, key: str, default):
@@ -219,173 +250,106 @@ def _grid(config: dict, key: str, default):
     return values
 
 
+def _cells(config: dict, seed: int):
+    """(cell index, context) for every (n, sigma) grid cell, n-major."""
+    grid = itertools.product(_grid(config, "n", [None]),
+                             _grid(config, "sigma", [config.get("sigma", 1.0)]))
+    for ci, (n, sigma_spec) in enumerate(grid):
+        yield ci, _Ctx(config, seed, n, sigma_spec)
+
+
 def _mean_se(flags) -> tuple[float, float]:
     arr = np.asarray(flags, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=0) / math.sqrt(arr.size))
 
 
-# -- per-replication payload runners (module level: picklable) --------------
+def _ratio(value: float, rate: float) -> float:
+    return value / rate if rate > 0 else math.inf
 
 
-def _rep_contraction(args):
-    config, n, sigma_spec, M_list, seed, cell, rep = args
-    ctx = _Ctx(config, n, sigma_spec)
-    rng = derive_rng(seed, "rep", cell, rep)
+# -- replications: func(ctx, rng, *extra), module level so they pickle -------
+
+
+def _rep_contraction(ctx, rng, thresholds):
     y = ctx.draw(rng)
-    i_hat, _ = select_penalized(y, ctx.family, ctx.sigma, ctx.kappa, mode=ctx.mode,
-                                pen_variant=ctx.pen_variant, rng=rng)
-    draws = int(config.get("posterior_draws", 200))
     cfg = DdmConfig(kappa=ctx.kappa, sigma=ctx.sigma, pen_variant=ctx.pen_variant)
-    samples = np.stack(sample_conditional(y, ctx.family, i_hat, cfg, rng, draws))
+    draws = int(ctx.config.get("posterior_draws", 200))
+    samples = np.stack(sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws))
     errs = np.sum((samples - ctx.theta[None, :]) ** 2, axis=1)
-    rate = oracle_rate(ctx.theta, ctx.family, ctx.sigma, mode=ctx.mode).rate_sq
-    M0 = ctx.constants.M0
-    return [float(np.mean(errs >= M0 * rate + M * ctx.sigma**2)) for M in M_list]
+    return [float(np.mean(errs >= threshold)) for threshold in thresholds]
 
 
-def _rep_error_sq(args):
-    config, n, sigma_spec, seed, cell, rep = args
-    ctx = _Ctx(config, n, sigma_spec)
-    rng = derive_rng(seed, "rep", cell, rep)
-    y = ctx.draw(rng)
-    theta_hat, i_hat = point_estimate(y, ctx.family, ctx.sigma, ctx.kappa,
-                                      ctx.estimator, ctx.mode, ctx.pen_variant, rng)
+def _rep_error_sq(ctx, rng):
+    theta_hat, i_hat = ctx.estimate(ctx.draw(rng), rng)
     return sq_norm(theta_hat - ctx.theta), ctx.family.majorant(i_hat)
 
 
-def _rep_coverage_ebr(args):
-    config, n, sigma_spec, t_list, M_list, seed, cell, rep = args
-    ctx = _Ctx(config, n, sigma_spec)
-    rng = derive_rng(seed, "rep", cell, rep)
+def _hit(ball, theta) -> tuple[float, float]:
+    return float(contains(ball, theta)), ball.radius_sq
+
+
+def _rep_coverage_ebr(ctx, rng, t_list, M_list):
     y = ctx.draw(rng)
-    theta_hat, i_hat = point_estimate(y, ctx.family, ctx.sigma, ctx.kappa,
-                                      ctx.estimator, ctx.mode, ctx.pen_variant, rng)
-    out = []
-    for t in t_list:
-        for M in M_list:
-            ball = ebr_ball(y, ctx.family, ctx.sigma, ctx.constants, i_hat,
-                            theta_hat, t, M)
-            out.append((float(contains(ball, ctx.theta)), ball.radius_sq))
-    return out
+    theta_hat, i_hat = ctx.estimate(y, rng)
+    return [_hit(ebr_ball(y, ctx.family, ctx.sigma, ctx.constants, i_hat, theta_hat, t, M),
+                 ctx.theta) for t in t_list for M in M_list]
 
 
-def _rep_coverage_quarter(args):
-    config, n, sigma_spec, M_list, seed, cell, rep = args
-    ctx = _Ctx(config, n, sigma_spec)
+def _check_quarter(ctx) -> None:
     if isinstance(ctx.family, BandingFamily):
         raise ConfigError("quarter ball is disabled for the banding family "
                           "(no valid V statistic is known there)")
-    rng = derive_rng(seed, "rep", cell, rep)
-    duplication = config.get("duplication", "gaussian")
-    if duplication == "gaussian":
-        if ctx.noise.kind != "gaussian":
-            raise ConfigError("gaussian duplication requires gaussian noise")
-        y = ctx.draw(rng)
-        y_prime, y_second = duplicate_gaussian(y, ctx.sigma, rng)
+    duplication = ctx.config.get("duplication", "gaussian")
+    if duplication not in ("gaussian", "second-sample"):
+        raise ConfigError(f"unknown duplication {duplication!r}")
+    if duplication == "gaussian" and ctx.noise.kind != "gaussian":
+        raise ConfigError("gaussian duplication requires gaussian noise")
+
+
+def _rep_coverage_quarter(ctx, rng, M_list):
+    if ctx.config.get("duplication", "gaussian") == "gaussian":
+        y_prime, y_second = duplicate_gaussian(ctx.draw(rng), ctx.sigma, rng)
         sigma_eff = ctx.sigma * math.sqrt(2.0)
         v_kind = "unit-variance"
-    elif duplication == "second-sample":
+    else:
         y_second = ctx.draw(rng)
         y_prime = ctx.draw(rng)
         sigma_eff = ctx.sigma
-        v_kind = config.get("v_statistic", "unit-variance")
-    else:
-        raise ConfigError(f"unknown duplication {duplication!r}")
-    theta_hat, _ = point_estimate(y_second, ctx.family, sigma_eff, ctx.kappa,
-                                  ctx.estimator, ctx.mode, ctx.pen_variant, rng)
+        v_kind = ctx.config.get("v_statistic", "unit-variance")
+    theta_hat, _ = ctx.estimate(y_second, rng, sigma_eff)
     v = v_statistic(v_kind, y_prime, y_second)
-    out = []
-    for M in M_list:
-        ball = quarter_ball(y_prime, theta_hat, sigma_eff, M, ctx.constants.M1, v)
-        out.append((float(contains(ball, ctx.theta)), ball.radius_sq))
-    return out
+    return [_hit(quarter_ball(y_prime, theta_hat, sigma_eff, M, ctx.constants.M1, v),
+                 ctx.theta) for M in M_list]
 
 
-def _rep_recovery(args):
-    config, n, sigma_spec, seed, cell, rep = args
-    ctx = _Ctx(config, n, sigma_spec)
-    rng = derive_rng(seed, "rep", cell, rep)
-    y = ctx.draw(rng)
-    i_hat, _ = select_penalized(y, ctx.family, ctx.sigma, ctx.kappa, mode=ctx.mode,
-                                pen_variant=ctx.pen_variant, rng=rng)
-    return ctx.family.majorant(i_hat)
+def _rep_recovery(ctx, rng):
+    return ctx.family.majorant(ctx.select(ctx.draw(rng), rng))
 
 
-_REP_FUNCS = {
-    "contraction": _rep_contraction,
-    "error": _rep_error_sq,
-    "coverage-ebr": _rep_coverage_ebr,
-    "coverage-quarter": _rep_coverage_quarter,
-    "recovery": _rep_recovery,
-}
+def _call(func, ctx, stream, extra, rep):
+    return func(ctx, derive_rng(ctx.seed, "rep", stream, rep), *extra)
 
 
-def _run_reps(func_key: str, payloads, workers: int):
-    func = _REP_FUNCS[func_key]
+def _run_reps(func, ctx: _Ctx, stream, reps: int, workers: int, *extra):
+    """func(ctx, rng, *extra) for reps replications of one cell, in rep order.
+    Starts no more worker processes than replications or CPUs."""
+    task = functools.partial(_call, func, ctx, stream, extra)
+    workers = min(workers, reps, os.cpu_count() or 1)
     if workers <= 1:
-        return [func(p) for p in payloads]
+        return [task(rep) for rep in range(reps)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(payloads) // (4 * workers))
-        return list(pool.map(func, payloads, chunksize=chunk))
+        return list(pool.map(task, range(reps), chunksize=max(1, reps // (4 * workers))))
 
 
-# ---------------------------------------------------------------------------
-# experiments
-# ---------------------------------------------------------------------------
-
-
-def _cells(config):
-    n_grid = _grid(config, "n", [None])
-    sigma_grid = _grid(config, "sigma", [config.get("sigma", 1.0)])
-    for n in n_grid:
-        for sigma_spec in sigma_grid:
-            yield n, sigma_spec
-
-
-def run_contraction(config, seed, workers):
-    reps = int(config.get("reps", 100))
-    M_list = [float(m) for m in _grid(config, "M", [0.0])]
-    header = ["n", "sigma", "M", "frac_exceed", "se", "reps"]
-    rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        payloads = [(config, n, sigma_spec, M_list, seed, ci, r) for r in range(reps)]
-        per_rep = _run_reps("contraction", payloads, workers)
-        ctx = _Ctx(config, n, sigma_spec)
-        for mi, M in enumerate(M_list):
-            mean, se = _mean_se([row[mi] for row in per_rep])
-            rows.append([ctx.family.ambient_dim, ctx.sigma, M, mean, se, reps])
-    return header, rows
-
-
-def run_estimation_risk(config, seed, workers):
-    reps = int(config.get("reps", 100))
-    header = ["n", "sigma", "mean_err_sq", "se", "q50", "q90",
-              "oracle_rate_sq", "mean_ratio", "reps"]
-    rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        payloads = [(config, n, sigma_spec, seed, ci, r) for r in range(reps)]
-        errs = np.array([e for e, _ in _run_reps("error", payloads, workers)])
-        ctx = _Ctx(config, n, sigma_spec)
-        rate = oracle_rate(ctx.theta, ctx.family, ctx.sigma, mode=ctx.mode).rate_sq
-        mean, se = _mean_se(errs)
-        rows.append([ctx.family.ambient_dim, ctx.sigma, mean, se,
-                     float(np.quantile(errs, 0.5)), float(np.quantile(errs, 0.9)),
-                     rate, mean / rate if rate > 0 else math.inf, reps])
-    return header, rows
-
-
-def run_rate_scaling(config, seed, workers):
-    reps = int(config.get("reps", 100))
-    header = ["n", "sigma", "mean_err_sq", "se", "log_n", "log_mean_err_sq", "reps"]
-    rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        payloads = [(config, n, sigma_spec, seed, ci, r) for r in range(reps)]
-        errs = np.array([e for e, _ in _run_reps("error", payloads, workers)])
-        ctx = _Ctx(config, n, sigma_spec)
-        mean, se = _mean_se(errs)
-        rows.append([ctx.family.ambient_dim, ctx.sigma, mean, se,
-                     math.log(ctx.family.ambient_dim), math.log(mean), reps])
-    return header, rows
+def _calibration(func, ctx: _Ctx, ci: int, reps: int, workers: int, *extra):
+    """(replications of the calibration stream, nominal level), or
+    (None, None) when the config asks for no calibration."""
+    calibrate = ctx.config.get("calibrate")
+    if not calibrate:
+        return None, None
+    calib = _run_reps(func, ctx, f"calib:{ci}", int(calibrate.get("reps", reps)),
+                      workers, *extra)
+    return calib, float(calibrate.get("nominal", 0.95))
 
 
 def _calibrate_m(values_by_m: dict[float, list[float]], nominal: float) -> float:
@@ -396,90 +360,105 @@ def _calibrate_m(values_by_m: dict[float, list[float]], nominal: float) -> float
     return max(values_by_m)
 
 
+# ---------------------------------------------------------------------------
+# experiments
+# ---------------------------------------------------------------------------
+
+
+def run_contraction(config, seed, workers):
+    reps = int(config.get("reps", 100))
+    M_list = [float(m) for m in _grid(config, "M", [0.0])]
+    header = ["n", "sigma", "M", "frac_exceed", "se", "reps"]
+    rows = []
+    for ci, ctx in _cells(config, seed):
+        thresholds = [ctx.constants.M0 * ctx.rate + M * ctx.sigma**2 for M in M_list]
+        per_rep = _run_reps(_rep_contraction, ctx, ci, reps, workers, thresholds)
+        for mi, M in enumerate(M_list):
+            rows.append([*ctx.cell, M, *_mean_se([row[mi] for row in per_rep]), reps])
+    return header, rows
+
+
+def run_estimation_risk(config, seed, workers):
+    reps = int(config.get("reps", 100))
+    header = ["n", "sigma", "mean_err_sq", "se", "q50", "q90",
+              "oracle_rate_sq", "mean_ratio", "reps"]
+    rows = []
+    for ci, ctx in _cells(config, seed):
+        errs = np.array([e for e, _ in _run_reps(_rep_error_sq, ctx, ci, reps, workers)])
+        mean, se = _mean_se(errs)
+        rows.append([*ctx.cell, mean, se,
+                     float(np.quantile(errs, 0.5)), float(np.quantile(errs, 0.9)),
+                     ctx.rate, _ratio(mean, ctx.rate), reps])
+    return header, rows
+
+
+def run_rate_scaling(config, seed, workers):
+    reps = int(config.get("reps", 100))
+    header = ["n", "sigma", "mean_err_sq", "se", "log_n", "log_mean_err_sq", "reps"]
+    rows = []
+    for ci, ctx in _cells(config, seed):
+        errs = np.array([e for e, _ in _run_reps(_rep_error_sq, ctx, ci, reps, workers)])
+        mean, se = _mean_se(errs)
+        rows.append([*ctx.cell, mean, se,
+                     math.log(ctx.family.ambient_dim), math.log(mean), reps])
+    return header, rows
+
+
 def run_coverage_ebr(config, seed, workers):
     reps = int(config.get("reps", 200))
     t_list = [float(t) for t in _grid(config, "t", [0.0])]
     M_list = [float(m) for m in _grid(config, "M", [0.0])]
-    calibrate = config.get("calibrate")
     header = ["n", "sigma", "t", "M", "m_kind", "coverage", "se",
               "mean_radius_sq", "oracle_rate_sq", "mean_radius_to_oracle",
               "m2_theory", "m2_used", "reps"]
     rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        ctx = _Ctx(config, n, sigma_spec)
-        rate = oracle_rate(ctx.theta, ctx.family, ctx.sigma, mode=ctx.mode).rate_sq
+    for ci, ctx in _cells(config, seed):
         m2_theory = FrameworkConstants(
             alpha=ctx.constants.alpha, nu=ctx.constants.nu, strict=True).M2
+        per_rep = _run_reps(_rep_coverage_ebr, ctx, f"main:{ci}", reps, workers,
+                            t_list, M_list)
 
-        def run(m_values, stream, n_reps):
-            payloads = [(config, n, sigma_spec, t_list, m_values, seed,
-                         f"{stream}:{ci}", r) for r in range(n_reps)]
-            return _run_reps("coverage-ebr", payloads, workers)
+        def row(ti, mi, m_kind):
+            idx = ti * len(M_list) + mi
+            cov, se = _mean_se([r[idx][0] for r in per_rep])
+            mean_rad = float(np.mean([r[idx][1] for r in per_rep]))
+            return [*ctx.cell, t_list[ti], M_list[mi], m_kind, cov, se, mean_rad,
+                    ctx.rate, _ratio(mean_rad, ctx.rate), m2_theory, ctx.constants.M2, reps]
 
-        per_rep = run(M_list, "main", reps)
-        for ti, t in enumerate(t_list):
-            for mi, M in enumerate(M_list):
-                idx = ti * len(M_list) + mi
-                cov, se = _mean_se([r[idx][0] for r in per_rep])
-                mean_rad = float(np.mean([r[idx][1] for r in per_rep]))
-                rows.append([ctx.family.ambient_dim, ctx.sigma, t, M, "grid", cov, se,
-                             mean_rad, rate, mean_rad / rate if rate > 0 else math.inf,
-                             m2_theory, ctx.constants.M2, reps])
-        if calibrate:
-            nominal = float(calibrate.get("nominal", 0.95))
-            calib_reps = int(calibrate.get("reps", reps))
-            calib = run(M_list, "calib", calib_reps)
-            for ti, t in enumerate(t_list):
+        rows += [row(ti, mi, "grid") for ti in range(len(t_list)) for mi in range(len(M_list))]
+        calib, nominal = _calibration(_rep_coverage_ebr, ctx, ci, reps, workers,
+                                      t_list, M_list)
+        if calib is not None:
+            for ti in range(len(t_list)):
                 values = {M: [r[ti * len(M_list) + mi][0] for r in calib]
                           for mi, M in enumerate(M_list)}
-                m_star = _calibrate_m(values, nominal)
-                mi = M_list.index(m_star)
-                idx = ti * len(M_list) + mi
-                cov, se = _mean_se([r[idx][0] for r in per_rep])
-                mean_rad = float(np.mean([r[idx][1] for r in per_rep]))
-                rows.append([ctx.family.ambient_dim, ctx.sigma, t, m_star, "calibrated",
-                             cov, se, mean_rad, rate,
-                             mean_rad / rate if rate > 0 else math.inf,
-                             m2_theory, ctx.constants.M2, reps])
+                rows.append(row(ti, M_list.index(_calibrate_m(values, nominal)),
+                                "calibrated"))
     return header, rows
 
 
 def run_coverage_quarter(config, seed, workers):
     reps = int(config.get("reps", 200))
     M_list = [float(m) for m in _grid(config, "M", [1.0])]
-    calibrate = config.get("calibrate")
     header = ["n", "sigma", "M", "m_kind", "coverage", "se", "mean_radius_sq",
               "oracle_rate_sq", "mean_radius_to_oracle", "highly_structured", "reps"]
     rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        ctx = _Ctx(config, n, sigma_spec)
-        rate = oracle_rate(ctx.theta, ctx.family, ctx.sigma, mode=ctx.mode).rate_sq
-        flag = int(highly_structured(rate, ctx.sigma, ctx.family.ambient_dim,
-                                     float(config.get("structured_c", 1.0))))
+    for ci, ctx in _cells(config, seed):
+        _check_quarter(ctx)
+        flag = ctx.highly_structured()
+        per_rep = _run_reps(_rep_coverage_quarter, ctx, f"main:{ci}", reps, workers, M_list)
 
-        def run(stream, n_reps):
-            payloads = [(config, n, sigma_spec, M_list, seed, f"{stream}:{ci}", r)
-                        for r in range(n_reps)]
-            return _run_reps("coverage-quarter", payloads, workers)
-
-        per_rep = run("main", reps)
-        for mi, M in enumerate(M_list):
+        def row(mi, m_kind):
             cov, se = _mean_se([r[mi][0] for r in per_rep])
             mean_rad = float(np.mean([r[mi][1] for r in per_rep]))
-            rows.append([ctx.family.ambient_dim, ctx.sigma, M, "grid", cov, se,
-                         mean_rad, rate, mean_rad / rate if rate > 0 else math.inf,
-                         flag, reps])
-        if calibrate:
-            nominal = float(calibrate.get("nominal", 0.95))
-            calib = run("calib", int(calibrate.get("reps", reps)))
+            return [*ctx.cell, M_list[mi], m_kind, cov, se, mean_rad,
+                    ctx.rate, _ratio(mean_rad, ctx.rate), flag, reps]
+
+        rows += [row(mi, "grid") for mi in range(len(M_list))]
+        calib, nominal = _calibration(_rep_coverage_quarter, ctx, ci, reps, workers, M_list)
+        if calib is not None:
             values = {M: [r[mi][0] for r in calib] for mi, M in enumerate(M_list)}
-            m_star = _calibrate_m(values, nominal)
-            mi = M_list.index(m_star)
-            cov, se = _mean_se([r[mi][0] for r in per_rep])
-            mean_rad = float(np.mean([r[mi][1] for r in per_rep]))
-            rows.append([ctx.family.ambient_dim, ctx.sigma, m_star, "calibrated", cov,
-                         se, mean_rad, rate, mean_rad / rate if rate > 0 else math.inf,
-                         flag, reps])
+            rows.append(row(M_list.index(_calibrate_m(values, nominal)), "calibrated"))
     return header, rows
 
 
@@ -488,68 +467,48 @@ def run_size(config, seed, workers):
     header = ["n", "sigma", "mean_rhat_sq", "q50_ratio", "q90_ratio",
               "oracle_rate_sq", "highly_structured", "reps"]
     rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        ctx = _Ctx(config, n, sigma_spec)
-        payloads = [(config, n, sigma_spec, seed, ci, r) for r in range(reps)]
-        rhos = np.array([rho for _, rho in _run_reps("error", payloads, workers)])
+    for ci, ctx in _cells(config, seed):
+        rhos = np.array([rho for _, rho in _run_reps(_rep_error_sq, ctx, ci, reps, workers)])
         r_hat_sq = ctx.sigma**2 * (1.0 + rhos)
-        rate = oracle_rate(ctx.theta, ctx.family, ctx.sigma, mode=ctx.mode).rate_sq
-        ratio = r_hat_sq / rate if rate > 0 else np.full_like(r_hat_sq, math.inf)
-        flag = int(highly_structured(rate, ctx.sigma, ctx.family.ambient_dim,
-                                     float(config.get("structured_c", 1.0))))
-        rows.append([ctx.family.ambient_dim, ctx.sigma, float(np.mean(r_hat_sq)),
+        ratio = r_hat_sq / ctx.rate if ctx.rate > 0 else np.full_like(r_hat_sq, math.inf)
+        rows.append([*ctx.cell, float(np.mean(r_hat_sq)),
                      float(np.quantile(ratio, 0.5)), float(np.quantile(ratio, 0.9)),
-                     rate, flag, reps])
+                     ctx.rate, ctx.highly_structured(), reps])
     return header, rows
 
 
 def run_recovery_shell(config, seed, workers):
     reps = int(config.get("reps", 200))
     M_list = [float(m) for m in _grid(config, "M", [0.0])]
-    calibrate = config.get("calibrate")
     header = ["n", "sigma", "M", "m_kind", "freq_lower", "freq_upper", "freq_shell",
               "se_shell", "delta", "rho_tau0_oracle", "rho_oracle", "reps"]
     rows = []
-    for ci, (n, sigma_spec) in enumerate(_cells(config)):
-        ctx = _Ctx(config, n, sigma_spec)
+    for ci, ctx in _cells(config, seed):
         delta = ctx.constants.delta
-        rho_star = ctx.family.majorant(
-            oracle_rate(ctx.theta, ctx.family, ctx.sigma, ctx.constants.tau0,
-                        mode=ctx.mode).structure)
-        rho_oracle = ctx.family.majorant(
-            oracle_rate(ctx.theta, ctx.family, ctx.sigma, mode=ctx.mode).structure)
-        upper_factor = ctx.constants.recovery_upper_factor
-
-        def run(stream, n_reps):
-            payloads = [(config, n, sigma_spec, seed, f"{stream}:{ci}", r)
-                        for r in range(n_reps)]
-            return np.array(_run_reps("recovery", payloads, workers))
-
-        rhos = run("main", reps)
+        rho_star, rho_oracle = (
+            ctx.family.majorant(oracle_rate(ctx.theta, ctx.family, ctx.sigma, tau,
+                                            mode=ctx.mode).structure)
+            for tau in (ctx.constants.tau0, 1.0))
 
         def freqs(rho_values, M):
             lower = rho_values >= delta * rho_star - M
-            upper = rho_values <= upper_factor * rho_oracle + M
+            upper = rho_values <= ctx.constants.recovery_upper_factor * rho_oracle + M
             return lower, upper
 
-        for M in M_list:
+        rhos = np.array(_run_reps(_rep_recovery, ctx, f"main:{ci}", reps, workers))
+
+        def row(M, m_kind):
             lower, upper = freqs(rhos, M)
-            shell = lower & upper
-            mean, se = _mean_se(shell)
-            rows.append([ctx.family.ambient_dim, ctx.sigma, M, "grid",
-                         float(np.mean(lower)), float(np.mean(upper)), mean, se,
-                         delta, rho_star, rho_oracle, reps])
-        if calibrate:
-            nominal = float(calibrate.get("nominal", 0.95))
-            calib = run("calib", int(calibrate.get("reps", reps)))
+            mean, se = _mean_se(lower & upper)
+            return [*ctx.cell, M, m_kind, float(np.mean(lower)), float(np.mean(upper)),
+                    mean, se, delta, rho_star, rho_oracle, reps]
+
+        rows += [row(M, "grid") for M in M_list]
+        calib, nominal = _calibration(_rep_recovery, ctx, ci, reps, workers)
+        if calib is not None:
+            calib = np.array(calib)
             values = {M: list(freqs(calib, M)[0].astype(float)) for M in M_list}
-            m_star = _calibrate_m(values, nominal)
-            lower, upper = freqs(rhos, m_star)
-            shell = lower & upper
-            mean, se = _mean_se(shell)
-            rows.append([ctx.family.ambient_dim, ctx.sigma, m_star, "calibrated",
-                         float(np.mean(lower)), float(np.mean(upper)), mean, se,
-                         delta, rho_star, rho_oracle, reps])
+            rows.append(row(_calibrate_m(values, nominal), "calibrated"))
     return header, rows
 
 

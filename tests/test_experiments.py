@@ -1,6 +1,12 @@
+import collections
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+from projstruct import experiments
+from projstruct.cli import main
 from projstruct.errors import ConfigError
 from projstruct.experiments import (
     build_family,
@@ -171,3 +177,87 @@ def test_grid_over_n_rejected_for_two_axis_families():
     }
     with pytest.raises(ConfigError, match="bicluster"):
         run_experiment(cfg, seed=0)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class _DeadPool(_SerialPool):
+    def map(self, fn, iterable, chunksize=1):
+        raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+
+def _fake_pool(monkeypatch, pool_class, cpus):
+    started = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        lambda max_workers: pool_class(started, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_worker_count_bounded_by_reps_and_cpus(monkeypatch):
+    started = _fake_pool(monkeypatch, _SerialPool, cpus=4)
+    cfg = dict(BASE, experiment="recovery-shell", grid={"M": [0.0]})
+    assert run_experiment(cfg, seed=4, workers=64) == run_experiment(cfg, seed=4)
+    assert started == [4]
+    run_experiment(dict(cfg, reps=3), seed=4, workers=64)
+    assert started == [4, 3]
+
+
+def test_dead_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    _fake_pool(monkeypatch, _DeadPool, cpus=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "size", "family": {"kind": "sparsity", "n": 6}, '
+                   '"signal": {"kind": "zero"}, "sigma": 1.0, "reps": 4}', encoding="utf-8")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                 "--workers", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "worker error: a process in the pool was terminated abruptly\n")
+
+
+QUARTER = {
+    "experiment": "coverage-quarter",
+    "family": {"kind": "sparsity", "n": 6},
+    "signal": {"kind": "zero"},
+    "sigma": 1.0, "kappa": 1.0, "reps": 4,
+}
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"noise": {"kind": "rademacher"}}, "gaussian duplication requires gaussian noise"),
+    ({"duplication": "triplicate"}, "unknown duplication"),
+    ({"family": {"kind": "banding", "p": 3}}, "banding"),
+], ids=["rademacher-noise", "unknown-duplication", "banding"])
+def test_config_checks_run_before_any_replication(monkeypatch, change, match):
+    started = _fake_pool(monkeypatch, _SerialPool, cpus=2)
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(dict(QUARTER, **change), seed=0, workers=2)
+    assert started == []
+
+
+def test_per_cell_work_runs_once_per_cell(monkeypatch):
+    counts = collections.Counter()
+    for name in ("build_family", "oracle_rate"):
+        def counted(*args, _real=getattr(experiments, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    cfg = dict(BASE, experiment="contraction", grid={"n": [10, 20], "M": [0.0]},
+               posterior_draws=20)
+    _, rows = run_experiment(cfg, seed=1)
+    assert [row[0] for row in rows] == [10, 20]
+    assert counts == {"build_family": 2, "oracle_rate": 2}
