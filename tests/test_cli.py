@@ -10,6 +10,11 @@ from projstruct.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN_SIMULATE = sorted((DATA_DIR / "golden_simulate").glob("*.json"))
+# (command, config): `select` writes `<name>.out.json`, `check` writes `<name>.csv`
+GOLDEN_SELECT_CHECK = [
+    ("select", p) for p in sorted((DATA_DIR / "golden_select").glob("*.json"))
+    if not p.name.endswith(".out.json")
+] + [("check", p) for p in sorted((DATA_DIR / "golden_check").glob("*.json"))]
 
 
 def run_cli(*args):
@@ -206,3 +211,16 @@ def test_simulate_reproduces_golden_csv(tmp_path, config):
     assert main(["simulate", "--config", str(config), "--out", str(out),
                  "--seed", "31337"]) == 0
     assert out.read_bytes() == config.with_suffix(".csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,config", GOLDEN_SELECT_CHECK,
+                         ids=lambda v: v.stem if isinstance(v, pathlib.Path) else v)
+def test_select_and_check_reproduce_golden_output(tmp_path, command, config):
+    """`projstruct select|check --config <name>.json --seed 31337` must write
+    the bytes of the file beside the config, which pins select output for
+    every family and the A1/A3 checks across commits."""
+    suffix = ".out.json" if command == "select" else ".csv"
+    out = tmp_path / f"out{suffix}"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--seed", "31337"]) == 0
+    assert out.read_bytes() == config.with_suffix(suffix).read_bytes()
