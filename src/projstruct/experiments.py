@@ -529,6 +529,18 @@ def run_experiment(config: dict, seed: int, workers: int = 1):
         raise ConfigError(f"unknown experiment {name!r}; choose one of {EXPERIMENTS}")
     if "family" not in config or "signal" not in config:
         raise ConfigError("experiment config needs 'family' and 'signal' sections")
+    calibrate = config.get("calibrate")
+    counts = {"reps": config.get("reps", 1),
+              "calibrate.reps": calibrate.get("reps", 1) if isinstance(calibrate, dict) else 1,
+              "posterior_draws": config.get("posterior_draws", 1)}
+    for field, value in counts.items():
+        # a count below 1 would write NaN rows or fail inside numpy
+        try:
+            valid = int(value) >= 1
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"{field} must be an integer of at least 1, got {value!r}")
     return RUNNERS[name](config, seed, workers)
 
 

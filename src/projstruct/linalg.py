@@ -76,29 +76,21 @@ def orthonormal_span(basis: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def least_squares_project(basis: np.ndarray, y) -> np.ndarray:
-    """Orthogonal projection of ``y`` onto the column span of ``basis``.
+def project_rows_onto_span(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of every row of ``rows`` onto the column span
+    of ``basis``.
 
-    The residual is orthogonal to every column; redundant (proportional)
+    Each residual is orthogonal to every column; redundant (proportional)
     columns are handled by the pivoted factorization.
     """
     basis = np.asarray(basis, dtype=float)
-    y = as_vector(y)
-    if basis.ndim != 2 or basis.shape[0] != y.size:
+    rows = np.asarray(rows, dtype=float)
+    if basis.ndim != 2 or rows.ndim != 2 or basis.shape[0] != rows.shape[1]:
         raise DimensionMismatchError(
-            f"basis shape {basis.shape} incompatible with vector of length {y.size}"
+            f"basis shape {basis.shape} incompatible with rows of shape {rows.shape}"
         )
     if basis.shape[1] > basis.shape[0]:
-        raise DimensionMismatchError("basis must have at most as many columns as rows")
-    q = orthonormal_span(basis)
-    if q.shape[1] == 0:
-        return np.zeros_like(y)
-    return q @ (q.T @ y)
-
-
-def project_rows_onto_span(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Project every row of ``rows`` onto the column span of ``basis``."""
-    rows = np.asarray(rows, dtype=float)
+        raise DimensionMismatchError("basis must have at most as many columns as it has rows")
     q = orthonormal_span(basis)
     if q.shape[1] == 0:
         return np.zeros_like(rows)

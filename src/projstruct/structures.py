@@ -1,10 +1,15 @@
 """Structure families: discrete structures, their subspaces and complexity.
 
-Each family maps a discrete structure I to a linear subspace of the ambient
-space via a closed-form projection, and carries the bookkeeping around it:
-statistical dimension d_I, complexity majorant rho(I), slicing label s(I),
-exhaustive (capped) enumeration in canonical order, and the union witness
-I' with span(L_I0 + L_I1) <= L_I' and rho(I') <= rho(I0) + rho(I1).
+Each family maps a discrete structure I to a linear subspace L_I of the
+ambient space and carries the bookkeeping around it: statistical dimension
+d_I, complexity majorant rho(I), slicing label s(I), exhaustive (capped)
+enumeration in canonical order, and the union witness I' with
+span(L_I0 + L_I1) <= L_I' and rho(I') <= rho(I0) + rho(I1).
+
+Everything downstream uses L_I only through the orthogonal projection P_I,
+which each family writes once, as a batch kernel over rows (see `Family`);
+bicluster alone adds a vector kernel.  Sparsity, jump and knot structures
+are sorted position sets and share their bookkeeping (`_PositionSetFamily`).
 
 All index data is 0-based, both in memory and in the JSON wire shape
 {"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidStructureError, UnsupportedFamilyError
-from .linalg import as_vector, least_squares_project, project_rows_onto_span
+from .errors import (CapExceededError, DimensionMismatchError, InvalidStructureError,
+                     UnsupportedFamilyError)
+from .linalg import as_vector, project_rows_onto_span
 
 LOG = math.log
 
@@ -110,6 +116,13 @@ def canonical_partition(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cleaned, key=lambda b: b[0]))
 
 
+def _keep_columns(rows: np.ndarray, idx) -> np.ndarray:
+    """Copy of `rows` with every column outside `idx` set to zero."""
+    out = np.zeros_like(rows)
+    out[:, idx] = rows[:, idx]
+    return out
+
+
 def _check_partition(blocks, ground: int, what: str):
     seen: set[int] = set()
     for b in blocks:
@@ -168,7 +181,13 @@ def _capped(it, caps: Caps, projected: float | None = None):
 
 
 class Family:
-    """Base class; subclasses define one structure family each."""
+    """Base class; subclasses define one structure family each.
+
+    A subclass's one projection kernel `_project_rows(structure, rows)`
+    returns P_I applied to every row of a float (m, ambient_dim) array.
+    `project` and `project_many` check the structure and shape, then call it;
+    `project` goes through `_project`, which defaults to the one-row batch.
+    """
 
     tag: str = ""
     ambient_dim: int = 0
@@ -189,9 +208,20 @@ class Family:
         return self._project(structure, theta)
 
     def project_many(self, structure, rows: np.ndarray) -> np.ndarray:
-        """Project each row of ``rows``; default is a per-row loop."""
+        """Project each row of the (m, ambient_dim) array ``rows``."""
         rows = np.asarray(rows, dtype=float)
-        return np.stack([self.project(structure, r) for r in rows])
+        if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"{self.tag}: rows have shape {rows.shape}, need (m, {self.ambient_dim})"
+            )
+        self.validate(structure)
+        return self._project_rows(structure, rows)
+
+    def _project(self, structure, theta):
+        return self._project_rows(structure, theta[None])[0]
+
+    def _project_rows(self, structure, rows):
+        raise NotImplementedError
 
     def dim(self, structure) -> int:
         self.validate(structure)
@@ -253,16 +283,8 @@ class SmoothnessFamily(Family):
         if not isinstance(s, Truncation) or not (0 <= s.level <= self.n):
             raise InvalidStructureError(f"invalid truncation level for n={self.n}: {s!r}")
 
-    def _project(self, s, theta):
-        out = np.zeros_like(theta)
-        out[: s.level] = theta[: s.level]
-        return out
-
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
-        out = np.zeros_like(rows)
-        out[:, : s.level] = rows[:, : s.level]
-        return out
+    def _project_rows(self, s, rows):
+        return _keep_columns(rows, slice(0, s.level))
 
     def _dim(self, s):
         return s.level
@@ -294,11 +316,73 @@ class SmoothnessFamily(Family):
 
 
 # ---------------------------------------------------------------------------
-# Sparsity (index subsets)
+# Sorted position sets: sparsity, jump and knot
 # ---------------------------------------------------------------------------
 
 
-class SparsityFamily(Family):
+class _PositionSetFamily(Family):
+    """Sorted sets of positions in [first, last], last = n - from_end, held
+    in the tuple field `field` of `structure_type`.  Enumeration is by size,
+    then lexicographic; the union witness is the set union."""
+
+    structure_type: type
+    field: str
+    first: int
+    from_end: int
+
+    def __init__(self, n: int):
+        if n < self.first + self.from_end:
+            raise ValueError(f"n >= {self.first + self.from_end} required")
+        self.n = n
+        self.ambient_dim = n
+        self.last = n - self.from_end
+
+    def _positions(self, s) -> tuple[int, ...]:
+        return getattr(s, self.field)
+
+    def validate(self, s):
+        if not isinstance(s, self.structure_type):
+            raise InvalidStructureError(f"not a {self.structure_type.__name__}: {s!r}")
+        pos = self._positions(s)
+        if pos != sorted_tuple(set(pos)):
+            raise InvalidStructureError(f"{self.field} must be sorted and unique")
+        if pos and not (self.first <= pos[0] and pos[-1] <= self.last):
+            raise InvalidStructureError(
+                f"{self.field} out of range [{self.first}, {self.last + 1})"
+            )
+
+    def _slicing(self, s):
+        return len(self._positions(s))
+
+    def enumerate_structures(self, caps=None):
+        caps = caps or Caps()
+        count = self.last - self.first + 1
+        max_size = count if caps.max_size is None else min(caps.max_size, count)
+        projected = sum(math.comb(count, size) for size in range(max_size + 1))
+
+        def gen():
+            for size in range(max_size + 1):
+                for combo in itertools.combinations(range(self.first, self.last + 1), size):
+                    yield self.structure_type(combo)
+
+        return _capped(gen(), caps, projected)
+
+    def _union(self, i0, i1):
+        union = set(self._positions(i0)) | set(self._positions(i1))
+        return self.structure_type(sorted_tuple(union))
+
+    def sort_key(self, s):
+        pos = self._positions(s)
+        return (len(pos), pos)
+
+    def _data_to_json(self, s):
+        return {self.field: list(self._positions(s))}
+
+    def _data_from_json(self, d):
+        return self.structure_type(sorted_tuple(d[self.field]))
+
+
+class SparsityFamily(_PositionSetFamily):
     """Subset structures: L_I zeroes the complement of the index set.
 
     majorant_variant "rho" uses 2|I| log(en/|I|); "rho_prime" the slightly
@@ -306,36 +390,16 @@ class SparsityFamily(Family):
     """
 
     tag = "sparsity"
+    structure_type, field, first, from_end = SparseSet, "indices", 0, 1
 
     def __init__(self, n: int, majorant_variant: str = "rho"):
-        if n < 1:
-            raise ValueError("n >= 1 required")
+        super().__init__(n)
         if majorant_variant not in ("rho", "rho_prime"):
             raise ValueError(f"unknown majorant variant {majorant_variant!r}")
-        self.n = n
-        self.ambient_dim = n
         self.majorant_variant = majorant_variant
 
-    def validate(self, s):
-        if not isinstance(s, SparseSet):
-            raise InvalidStructureError(f"not a sparse set: {s!r}")
-        if s.indices != sorted_tuple(set(s.indices)):
-            raise InvalidStructureError("indices must be sorted and unique")
-        if s.indices and not (0 <= s.indices[0] and s.indices[-1] < self.n):
-            raise InvalidStructureError(f"indices out of range [0, {self.n})")
-
-    def _project(self, s, theta):
-        out = np.zeros_like(theta)
-        idx = list(s.indices)
-        out[idx] = theta[idx]
-        return out
-
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
-        out = np.zeros_like(rows)
-        idx = list(s.indices)
-        out[:, idx] = rows[:, idx]
-        return out
+    def _project_rows(self, s, rows):
+        return _keep_columns(rows, list(s.indices))
 
     def _dim(self, s):
         return len(s.indices)
@@ -347,33 +411,6 @@ class SparsityFamily(Family):
 
     def _majorant(self, s):
         return self.size_majorant(len(s.indices))
-
-    def _slicing(self, s):
-        return len(s.indices)
-
-    def enumerate_structures(self, caps=None):
-        caps = caps or Caps()
-        max_size = self.n if caps.max_size is None else min(caps.max_size, self.n)
-        projected = sum(math.comb(self.n, s) for s in range(max_size + 1))
-
-        def gen():
-            for size in range(max_size + 1):
-                for combo in itertools.combinations(range(self.n), size):
-                    yield SparseSet(combo)
-
-        return _capped(gen(), caps, projected)
-
-    def _union(self, i0, i1):
-        return SparseSet(sorted_tuple(set(i0.indices) | set(i1.indices)))
-
-    def sort_key(self, s):
-        return (len(s.indices), s.indices)
-
-    def _data_to_json(self, s):
-        return {"indices": list(s.indices)}
-
-    def _data_from_json(self, d):
-        return SparseSet(sorted_tuple(d["indices"]))
 
     def a2_closed_form(self, nu: float) -> float | None:
         if self.majorant_variant == "rho" and nu > 1.0:
@@ -431,18 +468,8 @@ class LeveledSparsityFamily(Family):
             out.extend(off + k for k in lv)
         return out
 
-    def _project(self, s, theta):
-        out = np.zeros_like(theta)
-        idx = self.flat_indices(s)
-        out[idx] = theta[idx]
-        return out
-
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
-        out = np.zeros_like(rows)
-        idx = self.flat_indices(s)
-        out[:, idx] = rows[:, idx]
-        return out
+    def _project_rows(self, s, rows):
+        return _keep_columns(rows, self.flat_indices(s))
 
     def _dim(self, s):
         return sum(len(lv) for lv in s.levels)
@@ -535,20 +562,8 @@ class ClusteringFamily(Family):
         if s.clusters != canonical_partition(s.clusters):
             raise InvalidStructureError("clusters must be in canonical order")
 
-    def _project(self, s, theta):
-        out = np.zeros_like(theta)
-        free = list(s.free)
-        out[free] = theta[free]
-        for cluster in s.clusters:
-            idx = list(cluster)
-            out[idx] = theta[idx].mean()
-        return out
-
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
-        out = np.zeros_like(rows)
-        free = list(s.free)
-        out[:, free] = rows[:, free]
+    def _project_rows(self, s, rows):
+        out = _keep_columns(rows, list(s.free))
         for cluster in s.clusters:
             idx = list(cluster)
             out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
@@ -617,37 +632,17 @@ class ClusteringFamily(Family):
 # ---------------------------------------------------------------------------
 
 
-class JumpFamily(Family):
+class JumpFamily(_PositionSetFamily):
     """Piecewise-constant sequences; a break after position b frees x[b+1]."""
 
     tag = "jump"
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("n >= 2 required")
-        self.n = n
-        self.ambient_dim = n
-
-    def validate(self, s):
-        if not isinstance(s, JumpSet):
-            raise InvalidStructureError(f"not a jump set: {s!r}")
-        if s.breaks != sorted_tuple(set(s.breaks)):
-            raise InvalidStructureError("breaks must be sorted and unique")
-        if s.breaks and not (0 <= s.breaks[0] and s.breaks[-1] <= self.n - 2):
-            raise InvalidStructureError(f"breaks out of range [0, {self.n - 1})")
+    structure_type, field, first, from_end = JumpSet, "breaks", 0, 2
 
     def segments(self, s):
         bounds = [0] + [b + 1 for b in s.breaks] + [self.n]
         return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
-    def _project(self, s, theta):
-        out = np.empty_like(theta)
-        for lo, hi in self.segments(s):
-            out[lo:hi] = theta[lo:hi].mean()
-        return out
-
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
+    def _project_rows(self, s, rows):
         out = np.empty_like(rows)
         for lo, hi in self.segments(s):
             out[:, lo:hi] = rows[:, lo:hi].mean(axis=1, keepdims=True)
@@ -659,36 +654,8 @@ class JumpFamily(Family):
     def _majorant(self, s):
         return 1.0 + 2.0 * xlog(len(s.breaks), math.e * self.n)
 
-    def _slicing(self, s):
-        return len(s.breaks)
 
-    def enumerate_structures(self, caps=None):
-        caps = caps or Caps()
-        positions = self.n - 1
-        max_size = positions if caps.max_size is None else min(caps.max_size, positions)
-        projected = sum(math.comb(positions, s) for s in range(max_size + 1))
-
-        def gen():
-            for size in range(max_size + 1):
-                for combo in itertools.combinations(range(positions), size):
-                    yield JumpSet(combo)
-
-        return _capped(gen(), caps, projected)
-
-    def _union(self, i0, i1):
-        return JumpSet(sorted_tuple(set(i0.breaks) | set(i1.breaks)))
-
-    def sort_key(self, s):
-        return (len(s.breaks), s.breaks)
-
-    def _data_to_json(self, s):
-        return {"breaks": list(s.breaks)}
-
-    def _data_from_json(self, d):
-        return JumpSet(sorted_tuple(d["breaks"]))
-
-
-class KnotFamily(Family):
+class KnotFamily(_PositionSetFamily):
     """Continuous piecewise-linear sequences with free curvature at knots.
 
     The subspace for knot set I is spanned by 1, t and the hinge columns
@@ -698,20 +665,7 @@ class KnotFamily(Family):
     """
 
     tag = "knot"
-
-    def __init__(self, n: int):
-        if n < 3:
-            raise ValueError("n >= 3 required")
-        self.n = n
-        self.ambient_dim = n
-
-    def validate(self, s):
-        if not isinstance(s, KnotSet):
-            raise InvalidStructureError(f"not a knot set: {s!r}")
-        if s.knots != sorted_tuple(set(s.knots)):
-            raise InvalidStructureError("knots must be sorted and unique")
-        if s.knots and not (1 <= s.knots[0] and s.knots[-1] <= self.n - 2):
-            raise InvalidStructureError(f"knots out of interior range [1, {self.n - 1})")
+    structure_type, field, first, from_end = KnotSet, "knots", 1, 2
 
     def basis(self, s) -> np.ndarray:
         t = np.arange(self.n, dtype=float)
@@ -719,10 +673,7 @@ class KnotFamily(Family):
         cols.extend(np.maximum(t - k, 0.0) for k in s.knots)
         return np.column_stack(cols)
 
-    def _project(self, s, theta):
-        return least_squares_project(self.basis(s), theta)
-
-    def project_many(self, s, rows):
+    def _project_rows(self, s, rows):
         return project_rows_onto_span(self.basis(s), rows)
 
     def _dim(self, s):
@@ -731,34 +682,6 @@ class KnotFamily(Family):
     def _majorant(self, s):
         k = len(s.knots)
         return max(float(k + 2), 1.0 + 3.0 * xlog(k, math.e * self.n))
-
-    def _slicing(self, s):
-        return len(s.knots)
-
-    def enumerate_structures(self, caps=None):
-        caps = caps or Caps()
-        positions = self.n - 2
-        max_size = positions if caps.max_size is None else min(caps.max_size, positions)
-        projected = sum(math.comb(positions, s) for s in range(max_size + 1))
-
-        def gen():
-            for size in range(max_size + 1):
-                for combo in itertools.combinations(range(1, self.n - 1), size):
-                    yield KnotSet(combo)
-
-        return _capped(gen(), caps, projected)
-
-    def _union(self, i0, i1):
-        return KnotSet(sorted_tuple(set(i0.knots) | set(i1.knots)))
-
-    def sort_key(self, s):
-        return (len(s.knots), s.knots)
-
-    def _data_to_json(self, s):
-        return {"knots": list(s.knots)}
-
-    def _data_from_json(self, d):
-        return KnotSet(sorted_tuple(d["knots"]))
 
 
 # ---------------------------------------------------------------------------
@@ -821,10 +744,7 @@ class RegressionFamily(Family):
     def columns(self, s) -> np.ndarray:
         return self.design[:, list(s.indices)]
 
-    def _project(self, s, theta):
-        return least_squares_project(self.columns(s), theta)
-
-    def project_many(self, s, rows):
+    def _project_rows(self, s, rows):
         return project_rows_onto_span(self.columns(s), rows)
 
     def _dim(self, s):
@@ -901,13 +821,7 @@ class BandingFamily(Family):
         idx = np.arange(self.p)
         return (np.abs(idx[:, None] - idx[None, :]) <= width).astype(float)
 
-    def _project(self, s, theta):
-        mat = theta.reshape(self.p, self.p)
-        sym = 0.5 * (mat + mat.T)
-        return (sym * self.band_mask(s.width)).reshape(-1)
-
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
+    def _project_rows(self, s, rows):
         mats = rows.reshape(-1, self.p, self.p)
         sym = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
         return (sym * self.band_mask(s.width)[None]).reshape(rows.shape)
@@ -974,6 +888,10 @@ class BiclusterFamily(Family):
         if s.rows != canonical_partition(s.rows) or s.cols != canonical_partition(s.cols):
             raise InvalidStructureError("blocks must be in canonical order")
 
+    # The only family with its own vector kernel: the two kernels sum each
+    # block in a different order, so their bytes differ in the last bits.
+    # `select` output is pinned to this kernel's bytes and `check a1` output
+    # to the batch kernel's, and no single kernel reproduces both.
     def _project(self, s, theta):
         mat = theta.reshape(self.n1, self.n2)
         out = np.empty_like(mat)
@@ -982,8 +900,7 @@ class BiclusterFamily(Family):
                 out[np.ix_(rb, cb)] = mat[np.ix_(rb, cb)].mean()
         return out.reshape(-1)
 
-    def project_many(self, s, rows):
-        rows = np.asarray(rows, dtype=float)
+    def _project_rows(self, s, rows):
         mats = rows.reshape(-1, self.n1, self.n2)
         out = np.empty_like(mats)
         for rb in s.rows:

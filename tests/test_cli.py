@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from projstruct import experiments
 from projstruct.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -224,3 +225,35 @@ def test_select_and_check_reproduce_golden_output(tmp_path, command, config):
     assert main([command, "--config", str(config), "--out", str(out),
                  "--seed", "31337"]) == 0
     assert out.read_bytes() == config.with_suffix(suffix).read_bytes()
+
+
+COUNT_CONFIG = {
+    "family": {"kind": "smoothness", "n": 8},
+    "signal": {"kind": "sobolev", "beta": 1.0, "Q": 1.0},
+    "sigma": 0.25, "kappa": 1.0, "reps": 4,
+    "constants": {"kappa": 1.0, "strict": False},
+}
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"experiment": "estimation-risk", "reps": 0}, "reps"),
+    ({"experiment": "estimation-risk", "reps": -3}, "reps"),
+    ({"experiment": "coverage-ebr", "grid": {"M": [0.0, 1.0]},
+      "calibrate": {"reps": 0}}, "calibrate.reps"),
+    ({"experiment": "contraction", "grid": {"M": [0.0]}, "posterior_draws": 0},
+     "posterior_draws"),
+    ({"experiment": "estimation-risk", "reps": "many"}, "reps"),
+], ids=["reps-0", "reps-negative", "calibrate-reps-0", "posterior-draws-0", "reps-not-a-number"])
+def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, overrides,
+                                              field):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(experiments, "_run_reps", no_replications)
+    cfg = write_config(tmp_path, {**COUNT_CONFIG, **overrides})
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projstruct.errors import DimensionMismatchError
-from projstruct.linalg import least_squares_project, sq_norm
+from projstruct.linalg import project_rows_onto_span, sq_norm
 
 
 def ridge_sweep_projection(basis, y):
@@ -16,21 +16,26 @@ def ridge_sweep_projection(basis, y):
     return out
 
 
+def project(basis, y):
+    """Projection of the single vector y, as a one-row batch."""
+    return project_rows_onto_span(basis, y[None])[0]
+
+
 def test_coordinate_projection():
     basis = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     y = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(least_squares_project(basis, y), [3.0, 0.0, 2.0])
+    assert np.allclose(project(basis, y), [3.0, 0.0, 2.0])
 
 
 def test_mean_projection_single_column():
     basis = np.array([[1.0], [1.0]])
-    assert np.allclose(least_squares_project(basis, np.array([0.0, 2.0])), [1.0, 1.0])
+    assert np.allclose(project(basis, np.array([0.0, 2.0])), [1.0, 1.0])
 
 
 def test_rank_deficient_matches_ridge_sweep():
     basis = np.array([[1.0, 2.0], [0.0, 0.0]])
     y = np.array([5.0, 7.0])
-    got = least_squares_project(basis, y)
+    got = project(basis, y)
     assert np.allclose(got, [5.0, 0.0], atol=1e-10)
     assert np.allclose(got, ridge_sweep_projection(basis, y), atol=1e-6)
 
@@ -44,9 +49,9 @@ def test_sq_norm_values():
 
 def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatchError):
-        least_squares_project(np.ones((3, 1)), np.ones(2))
+        project_rows_onto_span(np.ones((3, 1)), np.ones((1, 2)))
     with pytest.raises(DimensionMismatchError):
-        least_squares_project(np.ones((2, 3)), np.ones(2))
+        project_rows_onto_span(np.ones((2, 3)), np.ones((1, 2)))
 
 
 def test_projection_algebra_random():
@@ -58,8 +63,8 @@ def test_projection_algebra_random():
         if k >= 2 and rng.random() < 0.4:  # inject a dependent column
             basis[:, -1] = basis[:, 0] * rng.standard_normal()
         y = rng.standard_normal(n)
-        py = least_squares_project(basis, y)
-        ppy = least_squares_project(basis, py)
+        py = project(basis, y)
+        ppy = project(basis, py)
         assert np.max(np.abs(ppy - py)) <= 1e-9 * (1.0 + np.linalg.norm(y))
         # Pythagoras
         lhs = sq_norm(y)

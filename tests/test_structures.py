@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from projstruct.errors import InvalidStructureError, UnsupportedFamilyError, CapExceededError
+from projstruct.errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    InvalidStructureError,
+    UnsupportedFamilyError,
+)
 from projstruct.structures import (
     Band,
     BandingFamily,
@@ -305,6 +310,36 @@ def test_projection_idempotent_and_pythagoras_across_families():
             lhs = float(theta @ theta)
             rhs = float(p @ p) + float((theta - p) @ (theta - p))
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + lhs), name
+
+
+@pytest.mark.parametrize("name", sorted(small_families()))
+def test_project_and_project_many_share_one_kernel(name):
+    """project_many matches the stacked per-row project; for every family but
+    bicluster, whose vector kernel sums each block in another order, project
+    gives the bytes of the one-row batch."""
+    fam = small_families()[name]
+    rng = np.random.default_rng(17)
+    for s in enumerate_small(fam):
+        rows = rng.standard_normal((4, fam.ambient_dim))
+        stacked = np.stack([fam.project(s, r) for r in rows])
+        got = fam.project_many(s, rows)
+        assert got.shape == rows.shape
+        assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(rows).max()), s
+        if name != "bicluster":
+            theta = rows[0]
+            one_row = fam.project_many(s, theta[None])[0]
+            assert fam.project(s, theta).tobytes() == one_row.tobytes(), s
+
+
+@pytest.mark.parametrize("fam,structure,rows,error", [
+    (SparsityFamily(3), SparseSet((-1,)), np.ones((2, 3)), InvalidStructureError),
+    (JumpFamily(4), JumpSet((7,)), np.ones((2, 4)), InvalidStructureError),
+    (SparsityFamily(3), SparseSet((0,)), np.ones((2, 4)), DimensionMismatchError),
+    (SparsityFamily(3), SparseSet((0,)), np.ones(3), DimensionMismatchError),
+], ids=["negative-index", "break-out-of-range", "wrong-width", "one-dimensional"])
+def test_project_many_validates_structure_and_shape(fam, structure, rows, error):
+    with pytest.raises(error):
+        fam.project_many(structure, rows)
 
 
 # ---------------------------------------------------------------------------
