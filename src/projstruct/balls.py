@@ -29,7 +29,6 @@ class ConfidenceBall:
     radius_sq: float
     kind: str  # "ebr" | "quarter"
     params: dict
-    provenance: dict
 
     def to_json(self) -> dict:
         return {
@@ -57,12 +56,11 @@ def ebr_ball(Y, family: Family, sigma: float, constants: FrameworkConstants,
     return ConfidenceBall(
         theta_hat, radius_sq, "ebr",
         {"t": t, "M": M, "rho_hat": rho_hat, "sigma": sigma},
-        constants.snapshot(),
     )
 
 
 def quarter_ball(Y_prime, theta_hat, sigma: float, M: float, M1: float,
-                 v_stat: float, provenance: dict | None = None) -> ConfidenceBall:
+                 v_stat: float) -> ConfidenceBall:
     """Ball with squared radius (||Y' - theta_hat||^2 - sigma^2 V + 2 sigma^2 G_M sqrt(N))_+
     where G_M = sqrt(M (M + M1)).
 
@@ -81,7 +79,6 @@ def quarter_ball(Y_prime, theta_hat, sigma: float, M: float, M1: float,
     return ConfidenceBall(
         theta_hat, radius_sq, "quarter",
         {"M": M, "M1": M1, "G_M": g_m, "v_stat": v_stat, "sigma": sigma},
-        provenance or {},
     )
 
 

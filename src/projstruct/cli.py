@@ -21,7 +21,8 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import __version__
-from .ddm import DdmConfig, ma_mean, sparsity_ma_mean_exact, structure_posterior
+from .ddm import (POSTERIOR_CAPS, DdmConfig, ma_mean, sparsity_ma_mean_exact,
+                  structure_posterior)
 from .errors import CapExceededError, ConfigError, ExactModeUnavailableError
 from .experiments import (
     build_family,
@@ -35,7 +36,7 @@ from .experiments import (
 )
 from .noise import check_a1, check_a2, check_a3, check_a4
 from .selection import nested_path, search_candidates, select_penalized
-from .structures import Caps, SparsityFamily
+from .structures import Caps
 from .errors import UnsupportedFamilyError
 
 
@@ -90,12 +91,12 @@ def _posterior_for(y, family, cfg: DdmConfig, rng):
     """Enumerate when feasible; otherwise fall back to an exactly-normalized
     size path (sparsity) or a restricted candidate set from the heuristic
     search paths."""
-    if isinstance(family, SparsityFamily) and family.n > 16:
+    if family.tag == "sparsity" and 2**family.n > POSTERIOR_CAPS.max_count:
         candidates = [s for s, _ in nested_path(y, family)]
         return structure_posterior(y, family, cfg, candidates=candidates,
                                    method="symmetric-polynomial")
     try:
-        return structure_posterior(y, family, cfg, caps=Caps(max_count=50_000))
+        return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS)
     except (CapExceededError, NotImplementedError):
         pass
     try:
@@ -122,7 +123,7 @@ def cmd_select(config: dict, seed: int, out_path: str) -> None:
 
     cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
     post = _posterior_for(y, family, cfg, derive_rng(seed, "select-posterior"))
-    if isinstance(family, SparsityFamily):
+    if family.tag == "sparsity":
         theta_tilde = sparsity_ma_mean_exact(y, family, cfg)
     elif post is not None:
         theta_tilde = ma_mean(y, family, post)

@@ -11,19 +11,22 @@ enumeration.  Conditional laws produce draws supported on L_I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import TIE_RTOL, penalty
+from .selection import _ArgminTracker, penalty
 from .structures import Caps, Family, SparseSet, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
 # gives conditional covariance (kappa/(kappa+1)) sigma^2 P_I.
 CONDITIONAL_KAPPA = math.e - 1.0
 CONDITIONAL_VAR_FACTOR = CONDITIONAL_KAPPA / (CONDITIONAL_KAPPA + 1.0)
+
+# the largest family that `select` and `simulate` posteriors enumerate
+POSTERIOR_CAPS = Caps(max_count=50_000)
 
 
 @dataclass
@@ -52,11 +55,6 @@ class DdmPosterior:
     log_weights: np.ndarray  # normalized: logsumexp == 0 when candidates cover the family
     method: str  # enumeration | symmetric-polynomial | restricted-candidate-set
     log_normalizer: float = 0.0
-    majorants: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.majorants is None:
-            self.majorants = np.array([self.family.majorant(s) for s in self.candidates])
 
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
@@ -188,19 +186,12 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
 
 
 def select_map(post: DdmPosterior):
-    """Highest-weight structure; ties go to the smallest majorant, then the
-    canonical enumeration order."""
-    best_i = 0
-    for i in range(1, len(post.candidates)):
-        tol = TIE_RTOL * (1.0 + abs(post.log_weights[best_i]))
-        if post.log_weights[i] > post.log_weights[best_i] + tol:
-            best_i = i
-        elif post.log_weights[i] >= post.log_weights[best_i] - tol:
-            key_i = (post.majorants[i], post.family.sort_key(post.candidates[i]))
-            key_b = (post.majorants[best_i], post.family.sort_key(post.candidates[best_i]))
-            if key_i < key_b:
-                best_i = i
-    return post.candidates[best_i]
+    """Highest-weight structure, under the selectors' tie rule: ties go to the
+    smallest majorant, then the canonical enumeration order."""
+    tracker = _ArgminTracker(post.family)
+    for s, log_w in zip(post.candidates, post.log_weights):
+        tracker.offer(s, -log_w)
+    return tracker.result()[0]
 
 
 def ma_mean(Y, family: Family, post: DdmPosterior) -> np.ndarray:

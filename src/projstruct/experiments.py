@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .balls import contains, duplicate_gaussian, ebr_ball, highly_structured, quarter_ball, v_statistic
-from .ddm import DdmConfig, ma_mean, sample_conditional, sparsity_ma_mean_exact, structure_posterior
+from .ddm import (POSTERIOR_CAPS, DdmConfig, ma_mean, sample_conditional, sparsity_ma_mean_exact,
+                  structure_posterior)
 from .errors import ConfigError
 from .linalg import sq_norm
 from .noise import NoiseModel
@@ -32,7 +33,6 @@ from .selection import select_penalized
 from .structures import (
     BandingFamily,
     BiclusterFamily,
-    Caps,
     ClusteringFamily,
     Family,
     JumpFamily,
@@ -186,7 +186,7 @@ def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str
         cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
         if isinstance(family, SparsityFamily):
             return sparsity_ma_mean_exact(Y, family, cfg), i_hat
-        post = structure_posterior(Y, family, cfg, caps=Caps(max_count=50_000))
+        post = structure_posterior(Y, family, cfg, caps=POSTERIOR_CAPS)
         return ma_mean(Y, family, post), i_hat
     raise ConfigError(f"unknown estimator {estimator!r}")
 
@@ -529,9 +529,16 @@ def run_experiment(config: dict, seed: int, workers: int = 1):
         raise ConfigError(f"unknown experiment {name!r}; choose one of {EXPERIMENTS}")
     if "family" not in config or "signal" not in config:
         raise ConfigError("experiment config needs 'family' and 'signal' sections")
-    calibrate = config.get("calibrate")
+    calibrate = config.get("calibrate") or {}
+    if not isinstance(calibrate, dict):
+        raise ConfigError(f"calibrate must be an object, got {calibrate!r}")
+    try:
+        float(calibrate.get("nominal", 0.95))
+    except (TypeError, ValueError):
+        raise ConfigError(f"calibrate.nominal must be a number, "
+                          f"got {calibrate['nominal']!r}") from None
     counts = {"reps": config.get("reps", 1),
-              "calibrate.reps": calibrate.get("reps", 1) if isinstance(calibrate, dict) else 1,
+              "calibrate.reps": calibrate.get("reps", 1),
               "posterior_draws": config.get("posterior_draws", 1)}
     for field, value in counts.items():
         # a count below 1 would write NaN rows or fail inside numpy

@@ -118,15 +118,6 @@ class FrameworkConstants:
         # M0' from the strong-form size relation
         return 2.0 * self.kappa * self.alpha
 
-    def snapshot(self) -> dict:
-        return {
-            "alpha": self.alpha, "nu": self.nu, "kappa": self.kappa,
-            "delta": self.delta, "strict": self.strict,
-            "kappa_bar": self.kappa_bar, "tau_bar": self.tau_bar, "tau0": self.tau0,
-            "c1": self.c1, "c2": self.c2, "c3": self.c3,
-            "M0": self.M0, "M1": self.M1, "M2": self.M2, "M3": self.M3,
-        }
-
 
 def tau0_default(constants: FrameworkConstants, delta: float = 0.1) -> float:
     """tau0(delta) = ((1+delta)/(1-delta)) * tau_bar + 0.1."""

@@ -8,11 +8,14 @@ size; leveled sparsity scans each level alone; the rest are enumerated
 within `EXACT_CAPS`.  Heuristic mode runs the family's search (`_SEARCHES`:
 regression greedy, bicluster alternation, clustering DP), or the exact
 selector when it has none; `search_candidates` returns what the search visits.
+The jump path (`segment_dp`) and the clustering search run one segmentation
+DP, `_segmentations`; the clustering search runs it once per free set.
 
 Ties are broken deterministically: objectives within a relative 1e-12 band
 count as equal, and among tied structures the one with the smallest majorant,
-then the smallest canonical sort key, wins.  Exact selectors and the brute
-force share this rule so they return identical structures.
+then the smallest canonical sort key, wins.  `_ArgminTracker` holds this rule;
+the exact selectors, the brute force, the alternating bicluster restarts and
+`ddm.select_map` all use it, so they return identical structures.
 """
 
 from __future__ import annotations
@@ -113,6 +116,52 @@ def _pen(family, structure, sigma, kappa, pen_variant):
 # ---------------------------------------------------------------------------
 
 
+def _sse_costs(y):
+    """cost[lo, hi]: SSE of y[lo:hi] around its mean (0 when lo >= hi), for
+    0 <= lo, hi <= n; built in place to hold few (n+1)^2 temporaries."""
+    n = y.size
+    cs = np.concatenate([[0.0], np.cumsum(y)])
+    cs2 = np.concatenate([[0.0], np.cumsum(y * y)])
+    lo, hi = np.ogrid[:n + 1, :n + 1]
+    t = cs[hi] - cs[lo]
+    t *= t
+    t /= np.maximum(hi - lo, 1)
+    cost = cs2[hi] - cs2[lo]
+    cost -= t
+    np.maximum(cost, 0.0, out=cost)
+    cost[lo >= hi] = 0.0
+    return cost
+
+
+def _segmentations(cost, max_cuts: int):
+    """Optimal segmentation of 0..n into nonempty runs for every cut count.
+
+    cost[lo, hi] is the additive cost of the run lo:hi (+inf forbids it).
+    Returns [(total, cuts)] for 0..max_cuts cuts, cuts the sorted interior run
+    starts; ties go to the smallest last cut (first argmin).  Segment
+    neighbourhood DP, O(n^2 * max_cuts).
+    """
+    n = cost.shape[0] - 1
+    best = np.full((max_cuts + 1, n + 1), np.inf)
+    back = np.zeros((max_cuts + 1, n + 1), dtype=int)
+    best[0] = cost[0]
+    for k in range(1, max_cuts + 1):
+        for hi in range(k + 1, n + 1):
+            cand = best[k - 1, k:hi] + cost[k:hi, hi]
+            j = int(np.argmin(cand))
+            best[k, hi] = cand[j]
+            back[k, hi] = j + k
+    out = []
+    for k in range(max_cuts + 1):
+        cuts = []
+        hi = n
+        for kk in range(k, 0, -1):
+            hi = int(back[kk, hi])
+            cuts.append(hi)
+        out.append((float(best[k, n]), cuts[::-1]))
+    return out
+
+
 def segment_dp(values, max_breaks: int):
     """SSE-optimal break sets for every break budget.
 
@@ -127,39 +176,9 @@ def segment_dp(values, max_breaks: int):
         raise ValueError("values must be nonempty")
     if max_breaks > n - 1:
         raise ValueError("max_breaks must be at most n-1")
-    cs = np.concatenate([[0.0], np.cumsum(y)])
-    cs2 = np.concatenate([[0.0], np.cumsum(y * y)])
-
-    # cost[lo, hi]: SSE of y[lo:hi] around its mean (0 when lo >= hi); built
-    # in place to hold few (n+1)^2 temporaries
-    lo, hi = np.ogrid[:n + 1, :n + 1]
-    t = cs[hi] - cs[lo]
-    t *= t
-    t /= np.maximum(hi - lo, 1)
-    cost = cs2[hi] - cs2[lo]
-    cost -= t
-    np.maximum(cost, 0.0, out=cost)
-    cost[lo >= hi] = 0.0
-
-    best = np.full((max_breaks + 1, n + 1), np.inf)
-    back = np.zeros((max_breaks + 1, n + 1), dtype=int)
-    best[0] = cost[0]
-    for k in range(1, max_breaks + 1):
-        for hi in range(k + 1, n + 1):
-            cand = best[k - 1, k:hi] + cost[k:hi, hi]
-            j = int(np.argmin(cand))
-            best[k, hi] = cand[j]
-            back[k, hi] = j + k
-    out = []
-    for k in range(max_breaks + 1):
-        breaks = []
-        hi = n
-        for kk in range(k, 0, -1):
-            lo = int(back[kk, hi])
-            breaks.append(lo - 1)  # break sits after index lo-1
-            hi = lo
-        out.append((float(best[k, n]), tuple(sorted(breaks))))
-    return out
+    # a break sits after the last index of its run
+    return [(sse, tuple(cut - 1 for cut in cuts))
+            for sse, cuts in _segmentations(_sse_costs(y), max_breaks)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +202,15 @@ def _banding_path(y, family):
     return [(Band(w), total - energy[w]) for w in range(family.p)]
 
 
-def _sparsity_path(y, family):
+def _magnitude_gains(y):
+    """Coordinates by decreasing |y| (stable order) and the energy captured by
+    each prefix of that order, sizes 0..n."""
     order = np.argsort(-np.abs(y), kind="stable")
-    gains = np.concatenate([[0.0], np.cumsum((y * y)[order])])
+    return order, np.concatenate([[0.0], np.cumsum((y * y)[order])])
+
+
+def _sparsity_path(y, family):
+    order, gains = _magnitude_gains(y)
     return [(SparseSet(sorted_tuple(order[:size])), gains[-1] - gains[size])
             for size in range(family.n + 1)]
 
@@ -215,9 +240,7 @@ def _select_leveled(Y, family, sigma, kappa, pen_variant):
     chosen = []
     for j in range(family.n_levels):
         off = family.level_offsets[j]
-        block = y[off:off + 2**j]
-        order = np.argsort(-np.abs(block), kind="stable")
-        gains = np.concatenate([[0.0], np.cumsum((block * block)[order])])
+        order, gains = _magnitude_gains(y[off:off + 2**j])
         total = gains[-1]
         best_size, best_val = 0, math.inf
         for size in range(2**j + 1):
@@ -268,14 +291,8 @@ class AlternatingTrace:
     history: list[float]
 
 
-def _bicluster_objective(mat, family, rows, cols, sigma, kappa, pen_variant):
-    s = Bicluster(canonical_partition(rows), canonical_partition(cols))
-    fit = family.project(s, mat.reshape(-1)).reshape(mat.shape)
-    return s, sq_norm((mat - fit).reshape(-1)) + _pen(family, s, sigma, kappa, pen_variant)
-
-
-def _labels_to_blocks(labels, k):
-    return [tuple(np.flatnonzero(labels == b)) for b in range(k) if np.any(labels == b)]
+def _label_blocks(labels, k):
+    return canonical_partition(np.flatnonzero(labels == b) for b in range(k))
 
 
 def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
@@ -294,14 +311,15 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     c_init[c_order] = (np.arange(family.n2) * k2) // family.n2
     inits.append((r_init, c_init))
 
-    best = None
+    def score(row_labels, col_labels):
+        s = Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
+        return s, objective(mat.reshape(-1), family, s, sigma, kappa, pen_variant)
+
+    tracker, traces = _ArgminTracker(family), {}
     for row_labels, col_labels in inits:
         row_labels = row_labels.copy()
         col_labels = col_labels.copy()
-        s, obj = _bicluster_objective(mat, family,
-                                      _labels_to_blocks(row_labels, k1),
-                                      _labels_to_blocks(col_labels, k2),
-                                      sigma, kappa, pen_variant)
+        _, obj = score(row_labels, col_labels)
         history = [obj]
         for _ in range(max_iter):
             improved = False
@@ -314,11 +332,7 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                         if b == old:
                             continue
                         labels[i] = b
-                        _, cand = _bicluster_objective(
-                            mat, family,
-                            _labels_to_blocks(row_labels, k1),
-                            _labels_to_blocks(col_labels, k2),
-                            sigma, kappa, pen_variant)
+                        _, cand = score(row_labels, col_labels)
                         if cand < best_obj - TIE_RTOL * (1.0 + abs(cand)):
                             best_b, best_obj = b, cand
                     labels[i] = best_b
@@ -328,19 +342,11 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                         improved = True
             if not improved:
                 break
-        s, obj = _bicluster_objective(mat, family,
-                                      _labels_to_blocks(row_labels, k1),
-                                      _labels_to_blocks(col_labels, k2),
-                                      sigma, kappa, pen_variant)
+        s, obj = score(row_labels, col_labels)
         history.append(obj)
-        trace = AlternatingTrace(s, obj, history)
-        if best is None or obj < best.objective - TIE_RTOL * (1.0 + abs(obj)):
-            best = trace
-        elif abs(obj - best.objective) <= TIE_RTOL * (1.0 + abs(obj)):
-            if (family.majorant(s), family.sort_key(s)) < (
-                family.majorant(best.structure), family.sort_key(best.structure)):
-                best = trace
-    return best
+        tracker.offer(s, obj)
+        traces.setdefault(s, AlternatingTrace(s, obj, history))
+    return traces[tracker.result()[0]]
 
 
 def _bicluster_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
@@ -360,55 +366,33 @@ def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
     clusters.
 
     Optimality is not claimed; the penalty's per-cluster term -log|I_k|! is
-    separable, so for a fixed free set and cluster count the DP is exact over
-    contiguous-in-sorted-order clusterings only.
+    separable, so one segmentation DP per free set gives, for every cluster
+    count, the best clustering among the contiguous-in-sorted-order ones.
     """
     y = np.asarray(Y, dtype=float)
     n = family.n
     max_free = 2 if n <= 20 else 0  # the exhaustive free-set sweep is quadratic in n
+    run_pen = 2.0 * kappa * sigma**2 * np.array([math.lgamma(ln + 1) for ln in range(n + 1)])
     candidates = []
-
-    def dp_clusters(values, m):
-        # min over partitions of sorted `values` into m contiguous runs of
-        # SSE(run) - 2*kappa*sigma^2*log(len!)  (runs of length >= 2)
-        k = values.size
-        if m == 0:
-            return (0.0, []) if k == 0 else None
-        if k < 2 * m:
-            return None
-        cs = np.concatenate([[0.0], np.cumsum(values)])
-        cs2 = np.concatenate([[0.0], np.cumsum(values * values)])
-
-        def run_cost(lo, hi):
-            ln = hi - lo
-            sse = max((cs2[hi] - cs2[lo]) - (cs[hi] - cs[lo]) ** 2 / ln, 0.0)
-            return sse - 2.0 * kappa * sigma**2 * math.lgamma(ln + 1)
-
-        best = {(0, 0): (0.0, [])}
-        for j in range(1, m + 1):
-            for hi in range(2 * j, k + 1):
-                for lo in range(2 * (j - 1), hi - 1):
-                    prev = best.get((j - 1, lo))
-                    if prev is None:
-                        continue
-                    val = prev[0] + run_cost(lo, hi)
-                    cur = best.get((j, hi))
-                    if cur is None or val < cur[0]:
-                        best[(j, hi)] = (val, prev[1] + [(lo, hi)])
-        return best.get((m, k))
-
     order = np.argsort(y, kind="stable")
     for f in range(min(max_free, n) + 1):
         for free_combo in itertools.combinations(range(n), f):
             free = sorted_tuple(free_combo)
             rest = [i for i in order if i not in free]
-            vals = y[rest]
-            for m in range(0, max_blocks + 1):
-                fit = dp_clusters(vals, m)
-                if fit is None:
+            k = len(rest)
+            fits = [(0.0, [])] if k == 0 and max_blocks >= 0 else []  # nothing to cluster
+            if k and max_blocks >= 1:
+                # run cost SSE - 2*kappa*sigma^2*log(len!); runs shorter than 2 are barred
+                cost = _sse_costs(y[rest])
+                lo, hi = np.ogrid[:k + 1, :k + 1]
+                cost -= run_pen[np.maximum(hi - lo, 0)]
+                cost[hi - lo < 2] = np.inf
+                fits = _segmentations(cost, min(max_blocks, k) - 1)
+            for total, cuts in fits:
+                if total == math.inf:
                     continue
-                clusters = canonical_partition(
-                    tuple(sorted_tuple(rest[lo:hi]) for lo, hi in fit[1]))
+                bounds = [0, *cuts, k]
+                clusters = canonical_partition(rest[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
                 s = MultiLevelPartition(free, clusters)
                 candidates.append((s, objective(Y, family, s, sigma, kappa, pen_variant)))
     return candidates

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -158,10 +159,12 @@ class Caps:
     max_blocks: int | None = None
 
 
-def _capped(it, caps: Caps, projected: float | None = None):
+def _capped(it, caps: Caps, projected: int | None = None):
     if projected is not None and projected > caps.max_count:
+        # Decimal formats counts past the float range, which float(projected) cannot
         raise CapExceededError(
-            f"enumeration of {projected:g} structures exceeds max_count={caps.max_count}",
+            f"enumeration of {Decimal(projected):.6g} structures exceeds "
+            f"max_count={caps.max_count}",
             projected_count=projected,
         )
     count = 0
@@ -487,9 +490,7 @@ class LeveledSparsityFamily(Family):
 
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
-        projected = 1.0
-        for j in range(self.n_levels):
-            projected *= 2.0 ** (2**j)
+        projected = 2 ** (2**self.n_levels - 1)  # 2^(2^j) subsets at each level j
 
         def gen():
             per_level = [

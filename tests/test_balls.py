@@ -113,11 +113,11 @@ def test_v_statistic_values():
 
 def test_contains_closed_ball():
     center = np.array([1.0, 2.0])
-    ball = ConfidenceBall(center, 4.0, "ebr", {}, {})
+    ball = ConfidenceBall(center, 4.0, "ebr", {})
     assert contains(ball, center)
     assert contains(ball, np.array([3.0, 2.0]))  # boundary point, closed ball
     assert not contains(ball, np.array([3.0 + 1e-9, 2.0]))
-    zero = ConfidenceBall(center, 0.0, "ebr", {}, {})
+    zero = ConfidenceBall(center, 0.0, "ebr", {})
     assert not contains(zero, np.array([1.0, 2.0 + 1e-12]))
     with pytest.raises(DimensionMismatchError):
         contains(ball, np.zeros(3))

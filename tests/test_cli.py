@@ -95,6 +95,29 @@ def test_select_sparsity_large_uses_symmetric_polynomial(tmp_path):
     assert doc["theta_tilde"] is not None
 
 
+@pytest.mark.parametrize("n,method", [(15, "enumeration"), (16, "symmetric-polynomial")])
+def test_select_sparsity_posterior_switches_where_enumeration_exceeds_cap(tmp_path, n,
+                                                                          method):
+    # 2^15 supports fit the 50,000 posterior cap; 2^16 do not
+    cfg = write_config(tmp_path, {
+        "family": {"kind": "sparsity", "n": n}, "sigma": 1.0, "kappa": 1.0,
+        "data": {"signal": {"kind": "sparse", "s": 2, "amplitude": 6.0},
+                 "noise": {"kind": "gaussian"}}})
+    out = tmp_path / "sel.json"
+    assert main(["select", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    assert json.loads(out.read_text())["posterior"]["method"] == method
+
+
+def test_check_a2_cap_error_past_the_float_range(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"check": "a2", "family": {"kind": "jump", "n": 1100},
+                                  "nu": 1.0})
+    out = tmp_path / "a2.csv"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_select_jump_with_step_writes_integer_breaks(tmp_path):
     data = tmp_path / "y.csv"
     data.write_text("\n".join(str(v) for v in [0.1, -0.2, 0.0, 0.2, -0.1, 0.0,
@@ -243,7 +266,12 @@ COUNT_CONFIG = {
     ({"experiment": "contraction", "grid": {"M": [0.0]}, "posterior_draws": 0},
      "posterior_draws"),
     ({"experiment": "estimation-risk", "reps": "many"}, "reps"),
-], ids=["reps-0", "reps-negative", "calibrate-reps-0", "posterior-draws-0", "reps-not-a-number"])
+    ({"experiment": "coverage-ebr", "grid": {"M": [0.0, 1.0]}, "calibrate": True},
+     "calibrate"),
+    ({"experiment": "coverage-ebr", "grid": {"M": [0.0, 1.0]},
+      "calibrate": {"nominal": "high"}}, "calibrate.nominal"),
+], ids=["reps-0", "reps-negative", "calibrate-reps-0", "posterior-draws-0", "reps-not-a-number",
+        "calibrate-not-an-object", "calibrate-nominal-not-a-number"])
 def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, overrides,
                                               field):
     def no_replications(*args, **kwargs):

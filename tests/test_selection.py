@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from projstruct.errors import ExactModeUnavailableError
 from projstruct.linalg import sq_norm
 from projstruct.selection import (
+    _clustering_search,
     alternating_bicluster,
     nested_path,
     objective,
@@ -18,10 +20,14 @@ from projstruct.structures import (
     Bicluster,
     BiclusterFamily,
     Caps,
+    ClusteringFamily,
+    MultiLevelPartition,
     SmoothnessFamily,
     SparseSet,
     SparsityFamily,
     Truncation,
+    canonical_partition,
+    sorted_tuple,
 )
 from conftest import ENUM_CAPS, small_families
 
@@ -190,3 +196,78 @@ def test_dispatch_table_paths_searches_and_heuristic_fallback(name):
         assert heuristic == select_penalized(y, fam, 1.0, 1.0)
         with pytest.raises(ExactModeUnavailableError):
             search_candidates(y, fam, 1.0, 1.0)
+
+
+def dp_clusters(values, m, kappa, sigma):
+    # min over partitions of sorted `values` into m contiguous runs of
+    # SSE(run) - 2*kappa*sigma^2*log(len!)  (runs of length >= 2)
+    k = values.size
+    if m == 0:
+        return (0.0, []) if k == 0 else None
+    if k < 2 * m:
+        return None
+    cs = np.concatenate([[0.0], np.cumsum(values)])
+    cs2 = np.concatenate([[0.0], np.cumsum(values * values)])
+
+    def run_cost(lo, hi):
+        ln = hi - lo
+        sse = max((cs2[hi] - cs2[lo]) - (cs[hi] - cs[lo]) ** 2 / ln, 0.0)
+        return sse - 2.0 * kappa * sigma**2 * math.lgamma(ln + 1)
+
+    best = {(0, 0): (0.0, [])}
+    for j in range(1, m + 1):
+        for hi in range(2 * j, k + 1):
+            for lo in range(2 * (j - 1), hi - 1):
+                prev = best.get((j - 1, lo))
+                if prev is None:
+                    continue
+                val = prev[0] + run_cost(lo, hi)
+                cur = best.get((j, hi))
+                if cur is None or val < cur[0]:
+                    best[(j, hi)] = (val, prev[1] + [(lo, hi)])
+    return best.get((m, k))
+
+
+def reference_clustering_search(Y, family, sigma, kappa, pen_variant, max_blocks):
+    """The clustering search with one pure-Python DP per cluster count."""
+    y = np.asarray(Y, dtype=float)
+    n = family.n
+    max_free = 2 if n <= 20 else 0
+    candidates = []
+    order = np.argsort(y, kind="stable")
+    for f in range(min(max_free, n) + 1):
+        for free_combo in itertools.combinations(range(n), f):
+            free = sorted_tuple(free_combo)
+            rest = [i for i in order if i not in free]
+            vals = y[rest]
+            for m in range(0, max_blocks + 1):
+                fit = dp_clusters(vals, m, kappa, sigma)
+                if fit is None:
+                    continue
+                clusters = canonical_partition(
+                    tuple(sorted_tuple(rest[lo:hi]) for lo, hi in fit[1]))
+                s = MultiLevelPartition(free, clusters)
+                candidates.append((s, objective(Y, family, s, sigma, kappa, pen_variant)))
+    return candidates
+
+
+def test_clustering_search_matches_reference_dp():
+    """One segmentation DP over all cluster counts visits the same structures,
+    in the same order and with the same objectives, as one DP per count;
+    rounded data forces tied run costs."""
+    rng = np.random.default_rng(77)
+    for rep in range(36):
+        n = int(rng.integers(1, 10))
+        y = rng.standard_normal(n) * rng.uniform(0.3, 3.0)
+        if rep % 3 == 1:
+            y = np.round(y)
+        elif rep % 3 == 2:
+            y = np.round(2.0 * y) / 2.0
+        fam = ClusteringFamily(n)
+        sigma, kappa = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 2.0))
+        for max_blocks in (-1, 0, 1, 2, 4):
+            for pen_variant in ("main", "map"):
+                got = _clustering_search(y, fam, sigma, kappa, pen_variant, None, max_blocks)
+                want = reference_clustering_search(y, fam, sigma, kappa, pen_variant,
+                                                   max_blocks)
+                assert repr(got) == repr(want), (rep, max_blocks, pen_variant)

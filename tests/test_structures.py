@@ -192,6 +192,13 @@ def test_cap_exceeded_reports_projected_count():
     assert err.value.projected_count == 2**20
 
 
+def test_cap_error_on_counts_past_the_float_range():
+    # 2^1099 jump structures: the count must be reported without float overflow
+    with pytest.raises(CapExceededError, match="max_count=200000") as err:
+        list(JumpFamily(1100).enumerate_structures(Caps()))
+    assert err.value.projected_count == 2**1099
+
+
 # ---------------------------------------------------------------------------
 # union witness
 # ---------------------------------------------------------------------------
