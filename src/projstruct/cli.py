@@ -141,7 +141,7 @@ def cmd_select(config: dict, seed: int, out_path: str) -> None:
         "theta_tilde": None if theta_tilde is None else [float(v) for v in theta_tilde],
         "posterior": None if post is None else {
             "method": post.method,
-            "top": post.export()[:top_k],
+            "top": post.export(top_k),
         },
     }
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -158,9 +158,12 @@ def _caps_from(config: dict) -> Caps | None:
     spec = config.get("caps")
     if spec is None:
         return None
+    max_blocks = spec.get("max_blocks")
+    if max_blocks is not None and (not isinstance(max_blocks, int) or max_blocks < 0):
+        raise ConfigError(f"caps.max_blocks must be a nonnegative integer, got {max_blocks!r}")
     return Caps(max_count=int(spec.get("max_count", 200_000)),
                 max_size=spec.get("max_size"),
-                max_blocks=spec.get("max_blocks"))
+                max_blocks=max_blocks)
 
 
 def cmd_check(config: dict, seed: int):

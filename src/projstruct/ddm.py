@@ -5,7 +5,10 @@ exp{-kappa*rho(I)} * exp{-||Y - P_I Y||^2 / (2 sigma^2)} on each structure;
 normalization happens in the log domain.  For the sparsity family the
 normalizer over all 2^n subsets factors through elementary symmetric
 polynomials of exp{Y_i^2 / (2 sigma^2)}, so exactness does not require
-enumeration.  Conditional laws produce draws supported on L_I.
+enumeration: the normalizer and all n inclusion marginals P(i in I | Y)
+(hence the exact model-averaging mean) take O(n^2) time, the marginals
+from one reverse pass through an 8(n+1)^2-byte table of the recurrence.
+Conditional laws produce draws supported on L_I.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import ExactModeUnavailableError
 from .linalg import sq_norm
 from .selection import _ArgminTracker, penalty
-from .structures import Caps, Family, SparseSet, SparsityFamily
+from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
 # gives conditional covariance (kappa/(kappa+1)) sigma^2 P_I.
@@ -59,14 +62,15 @@ class DdmPosterior:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def export(self) -> list[dict]:
-        """JSON-ready [{structure, log_weight}], sorted by weight descending."""
+    def export(self, top_k: int | None = None) -> list[dict]:
+        """JSON-ready [{structure, log_weight}], sorted by weight descending;
+        only the first top_k rows when top_k is given."""
         order = sorted(range(len(self.candidates)),
                        key=lambda i: (-self.log_weights[i], self.family.sort_key(self.candidates[i])))
         return [
             {"structure": self.family.structure_to_json(self.candidates[i]),
              "log_weight": float(self.log_weights[i])}
-            for i in order
+            for i in order[:top_k]
         ]
 
 
@@ -88,31 +92,50 @@ def logsumexp(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
-    """log e_k(x) for k = 0..n given log x_i, via the stable O(n^2) recurrence.
+def _log_esp_table(log_x: np.ndarray) -> np.ndarray:
+    """(n+1) x (n+1) table whose row j is log e_k(x_0..x_{j-1}), k = 0..n.
 
     e_k after absorbing x_j is e_k + x_j * e_{k-1}; in the log domain each
     step is one vectorized logaddexp, so no overflow for any magnitudes.
     """
     log_x = np.asarray(log_x, dtype=float)
     n = log_x.size
-    out = np.full(n + 1, -np.inf)
-    out[0] = 0.0
+    table = np.full((n + 1, n + 1), -np.inf)
+    table[0, 0] = 0.0
     for j in range(n):
-        out[1:j + 2] = np.logaddexp(out[1:j + 2], log_x[j] + out[:j + 1])
-    return out
+        table[j + 1] = table[j]
+        table[j + 1, 1:j + 2] = np.logaddexp(table[j, 1:j + 2], log_x[j] + table[j, :j + 1])
+    return table
+
+
+def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
+    """log e_k(x) for k = 0..n given log x_i, via the stable O(n^2) recurrence."""
+    return _log_esp_table(log_x)[-1].copy()
+
+
+def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
+    """log x_j = Y_j^2 / (2 sigma^2) and log c_k, the weight of a size-k
+    support apart from its prod x_j: base - pen_k / 2.
+
+    pen_k is 2*kappa*size_majorant(k), plus k under "map": the float
+    operations of `penalty` for a size-k support, without building one.
+    """
+    y = np.asarray(Y, dtype=float)
+    log_x = 0.5 * (y * y) / cfg.sigma**2
+    base = -0.5 * sq_norm(y) / cfg.sigma**2
+    sizes = np.arange(family.n + 1)
+    pen = np.array([2.0 * cfg.kappa * family.size_majorant(s) for s in sizes])
+    if cfg.pen_variant == "map":
+        pen += sizes
+    elif cfg.pen_variant != "main":
+        raise ValueError(f"unknown penalty variant {cfg.pen_variant!r}")
+    return log_x, base - 0.5 * pen
 
 
 def sparsity_size_log_weights(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
     """log of the total unnormalized mass per support size, for all sizes."""
-    y = np.asarray(Y, dtype=float)
-    log_x = 0.5 * (y * y) / cfg.sigma**2
-    log_esp = log_elementary_symmetric(log_x)
-    base = -0.5 * sq_norm(y) / cfg.sigma**2
-    sizes = np.arange(family.n + 1)
-    pen = np.array([penalty(family, SparseSet(tuple(range(s))), cfg.kappa, cfg.pen_variant)
-                    for s in sizes])
-    return base - 0.5 * pen + log_esp
+    log_x, log_c = _sparsity_terms(Y, family, cfg)
+    return log_c + log_elementary_symmetric(log_x)
 
 
 def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig) -> float:
@@ -121,22 +144,25 @@ def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig) -> float:
 
 
 def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
-    """Exact marginal P(i in I | Y) for every coordinate, via leave-one-out
-    symmetric polynomials."""
-    y = np.asarray(Y, dtype=float)
-    log_x = 0.5 * (y * y) / cfg.sigma**2
-    log_z = sparsity_log_normalizer(Y, family, cfg)
-    base = -0.5 * sq_norm(y) / cfg.sigma**2
-    sizes = np.arange(family.n + 1)
-    pen = np.array([penalty(family, SparseSet(tuple(range(s))), cfg.kappa, cfg.pen_variant)
-                    for s in sizes])
+    """Exact marginal P(i in I | Y) for every coordinate, in O(n^2) time.
+
+    With Z = sum_k c_k e_k(x), the forward pass keeps every row of the
+    log-ESP recurrence, and one reverse pass carries g, the log adjoint
+    dZ/de_k of row j+1, from g = log c down to row 0 (the conditional-
+    Poisson marginals of Chen, Dempster & Liu 1994).  The mass of the
+    supports holding j is x_j * sum_k g_k e_{k-1}(x_0..x_{j-1}).  Every term
+    is positive, so nothing is subtracted in the log domain and no fallback
+    is needed.  Memory is the 8(n+1)^2-byte table.
+    """
+    log_x, log_c = _sparsity_terms(Y, family, cfg)
+    table = _log_esp_table(log_x)
+    log_z = logsumexp(log_c + table[-1])
+    g = log_c.copy()
     probs = np.empty(family.n)
-    for i in range(family.n):
-        loo = np.delete(log_x, i)
-        log_esp_loo = log_elementary_symmetric(loo)  # sizes 0..n-1
-        # mass of subsets containing i, by size s = 1..n
-        terms = base - 0.5 * pen[1:] + log_x[i] + log_esp_loo
-        probs[i] = math.exp(logsumexp(terms) - log_z)
+    for j in range(family.n - 1, -1, -1):
+        probs[j] = math.exp(log_x[j] + logsumexp(g[1:j + 2] + table[j, :j + 1]) - log_z)
+        # g becomes the adjoint of row j, whose e_k vanish for k > j
+        g[:j + 1] = np.logaddexp(g[:j + 1], log_x[j] + g[1:j + 2])
     return np.clip(probs, 0.0, 1.0)
 
 

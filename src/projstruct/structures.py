@@ -204,7 +204,7 @@ class Family:
     def project(self, structure, theta) -> np.ndarray:
         theta = as_vector(theta)
         if theta.size != self.ambient_dim:
-            raise InvalidStructureError(
+            raise DimensionMismatchError(
                 f"{self.tag}: theta has length {theta.size}, ambient is {self.ambient_dim}"
             )
         self.validate(structure)
@@ -536,6 +536,23 @@ class LeveledSparsityFamily(Family):
 # ---------------------------------------------------------------------------
 
 
+def _min2_partition_counts(n: int, max_blocks: int) -> list[int]:
+    """counts[m] for m = 0..n: set partitions of m items into at most
+    max_blocks blocks, each of size >= 2.
+
+    With S(m, k) the count for exactly k blocks, item m either joins one of
+    the k blocks over the other m-1 items or pairs with one of them:
+    S(m, k) = k S(m-1, k) + (m-1) S(m-2, k-1), S(0, 0) = 1.
+    """
+    blocks = max(0, min(max_blocks, n // 2))
+    table = [[0] * (blocks + 1) for _ in range(n + 1)]
+    table[0][0] = 1
+    for m in range(2, n + 1):
+        for k in range(1, blocks + 1):
+            table[m][k] = k * table[m - 1][k] + (m - 1) * table[m - 2][k - 1]
+    return [sum(row) for row in table]
+
+
 class ClusteringFamily(Family):
     """Free coordinates plus clusters replaced by their group averages.
 
@@ -594,7 +611,7 @@ class ClusteringFamily(Family):
             if not items:
                 yield []
                 return
-            if blocks_left == 0 or len(items) < 2:
+            if blocks_left <= 0 or len(items) < 2:
                 return
             first, rest = items[0], items[1:]
             for r in range(1, len(rest) + 1):
@@ -612,7 +629,9 @@ class ClusteringFamily(Family):
                     for blocks in partitions_min2(rest, max_blocks):
                         yield MultiLevelPartition(tuple(free), canonical_partition(blocks))
 
-        out = sorted(_capped(gen(), caps), key=self.sort_key)
+        clustered = _min2_partition_counts(self.n, max_blocks)
+        projected = sum(math.comb(self.n, f) * clustered[self.n - f] for f in range(self.n + 1))
+        out = sorted(_capped(gen(), caps, projected), key=self.sort_key)
         return iter(out)
 
     def sort_key(self, s):
@@ -958,14 +977,10 @@ class BiclusterFamily(Family):
         b1 = self.n1 if max_blocks is None else min(max_blocks, self.n1)
         b2 = self.n2 if max_blocks is None else min(max_blocks, self.n2)
 
-        def gen():
-            row_parts = list(self.axis_partitions(self.n1, b1))
-            col_parts = list(self.axis_partitions(self.n2, b2))
-            for rp in row_parts:
-                for cp in col_parts:
-                    yield Bicluster(rp, cp)
-
-        out = sorted(_capped(gen(), caps), key=self.sort_key)
+        row_parts = list(self.axis_partitions(self.n1, b1))
+        col_parts = list(self.axis_partitions(self.n2, b2))
+        gen = (Bicluster(rp, cp) for rp in row_parts for cp in col_parts)
+        out = sorted(_capped(gen, caps, len(row_parts) * len(col_parts)), key=self.sort_key)
         return iter(out)
 
     @staticmethod

@@ -118,6 +118,17 @@ def test_check_a2_cap_error_past_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_blocks", [-1, 2.5])
+def test_check_rejects_bad_max_blocks(tmp_path, capsys, max_blocks):
+    cfg = write_config(tmp_path, {"check": "a2", "family": {"kind": "clustering", "n": 5},
+                                  "nu": 1.0, "caps": {"max_blocks": max_blocks}})
+    out = tmp_path / "a2.csv"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "max_blocks" in err
+    assert not out.exists()
+
+
 def test_select_jump_with_step_writes_integer_breaks(tmp_path):
     data = tmp_path / "y.csv"
     data.write_text("\n".join(str(v) for v in [0.1, -0.2, 0.0, 0.2, -0.1, 0.0,

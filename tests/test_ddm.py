@@ -7,15 +7,18 @@ from projstruct.ddm import (
     CONDITIONAL_VAR_FACTOR,
     DdmConfig,
     log_elementary_symmetric,
+    logsumexp,
     ma_mean,
     ms_mean,
     sample_conditional,
     select_map,
     sparsity_inclusion_probabilities,
+    sparsity_log_normalizer,
     sparsity_ma_mean_exact,
     structure_posterior,
 )
-from projstruct.selection import select_penalized
+from projstruct.linalg import sq_norm
+from projstruct.selection import penalty, select_penalized
 from projstruct.structures import (
     SmoothnessFamily,
     SparseSet,
@@ -126,6 +129,65 @@ def test_exact_sparsity_marginals_match_enumeration():
     assert np.allclose(sparsity_ma_mean_exact(y, fam, c), ma_mean(y, fam, post), atol=1e-10)
 
 
+def leave_one_out_inclusion_probabilities(Y, family, cfg):
+    """The O(n^3) reference: one leave-one-out symmetric polynomial per
+    coordinate."""
+    y = np.asarray(Y, dtype=float)
+    log_x = 0.5 * (y * y) / cfg.sigma**2
+    log_z = sparsity_log_normalizer(Y, family, cfg)
+    base = -0.5 * sq_norm(y) / cfg.sigma**2
+    sizes = np.arange(family.n + 1)
+    pen = np.array([penalty(family, SparseSet(tuple(range(s))), cfg.kappa, cfg.pen_variant)
+                    for s in sizes])
+    probs = np.empty(family.n)
+    for i in range(family.n):
+        loo = np.delete(log_x, i)
+        log_esp_loo = log_elementary_symmetric(loo)  # sizes 0..n-1
+        # mass of subsets containing i, by size s = 1..n
+        terms = base - 0.5 * pen[1:] + log_x[i] + log_esp_loo
+        probs[i] = math.exp(logsumexp(terms) - log_z)
+    return np.clip(probs, 0.0, 1.0)
+
+
+def _marginal_inputs(n, rng):
+    """Gaussian data with zeros, exact ties in |Y|, and one coordinate
+    with log x = Y^2 / (2 sigma^2) near 1e4 (sigma = 1)."""
+    y = rng.standard_normal(n) * rng.uniform(0.5, 4.0)
+    y[rng.permutation(n)[:max(1, n // 5)]] = 0.0
+    if n >= 3:
+        y[1], y[2] = 2.5, -2.5
+    big = y.copy()
+    big[-1] = math.sqrt(2.0e4)
+    return [y, big]
+
+
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 200])
+def test_sparsity_marginals_match_leave_one_out(n, pen_variant):
+    rng = np.random.default_rng(1000 + n)
+    fam = SparsityFamily(n)
+    for y in _marginal_inputs(n, rng):
+        c = cfg(kappa=float(rng.uniform(0.3, 2.0)), pen_variant=pen_variant)
+        got = sparsity_inclusion_probabilities(y, fam, c)
+        want = leave_one_out_inclusion_probabilities(y, fam, c)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+def test_sparsity_marginals_match_enumeration_both_penalties(pen_variant):
+    rng = np.random.default_rng(29)
+    for n in (1, 4, 12):
+        fam = SparsityFamily(n)
+        for y in _marginal_inputs(n, rng):
+            c = cfg(kappa=float(rng.uniform(0.3, 2.0)), sigma=1.0, pen_variant=pen_variant)
+            post = structure_posterior(y, fam, c)
+            marg = np.zeros(n)
+            for w, s in zip(post.weights(), post.candidates):
+                marg[list(s.indices)] += w
+            np.testing.assert_allclose(sparsity_inclusion_probabilities(y, fam, c), marg,
+                                       rtol=1e-10, atol=0.0)
+
+
 def test_posterior_scale_invariance():
     rng = np.random.default_rng(5)
     fam = SparsityFamily(6)
@@ -202,6 +264,8 @@ def test_resample_law_and_posterior_export():
     lw = [row["log_weight"] for row in exported]
     assert lw == sorted(lw, reverse=True)
     assert exported[0]["structure"]["family"] == "sparsity"
+    for top_k in (0, 3, 8, 20):
+        assert post.export(top_k) == exported[:top_k]
 
 
 def test_sparsity_log_normalizer_empty_candidates_error():

@@ -192,6 +192,27 @@ def test_cap_exceeded_reports_projected_count():
     assert err.value.projected_count == 2**20
 
 
+def _projected_count(fam, max_blocks):
+    # every count, 0 included, exceeds max_count=-1, so the projection is reported
+    with pytest.raises(CapExceededError) as err:
+        fam.enumerate_structures(Caps(max_count=-1, max_blocks=max_blocks))
+    return err.value.projected_count
+
+
+@pytest.mark.parametrize("fam", [ClusteringFamily(n) for n in range(1, 9)]
+                         + [BiclusterFamily(n1, n2) for n1, n2 in ((1, 3), (2, 2), (3, 4), (4, 4))],
+                         ids=lambda fam: f"{fam.tag}-{fam.ambient_dim}")
+def test_projected_count_matches_enumeration(fam):
+    for max_blocks in (None, -1, 0, 1, 2, 3):
+        listed = list(fam.enumerate_structures(Caps(max_count=10**6, max_blocks=max_blocks)))
+        assert _projected_count(fam, max_blocks) == len(listed), max_blocks
+
+
+def test_capped_bicluster_reports_projected_count():
+    # Bell(8) = 4140 partitions per axis; the cap fires before any is paired
+    assert _projected_count(BiclusterFamily(8, 8), None) == 4140**2
+
+
 def test_cap_error_on_counts_past_the_float_range():
     # 2^1099 jump structures: the count must be reported without float overflow
     with pytest.raises(CapExceededError, match="max_count=200000") as err:
@@ -338,15 +359,17 @@ def test_project_and_project_many_share_one_kernel(name):
             assert fam.project(s, theta).tobytes() == one_row.tobytes(), s
 
 
-@pytest.mark.parametrize("fam,structure,rows,error", [
-    (SparsityFamily(3), SparseSet((-1,)), np.ones((2, 3)), InvalidStructureError),
-    (JumpFamily(4), JumpSet((7,)), np.ones((2, 4)), InvalidStructureError),
-    (SparsityFamily(3), SparseSet((0,)), np.ones((2, 4)), DimensionMismatchError),
-    (SparsityFamily(3), SparseSet((0,)), np.ones(3), DimensionMismatchError),
-], ids=["negative-index", "break-out-of-range", "wrong-width", "one-dimensional"])
-def test_project_many_validates_structure_and_shape(fam, structure, rows, error):
+@pytest.mark.parametrize("method,fam,structure,rows,error", [
+    ("project_many", SparsityFamily(3), SparseSet((-1,)), np.ones((2, 3)), InvalidStructureError),
+    ("project_many", JumpFamily(4), JumpSet((7,)), np.ones((2, 4)), InvalidStructureError),
+    ("project_many", SparsityFamily(3), SparseSet((0,)), np.ones((2, 4)), DimensionMismatchError),
+    ("project_many", SparsityFamily(3), SparseSet((0,)), np.ones(3), DimensionMismatchError),
+    ("project", SparsityFamily(3), SparseSet((0,)), np.zeros(4), DimensionMismatchError),
+], ids=["negative-index", "break-out-of-range", "wrong-width", "one-dimensional",
+        "project-wrong-length"])
+def test_project_many_validates_structure_and_shape(method, fam, structure, rows, error):
     with pytest.raises(error):
-        fam.project_many(structure, rows)
+        getattr(fam, method)(structure, rows)
 
 
 # ---------------------------------------------------------------------------
