@@ -11,6 +11,13 @@ selector when it has none; `search_candidates` returns what the search visits.
 The jump path (`segment_dp`) and the clustering search run one segmentation
 DP, `_segmentations`; the clustering search runs it once per free set.
 
+The bicluster alternation scores a move exactly only when the move can
+decide its sweep: block sums give every move's objective up to rounding,
+and a move whose approximation lies clearly above the current objective or
+above the best move's cannot change which move the exact tie rule picks, so
+it is skipped (`alternating_bicluster` gives the bound).  Decisions and stored
+objectives are those of scoring every move in full.
+
 Ties are broken deterministically: objectives within a relative 1e-12 band
 count as equal, and among tied structures the one with the smallest majorant,
 then the smallest canonical sort key, wins.  `_ArgminTracker` holds this rule;
@@ -47,9 +54,15 @@ TIE_RTOL = 1e-12
 
 def penalty(family: Family, structure, kappa: float, pen_variant: str = "main") -> float:
     """pen(I) = 2*kappa*rho(I), plus dim(L_I) for the "map" variant."""
-    pen = 2.0 * kappa * family.majorant(structure)
+    dim = family.dim(structure) if pen_variant == "map" else 0
+    return _penalty_value(family.majorant(structure), dim, kappa, pen_variant)
+
+
+def _penalty_value(rho: float, dim: int, kappa: float, pen_variant: str) -> float:
+    """`penalty` from the majorant rho and the dimension dim."""
+    pen = 2.0 * kappa * rho
     if pen_variant == "map":
-        pen += family.dim(structure)
+        pen += dim
     elif pen_variant != "main":
         raise ValueError(f"unknown penalty variant {pen_variant!r}")
     return pen
@@ -244,9 +257,7 @@ def _select_leveled(Y, family, sigma, kappa, pen_variant):
         total = gains[-1]
         best_size, best_val = 0, math.inf
         for size in range(2**j + 1):
-            pen_j = 2.0 * kappa * family.level_majorant(j, size)
-            if pen_variant == "map":
-                pen_j += size
+            pen_j = _penalty_value(family.level_majorant(j, size), size, kappa, pen_variant)
             val = (total - gains[size]) + sigma**2 * pen_j
             tol = TIE_RTOL * (1.0 + abs(min(best_val, val)))
             if val < best_val - tol:
@@ -295,10 +306,65 @@ def _label_blocks(labels, k):
     return canonical_partition(np.flatnonzero(labels == b) for b in range(k))
 
 
+def _one_hot(labels, k):
+    return (labels[:, None] == np.arange(k)).astype(float)
+
+
+def _approx_move_objectives(lines, labels, k, other_labels, k_other, ysq, pen):
+    """A[i, b]: the objective after moving line i (a row of `lines`) from
+    block labels[i] to block b, from block sums and up to rounding; +inf at
+    b = labels[i].  pen(s, s_other) is sigma^2 * pen for s blocks on this
+    axis and s_other on the other.
+
+    With line sums R[i, c] over the other axis's blocks, block sums S[a, c]
+    and block sizes n_a, n_c, the captured energy ||P Y||^2 is
+    sum S^2 / (n_a n_c); a move changes rows labels[i] and b of S only.
+    """
+    n_other = np.bincount(other_labels, minlength=k_other)
+    w = 1.0 / np.maximum(n_other, 1)  # an empty block's sums are zero
+    R = lines @ _one_hot(other_labels, k_other)
+    S = _one_hot(labels, k).T @ R
+    n = np.bincount(labels, minlength=k)
+    energy = (S * S) @ w / np.maximum(n, 1)
+    left, n_left = S[labels] - R, n[labels] - 1  # each line's block without it
+    kept = energy.sum() - energy[labels] + (left * left) @ w / np.maximum(n_left, 1)
+    joined = S + R[:, None, :]
+    captured = kept[:, None] - energy + (joined * joined) @ w / (n + 1)
+    # block counts after each move; a count of 0 occurs only at b = labels[i]
+    counts = np.count_nonzero(n) - (n_left == 0)[:, None] + (n == 0)
+    s_other = int(np.count_nonzero(n_other))
+    pens = np.array([math.inf] + [pen(c, s_other) for c in range(1, k + 1)])
+    approx = ysq - captured + pens[counts]
+    approx[np.arange(labels.size), labels] = math.inf
+    return approx
+
+
 def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                           pen_variant="main", restarts=10, max_iter=50):
-    """Alternating row/column reassignment; objective never increases."""
+    """Alternating row/column reassignment; objective never increases.
+
+    Each line moves to the first target block, in label order, whose exact
+    objective beats the running best by the tie tolerance, and only targets
+    that can decide that outcome are scored exactly.  Block sums give every
+    target's objective (`_approx_move_objectives`) within rounding error
+    e << margin = 1e-9 * k * (1 + ||Y||^2 + |obj|) of its exact value, obj
+    the current objective.  The screen keeps the targets whose approximation
+    is below obj + margin and within 2 * margin of the lowest one:
+    - a target with an approximation of at least obj + margin has an exact
+      objective above obj, and never wins;
+    - a target more than 2 * margin above the lowest approximation is more
+      than k tie tolerances, TIE_RTOL * (1 + obj), above the best target's
+      exact value.  Two sweeps that differ by such a target keep running
+      best values within k tie tolerances of it, so both accept the best
+      target and agree from then on.
+    The exact sweep over the kept targets therefore picks the same target
+    with the same objective, and every stored objective is an exact
+    `objective` value.  The margin scales with obj because the tolerance
+    does: once sigma^2 * pen dominates ||Y||^2, moves that tie within the
+    tolerance can lie far more than 1e-9 * (1 + ||Y||^2) apart.
+    """
     mat = np.asarray(Y, dtype=float).reshape(family.n1, family.n2)
+    ysq = sq_norm(mat.reshape(-1))
     inits = []
     for _ in range(restarts):
         inits.append((rng.integers(0, k1, family.n1), rng.integers(0, k2, family.n2)))
@@ -311,28 +377,38 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     c_init[c_order] = (np.arange(family.n2) * k2) // family.n2
     inits.append((r_init, c_init))
 
+    def structure(row_labels, col_labels):
+        return Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
+
+    def pen(s1, s2):
+        return sigma**2 * _penalty_value(family.counts_majorant(s1, s2), s1 * s2, kappa,
+                                         pen_variant)
+
     def score(row_labels, col_labels):
-        s = Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
-        return s, objective(mat.reshape(-1), family, s, sigma, kappa, pen_variant)
+        return objective(mat.reshape(-1), family, structure(row_labels, col_labels),
+                         sigma, kappa, pen_variant)
 
     tracker, traces = _ArgminTracker(family), {}
     for row_labels, col_labels in inits:
         row_labels = row_labels.copy()
         col_labels = col_labels.copy()
-        _, obj = score(row_labels, col_labels)
+        obj = score(row_labels, col_labels)
         history = [obj]
         for _ in range(max_iter):
             improved = False
-            for axis, labels, k in ((0, row_labels, k1), (1, col_labels, k2)):
-                n_axis = family.n1 if axis == 0 else family.n2
-                for i in range(n_axis):
+            for lines, labels, k, other, k_other, axis_pen in (
+                    (mat, row_labels, k1, col_labels, k2, pen),
+                    (mat.T, col_labels, k2, row_labels, k1, lambda s2, s1: pen(s1, s2))):
+                approx = _approx_move_objectives(lines, labels, k, other, k_other, ysq,
+                                                 axis_pen)
+                for i in range(labels.size):
                     old = labels[i]
                     best_b, best_obj = old, obj
-                    for b in range(k):
-                        if b == old:
-                            continue
+                    margin = 1e-9 * k * (1.0 + ysq + abs(obj))
+                    row = approx[i]
+                    for b in np.flatnonzero(row < min(obj + margin, row.min() + 2.0 * margin)):
                         labels[i] = b
-                        _, cand = score(row_labels, col_labels)
+                        cand = score(row_labels, col_labels)
                         if cand < best_obj - TIE_RTOL * (1.0 + abs(cand)):
                             best_b, best_obj = b, cand
                     labels[i] = best_b
@@ -340,9 +416,12 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                         obj = best_obj
                         history.append(obj)
                         improved = True
+                        approx = _approx_move_objectives(lines, labels, k, other, k_other,
+                                                         ysq, axis_pen)
             if not improved:
                 break
-        s, obj = score(row_labels, col_labels)
+        # obj is the exact objective of the final labels
+        s = structure(row_labels, col_labels)
         history.append(obj)
         tracker.offer(s, obj)
         traces.setdefault(s, AlternatingTrace(s, obj, history))

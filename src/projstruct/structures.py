@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -108,7 +109,15 @@ class Bicluster:
 
 
 def sorted_tuple(xs) -> tuple[int, ...]:
-    return tuple(sorted(int(x) for x in xs))
+    return tuple(sorted(map(int, xs)))
+
+
+def is_sorted_unique(pos) -> bool:
+    """pos == sorted_tuple(set(pos)).  A tuple of plain ints, the common case,
+    is checked for strict increase in C, without converting or sorting."""
+    if type(pos) is tuple and set(map(type, pos)) <= {int}:
+        return all(map(operator.lt, pos, pos[1:]))
+    return pos == sorted_tuple(set(pos))
 
 
 def canonical_partition(blocks) -> tuple[tuple[int, ...], ...]:
@@ -347,7 +356,7 @@ class _PositionSetFamily(Family):
         if not isinstance(s, self.structure_type):
             raise InvalidStructureError(f"not a {self.structure_type.__name__}: {s!r}")
         pos = self._positions(s)
-        if pos != sorted_tuple(set(pos)):
+        if not is_sorted_unique(pos):
             raise InvalidStructureError(f"{self.field} must be sorted and unique")
         if pos and not (self.first <= pos[0] and pos[-1] <= self.last):
             raise InvalidStructureError(
@@ -459,7 +468,7 @@ class LeveledSparsityFamily(Family):
         if s.levels and not s.levels[-1]:
             raise InvalidStructureError("trailing empty level; use the canonical form")
         for j, lv in enumerate(s.levels):
-            if lv != sorted_tuple(set(lv)):
+            if not is_sorted_unique(lv):
                 raise InvalidStructureError(f"level {j}: indices must be sorted and unique")
             if lv and not (0 <= lv[0] and lv[-1] < 2**j):
                 raise InvalidStructureError(f"level {j}: index out of range [0, {2 ** j})")
@@ -749,7 +758,7 @@ class RegressionFamily(Family):
     def validate(self, s):
         if not isinstance(s, RegressionSupport):
             raise InvalidStructureError(f"not a regression support: {s!r}")
-        if s.indices != sorted_tuple(set(s.indices)):
+        if not is_sorted_unique(s.indices):
             raise InvalidStructureError("indices must be sorted and unique")
         if s.indices and not (0 <= s.indices[0] and s.indices[-1] < self.p):
             raise InvalidStructureError(f"indices out of range [0, {self.p})")
@@ -939,7 +948,10 @@ class BiclusterFamily(Family):
         return s1 * s2
 
     def _majorant(self, s):
-        s1, s2 = self.block_counts(s)
+        return self.counts_majorant(*self.block_counts(s))
+
+    def counts_majorant(self, s1: int, s2: int) -> float:
+        """The elbow majorant of any structure with s1 row and s2 column blocks."""
         n1, n2 = self.n1, self.n2
         if s1 < n1 and s2 < n2:
             return s1 * s2 + n1 * LOG(s1) + n2 * LOG(s2)

@@ -1,13 +1,19 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from projstruct import selection
 from projstruct.errors import ExactModeUnavailableError
 from projstruct.linalg import sq_norm
 from projstruct.selection import (
+    TIE_RTOL,
+    AlternatingTrace,
+    _ArgminTracker,
     _clustering_search,
+    _label_blocks,
     alternating_bicluster,
     nested_path,
     objective,
@@ -271,3 +277,139 @@ def test_clustering_search_matches_reference_dp():
                 want = reference_clustering_search(y, fam, sigma, kappa, pen_variant,
                                                    max_blocks)
                 assert repr(got) == repr(want), (rep, max_blocks, pen_variant)
+
+
+def full_rescoring_alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
+                                         pen_variant="main", restarts=10, max_iter=50):
+    """The alternating search that scores every move with a full `objective`."""
+    mat = np.asarray(Y, dtype=float).reshape(family.n1, family.n2)
+    inits = []
+    for _ in range(restarts):
+        inits.append((rng.integers(0, k1, family.n1), rng.integers(0, k2, family.n2)))
+    r_order = np.argsort(mat.mean(axis=1), kind="stable")
+    c_order = np.argsort(mat.mean(axis=0), kind="stable")
+    r_init = np.empty(family.n1, dtype=int)
+    c_init = np.empty(family.n2, dtype=int)
+    r_init[r_order] = (np.arange(family.n1) * k1) // family.n1
+    c_init[c_order] = (np.arange(family.n2) * k2) // family.n2
+    inits.append((r_init, c_init))
+
+    def score(row_labels, col_labels):
+        s = Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
+        return s, objective(mat.reshape(-1), family, s, sigma, kappa, pen_variant)
+
+    tracker, traces = _ArgminTracker(family), {}
+    for row_labels, col_labels in inits:
+        row_labels = row_labels.copy()
+        col_labels = col_labels.copy()
+        _, obj = score(row_labels, col_labels)
+        history = [obj]
+        for _ in range(max_iter):
+            improved = False
+            for axis, labels, k in ((0, row_labels, k1), (1, col_labels, k2)):
+                n_axis = family.n1 if axis == 0 else family.n2
+                for i in range(n_axis):
+                    old = labels[i]
+                    best_b, best_obj = old, obj
+                    for b in range(k):
+                        if b == old:
+                            continue
+                        labels[i] = b
+                        _, cand = score(row_labels, col_labels)
+                        if cand < best_obj - TIE_RTOL * (1.0 + abs(cand)):
+                            best_b, best_obj = b, cand
+                    labels[i] = best_b
+                    if best_b != old:
+                        obj = best_obj
+                        history.append(obj)
+                        improved = True
+            if not improved:
+                break
+        s, obj = score(row_labels, col_labels)
+        history.append(obj)
+        tracker.offer(s, obj)
+        traces.setdefault(s, AlternatingTrace(s, obj, history))
+    return traces[tracker.result()[0]]
+
+
+def test_screened_alternation_matches_full_rescoring():
+    """Screening moves by block sums changes no decision: same structure,
+    objective and history (exact floats) as scoring every move in full.
+    Covers both penalties, rounded data with exact ties, more blocks than
+    lines (blocks empty and reopen), 1 x n and n x 1 shapes, and penalties
+    that dominate the data (sigma^2 * pen >> ||Y||^2)."""
+    rng = np.random.default_rng(2026)
+    shapes = [(1, 5), (6, 1), (1, 1), (2, 2)] + [
+        (int(a), int(b)) for a, b in rng.integers(1, 7, size=(116, 2))]
+    for case, (n1, n2) in enumerate(shapes):
+        fam = BiclusterFamily(n1, n2)
+        y = rng.standard_normal(n1 * n2) * rng.uniform(0.3, 4.0)
+        if case % 3 == 1:
+            y = np.round(y)
+        elif case % 3 == 2:
+            y = np.round(2.0 * y) / 2.0
+        k1, k2 = (int(k) for k in rng.integers(1, 5, size=2))
+        sigma = float(rng.uniform(0.2, 2.0)) * (30.0 if case % 7 == 3 else 1.0)
+        kappa = float(rng.uniform(0.1, 2.0))
+        pen_variant = ("main", "map")[case % 2]
+        seed = int(rng.integers(0, 2**31))
+        restarts = int(rng.integers(1, 4))
+        args = (y, fam, sigma, kappa, k1, k2)
+        got = alternating_bicluster(*args, np.random.default_rng(seed),
+                                    pen_variant=pen_variant, restarts=restarts)
+        want = full_rescoring_alternating_bicluster(*args, np.random.default_rng(seed),
+                                                    pen_variant=pen_variant,
+                                                    restarts=restarts)
+        assert (got.structure, got.objective, got.history) == \
+            (want.structure, want.objective, want.history), (case, n1, n2, k1, k2)
+
+
+def test_screened_alternation_is_exact_when_the_penalty_dominates():
+    """With sigma^2 * pen ~ 1e7 the tie tolerance 1e-12 * (1 + obj) is ~1e-5,
+    far above 1e-9 * (1 + ||Y||^2).  Near-binary data make moves whose
+    objectives differ by less than the tolerance but more than that band;
+    the screening margin scales with obj, so it keeps them.  (A margin of
+    1e-9 * (1 + ||Y||^2) alone changes the trace in cases 3, 8, 19 and 29.)"""
+    for case in range(30):
+        rng = np.random.default_rng([7, case])
+        n1, n2 = (int(n) for n in rng.integers(3, 7, size=2))
+        y = rng.integers(0, 2, n1 * n2) + 1e-7 * rng.standard_normal(n1 * n2)
+        k1, k2 = (int(k) for k in rng.integers(3, 5, size=2))
+        seed = int(rng.integers(0, 2**31))
+        pen_variant = ("main", "map")[case % 2]
+        args = (y, BiclusterFamily(n1, n2), 1e3, 1.0, k1, k2)
+        got = alternating_bicluster(*args, np.random.default_rng(seed),
+                                    pen_variant=pen_variant, restarts=2)
+        want = full_rescoring_alternating_bicluster(*args, np.random.default_rng(seed),
+                                                    pen_variant=pen_variant, restarts=2)
+        assert (got.structure, got.objective, got.history) == \
+            (want.structure, want.objective, want.history), case
+
+
+def test_bicluster_select_scores_few_moves_exactly(tmp_path, monkeypatch):
+    """The fixed 8x8 bicluster `select` of the benchmark (seed 20261018)
+    scored 25,745 structures with `objective` when every move was scored in
+    full; screening by block sums must keep it under a third of that."""
+    from projstruct.cli import main
+
+    fixed = np.random.default_rng(20261018)
+    rows, cols = fixed.permutation(8) % 2, fixed.permutation(8) % 2
+    mat = fixed.uniform(2.5, 3.5) * (rows[:, None] == cols[None, :]) \
+        + fixed.standard_normal((8, 8))
+    data = tmp_path / "y.csv"
+    np.savetxt(data, mat.reshape(-1, 1), delimiter=",", fmt="%.17g")
+    config = tmp_path / "select.json"
+    config.write_text(json.dumps({
+        "family": {"kind": "bicluster", "n1": 8, "n2": 8}, "sigma": 1.0, "kappa": 1.0,
+        "posterior_top_k": 5, "mode": "heuristic", "data": {"file": str(data)}}))
+    calls = [0]
+    real = selection.objective
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "objective", counting)
+    assert main(["select", "--config", str(config), "--seed", "20261018",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert 0 < calls[0] < 25_745 // 3

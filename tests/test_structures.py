@@ -31,6 +31,7 @@ from projstruct.structures import (
     SparseSet,
     SparsityFamily,
     Truncation,
+    is_sorted_unique,
 )
 from conftest import enumerate_small, small_families
 
@@ -141,6 +142,8 @@ def test_bicluster_majorant_elbow_branches():
     assert fam.majorant(make(2, 5)) == pytest.approx(2 * 5 + 4 * math.log(2))
     assert fam.majorant(make(4, 2)) == pytest.approx(4 * 2 + 5 * math.log(2))
     assert fam.majorant(make(4, 5)) == 20.0
+    for s1, s2 in itertools.product(range(1, 5), range(1, 6)):
+        assert fam.counts_majorant(s1, s2) == fam.majorant(make(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +406,54 @@ def test_validation_rejects_malformed_structures():
     if not fam.in_small_family(len(big)):
         with pytest.raises(InvalidStructureError):
             fam.majorant(RegressionSupport(big))
+
+
+@pytest.mark.parametrize("fam,make,field,lo,hi", [
+    (SparsityFamily(6), SparseSet, "indices", 0, 6),
+    (JumpFamily(6), JumpSet, "breaks", 0, 5),
+    (KnotFamily(6), KnotSet, "knots", 1, 5),
+])
+@pytest.mark.parametrize("method", ["project", "majorant", "dim", "structure_to_json"])
+def test_position_set_validation_messages(fam, make, field, lo, hi, method):
+    def call(pos):
+        args = (make(pos), np.zeros(6)) if method == "project" else (make(pos),)
+        return getattr(fam, method)(*args)
+
+    order = f"^{field} must be sorted and unique$"
+    cases = [
+        ((3, 2), order),                        # unsorted
+        ((2, 2), order),                        # repeated
+        ((2.5, 3), order),                      # non-integral float
+        ([2, 3], order),                        # list, not tuple
+        ((lo - 1, 3), rf"^{field} out of range \[{lo}, {hi}\)$"),
+        ((2, hi), rf"^{field} out of range \[{lo}, {hi}\)$"),
+    ]
+    for pos, message in cases:
+        with pytest.raises(InvalidStructureError, match=message):
+            call(pos)
+    with pytest.raises(InvalidStructureError, match=f"^not a {make.__name__}: "):
+        fam.validate(Truncation(1))
+    call((2, 3))
+    call(())
+    fam.validate(make((2.0, np.int64(3))))  # integral values of other types pass
+
+
+def test_is_sorted_unique_matches_sorted_tuple_of_set():
+    def reference(pos):
+        return pos == tuple(sorted(int(x) for x in set(pos)))
+
+    def outcome(check, pos):
+        try:
+            return check(pos)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    cases = [(), (0,), (1, 2, 5), (5, 1), (1, 1), (1, 2, 2), [1, 2], [], (1.0, 2), (1.5,),
+             (True, 2), (False, True), (np.int64(1), np.int64(4)), (np.int64(4), 1),
+             (-3, 0, 7), ("1",), ("a",), (None,), (float("nan"),), tuple(range(600)),
+             tuple(range(0, 40, 3)) + (38,)]
+    for pos in cases:
+        assert outcome(is_sorted_unique, pos) == outcome(reference, pos), pos
 
 
 def test_leveled_canonical_form_trims_trailing_empty_levels():
