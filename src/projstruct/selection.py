@@ -11,6 +11,22 @@ selector when it has none; `search_candidates` returns what the search visits.
 The jump path (`segment_dp`) and the clustering search run one segmentation
 DP, `_segmentations`; the clustering search runs it once per free set.
 
+Nested paths are built lazily, in size order, and scoring stops once the
+penalty alone loses: when sigma^2 * pen of the next entry exceeds the
+tracker's kept objective by more than the tie tolerance, that entry and
+every later one leave the result as it is (`_ArgminTracker.settled`).  This
+is exact where two things hold along the path (`_stops_early`): pen never
+decreases, and every SSE is >= 0 in floating point, so each later objective
+is at least its pen.  Both hold for jump (clipped DP costs), smoothness
+(suffix sums of squares) and sparsity under rho (prefix sums of squares).
+The bound is the kept objective, not the running minimum of the offers: a
+tie that keeps the earlier structure leaves the kept objective above that
+minimum, and a later offer can still tie with it and win on its key.
+Banding is scored in full, because its total - energy can fall below 0 by
+rounding, and so is sparsity under rho', whose majorant max{s, log C(n, s)}
+falls for a stretch past s = n/2.  The clustering search reads every cut
+count, since each one is a candidate of its restricted posterior.
+
 The bicluster alternation scores a move exactly only when the move can
 decide its sweep: block sums give every move's objective up to rounding,
 and a move whose approximation lies clearly above the current objective or
@@ -96,6 +112,12 @@ class _ArgminTracker:
                 self.best, self.best_tie = structure, key
                 self.best_obj = min(self.best_obj, obj)
 
+    def settled(self, floor: float) -> bool:
+        """Whether no offer with an objective of at least floor can change
+        the result: floor lies above the kept objective by more than the tie
+        tolerance, so `offer` would neither take nor tie such an offer."""
+        return floor > self.best_obj + TIE_RTOL * (1.0 + abs(self.best_obj))
+
     def result(self):
         if self.best is None:
             raise ValueError("no candidate structures offered")
@@ -111,10 +133,7 @@ def select_bruteforce(Y, family: Family, sigma: float, kappa: float,
     return tracker.result()
 
 
-def _finish(Y, family, sigma, kappa, pen_variant, scored):
-    tracker = _ArgminTracker(family)
-    for structure, obj in scored:
-        tracker.offer(structure, obj)
+def _finish(Y, family, sigma, kappa, pen_variant, tracker):
     structure, _ = tracker.result()
     # report the objective through the shared evaluator for cross-checks
     return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
@@ -130,8 +149,8 @@ def _pen(family, structure, sigma, kappa, pen_variant):
 
 
 def _sse_costs(y):
-    """cost[lo, hi]: SSE of y[lo:hi] around its mean (0 when lo >= hi), for
-    0 <= lo, hi <= n; built in place to hold few (n+1)^2 temporaries."""
+    """cost[lo, hi]: SSE of y[lo:hi] around its mean (+inf when lo >= hi),
+    for 0 <= lo, hi <= n; built in place to hold few (n+1)^2 temporaries."""
     n = y.size
     cs = np.concatenate([[0.0], np.cumsum(y)])
     cs2 = np.concatenate([[0.0], np.cumsum(y * y)])
@@ -142,37 +161,43 @@ def _sse_costs(y):
     cost = cs2[hi] - cs2[lo]
     cost -= t
     np.maximum(cost, 0.0, out=cost)
-    cost[lo >= hi] = 0.0
+    cost[lo >= hi] = np.inf
     return cost
 
 
 def _segmentations(cost, max_cuts: int):
-    """Optimal segmentation of 0..n into nonempty runs for every cut count.
+    """Optimal segmentation of 0..n into nonempty runs for each cut count.
 
-    cost[lo, hi] is the additive cost of the run lo:hi (+inf forbids it).
-    Returns [(total, cuts)] for 0..max_cuts cuts, cuts the sorted interior run
-    starts; ties go to the smallest last cut (first argmin).  Segment
-    neighbourhood DP, O(n^2 * max_cuts).
+    cost[lo, hi] is the additive cost of the run lo:hi; +inf forbids it, and
+    it must be +inf wherever lo >= hi.  Yields (total, cuts) for 0, 1, ...,
+    max_cuts cuts, lazily, so a caller that stops early skips the larger cut
+    counts; cuts are the sorted interior run starts, and ties go to the
+    smallest last cut (first argmin).  Segment neighbourhood DP with one
+    numpy step, O(n^2), per cut count: row k holds, for every end hi, the
+    best total of k cuts over 0:hi.
     """
     n = cost.shape[0] - 1
-    best = np.full((max_cuts + 1, n + 1), np.inf)
-    back = np.zeros((max_cuts + 1, n + 1), dtype=int)
-    best[0] = cost[0]
+    row = cost[0, 1:]  # the best totals of k cuts for hi = k+1..n; here k = 0
+    back = []  # back[k - 1][hi - k - 1]: the last cut of the best k cuts over 0:hi
+    yield float(row[-1]), []
     for k in range(1, max_cuts + 1):
-        for hi in range(k + 1, n + 1):
-            cand = best[k - 1, k:hi] + cost[k:hi, hi]
-            j = int(np.argmin(cand))
-            best[k, hi] = cand[j]
-            back[k, hi] = j + k
-    out = []
-    for k in range(max_cuts + 1):
-        cuts = []
-        hi = n
+        # cand[lo - k, hi - k - 1]: k - 1 cuts over 0:lo, then the run lo:hi (+inf if lo >= hi)
+        cand = row[:-1, None] + cost[k:n, k + 1:]
+        j = np.argmin(cand, axis=0)
+        row = cand[j, np.arange(n - k)]
+        back.append(j + k)
+        cuts, hi = [], n
         for kk in range(k, 0, -1):
-            hi = int(back[kk, hi])
+            hi = int(back[kk - 1][hi - kk - 1])
             cuts.append(hi)
-        out.append((float(best[k, n]), cuts[::-1]))
-    return out
+        yield float(row[-1]), cuts[::-1]
+
+
+def _break_sets(y, max_breaks: int):
+    """(sse, breaks) for 0, 1, ..., max_breaks breaks, lazily."""
+    # a break sits after the last index of its run
+    for sse, cuts in _segmentations(_sse_costs(y), max_breaks):
+        yield sse, tuple(cut - 1 for cut in cuts)
 
 
 def segment_dp(values, max_breaks: int):
@@ -189,9 +214,7 @@ def segment_dp(values, max_breaks: int):
         raise ValueError("values must be nonempty")
     if max_breaks > n - 1:
         raise ValueError("max_breaks must be at most n-1")
-    # a break sits after the last index of its run
-    return [(sse, tuple(cut - 1 for cut in cuts))
-            for sse, cuts in _segmentations(_sse_costs(y), max_breaks)]
+    return list(_break_sets(y, max_breaks))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,7 @@ def segment_dp(values, max_breaks: int):
 
 def _smoothness_path(y, family):
     tails = np.concatenate([np.cumsum((y * y)[::-1])[::-1], [0.0]])
-    return [(Truncation(level), tails[level]) for level in range(family.n + 1)]
+    return ((Truncation(level), tails[level]) for level in range(family.n + 1))
 
 
 def _banding_path(y, family):
@@ -224,12 +247,12 @@ def _magnitude_gains(y):
 
 def _sparsity_path(y, family):
     order, gains = _magnitude_gains(y)
-    return [(SparseSet(sorted_tuple(order[:size])), gains[-1] - gains[size])
-            for size in range(family.n + 1)]
+    return ((SparseSet(sorted_tuple(order[:size])), gains[-1] - gains[size])
+            for size in range(family.n + 1))
 
 
 def _jump_path(y, family):
-    return [(JumpSet(breaks), sse) for sse, breaks in segment_dp(y, family.n - 1)]
+    return ((JumpSet(breaks), sse) for sse, breaks in _break_sets(y, family.n - 1))
 
 
 _PATHS = {
@@ -244,7 +267,17 @@ def nested_path(Y, family: Family):
     """(structure, SSE) pairs along the family's nested path, one per size,
     or None when the family has no such path."""
     path = _PATHS.get(family.tag)
-    return None if path is None else path(np.asarray(Y, dtype=float), family)
+    return None if path is None else list(path(np.asarray(Y, dtype=float), family))
+
+
+def _stops_early(family) -> bool:
+    """Whether the nested path may stop once sigma^2 * pen alone loses: pen
+    never decreases along it and every SSE on it is >= 0.  Banding's SSEs
+    can fall below 0 by rounding, and sparsity's rho' majorant
+    max{s, log C(n, s)} falls for a stretch past s = n/2."""
+    if family.tag == "sparsity":
+        return family.majorant_variant == "rho"
+    return family.tag in ("smoothness", "jump")
 
 
 def _select_leveled(Y, family, sigma, kappa, pen_variant):
@@ -526,19 +559,31 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     bicluster/clustering instances; heuristic mode covers regression
     (forward greedy) and bicluster/clustering searches, and falls back to
     exact mode, with the same caps, for the other families.
+
+    A nested path stops being read once sigma^2 * pen alone exceeds the
+    tracker's kept objective by more than the tie tolerance.  Where pen never
+    decreases along the path and every SSE is >= 0 (jump, smoothness and
+    sparsity under rho; not banding or sparsity under rho'), no later entry
+    could be taken or tie, so the result is that of scoring the whole path.
     """
     if sigma <= 0 or kappa <= 0:
         raise ValueError("sigma and kappa must be positive")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "heuristic" and family.tag in _SEARCHES:
-        return _finish(Y, family, sigma, kappa, pen_variant,
-                       _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks))
-    path = nested_path(Y, family)
+        tracker = _ArgminTracker(family)
+        for s, obj in _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+            tracker.offer(s, obj)
+        return _finish(Y, family, sigma, kappa, pen_variant, tracker)
+    path = _PATHS.get(family.tag)
     if path is not None:
-        return _finish(Y, family, sigma, kappa, pen_variant,
-                       ((s, sse + _pen(family, s, sigma, kappa, pen_variant))
-                        for s, sse in path))
+        tracker, stops = _ArgminTracker(family), _stops_early(family)
+        for s, sse in path(np.asarray(Y, dtype=float), family):
+            pen = _pen(family, s, sigma, kappa, pen_variant)
+            if stops and tracker.settled(pen):
+                break
+            tracker.offer(s, sse + pen)
+        return _finish(Y, family, sigma, kappa, pen_variant, tracker)
     if family.tag == "leveled":
         return _select_leveled(Y, family, sigma, kappa, pen_variant)
     if family.tag not in EXACT_CAPS:

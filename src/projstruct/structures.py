@@ -411,7 +411,8 @@ class SparsityFamily(_PositionSetFamily):
         self.majorant_variant = majorant_variant
 
     def _project_rows(self, s, rows):
-        return _keep_columns(rows, list(s.indices))
+        # intp: validate accepts integral positions of any number type
+        return _keep_columns(rows, np.array(s.indices, dtype=np.intp))
 
     def _dim(self, s):
         return len(s.indices)
@@ -668,7 +669,7 @@ class JumpFamily(_PositionSetFamily):
     structure_type, field, first, from_end = JumpSet, "breaks", 0, 2
 
     def segments(self, s):
-        bounds = [0] + [b + 1 for b in s.breaks] + [self.n]
+        bounds = [0] + [int(b) + 1 for b in s.breaks] + [self.n]
         return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
     def _project_rows(self, s, rows):

@@ -23,10 +23,12 @@ from projstruct.selection import (
     select_penalized,
 )
 from projstruct.structures import (
+    BandingFamily,
     Bicluster,
     BiclusterFamily,
     Caps,
     ClusteringFamily,
+    JumpFamily,
     MultiLevelPartition,
     SmoothnessFamily,
     SparseSet,
@@ -413,3 +415,192 @@ def test_bicluster_select_scores_few_moves_exactly(tmp_path, monkeypatch):
     assert main(["select", "--config", str(config), "--seed", "20261018",
                  "--out", str(tmp_path / "out.json")]) == 0
     assert 0 < calls[0] < 25_745 // 3
+
+
+def per_hi_segmentations(cost, max_cuts: int):
+    """Optimal segmentation of 0..n into nonempty runs for every cut count.
+
+    cost[lo, hi] is the additive cost of the run lo:hi (+inf forbids it).
+    Returns [(total, cuts)] for 0..max_cuts cuts, cuts the sorted interior run
+    starts; ties go to the smallest last cut (first argmin).  Segment
+    neighbourhood DP, O(n^2 * max_cuts).
+    """
+    n = cost.shape[0] - 1
+    best = np.full((max_cuts + 1, n + 1), np.inf)
+    back = np.zeros((max_cuts + 1, n + 1), dtype=int)
+    best[0] = cost[0]
+    for k in range(1, max_cuts + 1):
+        for hi in range(k + 1, n + 1):
+            cand = best[k - 1, k:hi] + cost[k:hi, hi]
+            j = int(np.argmin(cand))
+            best[k, hi] = cand[j]
+            back[k, hi] = j + k
+    out = []
+    for k in range(max_cuts + 1):
+        cuts = []
+        hi = n
+        for kk in range(k, 0, -1):
+            hi = int(back[kk, hi])
+            cuts.append(hi)
+        out.append((float(best[k, n]), cuts[::-1]))
+    return out
+
+
+def _rounded(y, rep):
+    """y as is, rounded to integers or rounded to halves (ties), by rep % 3."""
+    if rep % 3 == 1:
+        return np.round(y)
+    if rep % 3 == 2:
+        return np.round(2.0 * y) / 2.0
+    return y
+
+
+def test_segment_dp_matches_per_hi_loop():
+    """One numpy step per cut count gives the per-hi loop's floats and cuts,
+    ties included, for every budget (a budget's table is a prefix of the
+    full one, since no row depends on the budget)."""
+    rng = np.random.default_rng(90)
+    cases = [(n, rep) for n in range(1, 65) for rep in range(3)] + [(512, 0)]
+    for n, rep in cases:
+        y = _rounded(rng.standard_normal(n) * rng.uniform(0.5, 3.0), rep)
+        full = [(sse, tuple(c - 1 for c in cuts))
+                for sse, cuts in per_hi_segmentations(selection._sse_costs(y), n - 1)]
+        budgets = range(n) if n <= 64 else (0, 1, 7, n - 1)
+        for budget in budgets:
+            assert repr(segment_dp(y, budget)) == repr(full[:budget + 1]), (n, rep, budget)
+
+
+def test_segmentations_match_per_hi_loop_on_clustering_costs():
+    """Clustering-style costs (SSE - run penalty, +inf for runs shorter than
+    2): cut counts past k/2 - 1 leave columns, and totals, all +inf."""
+    rng = np.random.default_rng(91)
+    for rep in range(60):
+        k = int(rng.integers(1, 16))
+        y = _rounded(rng.standard_normal(k) * rng.uniform(0.3, 3.0), rep)
+        cost = selection._sse_costs(np.sort(y))
+        lo, hi = np.ogrid[:k + 1, :k + 1]
+        pen = 2.0 * float(rng.uniform(0.0, 2.0)) * np.array(
+            [math.lgamma(ln + 1) for ln in range(k + 1)])
+        cost -= pen[np.maximum(hi - lo, 0)]
+        cost[hi - lo < 2] = np.inf
+        for max_cuts in range(k):
+            got = list(selection._segmentations(cost, max_cuts))
+            assert repr(got) == repr(per_hi_segmentations(cost, max_cuts)), (rep, max_cuts)
+        assert got[-1][0] == math.inf  # k - 1 cuts leave runs of length 1
+
+
+def full_scoring_select(Y, family, sigma, kappa, pen_variant="main"):
+    """The nested-path selector that offers every path entry."""
+    tracker = _ArgminTracker(family)
+    for s, sse in nested_path(Y, family):
+        tracker.offer(s, sse + sigma**2 * selection.penalty(family, s, kappa, pen_variant))
+    s, _ = tracker.result()
+    return s, objective(Y, family, s, sigma, kappa, pen_variant)
+
+
+def test_stopped_paths_match_full_scoring():
+    rng = np.random.default_rng(92)
+    makers = {
+        "jump": JumpFamily,
+        "sparsity": SparsityFamily,
+        "sparsity-rho-prime": lambda n: SparsityFamily(n, majorant_variant="rho_prime"),
+        "smoothness": SmoothnessFamily,
+        "banding": lambda n: BandingFamily(max(1, n // 4)),
+    }
+    for rep in range(90):
+        n = int(rng.integers(2, 41))
+        for name, make in makers.items():
+            fam = make(n)
+            theta = np.repeat(rng.uniform(-4.0, 4.0, 3), [n // 3, n // 3, n - 2 * (n // 3)])
+            if name == "banding":
+                theta = rng.uniform(-4.0, 4.0, fam.ambient_dim)
+            y = _rounded(theta + rng.standard_normal(fam.ambient_dim) * rng.uniform(0.0, 2.0),
+                         rep)
+            for sigma in (1e-3, 1e-2, 0.3, 1.0, 10.0, 1e2):
+                for pen_variant in ("main", "map"):
+                    kappa = float(rng.uniform(0.2, 2.0))
+                    got = select_penalized(y, fam, sigma, kappa, pen_variant=pen_variant)
+                    want = full_scoring_select(y, fam, sigma, kappa, pen_variant)
+                    assert got[0] == want[0] and got[1] == want[1], (name, rep, sigma)
+
+
+def test_rho_prime_sparsity_path_is_scored_in_full():
+    """max{s, log C(n, s)} falls past s = n/2, so sigma^2 * pen alone can
+    exceed the kept objective at s = 50 while a larger support wins."""
+    fam = SparsityFamily(100, majorant_variant="rho_prime")
+    assert fam.size_majorant(51) < fam.size_majorant(50)
+    y = np.concatenate([np.full(49, 10.0), np.full(51, 1e-3)])
+    s, obj = select_penalized(y, fam, 1.0, 1.0)
+    assert (s, obj) == full_scoring_select(y, fam, 1.0, 1.0)
+    assert len(s.indices) > 50
+    assert selection.penalty(fam, SparseSet(tuple(range(50))), 1.0) > \
+        objective(y, fam, SparseSet(tuple(range(49))), 1.0, 1.0) > obj
+
+
+def test_settled_uses_the_kept_objective_not_the_running_minimum():
+    """A tie keeps A (smaller key) at objective a while B's lower objective
+    sets the running minimum; C, whose pen is past the running minimum's
+    tolerance but ties with a, then wins on its key.  A stop against the
+    running minimum would drop C."""
+    fam = SparsityFamily(4)
+    a_s, b_s, c_s = SparseSet((0, 1)), SparseSet((0, 1, 2)), SparseSet((0,))
+    a = 10.0
+    tol = TIE_RTOL * (1.0 + a)
+    b, pen_c = a - 0.9 * tol, a + 0.5 * tol
+    tracker = _ArgminTracker(fam)
+    tracker.offer(a_s, a)
+    tracker.offer(b_s, b)
+    assert tracker.result() == (a_s, a)
+    running_min = min(a, b)
+    assert pen_c > running_min + TIE_RTOL * (1.0 + abs(running_min))
+    assert not tracker.settled(pen_c)
+    tracker.offer(c_s, pen_c)  # SSE 0
+    assert tracker.result()[0] == c_s
+    assert tracker.settled(a + 2.0 * tol)
+
+
+def test_settled_offers_leave_the_tracker_unchanged():
+    rng = np.random.default_rng(93)
+    fam = SparsityFamily(6)
+    supports = [SparseSet(c) for size in range(7) for c in itertools.combinations(range(6), size)]
+    for _ in range(200):
+        tracker = _ArgminTracker(fam)
+        for _ in range(int(rng.integers(1, 6))):
+            tracker.offer(supports[rng.integers(len(supports))],
+                          float(rng.choice([1.0, 1.0 + 5e-12, 1.0 - 5e-12, 2.0])))
+        floor = tracker.best_obj + TIE_RTOL * (1.0 + abs(tracker.best_obj)) * rng.uniform(0, 3)
+        if not tracker.settled(floor):
+            continue
+        state = (tracker.best, tracker.best_obj, tracker.best_tie)
+        for s in supports:
+            tracker.offer(s, floor)
+        assert (tracker.best, tracker.best_obj, tracker.best_tie) == state
+
+
+def _jump_input(kind):
+    """The benchmark's n=512 jump inputs: flat, or the fixed three-level step."""
+    if kind == "flat":
+        rng = np.random.default_rng(20261016)
+        return rng.uniform(-2.0, 2.0) + 0.05 * rng.standard_normal(512)
+    return np.repeat([0.0, 3.0, 1.0], [170, 171, 171]) \
+        + np.random.default_rng(20261017).standard_normal(512)
+
+
+@pytest.mark.parametrize("kind, most", [("flat", 2), ("step", 40)])
+def test_jump_select_reads_few_path_entries(kind, most, monkeypatch):
+    """The flat input and the step input of seed 20261017 read 2 and 39 of
+    the 512 path entries; reading all of them would mean the stop is off."""
+    read = [0]
+    real = selection._PATHS["jump"]
+
+    def counting(y, family):
+        for entry in real(y, family):
+            read[0] += 1
+            yield entry
+
+    monkeypatch.setitem(selection._PATHS, "jump", counting)
+    y, fam = _jump_input(kind), JumpFamily(512)
+    s, obj = select_penalized(y, fam, 1.0, 1.0)
+    assert 0 < read[0] <= most
+    monkeypatch.setitem(selection._PATHS, "jump", real)
+    assert (s, obj) == full_scoring_select(y, fam, 1.0, 1.0)

@@ -438,6 +438,19 @@ def test_position_set_validation_messages(fam, make, field, lo, hi, method):
     fam.validate(make((2.0, np.int64(3))))  # integral values of other types pass
 
 
+@pytest.mark.parametrize("fam,make", [
+    (SparsityFamily(6), SparseSet), (JumpFamily(6), JumpSet), (KnotFamily(6), KnotSet)])
+def test_integral_positions_of_other_types_project_like_ints(fam, make):
+    """validate accepts (2.0, 3) and numpy integers, so the kernels must
+    project them as (2, 3)."""
+    y = np.arange(6.0) ** 2
+    rows = np.stack([y, -y])
+    want, want_rows = fam.project(make((2, 3)), y), fam.project_many(make((2, 3)), rows)
+    for pos in ((2.0, 3), (2.0, 3.0), (np.int64(2), 3), (np.float64(2.0), np.int64(3))):
+        assert np.array_equal(fam.project(make(pos), y), want), pos
+        assert np.array_equal(fam.project_many(make(pos), rows), want_rows), pos
+
+
 def test_is_sorted_unique_matches_sorted_tuple_of_set():
     def reference(pos):
         return pos == tuple(sorted(int(x) for x in set(pos)))
