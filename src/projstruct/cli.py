@@ -21,8 +21,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import __version__
-from .ddm import (POSTERIOR_CAPS, DdmConfig, ma_mean, sparsity_ma_mean_exact,
-                  structure_posterior)
+from .ddm import DdmConfig, ma_mean, sparsity_ma_mean_exact, structure_posterior
 from .errors import CapExceededError, ConfigError, ExactModeUnavailableError
 from .experiments import (
     build_family,
@@ -30,12 +29,14 @@ from .experiments import (
     build_signal,
     config_hash,
     derive_rng,
+    positive_number,
     render_csv,
     resolve_sigma,
     run_experiment,
 )
 from .noise import check_a1, check_a2, check_a3, check_a4
-from .selection import nested_path, search_candidates, select_penalized
+from .selection import (POSTERIOR_CAPS, Projections, nested_path, search_candidates,
+                        select_penalized)
 from .structures import Caps
 from .errors import UnsupportedFamilyError
 
@@ -78,6 +79,8 @@ def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
         if y.size != family.ambient_dim:
             raise ConfigError(
                 f"data file has {y.size} values, family needs {family.ambient_dim}")
+        if not np.all(np.isfinite(y)):
+            raise ConfigError(f"data file {data['file']} holds non-finite values")
         return y
     if "signal" in data:
         theta = build_signal(data["signal"], family, sigma)
@@ -87,50 +90,66 @@ def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
     raise ConfigError("data section needs either 'file' or 'signal'")
 
 
-def _posterior_for(y, family, cfg: DdmConfig, rng):
+def _posterior_for(proj: Projections, cfg: DdmConfig, rng):
     """Enumerate when feasible; otherwise fall back to an exactly-normalized
     size path (sparsity) or a restricted candidate set from the heuristic
     search paths."""
+    y, family = proj.y, proj.family
     if family.tag == "sparsity" and 2**family.n > POSTERIOR_CAPS.max_count:
         candidates = [s for s, _ in nested_path(y, family)]
         return structure_posterior(y, family, cfg, candidates=candidates,
-                                   method="symmetric-polynomial")
+                                   method="symmetric-polynomial", proj=proj)
     try:
-        return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS)
+        return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
     except (CapExceededError, NotImplementedError):
         pass
     try:
         candidates = search_candidates(y, family, cfg.sigma, cfg.kappa,
-                                       cfg.pen_variant, rng=rng)
+                                       cfg.pen_variant, rng=rng, proj=proj)
     except ExactModeUnavailableError:
         return None
     return structure_posterior(y, family, cfg, candidates=candidates,
-                               method="restricted-candidate-set")
+                               method="restricted-candidate-set", proj=proj)
+
+
+def _select_options(config: dict):
+    """kappa, mode, pen_variant and posterior_top_k of a select config."""
+    kappa = positive_number(_require(config, "kappa"), "kappa")
+    mode = config.get("mode", "exact")
+    if mode not in ("exact", "heuristic"):
+        raise ConfigError(f"unknown mode {mode!r}; choose exact or heuristic")
+    pen_variant = config.get("pen_variant", "main")
+    if pen_variant not in ("main", "map"):
+        raise ConfigError(f"unknown pen_variant {pen_variant!r}; choose main or map")
+    top_k = config.get("posterior_top_k", 5)
+    if type(top_k) is not int or top_k < 0:
+        raise ConfigError(f"posterior_top_k must be a nonnegative integer, got {top_k!r}")
+    return kappa, mode, pen_variant, top_k
 
 
 def cmd_select(config: dict, seed: int, out_path: str) -> None:
     family = build_family(_require(config, "family"))
     sigma = resolve_sigma(_require(config, "sigma"), family.ambient_dim)
-    kappa = float(_require(config, "kappa"))
-    mode = config.get("mode", "exact")
-    pen_variant = config.get("pen_variant", "main")
+    kappa, mode, pen_variant, top_k = _select_options(config)
     y = _observation(config, family, sigma, seed)
 
+    # P_I y for every structure that the selector, the posterior and
+    # theta_tilde share; dropped when this call returns
+    proj = Projections(y, family)
     rng = derive_rng(seed, "select")
     structure, objective = select_penalized(y, family, sigma, kappa, mode=mode,
-                                            pen_variant=pen_variant, rng=rng)
-    theta_check = family.project(structure, y)
+                                            pen_variant=pen_variant, rng=rng, proj=proj)
+    theta_check = proj.project(structure)
 
     cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
-    post = _posterior_for(y, family, cfg, derive_rng(seed, "select-posterior"))
+    post = _posterior_for(proj, cfg, derive_rng(seed, "select-posterior"))
     if family.tag == "sparsity":
         theta_tilde = sparsity_ma_mean_exact(y, family, cfg)
     elif post is not None:
-        theta_tilde = ma_mean(y, family, post)
+        theta_tilde = ma_mean(y, family, post, proj)
     else:
         theta_tilde = None
 
-    top_k = int(config.get("posterior_top_k", 5))
     doc = {
         "version": __version__,
         "seed": seed,

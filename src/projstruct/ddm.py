@@ -20,16 +20,13 @@ import numpy as np
 
 from .errors import ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import _ArgminTracker, penalty
+from .selection import Projections, _ArgminTracker, penalty
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
 # gives conditional covariance (kappa/(kappa+1)) sigma^2 P_I.
 CONDITIONAL_KAPPA = math.e - 1.0
 CONDITIONAL_VAR_FACTOR = CONDITIONAL_KAPPA / (CONDITIONAL_KAPPA + 1.0)
-
-# the largest family that `select` and `simulate` posteriors enumerate
-POSTERIOR_CAPS = Caps(max_count=50_000)
 
 
 @dataclass
@@ -74,9 +71,10 @@ class DdmPosterior:
         ]
 
 
-def log_unnormalized_weight(Y, family: Family, structure, cfg: DdmConfig) -> float:
-    resid = sq_norm(np.asarray(Y, dtype=float) - family.project(structure, Y))
-    return -0.5 * (resid / cfg.sigma**2 + penalty(family, structure, cfg.kappa, cfg.pen_variant))
+def log_unnormalized_weight(Y, family: Family, structure, cfg: DdmConfig,
+                            proj: Projections | None = None) -> float:
+    rss = Projections.of(Y, family, proj).rss(structure)
+    return -0.5 * (rss / cfg.sigma**2 + penalty(family, structure, cfg.kappa, cfg.pen_variant))
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -172,7 +170,8 @@ def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig) 
 
 
 def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
-                        method: str = "auto", caps: Caps | None = None) -> DdmPosterior:
+                        method: str = "auto", caps: Caps | None = None,
+                        proj: Projections | None = None) -> DdmPosterior:
     """Normalized structure measure over a candidate set.
 
     method "enumeration" normalizes over the family's full (capped)
@@ -198,7 +197,8 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
     if not candidates:
         raise ValueError("candidate set is empty")
 
-    raw = np.array([log_unnormalized_weight(Y, family, s, cfg) for s in candidates])
+    proj = Projections.of(Y, family, proj)
+    raw = np.array([log_unnormalized_weight(proj.y, family, s, cfg, proj) for s in candidates])
     if method in ("enumeration", "restricted-candidate-set"):
         log_z = logsumexp(raw)
     elif method == "symmetric-polynomial":
@@ -220,14 +220,17 @@ def select_map(post: DdmPosterior):
     return tracker.result()[0]
 
 
-def ma_mean(Y, family: Family, post: DdmPosterior) -> np.ndarray:
-    """Model-averaging mean: the weight-mixed projection of Y."""
+def ma_mean(Y, family: Family, post: DdmPosterior,
+            proj: Projections | None = None) -> np.ndarray:
+    """Model-averaging mean: the weight-mixed projection of Y, summed in
+    candidate order."""
+    proj = Projections.of(Y, family, proj)
     weights = post.weights()
     out = np.zeros(family.ambient_dim)
     for w, s in zip(weights, post.candidates):
         if w == 0.0:
             continue
-        out += w * family.project(s, Y)
+        out += w * proj.project(s)
     return out
 
 

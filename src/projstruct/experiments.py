@@ -23,13 +23,13 @@ import numpy as np
 
 from . import __version__
 from .balls import contains, duplicate_gaussian, ebr_ball, highly_structured, quarter_ball, v_statistic
-from .ddm import (POSTERIOR_CAPS, DdmConfig, ma_mean, sample_conditional, sparsity_ma_mean_exact,
+from .ddm import (DdmConfig, ma_mean, sample_conditional, sparsity_ma_mean_exact,
                   structure_posterior)
 from .errors import ConfigError
 from .linalg import sq_norm
 from .noise import NoiseModel
 from .oracle import FrameworkConstants, oracle_rate
-from .selection import select_penalized
+from .selection import POSTERIOR_CAPS, Projections, select_penalized
 from .structures import (
     BandingFamily,
     BiclusterFamily,
@@ -155,6 +155,17 @@ def build_constants(spec: dict | None) -> FrameworkConstants:
         raise ConfigError(f"bad constants config: {exc}") from exc
 
 
+def positive_number(value, field: str) -> float:
+    """value as a float; a config error unless it is a positive finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
+        raise ConfigError(f"{field} must be a positive number, got {value!r}")
+    return number
+
+
 def resolve_sigma(spec, n: int) -> float:
     if spec is None:
         raise ConfigError("sigma is missing")
@@ -162,10 +173,7 @@ def resolve_sigma(spec, n: int) -> float:
         if spec == "1/sqrt(n)":
             return 1.0 / math.sqrt(n)
         raise ConfigError(f"unknown sigma rule {spec!r}")
-    sigma = float(spec)
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    return sigma
+    return positive_number(spec, "sigma")
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +185,19 @@ def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str
                    mode: str, pen_variant: str, rng=None):
     """Returns (theta_hat, I_hat).  "ms" projects onto the selected structure;
     "ma" mixes projections under the structure measure (exact for sparsity
-    via symmetric polynomials, by enumeration otherwise)."""
+    via symmetric polynomials, by enumeration otherwise).  Each structure is
+    projected once for this Y."""
+    proj = Projections(Y, family)
     i_hat, _ = select_penalized(Y, family, sigma, kappa, mode=mode,
-                                pen_variant=pen_variant, rng=rng)
+                                pen_variant=pen_variant, rng=rng, proj=proj)
     if estimator == "ms":
-        return family.project(i_hat, Y), i_hat
+        return proj.project(i_hat), i_hat
     if estimator == "ma":
         cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
         if isinstance(family, SparsityFamily):
             return sparsity_ma_mean_exact(Y, family, cfg), i_hat
-        post = structure_posterior(Y, family, cfg, caps=POSTERIOR_CAPS)
-        return ma_mean(Y, family, post), i_hat
+        post = structure_posterior(Y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
+        return ma_mean(Y, family, post, proj), i_hat
     raise ConfigError(f"unknown estimator {estimator!r}")
 
 

@@ -164,14 +164,15 @@ class A2Report:
 
 def check_a2(family: Family, nu: float, caps: Caps | None = None) -> A2Report:
     """Exact enumerated sum (compensated summation); also verifies the
-    rho(I) >= d_I clause."""
+    rho(I) >= d_I clause.  Each structure is validated once."""
     terms = []
     count = 0
     min_gap = math.inf
     for structure in family.enumerate_structures(caps):
-        rho = family.majorant(structure)
+        family.validate(structure)
+        rho = family._majorant(structure)
         terms.append(math.exp(-nu * rho))
-        min_gap = min(min_gap, rho - family.dim(structure))
+        min_gap = min(min_gap, rho - family._dim(structure))
         count += 1
     total = math.fsum(terms)
     bound = None

@@ -14,10 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import sq_norm
-from .selection import select_penalized
+from .selection import Projections, select_penalized
 from .structures import Caps, Family
 
 logger = logging.getLogger(__name__)
@@ -155,9 +152,10 @@ def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    structure, _ = select_penalized(theta, family, sigma, tau / 2.0, mode=mode, caps=caps)
-    theta = np.asarray(theta, dtype=float)
-    approx = sq_norm(theta - family.project(structure, theta))
+    proj = Projections(theta, family)
+    structure, _ = select_penalized(theta, family, sigma, tau / 2.0, mode=mode, caps=caps,
+                                    proj=proj)
+    approx = proj.rss(structure)
     complexity = tau * sigma**2 * family.majorant(structure)
     return OracleReport(structure, approx, complexity, approx + complexity, tau)
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ExactModeUnavailableError
-from .linalg import sq_norm
+from .linalg import as_vector, sq_norm
 from .structures import (
     Band,
     Bicluster,
@@ -84,10 +84,55 @@ def _penalty_value(rho: float, dim: int, kappa: float, pen_variant: str) -> floa
     return pen
 
 
+class Projections:
+    """P_I Y for one observation Y, shared by the selector, the structure
+    posterior and the model-averaging mean.
+
+    A caller makes one memo per Y and passes it to each of them; the memo
+    goes when the call that made it ends, so it never outlives its Y.  The
+    first request for a structure goes through `family.project`, which
+    validates it.  The selector's projections (`objective`, keep=True) are
+    stored read-only, at most `POSTERIOR_CAPS.max_count` of them at 8 * N
+    bytes each plus array overhead; past that they are computed and not
+    kept.  The posterior and the mean read what the selector stored and add
+    nothing: a nested path scores its sizes without projecting, and storing
+    the posterior's projections would hold every candidate's N floats
+    (4,097 x 4,096 for smoothness at N = 4,096) while the mean rereads only
+    those of nonzero weight.
+    """
+
+    def __init__(self, Y, family: Family):
+        self.y = as_vector(Y)
+        self.family = family
+        self.stored: dict = {}
+
+    @classmethod
+    def of(cls, Y, family: Family, proj: Projections | None):
+        """proj, which must hold this family and Y, or a new memo when None."""
+        if proj is None:
+            return cls(Y, family)
+        if proj.family is not family or not (proj.y is Y or np.array_equal(proj.y, Y)):
+            raise ValueError("the projection memo holds another family or observation")
+        return proj
+
+    def project(self, structure, keep: bool = False) -> np.ndarray:
+        out = self.stored.get(structure)
+        if out is None:
+            out = self.family.project(structure, self.y)
+            if keep and len(self.stored) < POSTERIOR_CAPS.max_count:
+                out.flags.writeable = False
+                self.stored[structure] = out
+        return out
+
+    def rss(self, structure, keep: bool = False) -> float:
+        """||Y - P_I Y||^2."""
+        return sq_norm(self.y - self.project(structure, keep))
+
+
 def objective(Y, family: Family, structure, sigma: float, kappa: float,
-              pen_variant: str = "main") -> float:
-    resid = np.asarray(Y, dtype=float) - family.project(structure, Y)
-    return sq_norm(resid) + sigma**2 * penalty(family, structure, kappa, pen_variant)
+              pen_variant: str = "main", proj: Projections | None = None) -> float:
+    rss = Projections.of(Y, family, proj).rss(structure, keep=True)
+    return rss + sigma**2 * penalty(family, structure, kappa, pen_variant)
 
 
 class _ArgminTracker:
@@ -125,18 +170,21 @@ class _ArgminTracker:
 
 
 def select_bruteforce(Y, family: Family, sigma: float, kappa: float,
-                      caps: Caps | None = None, pen_variant: str = "main"):
+                      caps: Caps | None = None, pen_variant: str = "main",
+                      proj: Projections | None = None):
     """Global minimizer by exhaustive search over the capped enumeration."""
+    proj = Projections.of(Y, family, proj)
     tracker = _ArgminTracker(family)
     for structure in family.enumerate_structures(caps):
-        tracker.offer(structure, objective(Y, family, structure, sigma, kappa, pen_variant))
+        tracker.offer(structure, objective(proj.y, family, structure, sigma, kappa,
+                                           pen_variant, proj))
     return tracker.result()
 
 
-def _finish(Y, family, sigma, kappa, pen_variant, tracker):
+def _finish(proj, sigma, kappa, pen_variant, tracker):
     structure, _ = tracker.result()
     # report the objective through the shared evaluator for cross-checks
-    return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
+    return structure, objective(proj.y, proj.family, structure, sigma, kappa, pen_variant, proj)
 
 
 def _pen(family, structure, sigma, kappa, pen_variant):
@@ -280,9 +328,9 @@ def _stops_early(family) -> bool:
     return family.tag in ("smoothness", "jump")
 
 
-def _select_leveled(Y, family, sigma, kappa, pen_variant):
+def _select_leveled(proj, sigma, kappa, pen_variant):
     # the objective decomposes over levels, so each level scans independently
-    y = np.asarray(Y, dtype=float)
+    y, family = proj.y, proj.family
     chosen = []
     for j in range(family.n_levels):
         off = family.level_offsets[j]
@@ -297,7 +345,7 @@ def _select_leveled(Y, family, sigma, kappa, pen_variant):
                 best_size, best_val = size, val
         chosen.append(sorted_tuple(order[:best_size]))
     structure = family.canonical(chosen)
-    return structure, objective(Y, family, structure, sigma, kappa, pen_variant)
+    return structure, objective(y, family, structure, sigma, kappa, pen_variant, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +353,21 @@ def _select_leveled(Y, family, sigma, kappa, pen_variant):
 # ---------------------------------------------------------------------------
 
 
-def _greedy_regression_path(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+def _greedy_regression_path(Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj=None):
     """Forward greedy over supports inside the small family, then the I_r elbow."""
+    proj = Projections.of(Y, family, proj)
+
+    def score(s):
+        return objective(proj.y, family, s, sigma, kappa, pen_variant, proj)
+
     current: list[int] = []
-    visited = [(RegressionSupport(()),
-                objective(Y, family, RegressionSupport(()), sigma, kappa, pen_variant))]
+    visited = [(RegressionSupport(()), score(RegressionSupport(())))]
     while family.in_small_family(len(current) + 1):
         best_j, best_obj = None, visited[-1][1]
         for j in range(family.p):
             if j in current:
                 continue
-            cand = RegressionSupport(sorted_tuple(current + [j]))
-            obj = objective(Y, family, cand, sigma, kappa, pen_variant)
+            obj = score(RegressionSupport(sorted_tuple(current + [j])))
             if obj < best_obj - TIE_RTOL * (1.0 + abs(obj)):
                 best_j, best_obj = j, obj
         if best_j is None:
@@ -324,7 +375,7 @@ def _greedy_regression_path(Y, family, sigma, kappa, pen_variant, rng, max_block
         current.append(best_j)
         visited.append((RegressionSupport(sorted_tuple(current)), best_obj))
     full = family.full_rank_structure
-    visited.append((full, objective(Y, family, full, sigma, kappa, pen_variant)))
+    visited.append((full, score(full)))
     return visited
 
 
@@ -373,7 +424,7 @@ def _approx_move_objectives(lines, labels, k, other_labels, k_other, ysq, pen):
 
 
 def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
-                          pen_variant="main", restarts=10, max_iter=50):
+                          pen_variant="main", restarts=10, max_iter=50, proj=None):
     """Alternating row/column reassignment; objective never increases.
 
     Each line moves to the first target block, in label order, whose exact
@@ -396,8 +447,9 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     does: once sigma^2 * pen dominates ||Y||^2, moves that tie within the
     tolerance can lie far more than 1e-9 * (1 + ||Y||^2) apart.
     """
-    mat = np.asarray(Y, dtype=float).reshape(family.n1, family.n2)
-    ysq = sq_norm(mat.reshape(-1))
+    proj = Projections.of(Y, family, proj)
+    mat = proj.y.reshape(family.n1, family.n2)
+    ysq = sq_norm(proj.y)
     inits = []
     for _ in range(restarts):
         inits.append((rng.integers(0, k1, family.n1), rng.integers(0, k2, family.n2)))
@@ -418,8 +470,8 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                                          pen_variant)
 
     def score(row_labels, col_labels):
-        return objective(mat.reshape(-1), family, structure(row_labels, col_labels),
-                         sigma, kappa, pen_variant)
+        return objective(proj.y, family, structure(row_labels, col_labels),
+                         sigma, kappa, pen_variant, proj)
 
     tracker, traces = _ArgminTracker(family), {}
     for row_labels, col_labels in inits:
@@ -461,18 +513,19 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     return traces[tracker.result()[0]]
 
 
-def _bicluster_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+def _bicluster_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj=None):
     """Best alternating trace for every block-count pair up to max_blocks."""
+    proj = Projections.of(Y, family, proj)
     visited = []
     for k1 in range(1, min(max_blocks, family.n1) + 1):
         for k2 in range(1, min(max_blocks, family.n2) + 1):
-            trace = alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
-                                          pen_variant=pen_variant)
+            trace = alternating_bicluster(proj.y, family, sigma, kappa, k1, k2, rng,
+                                          pen_variant=pen_variant, proj=proj)
             visited.append((trace.structure, trace.objective))
     return visited
 
 
-def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj=None):
     """Sorted-order DP: clusters contiguous in value order, free sets of up to
     two coordinates swept exhaustively (none when n > 20), at most max_blocks
     clusters.
@@ -481,7 +534,8 @@ def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
     separable, so one segmentation DP per free set gives, for every cluster
     count, the best clustering among the contiguous-in-sorted-order ones.
     """
-    y = np.asarray(Y, dtype=float)
+    proj = Projections.of(Y, family, proj)
+    y = proj.y
     n = family.n
     max_free = 2 if n <= 20 else 0  # the exhaustive free-set sweep is quadratic in n
     run_pen = 2.0 * kappa * sigma**2 * np.array([math.lgamma(ln + 1) for ln in range(n + 1)])
@@ -506,11 +560,11 @@ def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
                 bounds = [0, *cuts, k]
                 clusters = canonical_partition(rest[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
                 s = MultiLevelPartition(free, clusters)
-                candidates.append((s, objective(Y, family, s, sigma, kappa, pen_variant)))
+                candidates.append((s, objective(y, family, s, sigma, kappa, pen_variant, proj)))
     return candidates
 
 
-# every search takes (Y, family, sigma, kappa, pen_variant, rng, max_blocks)
+# every search takes (Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj)
 _SEARCHES = {
     "regression": _greedy_regression_path,
     "bicluster": _bicluster_search,
@@ -518,22 +572,25 @@ _SEARCHES = {
 }
 
 
-def _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+def _search(proj, sigma, kappa, pen_variant, rng, max_blocks):
     """(structure, objective) pairs visited by the family's heuristic search."""
+    family = proj.family
     search = _SEARCHES.get(family.tag)
     if search is None:
         raise ExactModeUnavailableError(
             f"no heuristic search path for family {family.tag}; enumerate instead")
     rng = rng if rng is not None else np.random.default_rng(0)
-    return search(Y, family, sigma, kappa, pen_variant, rng, max_blocks)
+    return search(proj.y, family, sigma, kappa, pen_variant, rng, max_blocks, proj)
 
 
 def search_candidates(Y, family: Family, sigma: float, kappa: float,
-                      pen_variant: str = "main", rng=None, max_blocks: int = 4):
+                      pen_variant: str = "main", rng=None, max_blocks: int = 4,
+                      proj: Projections | None = None):
     """Structures visited by the heuristic search paths, duplicate-free in
     canonical order; the honest candidate set for restricted posteriors over
     non-enumerable families."""
-    found = [s for s, _ in _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks)]
+    proj = Projections.of(Y, family, proj)
+    found = [s for s, _ in _search(proj, sigma, kappa, pen_variant, rng, max_blocks)]
     return sorted(set(found), key=family.sort_key)
 
 
@@ -548,10 +605,14 @@ EXACT_CAPS = {
     "clustering": Caps(max_count=300_000, max_blocks=3),
 }
 
+# the largest family that `select` and `simulate` posteriors enumerate, and
+# the most projections a `Projections` memo stores
+POSTERIOR_CAPS = Caps(max_count=50_000)
+
 
 def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = "exact",
                      pen_variant: str = "main", rng=None, caps: Caps | None = None,
-                     max_blocks: int = 4):
+                     max_blocks: int = 4, proj: Projections | None = None):
     """Penalized selector; returns (structure, objective value).
 
     Exact mode is available for smoothness, banding, sparsity, leveled
@@ -570,27 +631,28 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
         raise ValueError("sigma and kappa must be positive")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    proj = Projections.of(Y, family, proj)
     if mode == "heuristic" and family.tag in _SEARCHES:
         tracker = _ArgminTracker(family)
-        for s, obj in _search(Y, family, sigma, kappa, pen_variant, rng, max_blocks):
+        for s, obj in _search(proj, sigma, kappa, pen_variant, rng, max_blocks):
             tracker.offer(s, obj)
-        return _finish(Y, family, sigma, kappa, pen_variant, tracker)
+        return _finish(proj, sigma, kappa, pen_variant, tracker)
     path = _PATHS.get(family.tag)
     if path is not None:
         tracker, stops = _ArgminTracker(family), _stops_early(family)
-        for s, sse in path(np.asarray(Y, dtype=float), family):
+        for s, sse in path(proj.y, family):
             pen = _pen(family, s, sigma, kappa, pen_variant)
             if stops and tracker.settled(pen):
                 break
             tracker.offer(s, sse + pen)
-        return _finish(Y, family, sigma, kappa, pen_variant, tracker)
+        return _finish(proj, sigma, kappa, pen_variant, tracker)
     if family.tag == "leveled":
-        return _select_leveled(Y, family, sigma, kappa, pen_variant)
+        return _select_leveled(proj, sigma, kappa, pen_variant)
     if family.tag not in EXACT_CAPS:
         raise ExactModeUnavailableError(f"no exact selector for family {family.tag}")
     try:
-        return select_bruteforce(Y, family, sigma, kappa, caps or EXACT_CAPS[family.tag],
-                                 pen_variant)
+        return select_bruteforce(proj.y, family, sigma, kappa, caps or EXACT_CAPS[family.tag],
+                                 pen_variant, proj)
     except CapExceededError as exc:
         raise ExactModeUnavailableError(
             f"exact selection for family {family.tag} exceeds caps: {exc}"

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from projstruct import experiments
+from projstruct import cli, experiments, linalg, selection
 from projstruct.cli import main
+from projstruct.structures import Caps
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN_SIMULATE = sorted((DATA_DIR / "golden_simulate").glob("*.json"))
@@ -259,6 +260,91 @@ def test_select_and_check_reproduce_golden_output(tmp_path, command, config):
     assert main([command, "--config", str(config), "--out", str(out),
                  "--seed", "31337"]) == 0
     assert out.read_bytes() == config.with_suffix(suffix).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["knot", "regression", "bicluster", "bicluster-heuristic",
+                                  "clustering-heuristic", "sparsity"])
+def test_select_memo_bound_keeps_output(tmp_path, monkeypatch, name):
+    """A memo that may store only 5 projections computes the rest and keeps
+    every output byte; the posterior's own cap is left as it is."""
+    most = []
+    project = selection.Projections.project
+
+    def counting(self, structure, keep=False):
+        out = project(self, structure, keep)
+        most.append(len(self.stored))
+        return out
+
+    monkeypatch.setattr(selection, "POSTERIOR_CAPS", Caps(max_count=5))
+    monkeypatch.setattr(selection.Projections, "project", counting)
+    config = DATA_DIR / "golden_select" / f"{name}.json"
+    out = tmp_path / "out.json"
+    assert main(["select", "--config", str(config), "--out", str(out), "--seed", "31337"]) == 0
+    assert out.read_bytes() == config.with_suffix(".out.json").read_bytes()
+    assert most and max(most) <= 5
+
+
+def _count_spans(monkeypatch):
+    calls = []
+    span = linalg.orthonormal_span
+
+    def counting(basis):
+        calls.append(1)
+        return span(basis)
+
+    monkeypatch.setattr(linalg, "orthonormal_span", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family,most", [
+    ({"kind": "knot", "n": 13}, 2_049),  # 2,048 knot sets
+    ({"kind": "regression", "n_obs": 40, "p": 20, "design_seed": 7}, 1_353),  # 1,352 supports
+])
+def test_select_projects_each_structure_once(tmp_path, monkeypatch, family, most):
+    """The brute force, theta_check, the enumerated posterior and
+    theta_tilde share one projection per structure; scoring them apart took
+    three (6,145 and 4,057 orthonormal_span calls)."""
+    cfg = write_config(tmp_path, {
+        "family": family, "sigma": 0.5, "kappa": 1.0,
+        "data": {"signal": {"kind": "sparse", "s": 2, "amplitude": 3.0},
+                 "noise": {"kind": "gaussian"}}})
+    calls = _count_spans(monkeypatch)
+    out = tmp_path / "sel.json"
+    assert main(["select", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["posterior"]["method"] == "enumeration" and doc["theta_tilde"] is not None
+    assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"kappa": 0}, "kappa"),
+    ({"kappa": "a"}, "kappa"),
+    ({"mode": "fast"}, "mode"),
+    ({"pen_variant": "bic"}, "pen_variant"),
+    ({"posterior_top_k": 2.5}, "posterior_top_k"),
+    ({"posterior_top_k": "3"}, "posterior_top_k"),
+    ({"posterior_top_k": -1}, "posterior_top_k"),
+    ({"data": "nan-file"}, "non-finite"),
+    ({"sigma": float("nan")}, "sigma"),
+], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
+        "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file", "sigma-nan"])
+def test_select_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, overrides,
+                                                   field):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scoring started")
+
+    monkeypatch.setattr(cli, "select_penalized", no_scoring)
+    if overrides.get("data") == "nan-file":
+        data = tmp_path / "y.csv"
+        data.write_text("5.0\nnan\n0.1\n0.05\n")
+        overrides = {"family": {"kind": "smoothness", "n": 4}, "data": {"file": str(data)}}
+    cfg = write_config(tmp_path, {**SELECT_CONFIG, **overrides})
+    out = tmp_path / "sel.json"
+    assert main(["select", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 COUNT_CONFIG = {

@@ -13,10 +13,12 @@ from projstruct.experiments import (
     build_signal,
     config_hash,
     derive_rng,
+    point_estimate,
     render_csv,
     resolve_sigma,
     run_experiment,
 )
+from projstruct.structures import KnotFamily, RegressionFamily
 
 
 BASE = {
@@ -261,3 +263,19 @@ def test_per_cell_work_runs_once_per_cell(monkeypatch):
     _, rows = run_experiment(cfg, seed=1)
     assert [row[0] for row in rows] == [10, 20]
     assert counts == {"build_family": 2, "oracle_rate": 2}
+
+
+@pytest.mark.parametrize("estimator", ["ma", "ms"])
+def test_point_estimate_projections_do_not_outlive_their_observation(estimator):
+    """Replications reuse one family instance; each Y gets its own
+    projections, so a second Y gives what a fresh family gives."""
+    rng = np.random.default_rng(11)
+    design = rng.standard_normal((10, 5))
+    for make, n in ((lambda: KnotFamily(8), 8), (lambda: RegressionFamily(design), 10)):
+        shared = make()
+        ys = [rng.standard_normal(n), rng.standard_normal(n)]
+        got = [point_estimate(y, shared, 0.5, 1.0, estimator, "exact", "main") for y in ys]
+        want = [point_estimate(y, make(), 0.5, 1.0, estimator, "exact", "main") for y in ys]
+        for (theta, i_hat), (theta_ref, i_ref) in zip(got, want):
+            assert i_hat == i_ref and theta.tobytes() == theta_ref.tobytes()
+        assert got[0][0].tobytes() != got[1][0].tobytes()

@@ -14,6 +14,8 @@ from projstruct.structures import (
     SparsityFamily,
 )
 
+from conftest import ENUM_CAPS
+
 BERNOULLI_ALPHA = (math.e - 1.0) / (2.0 * (1.0 + math.e))
 
 
@@ -150,3 +152,26 @@ def test_a2_leveled_and_bicluster_closed_forms():
     bic = check_a2(BiclusterFamily(3, 3), nu=1.0, caps=Caps(max_blocks=3))
     assert bic.bound == pytest.approx(1.0 / (math.e + math.exp(-1.0) - 2.0))
     assert bic.passed
+
+
+def test_a2_validates_each_structure_once(families):
+    """check_a2 validates a structure once and reads its unchecked majorant
+    and dimension; the report is that of the checked majorant and dim."""
+    for name, family in families.items():
+        caps = ENUM_CAPS.get(name)
+        calls = []
+        validate = family.validate
+
+        def counting(s):
+            calls.append(s)
+            validate(s)
+
+        family.validate = counting
+        rep = check_a2(family, 1.5, caps)
+        del family.validate
+        structures = list(family.enumerate_structures(caps))
+        assert calls == structures, name
+        rhos = [family.majorant(s) for s in structures]
+        assert rep.total == math.fsum(math.exp(-1.5 * rho) for rho in rhos), name
+        assert rep.min_rho_minus_dim == min(
+            rho - family.dim(s) for rho, s in zip(rhos, structures)), name

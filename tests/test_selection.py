@@ -37,7 +37,7 @@ from projstruct.structures import (
     canonical_partition,
     sorted_tuple,
 )
-from conftest import ENUM_CAPS, small_families
+from conftest import ENUM_CAPS, enumerate_small, small_families
 
 
 def test_smoothness_example_selects_level_one():
@@ -604,3 +604,33 @@ def test_jump_select_reads_few_path_entries(kind, most, monkeypatch):
     assert 0 < read[0] <= most
     monkeypatch.setitem(selection._PATHS, "jump", real)
     assert (s, obj) == full_scoring_select(y, fam, 1.0, 1.0)
+
+
+def test_projection_memo_stores_read_only_projections(families):
+    """The selector's projections are stored read-only; the posterior's and
+    the mean's reads (keep=False) store nothing."""
+    rng = np.random.default_rng(21)
+    for name, fam in families.items():
+        y = rng.standard_normal(fam.ambient_dim)
+        proj = selection.Projections(y, fam)
+        for s in enumerate_small(fam)[:6]:
+            assert proj.project(s).tobytes() == proj.project(s).tobytes()
+            assert s not in proj.stored, name
+            p = proj.project(s, keep=True)
+            assert proj.project(s) is p and proj.stored[s] is p, name
+            assert not p.flags.writeable, name
+            with pytest.raises(ValueError):
+                p[0] = 1.0
+            assert p.tobytes() == fam.project(s, y).tobytes(), name
+            assert proj.rss(s) == sq_norm(y - fam.project(s, y)), name
+
+
+def test_projection_memo_rejects_another_family_or_observation():
+    fam = SmoothnessFamily(4)
+    y = np.array([3.0, 2.0, 1.0, 0.5])
+    proj = selection.Projections(y, fam)
+    assert selection.Projections.of(y.copy(), fam, proj) is proj
+    with pytest.raises(ValueError, match="memo"):
+        select_penalized(y + 1.0, fam, 1.0, 1.0, proj=proj)
+    with pytest.raises(ValueError, match="memo"):
+        select_penalized(y, SmoothnessFamily(4), 1.0, 1.0, proj=proj)
