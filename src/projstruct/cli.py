@@ -33,6 +33,7 @@ from .experiments import (
     render_csv,
     resolve_sigma,
     run_experiment,
+    selector_options,
 )
 from .noise import check_a1, check_a2, check_a3, check_a4
 from .selection import (POSTERIOR_CAPS, Projections, nested_path, search_candidates,
@@ -112,18 +113,17 @@ def _posterior_for(proj: Projections, cfg: DdmConfig, rng):
                                method="restricted-candidate-set", proj=proj)
 
 
+def _integer(value, field: str, least: int) -> int:
+    """value; a config error unless it is an integer of at least `least`."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{field} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def _select_options(config: dict):
     """kappa, mode, pen_variant and posterior_top_k of a select config."""
-    kappa = positive_number(_require(config, "kappa"), "kappa")
-    mode = config.get("mode", "exact")
-    if mode not in ("exact", "heuristic"):
-        raise ConfigError(f"unknown mode {mode!r}; choose exact or heuristic")
-    pen_variant = config.get("pen_variant", "main")
-    if pen_variant not in ("main", "map"):
-        raise ConfigError(f"unknown pen_variant {pen_variant!r}; choose main or map")
-    top_k = config.get("posterior_top_k", 5)
-    if type(top_k) is not int or top_k < 0:
-        raise ConfigError(f"posterior_top_k must be a nonnegative integer, got {top_k!r}")
+    kappa, mode, pen_variant = selector_options(config, _require(config, "kappa"))
+    top_k = _integer(config.get("posterior_top_k", 5), "posterior_top_k", 0)
     return kappa, mode, pen_variant, top_k
 
 
@@ -177,24 +177,32 @@ def _caps_from(config: dict) -> Caps | None:
     spec = config.get("caps")
     if spec is None:
         return None
-    max_blocks = spec.get("max_blocks")
-    if max_blocks is not None and (not isinstance(max_blocks, int) or max_blocks < 0):
-        raise ConfigError(f"caps.max_blocks must be a nonnegative integer, got {max_blocks!r}")
-    return Caps(max_count=int(spec.get("max_count", 200_000)),
-                max_size=spec.get("max_size"),
-                max_blocks=max_blocks)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"caps must be an object, got {spec!r}")
+    limits = {field: spec.get(field) for field in ("max_size", "max_blocks")}
+    limits["max_count"] = spec.get("max_count", 200_000)
+    for field, value in limits.items():
+        if value is not None:
+            _integer(value, f"caps.{field}", 0)
+    return Caps(**limits)
+
+
+def _reps(config: dict) -> int:
+    # the A1 jackknife leaves one draw out, so it needs two
+    return _integer(config.get("reps", 10_000), "reps", 2)
 
 
 def cmd_check(config: dict, seed: int):
-    """Header and rows of the requested condition check."""
+    """Header and rows of the requested condition check.  Every config value
+    is checked before any draw or enumeration starts."""
     which = _require(config, "check")
     caps = _caps_from(config)
     rng = derive_rng(seed, "check", which)
     if which == "a1":
         family = build_family(_require(config, "family"))
         noise = build_noise(config.get("noise"))
-        rows = check_a1(family, noise, float(_require(config, "alpha")),
-                        int(config.get("reps", 10_000)), rng, caps=caps,
+        rows = check_a1(family, noise, positive_number(_require(config, "alpha"), "alpha"),
+                        _reps(config), rng, caps=caps,
                         se_mult=float(config.get("se_mult", 2.0)))
         header = ["structure", "estimate", "bound", "std_err", "n_saturated", "pass"]
         out = [[json.dumps(family.structure_to_json(r.structure), sort_keys=True),
@@ -202,9 +210,10 @@ def cmd_check(config: dict, seed: int):
                for r in rows]
     elif which == "a2":
         family = build_family(_require(config, "family"))
-        rep = check_a2(family, float(_require(config, "nu")), caps)
+        nu = positive_number(_require(config, "nu"), "nu")
+        rep = check_a2(family, nu, caps)
         header = ["family", "nu", "total", "bound", "pass", "count", "min_rho_minus_dim"]
-        out = [[family.tag, float(config["nu"]), rep.total,
+        out = [[family.tag, nu, rep.total,
                 "" if rep.bound is None else rep.bound, int(rep.passed), rep.count,
                 rep.min_rho_minus_dim]]
     elif which == "a3":
@@ -220,7 +229,7 @@ def cmd_check(config: dict, seed: int):
     elif which == "a4":
         noise = build_noise(config.get("noise"))
         rows = check_a4(noise, [float(m) for m in _require(config, "M")],
-                        int(config.get("reps", 10_000)), int(_require(config, "n")), rng)
+                        _reps(config), int(_require(config, "n")), rng)
         header = ["M", "psi1", "psi2"]
         out = [[r.M, r.psi1, r.psi2] for r in rows]
     else:

@@ -166,6 +166,20 @@ def positive_number(value, field: str) -> float:
     return number
 
 
+def selector_options(config: dict, kappa) -> tuple[float, str, str]:
+    """kappa (the raw value given), mode and pen_variant of a select or
+    simulate config; a config error unless kappa is a positive number, mode
+    exact or heuristic and pen_variant main or map."""
+    kappa = positive_number(kappa, "kappa")
+    mode = config.get("mode", "exact")
+    if mode not in ("exact", "heuristic"):
+        raise ConfigError(f"unknown mode {mode!r}; choose exact or heuristic")
+    pen_variant = config.get("pen_variant", "main")
+    if pen_variant not in ("main", "map"):
+        raise ConfigError(f"unknown pen_variant {pen_variant!r}; choose main or map")
+    return kappa, mode, pen_variant
+
+
 def resolve_sigma(spec, n: int) -> float:
     if spec is None:
         raise ConfigError("sigma is missing")
@@ -217,9 +231,8 @@ class _Ctx:
         self.seed = seed
         self.family = build_family(config["family"], None if n is None else int(n))
         self.sigma = resolve_sigma(sigma_spec, self.family.ambient_dim)
-        self.kappa = float(config.get("kappa", 1.0))
-        self.pen_variant = config.get("pen_variant", "main")
-        self.mode = config.get("mode", "exact")
+        self.kappa, self.mode, self.pen_variant = selector_options(
+            config, config.get("kappa", 1.0))
         self.estimator = config.get("estimator", "ms")
         self.noise = build_noise(config.get("noise"))
         self.theta = build_signal(config["signal"], self.family, self.sigma)

@@ -1,9 +1,10 @@
 """Noise generators and Monte Carlo verification of the framework conditions.
 
 Condition A1 bounds the moment generating function of projected noise by the
-statistical dimension; A2 is an exact enumerated sum against a closed-form
-constant where the family has one; A3 checks union witnesses by projection
-fixed points; A4 checks the two tail curves behind the quarter ball.
+statistical dimension; A2 is an exact sum over the enumerated structures,
+taken by size class, against a closed-form constant where the family has
+one; A3 checks union witnesses by projection fixed points; A4 checks the two
+tail curves behind the quarter ball.
 
 A1 estimation targets a log-MGF whose plug-in estimator is heavy tailed, so
 the checker reports a stabilized log-mean-exp with jackknife standard errors
@@ -13,7 +14,9 @@ and caps each exponent summand at 700, counting how often the cap bites.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,7 +89,16 @@ class NoiseModel:
             if theta.size != n:
                 raise ValueError(f"bernoulli-mean theta has length {theta.size}, need {n}")
             return (rng.random((reps, n)) < theta).astype(float) - theta
-        return np.stack([self.sample(rng, n) for _ in range(reps)])
+        # ar1: the innovations fill the array in the stream order of `sample`
+        # row by row, and each column runs its recurrence step over all rows
+        phi = self.coefficient
+        innov = rng.standard_normal((reps, n))
+        out = np.empty_like(innov)
+        out[:, 0] = innov[:, 0]
+        scale = math.sqrt(1.0 - phi * phi)
+        for t in range(1, n):
+            out[:, t] = phi * out[:, t - 1] + scale * innov[:, t]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +137,34 @@ def _log_mean_exp_with_jackknife(values: np.ndarray) -> tuple[float, float]:
     return lme, se
 
 
+def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
+    """(I, ||P_I xi||^2 for each row xi of draws) for every enumerated I.
+
+    Where P_I keeps a coordinate subset (`kept_coordinates`), the norm is
+    the sum of xi^2 against the subset's 0/1 mask, with no projected copy of
+    the draws.  Its bytes equal those of the projection path: each product
+    is unchanged (xi^2 * 1 = xi * xi, and xi^2 * 0 = 0 * 0 = +0), and einsum
+    sums both with the same kernel over the same n terms.  The identity needs
+    every xi^2 finite (inf * 0 is nan), so overflowing draws fall back to
+    projecting.
+    """
+    kept = getattr(family, "kept_coordinates", None)
+    if kept is not None:
+        with np.errstate(over="ignore"):
+            sq = draws * draws
+        if not np.isfinite(sq).all():
+            kept = None
+    for structure in family.enumerate_structures(caps):
+        if kept is None:
+            proj = family.project_many(structure, draws)
+            yield structure, np.einsum("ij,ij->i", proj, proj)
+        else:
+            family.validate(structure)
+            mask = np.zeros(family.ambient_dim)
+            mask[kept(structure)] = 1.0
+            yield structure, np.einsum("ij,j->i", sq, mask)
+
+
 def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
              d_fn=None, caps: Caps | None = None, se_mult: float = 2.0) -> list[A1Row]:
     """Monte Carlo check of the projected-noise MGF bound, per structure.
@@ -137,9 +177,8 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
         d_fn = family.dim
     draws = noise.sample_many(rng, reps, family.ambient_dim)
     rows = []
-    for structure in family.enumerate_structures(caps):
-        proj = family.project_many(structure, draws)
-        exponents = alpha * np.einsum("ij,ij->i", proj, proj)
+    for structure, sq_norms in _projected_sq_norms(family, draws, caps):
+        exponents = alpha * sq_norms
         n_sat = int(np.sum(exponents > EXPONENT_CAP))
         exponents = np.minimum(exponents, EXPONENT_CAP)
         est, se = _log_mean_exp_with_jackknife(exponents)
@@ -163,18 +202,27 @@ class A2Report:
 
 
 def check_a2(family: Family, nu: float, caps: Caps | None = None) -> A2Report:
-    """Exact enumerated sum (compensated summation); also verifies the
-    rho(I) >= d_I clause.  Each structure is validated once."""
-    terms = []
+    """Exact sum over the enumerated structures; also verifies the
+    rho(I) >= d_I clause.
+
+    The sum runs over the family's size classes: each representative is
+    validated once, and its term e^{-nu rho} counts once per structure of
+    the class.  The distinct terms, times their counts, are added as exact
+    rationals and rounded once, so `total` is the correctly rounded exact
+    sum: the value `math.fsum` gives over one term per structure.
+    """
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu!r}")
+    multiplicity: Counter[float] = Counter()
     count = 0
     min_gap = math.inf
-    for structure in family.enumerate_structures(caps):
+    for size, structure in family.size_classes(caps):
         family.validate(structure)
         rho = family._majorant(structure)
-        terms.append(math.exp(-nu * rho))
+        multiplicity[math.exp(-nu * rho)] += size
         min_gap = min(min_gap, rho - family._dim(structure))
-        count += 1
-    total = math.fsum(terms)
+        count += size
+    total = float(sum(Fraction(term) * m for term, m in multiplicity.items()))
     bound = None
     closed = getattr(family, "a2_closed_form", None)
     if closed is not None:

@@ -168,14 +168,19 @@ class Caps:
     max_blocks: int | None = None
 
 
-def _capped(it, caps: Caps, projected: int | None = None):
-    if projected is not None and projected > caps.max_count:
+def _check_projected(caps: Caps, projected: int) -> None:
+    """Raise CapExceededError when `projected` structures exceed caps.max_count."""
+    if projected > caps.max_count:
         # Decimal formats counts past the float range, which float(projected) cannot
         raise CapExceededError(
             f"enumeration of {Decimal(projected):.6g} structures exceeds "
             f"max_count={caps.max_count}",
             projected_count=projected,
         )
+
+
+def _capped(it, caps: Caps, projected: int):
+    _check_projected(caps, projected)
     count = 0
     for item in it:
         count += 1
@@ -250,6 +255,12 @@ class Family:
     def enumerate_structures(self, caps: Caps | None = None):
         raise NotImplementedError
 
+    def size_classes(self, caps: Caps | None = None):
+        """(count, representative) pairs covering enumerate_structures(caps):
+        each class holds `count` structures that share the representative's
+        majorant and dimension.  The default is one class per structure."""
+        return ((1, s) for s in self.enumerate_structures(caps))
+
     def union_structure(self, i0, i1):
         if not self.supports_union:
             raise UnsupportedFamilyError(f"union witness is not available for family {self.tag}")
@@ -295,8 +306,12 @@ class SmoothnessFamily(Family):
         if not isinstance(s, Truncation) or not (0 <= s.level <= self.n):
             raise InvalidStructureError(f"invalid truncation level for n={self.n}: {s!r}")
 
+    def kept_coordinates(self, s):
+        """Column index of the coordinates that P_I keeps (and does not zero)."""
+        return slice(0, s.level)
+
     def _project_rows(self, s, rows):
-        return _keep_columns(rows, slice(0, s.level))
+        return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
         return s.level
@@ -366,18 +381,31 @@ class _PositionSetFamily(Family):
     def _slicing(self, s):
         return len(self._positions(s))
 
-    def enumerate_structures(self, caps=None):
-        caps = caps or Caps()
+    def _class_counts(self, caps: Caps) -> list[int]:
+        """counts[k]: the number of sets of size k, for each size the caps allow."""
         count = self.last - self.first + 1
         max_size = count if caps.max_size is None else min(caps.max_size, count)
-        projected = sum(math.comb(count, size) for size in range(max_size + 1))
+        return [math.comb(count, size) for size in range(max_size + 1)]
+
+    def enumerate_structures(self, caps=None):
+        caps = caps or Caps()
+        counts = self._class_counts(caps)
 
         def gen():
-            for size in range(max_size + 1):
+            for size in range(len(counts)):
                 for combo in itertools.combinations(range(self.first, self.last + 1), size):
                     yield self.structure_type(combo)
 
-        return _capped(gen(), caps, projected)
+        return _capped(gen(), caps, sum(counts))
+
+    def size_classes(self, caps=None):
+        # majorant and dimension depend on the set size alone; the
+        # representative is the first set of each size
+        caps = caps or Caps()
+        counts = self._class_counts(caps)
+        _check_projected(caps, sum(counts))
+        return [(c, self.structure_type(tuple(range(self.first, self.first + size))))
+                for size, c in enumerate(counts)]
 
     def _union(self, i0, i1):
         union = set(self._positions(i0)) | set(self._positions(i1))
@@ -410,9 +438,12 @@ class SparsityFamily(_PositionSetFamily):
             raise ValueError(f"unknown majorant variant {majorant_variant!r}")
         self.majorant_variant = majorant_variant
 
-    def _project_rows(self, s, rows):
+    def kept_coordinates(self, s):
         # intp: validate accepts integral positions of any number type
-        return _keep_columns(rows, np.array(s.indices, dtype=np.intp))
+        return np.array(s.indices, dtype=np.intp)
+
+    def _project_rows(self, s, rows):
+        return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
         return len(s.indices)
@@ -474,7 +505,8 @@ class LeveledSparsityFamily(Family):
             if lv and not (0 <= lv[0] and lv[-1] < 2**j):
                 raise InvalidStructureError(f"level {j}: index out of range [0, {2 ** j})")
 
-    def flat_indices(self, s) -> list[int]:
+    def kept_coordinates(self, s) -> list[int]:
+        """Flat positions of the indices of every level."""
         out = []
         for j, lv in enumerate(s.levels):
             off = self.level_offsets[j]
@@ -482,7 +514,7 @@ class LeveledSparsityFamily(Family):
         return out
 
     def _project_rows(self, s, rows):
-        return _keep_columns(rows, self.flat_indices(s))
+        return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
         return sum(len(lv) for lv in s.levels)
@@ -500,7 +532,7 @@ class LeveledSparsityFamily(Family):
 
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
-        projected = 2 ** (2**self.n_levels - 1)  # 2^(2^j) subsets at each level j
+        projected = 2**self.ambient_dim  # every coordinate is in or out
 
         def gen():
             per_level = [
@@ -516,6 +548,18 @@ class LeveledSparsityFamily(Family):
 
         out = sorted(_capped(gen(), caps, projected), key=self.sort_key)
         return iter(out)
+
+    def size_classes(self, caps=None):
+        """One class per tuple (k_0, ..., k_{L-1}) of per-level sizes, holding
+        prod_j C(2^j, k_j) structures; the majorant is a sum of per-level
+        shares of the sizes.  The representative takes the first k_j indices
+        of each level."""
+        caps = caps or Caps()
+        _check_projected(caps, 2**self.ambient_dim)
+        per_level = [range(2**j + 1) for j in range(self.n_levels)]
+        return [(math.prod(math.comb(2**j, k) for j, k in enumerate(sizes)),
+                 self.canonical(range(k) for k in sizes))
+                for sizes in itertools.product(*per_level)]
 
     def _union(self, i0, i1):
         depth = max(len(i0.levels), len(i1.levels))

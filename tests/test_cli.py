@@ -130,6 +130,44 @@ def test_check_rejects_bad_max_blocks(tmp_path, capsys, max_blocks):
     assert not out.exists()
 
 
+A1_CONFIG = {"check": "a1", "family": {"kind": "sparsity", "n": 3},
+             "noise": {"kind": "gaussian"}, "alpha": 0.2, "reps": 100}
+A2_CONFIG = {"check": "a2", "family": {"kind": "sparsity", "n": 4}, "nu": 1.5}
+A4_CONFIG = {"check": "a4", "noise": {"kind": "gaussian"}, "M": [1.0], "n": 4, "reps": 100}
+
+
+@pytest.mark.parametrize("config,field", [
+    ({**A2_CONFIG, "nu": -200}, "nu"),
+    ({**A2_CONFIG, "nu": float("nan")}, "nu"),
+    ({**A2_CONFIG, "nu": "x"}, "nu"),
+    ({**A2_CONFIG, "caps": {"max_count": "z"}}, "caps.max_count"),
+    ({**A2_CONFIG, "caps": {"max_count": -1}}, "caps.max_count"),
+    ({**A2_CONFIG, "caps": {"max_size": 2.5}}, "caps.max_size"),
+    ({**A2_CONFIG, "caps": [1]}, "caps"),
+    ({**A1_CONFIG, "alpha": "x"}, "alpha"),
+    ({**A1_CONFIG, "alpha": 0}, "alpha"),
+    ({**A1_CONFIG, "reps": 1}, "reps"),
+    ({**A1_CONFIG, "reps": 2.5}, "reps"),
+    ({**A4_CONFIG, "reps": 0}, "reps"),
+], ids=["nu-negative", "nu-nan", "nu-not-a-number", "max-count-not-a-number",
+        "max-count-negative", "max-size-fraction", "caps-not-an-object", "alpha-not-a-number",
+        "alpha-0", "reps-1", "reps-fraction", "a4-reps-0"])
+def test_check_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, config,
+                                                  field):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the check started")
+
+    for name in ("check_a1", "check_a2", "check_a4"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "check.csv"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_select_jump_with_step_writes_integer_breaks(tmp_path):
     data = tmp_path / "y.csv"
     data.write_text("\n".join(str(v) for v in [0.1, -0.2, 0.0, 0.2, -0.1, 0.0,
@@ -376,6 +414,28 @@ def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, ove
 
     monkeypatch.setattr(experiments, "_run_reps", no_replications)
     cfg = write_config(tmp_path, {**COUNT_CONFIG, **overrides})
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"kappa": 0}, "kappa"),
+    ({"kappa": "a"}, "kappa"),
+    ({"mode": "fast"}, "mode"),
+    ({"pen_variant": "bic"}, "pen_variant"),
+], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant"])
+def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, overrides, field):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(experiments, "_run_reps", no_replications)
+    cfg = write_config(tmp_path, {**COUNT_CONFIG, "experiment": "estimation-risk",
+                                  **overrides})
     out = tmp_path / "table.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from projstruct.errors import UnsupportedFamilyError
-from projstruct.noise import NoiseModel, check_a1, check_a2, check_a3, check_a4
+from projstruct.errors import CapExceededError, UnsupportedFamilyError
+from projstruct.noise import (NoiseModel, _projected_sq_norms, check_a1, check_a2, check_a3,
+                              check_a4)
 from projstruct.structures import (
     BandingFamily,
     BiclusterFamily,
     Caps,
     ClusteringFamily,
+    JumpFamily,
+    KnotFamily,
+    LeveledSparsityFamily,
     SmoothnessFamily,
     SparsityFamily,
 )
@@ -140,8 +144,6 @@ def test_a1_saturation_counter():
 
 
 def test_a2_leveled_and_bicluster_closed_forms():
-    from projstruct.structures import LeveledSparsityFamily
-
     # no closed form is shipped for the leveled family (the empty structure
     # alone contributes 1 to the sum, above the literature's constant);
     # the exact enumerated sum is still finite and reported
@@ -154,9 +156,37 @@ def test_a2_leveled_and_bicluster_closed_forms():
     assert bic.passed
 
 
-def test_a2_validates_each_structure_once(families):
-    """check_a2 validates a structure once and reads its unchecked majorant
-    and dimension; the report is that of the checked majorant and dim."""
+def test_ar1_sample_many_matches_row_by_row_sampling():
+    # the per-row loop over `sample` is the oracle: same stream, same bytes,
+    # and the generator left in the same state
+    for phi, reps, n in ((0.6, 300, 24), (-0.95, 7, 1), (0.0, 5, 3)):
+        model = NoiseModel("ar1", coefficient=phi)
+        fast_rng, slow_rng = np.random.default_rng(9), np.random.default_rng(9)
+        fast = model.sample_many(fast_rng, reps, n)
+        slow = np.stack([model.sample(slow_rng, n) for _ in range(reps)])
+        assert fast.shape == slow.shape and fast.flags.c_contiguous
+        assert fast.tobytes() == slow.tobytes(), phi
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def _a2_by_enumeration(pairs, nu):
+    """(total, count, min_rho_minus_dim) of check_a2, from one (rho, dim)
+    pair per enumerated structure."""
+    return (math.fsum(math.exp(-nu * rho) for rho, _ in pairs), len(pairs),
+            min(rho - dim for rho, dim in pairs))
+
+
+def _enumerated_pairs(family, caps):
+    return [(family.majorant(s), family.dim(s)) for s in family.enumerate_structures(caps)]
+
+
+A2_NUS = (0.7, 1.21, 1.5, 1.99)
+
+
+def test_a2_validates_each_class_representative_once(families):
+    """check_a2 validates each size-class representative once and reads its
+    unchecked majorant and dimension; the report is that of the checked
+    majorant and dim over the full enumeration, for every family."""
     for name, family in families.items():
         caps = ENUM_CAPS.get(name)
         calls = []
@@ -169,9 +199,103 @@ def test_a2_validates_each_structure_once(families):
         family.validate = counting
         rep = check_a2(family, 1.5, caps)
         del family.validate
-        structures = list(family.enumerate_structures(caps))
-        assert calls == structures, name
-        rhos = [family.majorant(s) for s in structures]
-        assert rep.total == math.fsum(math.exp(-1.5 * rho) for rho in rhos), name
-        assert rep.min_rho_minus_dim == min(
-            rho - family.dim(s) for rho, s in zip(rhos, structures)), name
+        assert calls == [s for _, s in family.size_classes(caps)], name
+        pairs = _enumerated_pairs(family, caps)
+        assert (rep.total, rep.count, rep.min_rho_minus_dim) == \
+            _a2_by_enumeration(pairs, 1.5), name
+        for nu in A2_NUS:
+            rep = check_a2(family, nu, caps)
+            assert (rep.total, rep.count, rep.min_rho_minus_dim) == \
+                _a2_by_enumeration(pairs, nu), (name, nu)
+
+
+@pytest.mark.parametrize("family,caps", [
+    (SparsityFamily(14), None),
+    (SparsityFamily(14, "rho_prime"), None),
+    (SparsityFamily(14, "rho_prime"), Caps(max_size=4)),
+    (SparsityFamily(18), Caps(max_count=2**18)),
+    (SparsityFamily(18, "rho_prime"), Caps(max_count=2**18)),
+    (SparsityFamily(18), Caps(max_size=6)),
+    (LeveledSparsityFamily(3), None),
+    (LeveledSparsityFamily(4), Caps(max_count=2**15)),
+    (LeveledSparsityFamily(4), Caps(max_count=2**15, max_size=2)),
+    (JumpFamily(15), None),
+    (JumpFamily(15), Caps(max_size=3)),
+    (KnotFamily(15), None),
+    (KnotFamily(15), Caps(max_size=5)),
+], ids=["sparsity-14", "sparsity-14-rho-prime", "sparsity-14-rho-prime-max-size",
+        "sparsity-18", "sparsity-18-rho-prime", "sparsity-18-max-size", "leveled-3",
+        "leveled-4", "leveled-4-max-size", "jump-15", "jump-15-max-size", "knot-15",
+        "knot-15-max-size"])
+def test_a2_by_size_class_equals_the_enumerated_sum(family, caps):
+    pairs = _enumerated_pairs(family, caps)
+    for nu in A2_NUS:
+        rep = check_a2(family, nu, caps)
+        assert (rep.total, rep.count, rep.min_rho_minus_dim) == \
+            _a2_by_enumeration(pairs, nu), nu
+
+
+@pytest.mark.parametrize("family,caps", [
+    (SparsityFamily(18), Caps()),
+    (SparsityFamily(18), Caps(max_count=170, max_size=2)),  # 1 + 18 + 153 sets
+    (JumpFamily(1100), Caps()),
+    (KnotFamily(15), Caps(max_count=-1)),
+    (LeveledSparsityFamily(4), Caps(max_count=2**15 - 1)),
+    (LeveledSparsityFamily(11), Caps(max_size=1)),  # max_size does not apply here
+], ids=["sparsity-18", "sparsity-18-max-size", "jump-past-float-range", "knot-negative",
+        "leveled-4-one-short", "leveled-11"])
+def test_a2_cap_fires_like_the_enumeration(family, caps):
+    """The enumeration's CapExceededError, raised by size_classes itself,
+    before any class is built."""
+    with pytest.raises(CapExceededError) as listed:
+        list(family.enumerate_structures(caps))
+    for call in (lambda: family.size_classes(caps), lambda: check_a2(family, 1.5, caps)):
+        with pytest.raises(CapExceededError) as err:
+            call()
+        assert str(err.value) == str(listed.value)
+        assert err.value.projected_count == listed.value.projected_count
+
+
+def test_a2_rejects_a_non_finite_nu():
+    for nu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="nu"):
+            check_a2(SmoothnessFamily(3), nu)
+
+
+def _sq_norms_by_projection(family, draws):
+    for structure in family.enumerate_structures():
+        proj = family.project_many(structure, draws)
+        yield structure, np.einsum("ij,ij->i", proj, proj)
+
+
+@pytest.mark.parametrize("family,reps", [
+    (SparsityFamily(10), 20_000),
+    (SparsityFamily(13), 1_000),
+    (LeveledSparsityFamily(3), 20_000),
+    (SmoothnessFamily(24), 20_000),
+], ids=["sparsity-10", "sparsity-13", "leveled-3", "smoothness-24"])
+def test_a1_mask_path_equals_projection_bit_for_bit(family, reps):
+    """The mask path must give the bytes of project_many + einsum; a numpy
+    whose einsum sums the two operand layouts in different orders fails here."""
+    draws = NoiseModel("gaussian").sample_many(np.random.default_rng(4), reps,
+                                               family.ambient_dim)
+    def no_projection(*args):
+        raise AssertionError("the mask path projected the draws")
+
+    family.project_many = no_projection
+    got = list(_projected_sq_norms(family, draws, None))
+    del family.project_many
+    expected = list(_sq_norms_by_projection(family, draws))
+    assert [s for s, _ in got] == [s for s, _ in expected]
+    for (s, norms), (_, oracle) in zip(got, expected):
+        assert norms.tobytes() == oracle.tobytes(), s
+
+
+def test_a1_mask_path_falls_back_when_squares_overflow():
+    family = SparsityFamily(3)
+    draws = np.array([[1e200, 2.0, -3.0], [0.5, -1e300, 1.0]])
+    got = list(_projected_sq_norms(family, draws, None))
+    expected = list(_sq_norms_by_projection(family, draws))
+    for (s, norms), (_, oracle) in zip(got, expected):
+        assert not np.isnan(norms).any(), s
+        assert norms.tobytes() == oracle.tobytes(), s

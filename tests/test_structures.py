@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -33,7 +34,7 @@ from projstruct.structures import (
     Truncation,
     is_sorted_unique,
 )
-from conftest import enumerate_small, small_families
+from conftest import ENUM_CAPS, enumerate_small, small_families
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,30 @@ def test_enumeration_is_duplicate_free_and_canonical():
         assert len(structs) == len(set(structs)), name
         keys = [fam.sort_key(s) for s in structs]
         assert keys == sorted(keys), f"{name} enumeration out of canonical order"
+
+
+@pytest.mark.parametrize("max_size", [None, 0, 3])
+def test_size_classes_cover_the_enumeration(max_size):
+    """Expanded by their counts, the size classes hold the multiset of
+    (majorant, dim) pairs of the enumeration, and every representative is
+    an enumerated structure."""
+    for name, fam in small_families().items():
+        caps = Caps(max_size=max_size,
+                    max_blocks=getattr(ENUM_CAPS.get(name), "max_blocks", None))
+        structs = list(fam.enumerate_structures(caps))
+        classes = list(fam.size_classes(caps))
+        assert {rep for _, rep in classes} <= set(structs), name
+        expanded = collections.Counter()
+        for count, rep in classes:
+            expanded[(fam.majorant(rep), fam.dim(rep))] += count
+        assert expanded == collections.Counter(
+            (fam.majorant(s), fam.dim(s)) for s in structs), name
+
+
+def test_size_classes_fit_a_cap_the_enumeration_fits():
+    for fam, caps in ((SparsityFamily(14), Caps(max_count=2**14)),
+                      (LeveledSparsityFamily(4), Caps(max_count=2**15))):
+        assert sum(count for count, _ in fam.size_classes(caps)) == caps.max_count
 
 
 def test_cap_exceeded_reports_projected_count():
