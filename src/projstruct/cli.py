@@ -29,6 +29,7 @@ from .experiments import (
     build_signal,
     config_hash,
     derive_rng,
+    nonnegative_number,
     positive_number,
     render_csv,
     resolve_sigma,
@@ -203,7 +204,7 @@ def cmd_check(config: dict, seed: int):
         noise = build_noise(config.get("noise"))
         rows = check_a1(family, noise, positive_number(_require(config, "alpha"), "alpha"),
                         _reps(config), rng, caps=caps,
-                        se_mult=float(config.get("se_mult", 2.0)))
+                        se_mult=nonnegative_number(config.get("se_mult", 2.0), "se_mult"))
         header = ["structure", "estimate", "bound", "std_err", "n_saturated", "pass"]
         out = [[json.dumps(family.structure_to_json(r.structure), sort_keys=True),
                 r.estimate, r.bound, r.std_err, r.n_saturated, int(r.passed)]
@@ -221,15 +222,18 @@ def cmd_check(config: dict, seed: int):
         header = ["family", "status", "pairs", "max_containment_residual",
                   "max_rho_excess", "pass"]
         try:
-            rep = check_a3(family, int(config.get("pairs", 100)), rng, caps)
+            rep = check_a3(family, _integer(config.get("pairs", 100), "pairs", 1), rng, caps)
             out = [[family.tag, "checked", rep.pairs_checked,
                     rep.max_containment_residual, rep.max_rho_excess, int(rep.passed)]]
         except UnsupportedFamilyError:
             out = [[family.tag, "unsupported", 0, "", "", 0]]
     elif which == "a4":
         noise = build_noise(config.get("noise"))
-        rows = check_a4(noise, [float(m) for m in _require(config, "M")],
-                        _reps(config), int(_require(config, "n")), rng)
+        M_grid = _require(config, "M")
+        if not isinstance(M_grid, list):
+            raise ConfigError(f"M must be a list of numbers, got {M_grid!r}")
+        rows = check_a4(noise, [nonnegative_number(m, "M") for m in M_grid],
+                        _reps(config), _integer(_require(config, "n"), "n", 1), rng)
         header = ["M", "psi1", "psi2"]
         out = [[r.M, r.psi1, r.psi2] for r in rows]
     else:

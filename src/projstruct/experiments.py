@@ -155,15 +155,25 @@ def build_constants(spec: dict | None) -> FrameworkConstants:
         raise ConfigError(f"bad constants config: {exc}") from exc
 
 
-def positive_number(value, field: str) -> float:
-    """value as a float; a config error unless it is a positive finite number."""
+def _finite_number(value, field: str, positive: bool) -> float:
+    """value as a float; a config error unless it is a finite number that is
+    positive, or nonnegative when `positive` is False."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not (math.isfinite(number) and number > 0):
-        raise ConfigError(f"{field} must be a positive number, got {value!r}")
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{field} must be a {kind} number, got {value!r}")
     return number
+
+
+def positive_number(value, field: str) -> float:
+    return _finite_number(value, field, positive=True)
+
+
+def nonnegative_number(value, field: str) -> float:
+    return _finite_number(value, field, positive=False)
 
 
 def selector_options(config: dict, kappa) -> tuple[float, str, str]:

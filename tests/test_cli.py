@@ -133,6 +133,7 @@ def test_check_rejects_bad_max_blocks(tmp_path, capsys, max_blocks):
 A1_CONFIG = {"check": "a1", "family": {"kind": "sparsity", "n": 3},
              "noise": {"kind": "gaussian"}, "alpha": 0.2, "reps": 100}
 A2_CONFIG = {"check": "a2", "family": {"kind": "sparsity", "n": 4}, "nu": 1.5}
+A3_CONFIG = {"check": "a3", "family": {"kind": "jump", "n": 5}, "pairs": 10}
 A4_CONFIG = {"check": "a4", "noise": {"kind": "gaussian"}, "M": [1.0], "n": 4, "reps": 100}
 
 
@@ -148,16 +149,25 @@ A4_CONFIG = {"check": "a4", "noise": {"kind": "gaussian"}, "M": [1.0], "n": 4, "
     ({**A1_CONFIG, "alpha": 0}, "alpha"),
     ({**A1_CONFIG, "reps": 1}, "reps"),
     ({**A1_CONFIG, "reps": 2.5}, "reps"),
+    ({**A1_CONFIG, "se_mult": "x"}, "se_mult"),
+    ({**A1_CONFIG, "se_mult": -1.0}, "se_mult"),
+    ({**A3_CONFIG, "pairs": "x"}, "pairs"),
+    ({**A3_CONFIG, "pairs": 0}, "pairs"),
     ({**A4_CONFIG, "reps": 0}, "reps"),
+    ({**A4_CONFIG, "n": 0}, "n"),
+    ({**A4_CONFIG, "M": [1.0, -1.0]}, "M"),
+    ({**A4_CONFIG, "M": 1.0}, "M"),
 ], ids=["nu-negative", "nu-nan", "nu-not-a-number", "max-count-not-a-number",
         "max-count-negative", "max-size-fraction", "caps-not-an-object", "alpha-not-a-number",
-        "alpha-0", "reps-1", "reps-fraction", "a4-reps-0"])
+        "alpha-0", "reps-1", "reps-fraction", "se-mult-not-a-number", "se-mult-negative",
+        "pairs-not-a-number", "pairs-0", "a4-reps-0", "a4-n-0", "a4-M-negative",
+        "a4-M-not-a-list"])
 def test_check_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, config,
                                                   field):
     def no_work(*args, **kwargs):
         raise AssertionError("the check started")
 
-    for name in ("check_a1", "check_a2", "check_a4"):
+    for name in ("check_a1", "check_a2", "check_a3", "check_a4"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = write_config(tmp_path, config)
     out = tmp_path / "check.csv"
