@@ -29,6 +29,7 @@ from .experiments import (
     build_signal,
     config_hash,
     derive_rng,
+    integer,
     nonnegative_number,
     positive_number,
     render_csv,
@@ -103,7 +104,7 @@ def _posterior_for(proj: Projections, cfg: DdmConfig, rng):
                                    method="symmetric-polynomial", proj=proj)
     try:
         return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
-    except (CapExceededError, NotImplementedError):
+    except CapExceededError:
         pass
     try:
         candidates = search_candidates(y, family, cfg.sigma, cfg.kappa,
@@ -114,17 +115,10 @@ def _posterior_for(proj: Projections, cfg: DdmConfig, rng):
                                method="restricted-candidate-set", proj=proj)
 
 
-def _integer(value, field: str, least: int) -> int:
-    """value; a config error unless it is an integer of at least `least`."""
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{field} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def _select_options(config: dict):
     """kappa, mode, pen_variant and posterior_top_k of a select config."""
     kappa, mode, pen_variant = selector_options(config, _require(config, "kappa"))
-    top_k = _integer(config.get("posterior_top_k", 5), "posterior_top_k", 0)
+    top_k = integer(config.get("posterior_top_k", 5), "posterior_top_k", 0)
     return kappa, mode, pen_variant, top_k
 
 
@@ -184,13 +178,13 @@ def _caps_from(config: dict) -> Caps | None:
     limits["max_count"] = spec.get("max_count", 200_000)
     for field, value in limits.items():
         if value is not None:
-            _integer(value, f"caps.{field}", 0)
+            integer(value, f"caps.{field}", 0)
     return Caps(**limits)
 
 
 def _reps(config: dict) -> int:
     # the A1 jackknife leaves one draw out, so it needs two
-    return _integer(config.get("reps", 10_000), "reps", 2)
+    return integer(config.get("reps", 10_000), "reps", 2)
 
 
 def cmd_check(config: dict, seed: int):
@@ -222,7 +216,7 @@ def cmd_check(config: dict, seed: int):
         header = ["family", "status", "pairs", "max_containment_residual",
                   "max_rho_excess", "pass"]
         try:
-            rep = check_a3(family, _integer(config.get("pairs", 100), "pairs", 1), rng, caps)
+            rep = check_a3(family, integer(config.get("pairs", 100), "pairs", 1), rng, caps)
             out = [[family.tag, "checked", rep.pairs_checked,
                     rep.max_containment_residual, rep.max_rho_excess, int(rep.passed)]]
         except UnsupportedFamilyError:
@@ -233,7 +227,7 @@ def cmd_check(config: dict, seed: int):
         if not isinstance(M_grid, list):
             raise ConfigError(f"M must be a list of numbers, got {M_grid!r}")
         rows = check_a4(noise, [nonnegative_number(m, "M") for m in M_grid],
-                        _reps(config), _integer(_require(config, "n"), "n", 1), rng)
+                        _reps(config), integer(_require(config, "n"), "n", 1), rng)
         header = ["M", "psi1", "psi2"]
         out = [[r.M, r.psi1, r.psi2] for r in rows]
     else:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import Projections, _ArgminTracker, penalty
+from .selection import Projections, _ArgminTracker, _penalty_value, penalty
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
@@ -113,20 +113,13 @@ def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
 
 def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     """log x_j = Y_j^2 / (2 sigma^2) and log c_k, the weight of a size-k
-    support apart from its prod x_j: base - pen_k / 2.
-
-    pen_k is 2*kappa*size_majorant(k), plus k under "map": the float
-    operations of `penalty` for a size-k support, without building one.
-    """
+    support apart from its prod x_j: base - pen_k / 2, with pen_k the
+    `penalty` of a size-k support, built without one."""
     y = np.asarray(Y, dtype=float)
     log_x = 0.5 * (y * y) / cfg.sigma**2
     base = -0.5 * sq_norm(y) / cfg.sigma**2
-    sizes = np.arange(family.n + 1)
-    pen = np.array([2.0 * cfg.kappa * family.size_majorant(s) for s in sizes])
-    if cfg.pen_variant == "map":
-        pen += sizes
-    elif cfg.pen_variant != "main":
-        raise ValueError(f"unknown penalty variant {cfg.pen_variant!r}")
+    pen = np.array([_penalty_value(family.size_majorant(k), k, cfg.kappa, cfg.pen_variant)
+                    for k in range(family.n + 1)])
     return log_x, base - 0.5 * pen
 
 
@@ -244,8 +237,9 @@ def sparsity_ma_mean_exact(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndar
     return np.asarray(Y, dtype=float) * sparsity_inclusion_probabilities(Y, family, cfg)
 
 
-def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng, count: int):
-    """Draws from the conditional law on L_I centered at P_I Y.
+def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng,
+                       count: int) -> np.ndarray:
+    """(count, N) draws from the conditional law on L_I centered at P_I Y.
 
     Gaussian: N(P_I Y, (kappa/(kappa+1)) sigma^2 P_I) with kappa = e-1.
     Resample: P_I Y + sigma P_I Z with caller-supplied Z draws.
@@ -261,4 +255,4 @@ def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng, count:
         noise = np.stack([np.asarray(cfg.z_sampler(rng, family.ambient_dim), dtype=float)
                           for _ in range(count)])
     projected = family.project_many(structure, noise)
-    return [center + scale * z for z in projected]
+    return center + scale * projected

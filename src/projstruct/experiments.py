@@ -11,6 +11,7 @@ across runs and independent of worker count; rows are emitted in grid order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -43,10 +44,6 @@ from .structures import (
     SparsityFamily,
 )
 
-EXPERIMENTS = ("contraction", "estimation-risk", "coverage-ebr", "coverage-quarter",
-               "size", "recovery-shell", "rate-scaling")
-
-
 # ---------------------------------------------------------------------------
 # config -> objects
 # ---------------------------------------------------------------------------
@@ -63,15 +60,31 @@ def derive_rng(master_seed: int, *parts) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def build_family(spec: dict, n_override: int | None = None) -> Family:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if n_override is not None:
-        if kind in ("bicluster", "regression"):
-            raise ConfigError(f"a grid over n is not supported for the {kind} family; "
-                              "size it explicitly in the family section")
-        spec["n"] = n_override
+@contextlib.contextmanager
+def _section(name: str, spec):
+    """A copy of the config section `name`, which must be an object; an
+    error raised while building from it becomes one ConfigError, and a
+    ConfigError raised inside passes unchanged."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object, got {spec!r}")
     try:
+        yield dict(spec)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{name} config missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} config: {exc}") from exc
+
+
+def build_family(spec: dict, n_override: int | None = None) -> Family:
+    with _section("family", spec) as spec:
+        kind = spec.pop("kind", None)
+        if n_override is not None:
+            if kind in ("bicluster", "regression"):
+                raise ConfigError(f"a grid over n is not supported for the {kind} family; "
+                                  "size it explicitly in the family section")
+            spec["n"] = n_override
         if kind == "smoothness":
             return SmoothnessFamily(int(spec["n"]))
         if kind == "sparsity":
@@ -92,88 +105,95 @@ def build_family(spec: dict, n_override: int | None = None) -> Family:
             rng = derive_rng(int(spec.get("design_seed", 0)), "design")
             design = rng.standard_normal((int(spec["n_obs"]), int(spec["p"])))
             return RegressionFamily(design)
-    except KeyError as exc:
-        raise ConfigError(f"family config missing field {exc}") from exc
-    raise ConfigError(f"unknown family kind {kind!r}")
+        raise ConfigError(f"unknown family kind {kind!r}")
 
 
 def build_noise(spec: dict | None) -> NoiseModel:
-    spec = dict(spec or {"kind": "gaussian"})
-    kind = spec.pop("kind", "gaussian")
-    try:
+    with _section("noise", spec or {"kind": "gaussian"}) as spec:
+        kind = spec.pop("kind", "gaussian")
         if kind == "bernoulli-mean":
             return NoiseModel(kind, theta=tuple(spec["theta"]))
         return NoiseModel(kind, **{k: float(v) for k, v in spec.items()})
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad noise config: {exc}") from exc
 
 
 def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
     n = family.ambient_dim
-    if kind == "zero":
-        return np.zeros(n)
-    if kind == "constant":
-        return np.full(n, float(spec.get("value", 0.5)) * sigma)
-    if kind == "sparse":
-        s = int(spec.get("s", 1))
-        if s > n:
-            raise ConfigError("sparse signal: s exceeds the ambient dimension")
-        theta = np.zeros(n)
-        theta[:s] = float(spec.get("amplitude", 10.0)) * sigma
-        return theta
-    if kind == "sobolev":
-        beta = float(spec.get("beta", 1.0))
-        Q = float(spec.get("Q", 1.0))
-        idx = np.arange(1, n + 1, dtype=float)
-        harmonic = float(np.sum(1.0 / idx))
-        return math.sqrt(Q / harmonic) * idx ** (-(beta + 0.5))
-    if kind == "geometric":
-        ratio = float(spec.get("ratio", 0.5))
-        scale = float(spec.get("scale", 1.0))
-        return scale * ratio ** np.arange(n, dtype=float)
-    if kind == "piecewise":
-        breaks = [int(b) for b in spec.get("breaks", [])]
-        levels = [float(v) for v in spec.get("levels", [0.0])]
-        if len(levels) != len(breaks) + 1:
-            raise ConfigError("piecewise signal needs len(levels) == len(breaks)+1")
-        theta = np.empty(n)
-        bounds = [0] + [b + 1 for b in breaks] + [n]
-        for lv, lo, hi in zip(levels, bounds[:-1], bounds[1:]):
-            theta[lo:hi] = lv * sigma
-        return theta
-    raise ConfigError(f"unknown signal kind {kind!r}")
+    with _section("signal", spec) as spec:
+        kind = spec.pop("kind", None)
+        if kind == "zero":
+            return np.zeros(n)
+        if kind == "constant":
+            return np.full(n, float(spec.get("value", 0.5)) * sigma)
+        if kind == "sparse":
+            s = int(spec.get("s", 1))
+            if s > n:
+                raise ConfigError("sparse signal: s exceeds the ambient dimension")
+            theta = np.zeros(n)
+            theta[:s] = float(spec.get("amplitude", 10.0)) * sigma
+            return theta
+        if kind == "sobolev":
+            beta = float(spec.get("beta", 1.0))
+            Q = float(spec.get("Q", 1.0))
+            idx = np.arange(1, n + 1, dtype=float)
+            harmonic = float(np.sum(1.0 / idx))
+            return math.sqrt(Q / harmonic) * idx ** (-(beta + 0.5))
+        if kind == "geometric":
+            ratio = float(spec.get("ratio", 0.5))
+            scale = float(spec.get("scale", 1.0))
+            return scale * ratio ** np.arange(n, dtype=float)
+        if kind == "piecewise":
+            breaks = [int(b) for b in spec.get("breaks", [])]
+            levels = [float(v) for v in spec.get("levels", [0.0])]
+            if len(levels) != len(breaks) + 1:
+                raise ConfigError("piecewise signal needs len(levels) == len(breaks)+1")
+            theta = np.empty(n)
+            bounds = [0] + [b + 1 for b in breaks] + [n]
+            for lv, lo, hi in zip(levels, bounds[:-1], bounds[1:]):
+                theta[lo:hi] = lv * sigma
+            return theta
+        raise ConfigError(f"unknown signal kind {kind!r}")
 
 
 def build_constants(spec: dict | None) -> FrameworkConstants:
-    spec = dict(spec or {})
-    spec.setdefault("strict", False)
-    try:
+    with _section("constants", spec or {}) as spec:
+        spec.setdefault("strict", False)
+        # FrameworkConstants checks the other fields; these it only stores
+        for field in ("C_nu", "M0_override", "M1_override", "M2_override", "M3_override"):
+            if spec.get(field) is not None:
+                finite_number(spec[field], f"constants.{field}")
         return FrameworkConstants(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad constants config: {exc}") from exc
 
 
-def _finite_number(value, field: str, positive: bool) -> float:
-    """value as a float; a config error unless it is a finite number that is
-    positive, or nonnegative when `positive` is False."""
+def _finite_number(value, field: str, kind: str) -> float:
+    """value as a float; a config error unless it is a finite number of the
+    given kind: positive, nonnegative, or finite (either sign)."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
-        kind = "positive" if positive else "nonnegative"
+    signed = {"positive": number > 0, "nonnegative": number >= 0}.get(kind, True)
+    if not (math.isfinite(number) and signed):
         raise ConfigError(f"{field} must be a {kind} number, got {value!r}")
     return number
 
 
 def positive_number(value, field: str) -> float:
-    return _finite_number(value, field, positive=True)
+    return _finite_number(value, field, "positive")
 
 
 def nonnegative_number(value, field: str) -> float:
-    return _finite_number(value, field, positive=False)
+    return _finite_number(value, field, "nonnegative")
+
+
+def finite_number(value, field: str) -> float:
+    return _finite_number(value, field, "finite")
+
+
+def integer(value, field: str, least: int) -> int:
+    """value; a config error unless it is an integer of at least `least`."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{field} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def selector_options(config: dict, kappa) -> tuple[float, str, str]:
@@ -236,10 +256,10 @@ class _Ctx:
     replication streams.  Every replication of the cell receives this same
     object, pickled whole when it runs in a worker process."""
 
-    def __init__(self, config: dict, seed: int, n: float | None, sigma_spec):
+    def __init__(self, config: dict, seed: int, n: int | None, sigma_spec):
         self.config = config
         self.seed = seed
-        self.family = build_family(config["family"], None if n is None else int(n))
+        self.family = build_family(config["family"], n)
         self.sigma = resolve_sigma(sigma_spec, self.family.ambient_dim)
         self.kappa, self.mode, self.pen_variant = selector_options(
             config, config.get("kappa", 1.0))
@@ -247,6 +267,7 @@ class _Ctx:
         self.noise = build_noise(config.get("noise"))
         self.theta = build_signal(config["signal"], self.family, self.sigma)
         self.constants = build_constants(config.get("constants"))
+        self.structured_c = positive_number(config.get("structured_c", 1.0), "structured_c")
 
     @functools.cached_property
     def rate(self) -> float:
@@ -259,7 +280,7 @@ class _Ctx:
 
     def highly_structured(self) -> int:
         return int(highly_structured(self.rate, self.sigma, self.family.ambient_dim,
-                                     float(self.config.get("structured_c", 1.0))))
+                                     self.structured_c))
 
     def draw(self, rng) -> np.ndarray:
         return self.theta + self.sigma * self.noise.sample(rng, self.family.ambient_dim)
@@ -275,6 +296,8 @@ class _Ctx:
 
 def _grid(config: dict, key: str, default):
     grid = config.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"grid must be an object, got {grid!r}")
     values = grid.get(key, default)
     if not isinstance(values, list):
         values = [values]
@@ -284,9 +307,10 @@ def _grid(config: dict, key: str, default):
 
 
 def _cells(config: dict, seed: int):
-    """(cell index, context) for every (n, sigma) grid cell, n-major."""
-    grid = itertools.product(_grid(config, "n", [None]),
-                             _grid(config, "sigma", [config.get("sigma", 1.0)]))
+    """(cell index, context) for every (n, sigma) grid cell, n-major; every
+    n is checked before the first cell is built."""
+    ns = [n if n is None else integer(n, "grid.n", 1) for n in _grid(config, "n", [None])]
+    grid = itertools.product(ns, _grid(config, "sigma", [config.get("sigma", 1.0)]))
     for ci, (n, sigma_spec) in enumerate(grid):
         yield ci, _Ctx(config, seed, n, sigma_spec)
 
@@ -307,7 +331,7 @@ def _rep_contraction(ctx, rng, thresholds):
     y = ctx.draw(rng)
     cfg = DdmConfig(kappa=ctx.kappa, sigma=ctx.sigma, pen_variant=ctx.pen_variant)
     draws = int(ctx.config.get("posterior_draws", 200))
-    samples = np.stack(sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws))
+    samples = sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws)
     errs = np.sum((samples - ctx.theta[None, :]) ** 2, axis=1)
     return [float(np.mean(errs >= threshold)) for threshold in thresholds]
 
@@ -337,6 +361,9 @@ def _check_quarter(ctx) -> None:
         raise ConfigError(f"unknown duplication {duplication!r}")
     if duplication == "gaussian" and ctx.noise.kind != "gaussian":
         raise ConfigError("gaussian duplication requires gaussian noise")
+    v_kind = ctx.config.get("v_statistic", "unit-variance")
+    if v_kind not in ("unit-variance", "bernoulli"):
+        raise ConfigError(f"unknown v_statistic {v_kind!r}; choose unit-variance or bernoulli")
 
 
 def _rep_coverage_quarter(ctx, rng, M_list):
@@ -400,7 +427,7 @@ def _calibrate_m(values_by_m: dict[float, list[float]], nominal: float) -> float
 
 def run_contraction(config, seed, workers):
     reps = int(config.get("reps", 100))
-    M_list = [float(m) for m in _grid(config, "M", [0.0])]
+    M_list = [finite_number(m, "grid.M") for m in _grid(config, "M", [0.0])]
     header = ["n", "sigma", "M", "frac_exceed", "se", "reps"]
     rows = []
     for ci, ctx in _cells(config, seed):
@@ -439,8 +466,8 @@ def run_rate_scaling(config, seed, workers):
 
 def run_coverage_ebr(config, seed, workers):
     reps = int(config.get("reps", 200))
-    t_list = [float(t) for t in _grid(config, "t", [0.0])]
-    M_list = [float(m) for m in _grid(config, "M", [0.0])]
+    t_list = [nonnegative_number(t, "grid.t") for t in _grid(config, "t", [0.0])]
+    M_list = [nonnegative_number(m, "grid.M") for m in _grid(config, "M", [0.0])]
     header = ["n", "sigma", "t", "M", "m_kind", "coverage", "se",
               "mean_radius_sq", "oracle_rate_sq", "mean_radius_to_oracle",
               "m2_theory", "m2_used", "reps"]
@@ -472,7 +499,7 @@ def run_coverage_ebr(config, seed, workers):
 
 def run_coverage_quarter(config, seed, workers):
     reps = int(config.get("reps", 200))
-    M_list = [float(m) for m in _grid(config, "M", [1.0])]
+    M_list = [nonnegative_number(m, "grid.M") for m in _grid(config, "M", [1.0])]
     header = ["n", "sigma", "M", "m_kind", "coverage", "se", "mean_radius_sq",
               "oracle_rate_sq", "mean_radius_to_oracle", "highly_structured", "reps"]
     rows = []
@@ -512,7 +539,7 @@ def run_size(config, seed, workers):
 
 def run_recovery_shell(config, seed, workers):
     reps = int(config.get("reps", 200))
-    M_list = [float(m) for m in _grid(config, "M", [0.0])]
+    M_list = [finite_number(m, "grid.M") for m in _grid(config, "M", [0.0])]
     header = ["n", "sigma", "M", "m_kind", "freq_lower", "freq_upper", "freq_shell",
               "se_shell", "delta", "rho_tau0_oracle", "rho_oracle", "reps"]
     rows = []
@@ -554,6 +581,7 @@ RUNNERS = {
     "recovery-shell": run_recovery_shell,
     "rate-scaling": run_rate_scaling,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(config: dict, seed: int, workers: int = 1):
@@ -565,22 +593,11 @@ def run_experiment(config: dict, seed: int, workers: int = 1):
     calibrate = config.get("calibrate") or {}
     if not isinstance(calibrate, dict):
         raise ConfigError(f"calibrate must be an object, got {calibrate!r}")
-    try:
-        float(calibrate.get("nominal", 0.95))
-    except (TypeError, ValueError):
-        raise ConfigError(f"calibrate.nominal must be a number, "
-                          f"got {calibrate['nominal']!r}") from None
-    counts = {"reps": config.get("reps", 1),
-              "calibrate.reps": calibrate.get("reps", 1),
-              "posterior_draws": config.get("posterior_draws", 1)}
-    for field, value in counts.items():
-        # a count below 1 would write NaN rows or fail inside numpy
-        try:
-            valid = int(value) >= 1
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"{field} must be an integer of at least 1, got {value!r}")
+    finite_number(calibrate.get("nominal", 0.95), "calibrate.nominal")
+    # a count below 1 would write NaN rows or fail inside numpy
+    integer(config.get("reps", 1), "reps", 1)
+    integer(calibrate.get("reps", 1), "calibrate.reps", 1)
+    integer(config.get("posterior_draws", 1), "posterior_draws", 1)
     return RUNNERS[name](config, seed, workers)
 
 

@@ -24,6 +24,8 @@ from .errors import UnsupportedFamilyError
 from .structures import Caps, Family
 
 EXPONENT_CAP = 700.0
+# largest ||P_{I'} P_I x - P_I x|| that check_a3 counts as containment
+CONTAINMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,25 +59,7 @@ class NoiseModel:
         return self.kind in ("gaussian", "rademacher", "ar1")
 
     def sample(self, rng, n: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.standard_normal(n)
-        if self.kind == "bounded-uniform":
-            return rng.uniform(-self.half_width, self.half_width, n)
-        if self.kind == "rademacher":
-            return 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
-        if self.kind == "ar1":
-            phi = self.coefficient
-            innov = rng.standard_normal(n)
-            out = np.empty(n)
-            out[0] = innov[0]
-            scale = math.sqrt(1.0 - phi * phi)
-            for t in range(1, n):
-                out[t] = phi * out[t - 1] + scale * innov[t]
-            return out
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.size != n:
-            raise ValueError(f"bernoulli-mean theta has length {theta.size}, need {n}")
-        return (rng.random(n) < theta).astype(float) - theta
+        return self.sample_many(rng, 1, n)[0]
 
     def sample_many(self, rng, reps: int, n: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -89,8 +73,8 @@ class NoiseModel:
             if theta.size != n:
                 raise ValueError(f"bernoulli-mean theta has length {theta.size}, need {n}")
             return (rng.random((reps, n)) < theta).astype(float) - theta
-        # ar1: the innovations fill the array in the stream order of `sample`
-        # row by row, and each column runs its recurrence step over all rows
+        # ar1: the innovations fill the array row by row, and each column
+        # runs its recurrence step over all rows
         phi = self.coefficient
         innov = rng.standard_normal((reps, n))
         out = np.empty_like(innov)
@@ -166,15 +150,12 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
 
 
 def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
-             d_fn=None, caps: Caps | None = None, se_mult: float = 2.0) -> list[A1Row]:
-    """Monte Carlo check of the projected-noise MGF bound, per structure.
-
-    d_fn defaults to the family's statistical dimension.  For theta-dependent
-    noise (bernoulli-mean) the estimate is at the supplied theta only, not
-    the sup over the parameter space.
+             caps: Caps | None = None, se_mult: float = 2.0) -> list[A1Row]:
+    """Monte Carlo check of the projected-noise MGF bound, per structure,
+    against the family's statistical dimension.  For theta-dependent noise
+    (bernoulli-mean) the estimate is at the supplied theta only, not the sup
+    over the parameter space.
     """
-    if d_fn is None:
-        d_fn = family.dim
     draws = noise.sample_many(rng, reps, family.ambient_dim)
     rows = []
     for structure, sq_norms in _projected_sq_norms(family, draws, caps):
@@ -182,7 +163,7 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
         n_sat = int(np.sum(exponents > EXPONENT_CAP))
         exponents = np.minimum(exponents, EXPONENT_CAP)
         est, se = _log_mean_exp_with_jackknife(exponents)
-        bound = float(d_fn(structure))
+        bound = float(family.dim(structure))
         rows.append(A1Row(structure, est, bound, se, n_sat, est <= bound + se_mult * se))
     return rows
 
@@ -244,8 +225,7 @@ class A3Report:
     passed: bool
 
 
-def check_a3(family: Family, n_pairs: int, rng, caps: Caps | None = None,
-             tol: float = 1e-8) -> A3Report:
+def check_a3(family: Family, n_pairs: int, rng, caps: Caps | None = None) -> A3Report:
     """Sampled pairs: P_{I'} must fix P_{I0}x and P_{I1}x, and
     rho(I') <= rho(I0) + rho(I1).  The complexity comparison allows a 1e-12
     relative slack because subadditivity holds with analytic equality for
@@ -271,7 +251,7 @@ def check_a3(family: Family, n_pairs: int, rng, caps: Caps | None = None,
         if excess > 1e-12 * (1.0 + abs(budget)):
             subadditive = False
     return A3Report(n_pairs, max_resid, max_excess,
-                    max_resid <= tol and subadditive)
+                    max_resid <= CONTAINMENT_TOL and subadditive)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ from .structures import (
 TIE_RTOL = 1e-12
 
 
+def _improves(obj: float, best: float) -> bool:
+    """Whether obj lies below best by more than the tie tolerance."""
+    return obj < best - TIE_RTOL * (1.0 + abs(obj))
+
+
 def penalty(family: Family, structure, kappa: float, pen_variant: str = "main") -> float:
     """pen(I) = 2*kappa*rho(I), plus dim(L_I) for the "map" variant."""
     dim = family.dim(structure) if pen_variant == "map" else 0
@@ -148,10 +153,9 @@ class _ArgminTracker:
         return (self.family.majorant(structure), self.family.sort_key(structure))
 
     def offer(self, structure, obj: float):
-        tol = TIE_RTOL * (1.0 + abs(min(self.best_obj, obj)))
-        if obj < self.best_obj - tol:
+        if _improves(obj, self.best_obj):
             self.best, self.best_obj, self.best_tie = structure, obj, self._tie_key(structure)
-        elif obj <= self.best_obj + tol:
+        elif obj <= self.best_obj + TIE_RTOL * (1.0 + abs(self.best_obj)):
             key = self._tie_key(structure)
             if self.best_tie is None or key < self.best_tie:
                 self.best, self.best_tie = structure, key
@@ -185,10 +189,6 @@ def _finish(proj, sigma, kappa, pen_variant, tracker):
     structure, _ = tracker.result()
     # report the objective through the shared evaluator for cross-checks
     return structure, objective(proj.y, proj.family, structure, sigma, kappa, pen_variant, proj)
-
-
-def _pen(family, structure, sigma, kappa, pen_variant):
-    return sigma**2 * penalty(family, structure, kappa, pen_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +340,7 @@ def _select_leveled(proj, sigma, kappa, pen_variant):
         for size in range(2**j + 1):
             pen_j = _penalty_value(family.level_majorant(j, size), size, kappa, pen_variant)
             val = (total - gains[size]) + sigma**2 * pen_j
-            tol = TIE_RTOL * (1.0 + abs(min(best_val, val)))
-            if val < best_val - tol:
+            if _improves(val, best_val):
                 best_size, best_val = size, val
         chosen.append(sorted_tuple(order[:best_size]))
     structure = family.canonical(chosen)
@@ -353,9 +352,9 @@ def _select_leveled(proj, sigma, kappa, pen_variant):
 # ---------------------------------------------------------------------------
 
 
-def _greedy_regression_path(Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj=None):
+def _greedy_regression_path(proj, sigma, kappa, pen_variant, rng, max_blocks):
     """Forward greedy over supports inside the small family, then the I_r elbow."""
-    proj = Projections.of(Y, family, proj)
+    family = proj.family
 
     def score(s):
         return objective(proj.y, family, s, sigma, kappa, pen_variant, proj)
@@ -368,7 +367,7 @@ def _greedy_regression_path(Y, family, sigma, kappa, pen_variant, rng, max_block
             if j in current:
                 continue
             obj = score(RegressionSupport(sorted_tuple(current + [j])))
-            if obj < best_obj - TIE_RTOL * (1.0 + abs(obj)):
+            if _improves(obj, best_obj):
                 best_j, best_obj = j, obj
         if best_j is None:
             break
@@ -494,7 +493,7 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                     for b in np.flatnonzero(row < min(obj + margin, row.min() + 2.0 * margin)):
                         labels[i] = b
                         cand = score(row_labels, col_labels)
-                        if cand < best_obj - TIE_RTOL * (1.0 + abs(cand)):
+                        if _improves(cand, best_obj):
                             best_b, best_obj = b, cand
                     labels[i] = best_b
                     if best_b != old:
@@ -513,9 +512,9 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     return traces[tracker.result()[0]]
 
 
-def _bicluster_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj=None):
+def _bicluster_search(proj, sigma, kappa, pen_variant, rng, max_blocks):
     """Best alternating trace for every block-count pair up to max_blocks."""
-    proj = Projections.of(Y, family, proj)
+    family = proj.family
     visited = []
     for k1 in range(1, min(max_blocks, family.n1) + 1):
         for k2 in range(1, min(max_blocks, family.n2) + 1):
@@ -525,7 +524,7 @@ def _bicluster_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, pro
     return visited
 
 
-def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj=None):
+def _clustering_search(proj, sigma, kappa, pen_variant, rng, max_blocks):
     """Sorted-order DP: clusters contiguous in value order, free sets of up to
     two coordinates swept exhaustively (none when n > 20), at most max_blocks
     clusters.
@@ -534,8 +533,7 @@ def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, pr
     separable, so one segmentation DP per free set gives, for every cluster
     count, the best clustering among the contiguous-in-sorted-order ones.
     """
-    proj = Projections.of(Y, family, proj)
-    y = proj.y
+    y, family = proj.y, proj.family
     n = family.n
     max_free = 2 if n <= 20 else 0  # the exhaustive free-set sweep is quadratic in n
     run_pen = 2.0 * kappa * sigma**2 * np.array([math.lgamma(ln + 1) for ln in range(n + 1)])
@@ -564,7 +562,7 @@ def _clustering_search(Y, family, sigma, kappa, pen_variant, rng, max_blocks, pr
     return candidates
 
 
-# every search takes (Y, family, sigma, kappa, pen_variant, rng, max_blocks, proj)
+# every search takes (proj, sigma, kappa, pen_variant, rng, max_blocks)
 _SEARCHES = {
     "regression": _greedy_regression_path,
     "bicluster": _bicluster_search,
@@ -580,7 +578,7 @@ def _search(proj, sigma, kappa, pen_variant, rng, max_blocks):
         raise ExactModeUnavailableError(
             f"no heuristic search path for family {family.tag}; enumerate instead")
     rng = rng if rng is not None else np.random.default_rng(0)
-    return search(proj.y, family, sigma, kappa, pen_variant, rng, max_blocks, proj)
+    return search(proj, sigma, kappa, pen_variant, rng, max_blocks)
 
 
 def search_candidates(Y, family: Family, sigma: float, kappa: float,
@@ -641,7 +639,7 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     if path is not None:
         tracker, stops = _ArgminTracker(family), _stops_early(family)
         for s, sse in path(proj.y, family):
-            pen = _pen(family, s, sigma, kappa, pen_variant)
+            pen = sigma**2 * penalty(family, s, kappa, pen_variant)
             if stops and tracker.settled(pen):
                 break
             tracker.offer(s, sse + pen)

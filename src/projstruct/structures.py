@@ -530,23 +530,36 @@ class LeveledSparsityFamily(Family):
     def _slicing(self, s):
         return (len(s.levels) - 1,) + tuple(len(lv) for lv in s.levels)
 
+    def _projected_count(self, caps: Caps) -> int:
+        """sum_{k <= m} C(N, k) supports of at most m = caps.max_size indices;
+        2^N when every coordinate can be in or out."""
+        n, m = self.ambient_dim, caps.max_size
+        return 2**n if m is None or m >= n else sum(math.comb(n, k) for k in range(m + 1))
+
+    def _level_sizes(self, caps: Caps):
+        """Tuples (k_0, ..., k_{L-1}) of per-level sizes, k_j <= 2^j, that sum
+        to at most caps.max_size, in the order of itertools.product over the
+        levels; no tuple past the bound is built."""
+        def tails(j, budget):
+            if j == self.n_levels:
+                yield ()
+                return
+            for k in range(min(2**j, budget) + 1):
+                for tail in tails(j + 1, budget - k):
+                    yield (k, *tail)
+
+        return tails(0, self.ambient_dim if caps.max_size is None else caps.max_size)
+
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
-        projected = 2**self.ambient_dim  # every coordinate is in or out
 
         def gen():
-            per_level = [
-                list(
-                    itertools.chain.from_iterable(
-                        itertools.combinations(range(2**j), size) for size in range(2**j + 1)
-                    )
-                )
-                for j in range(self.n_levels)
-            ]
-            for combo in itertools.product(*per_level):
-                yield self.canonical(combo)
+            for sizes in self._level_sizes(caps):
+                levels = (itertools.combinations(range(2**j), k) for j, k in enumerate(sizes))
+                for combo in itertools.product(*levels):
+                    yield self.canonical(combo)
 
-        out = sorted(_capped(gen(), caps, projected), key=self.sort_key)
+        out = sorted(_capped(gen(), caps, self._projected_count(caps)), key=self.sort_key)
         return iter(out)
 
     def size_classes(self, caps=None):
@@ -555,11 +568,10 @@ class LeveledSparsityFamily(Family):
         shares of the sizes.  The representative takes the first k_j indices
         of each level."""
         caps = caps or Caps()
-        _check_projected(caps, 2**self.ambient_dim)
-        per_level = [range(2**j + 1) for j in range(self.n_levels)]
+        _check_projected(caps, self._projected_count(caps))
         return [(math.prod(math.comb(2**j, k) for j, k in enumerate(sizes)),
                  self.canonical(range(k) for k in sizes))
-                for sizes in itertools.product(*per_level)]
+                for sizes in self._level_sizes(caps)]
 
     def _union(self, i0, i1):
         depth = max(len(i0.levels), len(i1.levels))

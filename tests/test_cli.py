@@ -364,6 +364,17 @@ def test_select_projects_each_structure_once(tmp_path, monkeypatch, family, most
     assert 0 < len(calls) <= most
 
 
+# family sections and signal sections the builders cannot build from
+FAMILY_ERRORS = [{"kind": "smoothness", "n": "x"}, {"kind": "smoothness", "n": 0},
+                 {"kind": "sparsity", "n": 8, "variant": "zz"},
+                 {"kind": "regression", "n_obs": 0, "p": 3}, ["smoothness", 8]]
+SIGNAL_ERRORS = [{"kind": "sparse", "s": "x"}, {"kind": "sparse", "amplitude": "x"},
+                 {"kind": "piecewise", "breaks": ["x"], "levels": [0.0, 1.0]}]
+BUILD_ERROR_IDS = ["family-n-string", "family-n-0", "sparsity-variant", "regression-n-obs-0",
+                   "family-a-list", "signal-s-string", "signal-amplitude-string",
+                   "piecewise-breaks-string"]
+
+
 @pytest.mark.parametrize("overrides,field", [
     ({"kappa": 0}, "kappa"),
     ({"kappa": "a"}, "kappa"),
@@ -374,8 +385,11 @@ def test_select_projects_each_structure_once(tmp_path, monkeypatch, family, most
     ({"posterior_top_k": -1}, "posterior_top_k"),
     ({"data": "nan-file"}, "non-finite"),
     ({"sigma": float("nan")}, "sigma"),
+    *[({"family": spec}, "family") for spec in FAMILY_ERRORS],
+    *[({"data": {"signal": spec}}, "signal") for spec in SIGNAL_ERRORS],
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
-        "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file", "sigma-nan"])
+        "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file", "sigma-nan",
+        *BUILD_ERROR_IDS])
 def test_select_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, overrides,
                                                    field):
     def no_scoring(*args, **kwargs):
@@ -415,8 +429,14 @@ COUNT_CONFIG = {
      "calibrate"),
     ({"experiment": "coverage-ebr", "grid": {"M": [0.0, 1.0]},
       "calibrate": {"nominal": "high"}}, "calibrate.nominal"),
+    ({"experiment": "estimation-risk", "reps": 2.5}, "reps"),
+    ({"experiment": "estimation-risk", "reps": "3"}, "reps"),
+    ({"experiment": "estimation-risk", "reps": True}, "reps"),
+    ({"experiment": "contraction", "grid": {"M": [0.0]}, "posterior_draws": 20.0},
+     "posterior_draws"),
 ], ids=["reps-0", "reps-negative", "calibrate-reps-0", "posterior-draws-0", "reps-not-a-number",
-        "calibrate-not-an-object", "calibrate-nominal-not-a-number"])
+        "calibrate-not-an-object", "calibrate-nominal-not-a-number", "reps-fraction",
+        "reps-string", "reps-bool", "posterior-draws-float"])
 def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, overrides,
                                               field):
     def no_replications(*args, **kwargs):
@@ -438,7 +458,13 @@ def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, ove
     ({"kappa": "a"}, "kappa"),
     ({"mode": "fast"}, "mode"),
     ({"pen_variant": "bic"}, "pen_variant"),
-], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant"])
+    *[({"family": spec}, "family") for spec in FAMILY_ERRORS],
+    *[({"signal": spec}, "signal") for spec in SIGNAL_ERRORS],
+    ({"constants": {"kappa": 1.0, "M0_override": "x"}}, "M0_override"),
+    ({"constants": {"kappa": 1.0, "C_nu": float("nan")}}, "C_nu"),
+    ({"constants": [1.0]}, "constants"),
+], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
+        *BUILD_ERROR_IDS, "m0-override-string", "c-nu-nan", "constants-a-list"])
 def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, overrides, field):
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication started")
@@ -452,3 +478,13 @@ def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, ove
     assert err.startswith("config error:") and field in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_check_a2_leveled_max_size_bounds_the_enumeration(tmp_path):
+    """Five levels hold 2^31 supports; one index in all leaves 32."""
+    cfg = write_config(tmp_path, {"check": "a2", "family": {"kind": "leveled", "n_levels": 5},
+                                  "nu": 1.5, "caps": {"max_size": 1}})
+    out = tmp_path / "a2.csv"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()[1:]
+    assert dict(zip(header.split(","), row.split(",")))["count"] == "32"

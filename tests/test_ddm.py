@@ -6,6 +6,7 @@ import pytest
 from projstruct.ddm import (
     CONDITIONAL_VAR_FACTOR,
     DdmConfig,
+    _sparsity_terms,
     log_elementary_symmetric,
     logsumexp,
     ma_mean,
@@ -322,3 +323,40 @@ def test_sample_conditional_covariance_on_non_coordinate_subspace():
     target = CONDITIONAL_VAR_FACTOR * proj
     emp = np.cov(arr.T, bias=True)
     assert np.max(np.abs(emp - target)) <= 0.01
+
+
+def test_sample_conditional_returns_one_array_of_the_row_values():
+    """One (count, N) array whose rows are center + scale * z, row by row."""
+    fam = SmoothnessFamily(6)
+    y = np.linspace(-1.0, 2.0, 6)
+    s = Truncation(3)
+    for c in (cfg(sigma=0.7), DdmConfig(kappa=1.0, sigma=0.7, conditional_law="resample",
+                                         z_sampler=lambda rng, n: rng.standard_normal(n))):
+        draws = sample_conditional(y, fam, s, c, np.random.default_rng(5), 4)
+        assert isinstance(draws, np.ndarray) and draws.shape == (4, 6)
+        rng = np.random.default_rng(5)
+        if c.conditional_law == "gaussian":
+            scale, z = c.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR), rng.standard_normal((4, 6))
+        else:
+            scale, z = c.sigma, np.stack([rng.standard_normal(6) for _ in range(4)])
+        center = fam.project(s, y)
+        rows = [center + scale * row for row in fam.project_many(s, z)]
+        assert draws.tobytes() == np.stack(rows).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 100, 601])
+def test_sparsity_size_penalties_match_the_written_out_formula(n):
+    """log c_k against pen_k = 2 kappa size_majorant(k) (+ k under map),
+    written out as a numpy array."""
+    y = np.random.default_rng(n).standard_normal(n)
+    for variant in ("rho", "rho_prime"):
+        fam = SparsityFamily(n, variant)
+        sizes = np.arange(n + 1)
+        for kappa in (0.3, 1.0, math.e - 1.0):
+            for pen_variant in ("main", "map"):
+                c = cfg(kappa=kappa, sigma=0.8, pen_variant=pen_variant)
+                pen = np.array([2.0 * kappa * fam.size_majorant(k) for k in sizes])
+                if pen_variant == "map":
+                    pen += sizes
+                base = -0.5 * sq_norm(y) / c.sigma**2
+                assert _sparsity_terms(y, fam, c)[1].tobytes() == (base - 0.5 * pen).tobytes()

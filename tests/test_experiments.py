@@ -1,4 +1,5 @@
 import collections
+import json
 import os
 from concurrent.futures.process import BrokenProcessPool
 
@@ -279,3 +280,48 @@ def test_point_estimate_projections_do_not_outlive_their_observation(estimator):
         for (theta, i_hat), (theta_ref, i_ref) in zip(got, want):
             assert i_hat == i_ref and theta.tobytes() == theta_ref.tobytes()
         assert got[0][0].tobytes() != got[1][0].tobytes()
+
+
+SMALL = {
+    "family": {"kind": "sparsity", "n": 6},
+    "signal": {"kind": "sparse", "s": 1, "amplitude": 4.0},
+    "sigma": 1.0, "kappa": 1.0, "reps": 4,
+    "constants": {"kappa": 1.0, "strict": False},
+}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"experiment": "size", "grid": [6]}, "grid"),
+    ({"experiment": "rate-scaling", "grid": {"n": [6, "x"]}}, "grid.n"),
+    ({"experiment": "rate-scaling", "grid": {"n": [6, 2.5]}}, "grid.n"),
+    ({"experiment": "rate-scaling", "grid": {"n": [6, 0]}}, "grid.n"),
+    ({"experiment": "coverage-ebr", "grid": {"t": [0.0, -1.0], "M": [0.0]}}, "grid.t"),
+    ({"experiment": "coverage-ebr", "grid": {"t": [0.0], "M": [-1.0]}}, "grid.M"),
+    ({"experiment": "coverage-ebr", "grid": {"t": [0.0], "M": ["x"]}}, "grid.M"),
+    ({"experiment": "coverage-quarter", "grid": {"M": [-0.5]}}, "grid.M"),
+    ({"experiment": "contraction", "grid": {"M": [float("inf")]}}, "grid.M"),
+    ({"experiment": "recovery-shell", "grid": {"M": ["x"]}}, "grid.M"),
+    ({"experiment": "size", "structured_c": 0}, "structured_c"),
+    ({"experiment": "coverage-quarter", "structured_c": "x"}, "structured_c"),
+    ({"experiment": "coverage-quarter", "duplication": "second-sample",
+      "v_statistic": "zz"}, "v_statistic"),
+], ids=["grid-not-an-object", "grid-n-string", "grid-n-fraction", "grid-n-0", "ebr-t-negative",
+        "ebr-M-negative", "ebr-M-string", "quarter-M-negative", "contraction-M-inf",
+        "recovery-M-string", "structured-c-0", "structured-c-string", "v-statistic-unknown"])
+def test_simulate_fields_are_checked_before_any_replication(tmp_path, monkeypatch, capsys,
+                                                            config, field):
+    started = _fake_pool(monkeypatch, _SerialPool, cpus=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL, **config}), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and err.count("\n") == 1
+    assert started == [] and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["contraction", "recovery-shell"])
+def test_negative_shell_offsets_stay_allowed(name):
+    cfg = dict(SMALL, experiment=name, reps=2, posterior_draws=5, grid={"M": [-1e9, -1.0]})
+    _, rows = run_experiment(cfg, seed=3)
+    assert [row[2] for row in rows] == [-1e9, -1.0]

@@ -156,14 +156,68 @@ def test_a2_leveled_and_bicluster_closed_forms():
     assert bic.passed
 
 
+def reference_sample(model, rng, n):
+    """One draw of n coordinates, written out per kind: the oracle for
+    `NoiseModel.sample` and `sample_many`."""
+    if model.kind == "gaussian":
+        return rng.standard_normal(n)
+    if model.kind == "bounded-uniform":
+        return rng.uniform(-model.half_width, model.half_width, n)
+    if model.kind == "rademacher":
+        return 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
+    if model.kind == "ar1":
+        phi = model.coefficient
+        innov = rng.standard_normal(n)
+        out = np.empty(n)
+        out[0] = innov[0]
+        scale = math.sqrt(1.0 - phi * phi)
+        for t in range(1, n):
+            out[t] = phi * out[t - 1] + scale * innov[t]
+        return out
+    theta = np.asarray(model.theta, dtype=float)
+    if theta.size != n:
+        raise ValueError(f"bernoulli-mean theta has length {theta.size}, need {n}")
+    return (rng.random(n) < theta).astype(float) - theta
+
+
+SAMPLE_MODELS = {
+    "gaussian": lambda n: NoiseModel("gaussian"),
+    "bounded-uniform": lambda n: NoiseModel("bounded-uniform", half_width=2.5),
+    "rademacher": lambda n: NoiseModel("rademacher"),
+    "ar1": lambda n: NoiseModel("ar1", coefficient=-0.7),
+    "bernoulli-mean": lambda n: NoiseModel("bernoulli-mean",
+                                           theta=tuple(np.linspace(0.0, 1.0, n))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLE_MODELS))
+def test_sampling_matches_the_per_kind_reference(kind):
+    """`sample` and each row of `sample_many` give the reference's bytes and
+    leave the generator in the reference's state."""
+    for n in (1, 2, 37):
+        model = SAMPLE_MODELS[kind](n)
+        for seed in range(20):
+            rngs = [np.random.default_rng(seed) for _ in range(4)]
+            one, want = model.sample(rngs[0], n), reference_sample(model, rngs[1], n)
+            assert one.shape == (n,) and one.tobytes() == want.tobytes(), (n, seed)
+            many = model.sample_many(rngs[2], 3, n)
+            rows = np.stack([reference_sample(model, rngs[3], n) for _ in range(3)])
+            assert many.tobytes() == rows.tobytes(), (n, seed)
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            assert rngs[2].bit_generator.state == rngs[3].bit_generator.state
+        if kind == "bernoulli-mean":
+            with pytest.raises(ValueError, match="length"):
+                model.sample(np.random.default_rng(0), n + 1)
+
+
 def test_ar1_sample_many_matches_row_by_row_sampling():
-    # the per-row loop over `sample` is the oracle: same stream, same bytes,
-    # and the generator left in the same state
+    # the per-row loop over the reference sampler is the oracle: same
+    # stream, same bytes, and the generator left in the same state
     for phi, reps, n in ((0.6, 300, 24), (-0.95, 7, 1), (0.0, 5, 3)):
         model = NoiseModel("ar1", coefficient=phi)
         fast_rng, slow_rng = np.random.default_rng(9), np.random.default_rng(9)
         fast = model.sample_many(fast_rng, reps, n)
-        slow = np.stack([model.sample(slow_rng, n) for _ in range(reps)])
+        slow = np.stack([reference_sample(model, slow_rng, n) for _ in range(reps)])
         assert fast.shape == slow.shape and fast.flags.c_contiguous
         assert fast.tobytes() == slow.tobytes(), phi
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
@@ -241,7 +295,7 @@ def test_a2_by_size_class_equals_the_enumerated_sum(family, caps):
     (JumpFamily(1100), Caps()),
     (KnotFamily(15), Caps(max_count=-1)),
     (LeveledSparsityFamily(4), Caps(max_count=2**15 - 1)),
-    (LeveledSparsityFamily(11), Caps(max_size=1)),  # max_size does not apply here
+    (LeveledSparsityFamily(11), Caps(max_size=3)),  # sum_{k<=3} C(2047, k) supports
 ], ids=["sparsity-18", "sparsity-18-max-size", "jump-past-float-range", "knot-negative",
         "leveled-4-one-short", "leveled-11"])
 def test_a2_cap_fires_like_the_enumeration(family, caps):

@@ -11,6 +11,7 @@ from projstruct.linalg import sq_norm
 from projstruct.selection import (
     TIE_RTOL,
     AlternatingTrace,
+    Projections,
     _ArgminTracker,
     _clustering_search,
     _label_blocks,
@@ -275,7 +276,8 @@ def test_clustering_search_matches_reference_dp():
         sigma, kappa = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 2.0))
         for max_blocks in (-1, 0, 1, 2, 4):
             for pen_variant in ("main", "map"):
-                got = _clustering_search(y, fam, sigma, kappa, pen_variant, None, max_blocks)
+                got = _clustering_search(Projections(y, fam), sigma, kappa, pen_variant, None,
+                                         max_blocks)
                 want = reference_clustering_search(y, fam, sigma, kappa, pen_variant,
                                                    max_blocks)
                 assert repr(got) == repr(want), (rep, max_blocks, pen_variant)
@@ -575,6 +577,56 @@ def test_settled_offers_leave_the_tracker_unchanged():
         for s in supports:
             tracker.offer(s, floor)
         assert (tracker.best, tracker.best_obj, tracker.best_tie) == state
+
+
+def _improves_min_form(obj, best):
+    return obj < best - TIE_RTOL * (1.0 + abs(min(best, obj)))
+
+
+def _improves_obj_form(obj, best):
+    return obj < best - TIE_RTOL * (1.0 + abs(obj))
+
+
+def test_improves_matches_both_written_out_spellings():
+    """`_improves` against the two forms the selectors once wrote out, the
+    tolerance from |min(best, obj)| and from |obj|, at magnitudes 1e-20 to
+    1e20, near ties, best = +inf and other edge values."""
+    rng = np.random.default_rng(2026)
+    mags = 10.0 ** rng.uniform(-20.0, 20.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+    pairs = [(m * (1.0 + k * TIE_RTOL), m)
+             for m in mags for k in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)]
+    pairs += [(float(a), float(b)) for a, b in zip(mags, rng.permutation(mags))]
+    edges = [0.0, -0.0, 1.0, -1.0, 1e-20, -1e20, 5e-324, 1.7e308, math.inf, -math.inf,
+             math.nan]
+    pairs += [(a, b) for a in edges + list(mags[:50]) for b in edges]
+    for obj, best in pairs:
+        want = _improves_min_form(obj, best)
+        assert want == _improves_obj_form(obj, best) == selection._improves(obj, best), \
+            (obj, best)
+    assert selection._improves(1e20, math.inf) and not selection._improves(math.inf, math.inf)
+
+
+def test_tracker_offer_matches_the_written_out_rule():
+    """`_ArgminTracker.offer` against its rule with one tolerance from
+    |min(best, obj)| for both the improvement and the tie clause."""
+    rng = np.random.default_rng(94)
+    fam = SparsityFamily(5)
+    supports = [SparseSet(c) for size in range(6) for c in itertools.combinations(range(5), size)]
+    for _ in range(300):
+        tracker = _ArgminTracker(fam)
+        best, best_obj, best_tie = None, math.inf, None
+        scale = 10.0 ** rng.uniform(-20.0, 20.0)
+        for _ in range(int(rng.integers(1, 12))):
+            s = supports[rng.integers(len(supports))]
+            obj = scale * float(rng.choice([1.0, 1.0 + 5e-13, 1.0 - 5e-13, 1.0 + 3e-12, 2.0]))
+            tracker.offer(s, obj)
+            tol = TIE_RTOL * (1.0 + abs(min(best_obj, obj)))
+            key = (fam.majorant(s), fam.sort_key(s))
+            if obj < best_obj - tol:
+                best, best_obj, best_tie = s, obj, key
+            elif obj <= best_obj + tol and (best_tie is None or key < best_tie):
+                best, best_tie, best_obj = s, key, min(best_obj, obj)
+            assert (tracker.best, tracker.best_obj, tracker.best_tie) == (best, best_obj, best_tie)
 
 
 def _jump_input(kind):

@@ -500,3 +500,35 @@ def test_leveled_canonical_form_trims_trailing_empty_levels():
     assert s == LeveledSparse(((0,),))
     with pytest.raises(InvalidStructureError):
         fam.dim(LeveledSparse(((0,), ())))
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+def test_leveled_max_size_bounds_the_total_index_count(n_levels):
+    """With max_size = m, the enumeration and the size classes are those of
+    the uncapped enumeration filtered to at most m indices in all, and the
+    projected count is sum_{k <= m} C(2^L - 1, k)."""
+    fam = LeveledSparsityFamily(n_levels)
+    full = list(fam.enumerate_structures())
+    for m in range(fam.ambient_dim + 2):
+        caps = Caps(max_size=m)
+        want = [s for s in full if fam.dim(s) <= m]
+        assert list(fam.enumerate_structures(caps)) == want, m
+        classes = fam.size_classes(caps)
+        assert sum(count for count, _ in classes) == len(want), m
+        sizes = [tuple(len(lv) for lv in rep.levels) + (0,) * (n_levels - len(rep.levels))
+                 for _, rep in classes]
+        per_level = (range(2**j + 1) for j in range(n_levels))
+        assert sizes == [k for k in itertools.product(*per_level) if sum(k) <= m], m
+        with pytest.raises(CapExceededError) as err:
+            list(fam.enumerate_structures(Caps(max_count=-1, max_size=m)))
+        assert err.value.projected_count == sum(
+            math.comb(fam.ambient_dim, k) for k in range(min(m, fam.ambient_dim) + 1))
+
+
+def test_leveled_max_size_builds_only_the_allowed_size_tuples():
+    """Five levels hold 2^31 supports, but one index in all leaves 32, in
+    six size classes."""
+    fam = LeveledSparsityFamily(5)
+    classes = fam.size_classes(Caps(max_size=1))
+    assert len(classes) == 6 and sum(count for count, _ in classes) == 32
+    assert len(list(fam.enumerate_structures(Caps(max_size=1)))) == 32
