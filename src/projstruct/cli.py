@@ -21,7 +21,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import __version__
-from .ddm import DdmConfig, ma_mean, sparsity_ma_mean_exact, structure_posterior
+from .ddm import DdmConfig, StructureMeasure
 from .errors import CapExceededError, ConfigError, ExactModeUnavailableError
 from .experiments import (
     build_family,
@@ -38,8 +38,7 @@ from .experiments import (
     selector_options,
 )
 from .noise import check_a1, check_a2, check_a3, check_a4
-from .selection import (POSTERIOR_CAPS, Projections, nested_path, search_candidates,
-                        select_penalized)
+from .selection import Projections, select_penalized
 from .structures import Caps
 from .errors import UnsupportedFamilyError
 
@@ -93,39 +92,11 @@ def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
     raise ConfigError("data section needs either 'file' or 'signal'")
 
 
-def _posterior_for(proj: Projections, cfg: DdmConfig, rng):
-    """Enumerate when feasible; otherwise fall back to an exactly-normalized
-    size path (sparsity) or a restricted candidate set from the heuristic
-    search paths."""
-    y, family = proj.y, proj.family
-    if family.tag == "sparsity" and 2**family.n > POSTERIOR_CAPS.max_count:
-        candidates = [s for s, _ in nested_path(y, family)]
-        return structure_posterior(y, family, cfg, candidates=candidates,
-                                   method="symmetric-polynomial", proj=proj)
-    try:
-        return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
-    except CapExceededError:
-        pass
-    try:
-        candidates = search_candidates(y, family, cfg.sigma, cfg.kappa,
-                                       cfg.pen_variant, rng=rng, proj=proj)
-    except ExactModeUnavailableError:
-        return None
-    return structure_posterior(y, family, cfg, candidates=candidates,
-                               method="restricted-candidate-set", proj=proj)
-
-
-def _select_options(config: dict):
-    """kappa, mode, pen_variant and posterior_top_k of a select config."""
-    kappa, mode, pen_variant = selector_options(config, _require(config, "kappa"))
-    top_k = integer(config.get("posterior_top_k", 5), "posterior_top_k", 0)
-    return kappa, mode, pen_variant, top_k
-
-
 def cmd_select(config: dict, seed: int, out_path: str) -> None:
     family = build_family(_require(config, "family"))
     sigma = resolve_sigma(_require(config, "sigma"), family.ambient_dim)
-    kappa, mode, pen_variant, top_k = _select_options(config)
+    kappa, mode, pen_variant = selector_options(config, _require(config, "kappa"))
+    top_k = integer(config.get("posterior_top_k", 5), "posterior_top_k", 0)
     y = _observation(config, family, sigma, seed)
 
     # P_I y for every structure that the selector, the posterior and
@@ -137,13 +108,8 @@ def cmd_select(config: dict, seed: int, out_path: str) -> None:
     theta_check = proj.project(structure)
 
     cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
-    post = _posterior_for(proj, cfg, derive_rng(seed, "select-posterior"))
-    if family.tag == "sparsity":
-        theta_tilde = sparsity_ma_mean_exact(y, family, cfg)
-    elif post is not None:
-        theta_tilde = ma_mean(y, family, post, proj)
-    else:
-        theta_tilde = None
+    measure = StructureMeasure(proj, cfg, derive_rng(seed, "select-posterior"))
+    post, theta_tilde = measure.posterior, measure.theta_tilde
 
     doc = {
         "version": __version__,

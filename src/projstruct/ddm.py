@@ -9,18 +9,23 @@ enumeration: the normalizer and all n inclusion marginals P(i in I | Y)
 (hence the exact model-averaging mean) take O(n^2) time, the marginals
 from one reverse pass through an 8(n+1)^2-byte table of the recurrence.
 Conditional laws produce draws supported on L_I.
+`StructureMeasure` alone decides which measure, and which model-averaging
+mean theta_tilde, a family gets; `select` and `simulate`'s "ma" estimator
+both read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExactModeUnavailableError
+from .errors import CapExceededError, ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import Projections, _ArgminTracker, _penalty_value, penalty
+from .selection import (POSTERIOR_CAPS, Projections, _ArgminTracker, _penalty_value,
+                        nested_path, penalty, search_candidates)
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
@@ -123,15 +128,11 @@ def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     return log_x, base - 0.5 * pen
 
 
-def sparsity_size_log_weights(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
-    """log of the total unnormalized mass per support size, for all sizes."""
-    log_x, log_c = _sparsity_terms(Y, family, cfg)
-    return log_c + log_elementary_symmetric(log_x)
-
-
 def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig) -> float:
-    """Exact log normalizer over all 2^n subsets, without enumeration."""
-    return logsumexp(sparsity_size_log_weights(Y, family, cfg))
+    """Exact log normalizer over all 2^n subsets, without enumeration: the
+    masses c_k e_k(x) of the support sizes, summed in the log domain."""
+    log_x, log_c = _sparsity_terms(Y, family, cfg)
+    return logsumexp(log_c + log_elementary_symmetric(log_x))
 
 
 def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
@@ -177,30 +178,19 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
         raise ValueError("posterior construction needs sigma > 0")
     if method == "auto":
         method = "enumeration" if candidates is None else "restricted-candidate-set"
-    if candidates is None:
-        if method == "restricted-candidate-set":
-            raise ValueError("restricted mode needs an explicit candidate set")
-        try:
-            candidates = list(family.enumerate_structures(caps))
-        except NotImplementedError as exc:
-            raise ExactModeUnavailableError(
-                f"family {family.tag} is not enumerable; pass explicit candidates") from exc
-    else:
-        candidates = list(candidates)
+    if method not in ("enumeration", "restricted-candidate-set", "symmetric-polynomial"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "symmetric-polynomial" and not isinstance(family, SparsityFamily):
+        raise ExactModeUnavailableError(
+            "symmetric-polynomial normalization applies to the sparsity family only")
+    candidates = list(family.enumerate_structures(caps) if candidates is None else candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
 
     proj = Projections.of(Y, family, proj)
     raw = np.array([log_unnormalized_weight(proj.y, family, s, cfg, proj) for s in candidates])
-    if method in ("enumeration", "restricted-candidate-set"):
-        log_z = logsumexp(raw)
-    elif method == "symmetric-polynomial":
-        if not isinstance(family, SparsityFamily):
-            raise ExactModeUnavailableError(
-                "symmetric-polynomial normalization applies to the sparsity family only")
-        log_z = sparsity_log_normalizer(Y, family, cfg)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    log_z = (sparsity_log_normalizer(Y, family, cfg) if method == "symmetric-polynomial"
+             else logsumexp(raw))
     return DdmPosterior(family, candidates, raw - log_z, method, log_normalizer=log_z)
 
 
@@ -235,6 +225,43 @@ def ms_mean(Y, family: Family, I_hat) -> np.ndarray:
 def sparsity_ma_mean_exact(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
     """Exact model-averaging mean over all 2^n supports: Y_i * P(i in I|Y)."""
     return np.asarray(Y, dtype=float) * sparsity_inclusion_probabilities(Y, family, cfg)
+
+
+class StructureMeasure:
+    """The structure measure of one observation; each part is built on first read.
+
+    `posterior`: the enumeration within POSTERIOR_CAPS; past it, the sparsity
+    nested path under the exact 2^n normalizer, else the restricted set the
+    heuristic search visits (drawing on rng), else None.  `theta_tilde`: for
+    sparsity, Y times the inclusion marginals, with no posterior built;
+    otherwise `ma_mean` over the posterior, or None."""
+
+    def __init__(self, proj: Projections, cfg: DdmConfig, rng=None):
+        self.proj, self.cfg, self.rng = proj, cfg, rng
+
+    @functools.cached_property
+    def posterior(self) -> DdmPosterior | None:
+        y, family, cfg, proj = self.proj.y, self.proj.family, self.cfg, self.proj
+        try:
+            return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
+        except CapExceededError:
+            pass
+        if isinstance(family, SparsityFamily):
+            return structure_posterior(y, family, cfg, [s for s, _ in nested_path(y, family)],
+                                       "symmetric-polynomial", proj=proj)
+        try:
+            candidates = search_candidates(y, family, cfg.sigma, cfg.kappa, cfg.pen_variant,
+                                           rng=self.rng, proj=proj)
+        except ExactModeUnavailableError:
+            return None
+        return structure_posterior(y, family, cfg, candidates, proj=proj)
+
+    @functools.cached_property
+    def theta_tilde(self) -> np.ndarray | None:
+        y, family = self.proj.y, self.proj.family
+        if isinstance(family, SparsityFamily):
+            return sparsity_ma_mean_exact(y, family, self.cfg)
+        return None if self.posterior is None else ma_mean(y, family, self.posterior, self.proj)
 
 
 def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng,

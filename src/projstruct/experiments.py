@@ -24,13 +24,12 @@ import numpy as np
 
 from . import __version__
 from .balls import contains, duplicate_gaussian, ebr_ball, highly_structured, quarter_ball, v_statistic
-from .ddm import (DdmConfig, ma_mean, sample_conditional, sparsity_ma_mean_exact,
-                  structure_posterior)
-from .errors import ConfigError
+from .ddm import DdmConfig, StructureMeasure, sample_conditional
+from .errors import ConfigError, ExactModeUnavailableError
 from .linalg import sq_norm
 from .noise import NoiseModel
 from .oracle import FrameworkConstants, oracle_rate
-from .selection import POSTERIOR_CAPS, Projections, select_penalized
+from .selection import Projections, select_penalized
 from .structures import (
     BandingFamily,
     BiclusterFamily,
@@ -85,25 +84,28 @@ def build_family(spec: dict, n_override: int | None = None) -> Family:
                 raise ConfigError(f"a grid over n is not supported for the {kind} family; "
                                   "size it explicitly in the family section")
             spec["n"] = n_override
+        for field in ("n", "n1", "n2", "n_obs", "p", "n_levels"):
+            if field in spec:
+                spec[field] = integer(spec[field], f"family.{field}", 1)
         if kind == "smoothness":
-            return SmoothnessFamily(int(spec["n"]))
+            return SmoothnessFamily(spec["n"])
         if kind == "sparsity":
-            return SparsityFamily(int(spec["n"]), spec.get("variant", "rho"))
+            return SparsityFamily(spec["n"], spec.get("variant", "rho"))
         if kind == "leveled":
-            return LeveledSparsityFamily(int(spec.get("n_levels", spec.get("n"))))
+            return LeveledSparsityFamily(spec.get("n_levels") or spec["n"])
         if kind == "clustering":
-            return ClusteringFamily(int(spec["n"]))
+            return ClusteringFamily(spec["n"])
         if kind == "jump":
-            return JumpFamily(int(spec["n"]))
+            return JumpFamily(spec["n"])
         if kind == "knot":
-            return KnotFamily(int(spec["n"]))
+            return KnotFamily(spec["n"])
         if kind == "banding":
-            return BandingFamily(int(spec.get("p", spec.get("n"))))
+            return BandingFamily(spec.get("p") or spec["n"])
         if kind == "bicluster":
-            return BiclusterFamily(int(spec["n1"]), int(spec["n2"]))
+            return BiclusterFamily(spec["n1"], spec["n2"])
         if kind == "regression":
-            rng = derive_rng(int(spec.get("design_seed", 0)), "design")
-            design = rng.standard_normal((int(spec["n_obs"]), int(spec["p"])))
+            rng = derive_rng(integer(spec.get("design_seed", 0), "family.design_seed", 0), "design")
+            design = rng.standard_normal((spec["n_obs"], spec["p"]))
             return RegressionFamily(design)
         raise ConfigError(f"unknown family kind {kind!r}")
 
@@ -125,9 +127,9 @@ def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
         if kind == "constant":
             return np.full(n, float(spec.get("value", 0.5)) * sigma)
         if kind == "sparse":
-            s = int(spec.get("s", 1))
+            s = integer(spec.get("s", 1), "signal.s", 0)
             if s > n:
-                raise ConfigError("sparse signal: s exceeds the ambient dimension")
+                raise ConfigError(f"sparse signal: s = {s} exceeds the ambient dimension {n}")
             theta = np.zeros(n)
             theta[:s] = float(spec.get("amplitude", 10.0)) * sigma
             return theta
@@ -142,15 +144,14 @@ def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
             scale = float(spec.get("scale", 1.0))
             return scale * ratio ** np.arange(n, dtype=float)
         if kind == "piecewise":
-            breaks = [int(b) for b in spec.get("breaks", [])]
+            breaks = [integer(b, "signal.breaks", 0) for b in spec.get("breaks", [])]
+            if breaks != sorted(set(breaks)) or (breaks and breaks[-1] > n - 2):
+                raise ConfigError(f"piecewise signal: breaks must increase within [0, {n - 2}]")
             levels = [float(v) for v in spec.get("levels", [0.0])]
             if len(levels) != len(breaks) + 1:
                 raise ConfigError("piecewise signal needs len(levels) == len(breaks)+1")
-            theta = np.empty(n)
-            bounds = [0] + [b + 1 for b in breaks] + [n]
-            for lv, lo, hi in zip(levels, bounds[:-1], bounds[1:]):
-                theta[lo:hi] = lv * sigma
-            return theta
+            # every level holds at least one coordinate, since the breaks increase
+            return np.repeat(levels, np.diff([0] + [b + 1 for b in breaks] + [n])) * sigma
         raise ConfigError(f"unknown signal kind {kind!r}")
 
 
@@ -228,9 +229,8 @@ def resolve_sigma(spec, n: int) -> float:
 def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str,
                    mode: str, pen_variant: str, rng=None):
     """Returns (theta_hat, I_hat).  "ms" projects onto the selected structure;
-    "ma" mixes projections under the structure measure (exact for sparsity
-    via symmetric polynomials, by enumeration otherwise).  Each structure is
-    projected once for this Y."""
+    "ma" is the theta_tilde that `select` writes (`ddm.StructureMeasure`), and
+    a cap error where it is None.  Each structure is projected once for this Y."""
     proj = Projections(Y, family)
     i_hat, _ = select_penalized(Y, family, sigma, kappa, mode=mode,
                                 pen_variant=pen_variant, rng=rng, proj=proj)
@@ -238,10 +238,12 @@ def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str
         return proj.project(i_hat), i_hat
     if estimator == "ma":
         cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
-        if isinstance(family, SparsityFamily):
-            return sparsity_ma_mean_exact(Y, family, cfg), i_hat
-        post = structure_posterior(Y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
-        return ma_mean(Y, family, post, proj), i_hat
+        theta_tilde = StructureMeasure(proj, cfg, rng).theta_tilde
+        if theta_tilde is None:
+            raise ExactModeUnavailableError(
+                f"the ma estimator needs a structure posterior, and family {family.tag} has "
+                "none: too many structures to enumerate and no heuristic search")
+        return theta_tilde, i_hat
     raise ConfigError(f"unknown estimator {estimator!r}")
 
 
@@ -264,6 +266,8 @@ class _Ctx:
         self.kappa, self.mode, self.pen_variant = selector_options(
             config, config.get("kappa", 1.0))
         self.estimator = config.get("estimator", "ms")
+        if self.estimator not in ("ms", "ma"):
+            raise ConfigError(f"unknown estimator {self.estimator!r}; choose ms or ma")
         self.noise = build_noise(config.get("noise"))
         self.theta = build_signal(config["signal"], self.family, self.sigma)
         self.constants = build_constants(config.get("constants"))

@@ -287,6 +287,41 @@ def test_select_bicluster_restricted_posterior(tmp_path):
     assert doc["theta_tilde"] is not None
 
 
+@pytest.mark.parametrize("family,mode,method,code", [
+    ({"kind": "clustering", "n": 10}, "heuristic", "restricted-candidate-set", 0),
+    ({"kind": "jump", "n": 18}, "exact", None, 3),
+], ids=["clustering-10", "jump-18"])
+def test_simulate_ma_uses_the_posterior_that_select_writes(tmp_path, family, mode, method,
+                                                            code):
+    """Clustering n = 10 is past the enumeration cap and has a heuristic
+    search; jump n = 18 is past it with no search, so it has no posterior,
+    and the ma estimator ends in one cap error line instead."""
+    common = {"family": family, "mode": mode, "sigma": 1.0, "kappa": 1.0}
+    signal = {"kind": "piecewise", "breaks": [4], "levels": [0.0, 3.0]}
+    cfg = write_config(tmp_path, {**common, "data": {"signal": signal}}, "select.json")
+    out = tmp_path / "sel.json"
+    r = run_cli("select", "--config", cfg, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert (doc["posterior"] or {}).get("method") == method
+    assert (doc["theta_tilde"] is None) == (method is None)
+
+    cfg = write_config(tmp_path, {**common, "signal": signal, "experiment": "estimation-risk",
+                                  "estimator": "ma", "reps": 2}, "simulate.json")
+    tables = []
+    for workers in ("1", "2"):
+        table = tmp_path / f"w{workers}.csv"
+        r = run_cli("simulate", "--config", cfg, "--out", str(table), "--workers", workers)
+        assert r.returncode == code, r.stderr
+        if code:
+            assert r.stderr.startswith("cap error:") and r.stderr.count("\n") == 1
+            assert not table.exists()
+        else:
+            assert r.stderr == ""
+            tables.append(table.read_bytes())
+    assert tables[:1] == tables[1:]
+
+
 @pytest.mark.parametrize("config", GOLDEN_SIMULATE, ids=lambda p: p.stem)
 def test_simulate_reproduces_golden_csv(tmp_path, config):
     """`projstruct simulate --config <name>.json --seed 31337` must write the
@@ -367,12 +402,37 @@ def test_select_projects_each_structure_once(tmp_path, monkeypatch, family, most
 # family sections and signal sections the builders cannot build from
 FAMILY_ERRORS = [{"kind": "smoothness", "n": "x"}, {"kind": "smoothness", "n": 0},
                  {"kind": "sparsity", "n": 8, "variant": "zz"},
-                 {"kind": "regression", "n_obs": 0, "p": 3}, ["smoothness", 8]]
+                 {"kind": "regression", "n_obs": 0, "p": 3}, ["smoothness", 8],
+                 {"kind": "smoothness", "n": 6.7}, {"kind": "smoothness", "n": "6"},
+                 {"kind": "smoothness", "n": True}, {"kind": "bicluster", "n1": 2.5, "n2": 3},
+                 {"kind": "bicluster", "n1": 3, "n2": "3"},
+                 {"kind": "regression", "n_obs": 6.0, "p": 3},
+                 {"kind": "regression", "n_obs": 6, "p": 3.5},
+                 {"kind": "leveled", "n_levels": 0}, {"kind": "banding", "p": 4.5},
+                 {"kind": "regression", "n_obs": 6, "p": 3, "design_seed": -1},
+                 {"kind": "regression", "n_obs": 6, "p": 3, "design_seed": 1.5}]
 SIGNAL_ERRORS = [{"kind": "sparse", "s": "x"}, {"kind": "sparse", "amplitude": "x"},
-                 {"kind": "piecewise", "breaks": ["x"], "levels": [0.0, 1.0]}]
+                 {"kind": "piecewise", "breaks": ["x"], "levels": [0.0, 1.0]},
+                 {"kind": "sparse", "s": -2}, {"kind": "sparse", "s": 2.5},
+                 {"kind": "sparse", "s": 9},
+                 {"kind": "piecewise", "breaks": [10], "levels": [0.0, 1.0]},
+                 {"kind": "piecewise", "breaks": [7], "levels": [0.0, 1.0]},
+                 {"kind": "piecewise", "breaks": [3, 1], "levels": [0.0, 1.0, 2.0]},
+                 {"kind": "piecewise", "breaks": [3, 3], "levels": [0.0, 1.0, 2.0]},
+                 {"kind": "piecewise", "breaks": [-1], "levels": [0.0, 1.0]},
+                 {"kind": "piecewise", "breaks": [2.5], "levels": [0.0, 1.0]}]
+# the family and signal sections are sized for n = 8
 BUILD_ERROR_IDS = ["family-n-string", "family-n-0", "sparsity-variant", "regression-n-obs-0",
-                   "family-a-list", "signal-s-string", "signal-amplitude-string",
-                   "piecewise-breaks-string"]
+                   "family-a-list", "family-n-fraction", "family-n-numeric-string",
+                   "family-n-bool", "bicluster-n1-fraction", "bicluster-n2-string",
+                   "regression-n-obs-float", "regression-p-fraction", "leveled-n-levels-0",
+                   "banding-p-fraction", "regression-design-seed-negative",
+                   "regression-design-seed-fraction",
+                   "signal-s-string", "signal-amplitude-string", "piecewise-breaks-string",
+                   "signal-s-negative", "signal-s-fraction", "signal-s-past-n",
+                   "piecewise-break-past-n", "piecewise-last-level-empty",
+                   "piecewise-breaks-decreasing", "piecewise-breaks-repeated",
+                   "piecewise-break-negative", "piecewise-break-fraction"]
 
 
 @pytest.mark.parametrize("overrides,field", [
@@ -434,9 +494,10 @@ COUNT_CONFIG = {
     ({"experiment": "estimation-risk", "reps": True}, "reps"),
     ({"experiment": "contraction", "grid": {"M": [0.0]}, "posterior_draws": 20.0},
      "posterior_draws"),
+    ({"experiment": "recovery-shell", "estimator": "bogus"}, "estimator"),
 ], ids=["reps-0", "reps-negative", "calibrate-reps-0", "posterior-draws-0", "reps-not-a-number",
         "calibrate-not-an-object", "calibrate-nominal-not-a-number", "reps-fraction",
-        "reps-string", "reps-bool", "posterior-draws-float"])
+        "reps-string", "reps-bool", "posterior-draws-float", "estimator-unknown"])
 def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, overrides,
                                               field):
     def no_replications(*args, **kwargs):

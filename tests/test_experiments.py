@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from projstruct import experiments
+from projstruct import ddm, experiments
 from projstruct.cli import main
 from projstruct.errors import ConfigError
 from projstruct.experiments import (
@@ -19,7 +19,7 @@ from projstruct.experiments import (
     resolve_sigma,
     run_experiment,
 )
-from projstruct.structures import KnotFamily, RegressionFamily
+from projstruct.structures import KnotFamily, RegressionFamily, SparsityFamily
 
 
 BASE = {
@@ -280,6 +280,22 @@ def test_point_estimate_projections_do_not_outlive_their_observation(estimator):
         for (theta, i_hat), (theta_ref, i_ref) in zip(got, want):
             assert i_hat == i_ref and theta.tobytes() == theta_ref.tobytes()
         assert got[0][0].tobytes() != got[1][0].tobytes()
+
+
+def test_ma_on_sparsity_builds_no_posterior(monkeypatch):
+    """The sparsity theta_tilde is Y times the O(n^2) inclusion marginals;
+    no structure posterior is built, even where enumeration would fit."""
+    def no_posterior(*args, **kwargs):
+        raise AssertionError("a structure posterior was built")
+
+    monkeypatch.setattr(ddm, "structure_posterior", no_posterior)
+    y = np.random.default_rng(5).standard_normal(6) * 3.0
+    family = SparsityFamily(6)
+    theta, _ = point_estimate(y, family, 0.8, 1.0, "ma", "exact", "main")
+    cfg = ddm.DdmConfig(kappa=1.0, sigma=0.8)
+    assert theta.tobytes() == (y * ddm.sparsity_inclusion_probabilities(y, family, cfg)).tobytes()
+    _, rows = run_experiment(dict(BASE, experiment="estimation-risk", estimator="ma"), seed=2)
+    assert len(rows) == 1
 
 
 SMALL = {
