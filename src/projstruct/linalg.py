@@ -3,7 +3,10 @@
 Everything operates on plain float64 numpy arrays.  Matrices representing
 parameters (covariance, bicluster means) are handled in vectorized row-major
 form by the callers; here a matrix argument is always a basis whose columns
-span the target subspace.
+span the target subspace.  A span is read off one thin SVD of its basis: the
+left singular vectors whose singular value exceeds COLUMN_DROP_RTOL times the
+largest column norm are an orthonormal basis of it, and their count is its
+dimension (`span_rank`, the same rule without the vectors).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-# Columns whose residual norm falls below this fraction of the largest
+# Directions whose singular value falls below this fraction of the largest
 # original column norm are treated as dependent and dropped.
 COLUMN_DROP_RTOL = 1e-10
 
@@ -32,48 +35,39 @@ def sq_norm(y) -> float:
     return float(np.dot(y, y))
 
 
-def orthonormal_span(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Q of the column span of ``basis``.
-
-    Modified Gram-Schmidt with column pivoting and one reorthogonalization
-    pass; rank-deficient inputs are fine, dependent columns are dropped at
-    the COLUMN_DROP_RTOL threshold.
-    """
+def _basis_and_drop_tol(basis) -> tuple[np.ndarray, float]:
+    """``basis`` as a 2-d float array, and COLUMN_DROP_RTOL times its largest
+    column norm (0.0 when it has no columns or only zero ones)."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
         raise DimensionMismatchError(f"basis must be 2-d, got shape {basis.shape}")
-    n, k = basis.shape
-    if k == 0:
-        return np.zeros((n, 0))
-    col_norms = np.linalg.norm(basis, axis=0)
-    largest = float(col_norms.max(initial=0.0))
-    if largest == 0.0:
-        return np.zeros((n, 0))
-    drop_tol = COLUMN_DROP_RTOL * largest
+    largest = float(np.linalg.norm(basis, axis=0).max(initial=0.0))
+    return basis, COLUMN_DROP_RTOL * largest
 
-    work = basis.copy()
-    cols: list[np.ndarray] = []
-    remaining = list(range(k))
-    while remaining:
-        norms = np.linalg.norm(work[:, remaining], axis=0)
-        j_local = int(np.argmax(norms))
-        if norms[j_local] <= drop_tol:
-            break
-        j = remaining.pop(j_local)
-        q = work[:, j].copy()
-        for prev in cols:  # second orthogonalization pass for accuracy
-            q -= prev * np.dot(prev, q)
-        nq = np.linalg.norm(q)
-        if nq <= drop_tol:
-            continue
-        q /= nq
-        cols.append(q)
-        if remaining:
-            rem = np.asarray(remaining)
-            work[:, rem] -= np.outer(q, q @ work[:, rem])
-    if not cols:
-        return np.zeros((n, 0))
-    return np.column_stack(cols)
+
+def orthonormal_span(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q of the column span of ``basis``.
+
+    Q is the thin SVD's left singular vectors with singular value above
+    COLUMN_DROP_RTOL times the largest column norm, so rank-deficient inputs
+    are fine.  The SVD is backward stable (Golub & Van Loan, Matrix
+    Computations, 5.4) and shows the rank directly.  Callers use only
+    Q Q^T, which does not depend on the choice of Q.
+    """
+    basis, drop_tol = _basis_and_drop_tol(basis)
+    if drop_tol == 0.0:
+        return np.zeros((basis.shape[0], 0))
+    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
+    return u[:, sv > drop_tol]
+
+
+def span_rank(basis: np.ndarray) -> int:
+    """Dimension of the column span of ``basis``: the number of columns
+    ``orthonormal_span`` keeps, by the same drop rule."""
+    basis, drop_tol = _basis_and_drop_tol(basis)
+    if drop_tol == 0.0:
+        return 0
+    return int(np.count_nonzero(np.linalg.svd(basis, compute_uv=False) > drop_tol))
 
 
 def project_rows_onto_span(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -81,7 +75,7 @@ def project_rows_onto_span(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     of ``basis``.
 
     Each residual is orthogonal to every column; redundant (proportional)
-    columns are handled by the pivoted factorization.
+    columns add no direction to the span.
     """
     basis = np.asarray(basis, dtype=float)
     rows = np.asarray(rows, dtype=float)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (CapExceededError, DimensionMismatchError, InvalidStructureError,
                      UnsupportedFamilyError)
-from .linalg import as_vector, project_rows_onto_span
+from .linalg import as_vector, project_rows_onto_span, span_rank
 
 LOG = math.log
 
@@ -385,7 +385,10 @@ class _PositionSetFamily(Family):
         """counts[k]: the number of sets of size k, for each size the caps allow."""
         count = self.last - self.first + 1
         max_size = count if caps.max_size is None else min(caps.max_size, count)
-        return [math.comb(count, size) for size in range(max_size + 1)]
+        counts = [1]
+        for k in range(max_size):  # C(count, k+1) = C(count, k) (count-k) / (k+1)
+            counts.append(counts[-1] * (count - k) // (k + 1))
+        return counts
 
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
@@ -794,15 +797,14 @@ class RegressionFamily(Family):
         self.design = design
         self.n_obs, self.p = design.shape
         self.ambient_dim = self.n_obs
-        self.rank = int(np.linalg.matrix_rank(design))
+        self.rank = span_rank(design)
         self.full_rank_structure = RegressionSupport(self._greedy_independent(), True)
 
     def _greedy_independent(self) -> tuple[int, ...]:
         chosen: list[int] = []
         rank = 0
         for j in range(self.p):
-            cand = self.design[:, chosen + [j]]
-            if np.linalg.matrix_rank(cand) > rank:
+            if span_rank(self.design[:, chosen + [j]]) > rank:
                 chosen.append(j)
                 rank += 1
             if rank == self.rank:
@@ -834,11 +836,7 @@ class RegressionFamily(Family):
         return project_rows_onto_span(self.columns(s), rows)
 
     def _dim(self, s):
-        if s.full_rank:
-            return self.rank
-        if not s.indices:
-            return 0
-        return int(np.linalg.matrix_rank(self.columns(s)))
+        return self.rank if s.full_rank else span_rank(self.columns(s))
 
     def _majorant(self, s):
         if s.full_rank:

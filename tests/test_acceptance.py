@@ -8,6 +8,7 @@ directory); the test pins the true state of affairs instead of the
 impossible assertion.
 """
 
+import csv
 import json
 import math
 import subprocess
@@ -364,7 +365,7 @@ DETERMINISM_CONFIGS = {
         "signal": {"kind": "sobolev", "beta": 1.0, "Q": 1.0},
         "sigma": 0.25, "kappa": 1.0, "reps": 5, "posterior_draws": 20,
         "grid": {"M": [0.0, 2.0]},
-        "constants": {"kappa": 1.0, "strict": False},
+        "constants": {"kappa": 1.0, "strict": False, "M0_override": 1.0},
     },
     "estimation-risk": {
         "experiment": "estimation-risk",
@@ -398,7 +399,7 @@ DETERMINISM_CONFIGS = {
         "experiment": "recovery-shell",
         "family": {"kind": "sparsity", "n": 12},
         "signal": {"kind": "sparse", "s": 2, "amplitude": 8.0},
-        "sigma": 1.0, "kappa": 1.0, "reps": 5, "grid": {"M": [0.0]},
+        "sigma": 1.0, "kappa": 1.0, "reps": 5, "grid": {"M": [0.0, 10.0]},
         "constants": {"kappa": 1.0, "strict": False},
     },
     "rate-scaling": {
@@ -408,6 +409,9 @@ DETERMINISM_CONFIGS = {
         "sigma": "1/sqrt(n)", "kappa": 1.0, "reps": 5, "grid": {"n": [16, 32]},
     },
 }
+# Columns that must hold a nonzero value, so that a change to the oracle
+# rate or to the upper shell bound would change the determinism CSVs.
+DETERMINISM_NONZERO = {"contraction": "frac_exceed", "recovery-shell": "freq_upper"}
 
 
 def test_criterion_10_simulate_determinism(tmp_path):
@@ -427,5 +431,10 @@ def test_criterion_10_simulate_determinism(tmp_path):
             assert r.returncode == 0, (name, r.stderr)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], f"{name} output not byte-identical"
+        if name in DETERMINISM_NONZERO:
+            column = DETERMINISM_NONZERO[name]
+            rows = csv.DictReader(line for line in blobs[0].decode().splitlines()
+                                  if not line.startswith("#"))
+            assert any(float(row[column]) != 0.0 for row in rows), (name, column)
     report("criterion 10 (determinism): PASS — byte-identical CSVs for all 7 "
            "experiments under a repeated seed")

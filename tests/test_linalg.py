@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from projstruct.errors import DimensionMismatchError
-from projstruct.linalg import project_rows_onto_span, sq_norm
+from projstruct.linalg import (
+    COLUMN_DROP_RTOL,
+    orthonormal_span,
+    project_rows_onto_span,
+    span_rank,
+    sq_norm,
+)
+from projstruct.structures import KnotFamily, KnotSet
 
 
 def ridge_sweep_projection(basis, y):
@@ -14,6 +21,46 @@ def ridge_sweep_projection(basis, y):
         gram = basis.T @ basis + lam * np.eye(basis.shape[1])
         out = basis @ np.linalg.solve(gram, basis.T @ y)
     return out
+
+
+def mgs_orthonormal_span(basis):
+    """Oracle: the pivoted modified Gram-Schmidt that orthonormal_span used
+    before the thin SVD, kept verbatim.  Modified Gram-Schmidt with column
+    pivoting and one reorthogonalization pass; dependent columns are dropped
+    at the COLUMN_DROP_RTOL threshold."""
+    basis = np.asarray(basis, dtype=float)
+    n, k = basis.shape
+    if k == 0:
+        return np.zeros((n, 0))
+    col_norms = np.linalg.norm(basis, axis=0)
+    largest = float(col_norms.max(initial=0.0))
+    if largest == 0.0:
+        return np.zeros((n, 0))
+    drop_tol = COLUMN_DROP_RTOL * largest
+
+    work = basis.copy()
+    cols: list[np.ndarray] = []
+    remaining = list(range(k))
+    while remaining:
+        norms = np.linalg.norm(work[:, remaining], axis=0)
+        j_local = int(np.argmax(norms))
+        if norms[j_local] <= drop_tol:
+            break
+        j = remaining.pop(j_local)
+        q = work[:, j].copy()
+        for prev in cols:  # second orthogonalization pass for accuracy
+            q -= prev * np.dot(prev, q)
+        nq = np.linalg.norm(q)
+        if nq <= drop_tol:
+            continue
+        q /= nq
+        cols.append(q)
+        if remaining:
+            rem = np.asarray(remaining)
+            work[:, rem] -= np.outer(q, q @ work[:, rem])
+    if not cols:
+        return np.zeros((n, 0))
+    return np.column_stack(cols)
 
 
 def project(basis, y):
@@ -76,3 +123,48 @@ def test_projection_algebra_random():
             col = basis[:, j]
             bound = 1e-8 * np.linalg.norm(col) * np.linalg.norm(y) + 1e-12
             assert abs(np.dot(col, resid)) <= bound
+
+
+def _differential_bases():
+    """Bases for the SVD-versus-MGS comparison: random, with proportional
+    or zero columns, knot hinge bases up to n=40, and a regression design
+    with a duplicated column."""
+    rng = np.random.default_rng(14)
+    for _ in range(120):
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(0, n + 1))
+        basis = rng.standard_normal((n, k)) * rng.choice([1e-6, 1.0, 1e6])
+        for j in range(1, k):
+            draw = rng.random()
+            if draw < 0.2:
+                basis[:, j] = rng.standard_normal() * basis[:, int(rng.integers(0, j))]
+            elif draw < 0.3:
+                basis[:, j] = 0.0
+        yield f"random-{n}x{k}", basis
+    for n in (3, 4, 8, 16, 25, 40):
+        fam = KnotFamily(n)
+        interior = range(fam.first, fam.last + 1)
+        yield f"knot-{n}-none", fam.basis(KnotSet(()))
+        yield f"knot-{n}-all", fam.basis(KnotSet(tuple(interior)))
+        for _ in range(10):
+            knots = sorted(rng.choice(list(interior), size=int(rng.integers(1, len(interior) + 1)),
+                                      replace=False))
+            yield f"knot-{n}-{len(knots)}", fam.basis(KnotSet(tuple(int(k) for k in knots)))
+    design = rng.standard_normal((40, 20))
+    design[:, 7] = design[:, 3]
+    yield "regression-duplicate", design
+    yield "regression-duplicate-pair", design[:, [3, 7]]
+
+
+@pytest.mark.parametrize("basis", [pytest.param(basis, id=f"{i}-{name}")
+                                   for i, (name, basis) in enumerate(_differential_bases())])
+def test_svd_span_matches_mgs_oracle(basis):
+    """The thin SVD keeps as many columns as the pivoted MGS it replaced, and
+    both give the same projection Q Q^T y."""
+    got, want = orthonormal_span(basis), mgs_orthonormal_span(basis)
+    assert got.shape == want.shape
+    assert span_rank(basis) == got.shape[1]
+    rng = np.random.default_rng(got.shape[0])
+    for y in (rng.standard_normal(got.shape[0]), basis.sum(axis=1)):
+        diff = got @ (got.T @ y) - want @ (want.T @ y)
+        assert np.max(np.abs(diff), initial=0.0) <= 1e-12 * (1.0 + np.linalg.norm(y))

@@ -12,6 +12,7 @@ from projstruct.errors import (
     InvalidStructureError,
     UnsupportedFamilyError,
 )
+from projstruct.linalg import orthonormal_span
 from projstruct.structures import (
     Band,
     BandingFamily,
@@ -102,6 +103,21 @@ def test_regression_dim_is_rank_of_selected_columns():
     assert fam.dim(RegressionSupport((0, 1))) == 1
     assert fam.dim(RegressionSupport((0, 2))) == 2
     assert fam.dim(fam.full_rank_structure) == fam.rank == 19
+
+
+def test_regression_rank_follows_the_projection_drop_rule():
+    """A column within 1e-12 of another adds no direction to the projection,
+    so it adds none to dim, rank or I_r either."""
+    rng = np.random.default_rng(5)
+    design = rng.standard_normal((40, 20))
+    design[:, 1] = design[:, 0] + 1e-12 * rng.standard_normal(40)
+    fam = RegressionFamily(design)
+    pair = RegressionSupport((0, 1))
+    for s in (pair, fam.full_rank_structure):
+        assert fam.dim(s) == orthonormal_span(fam.columns(s)).shape[1]
+    assert fam.dim(pair) == 1
+    assert fam.rank == fam.dim(fam.full_rank_structure) == 19
+    assert 1 not in fam.full_rank_structure.indices
 
 
 def test_banding_dim_matches_closed_form():
@@ -211,6 +227,17 @@ def test_size_classes_fit_a_cap_the_enumeration_fits():
     for fam, caps in ((SparsityFamily(14), Caps(max_count=2**14)),
                       (LeveledSparsityFamily(4), Caps(max_count=2**15))):
         assert sum(count for count, _ in fam.size_classes(caps)) == caps.max_count
+
+
+@pytest.mark.parametrize("fam", [SparsityFamily(n) for n in (1, 2, 7, 40, 600)]
+                         + [JumpFamily(30), KnotFamily(25)],
+                         ids=lambda fam: f"{fam.tag}-{fam.n}")
+def test_class_counts_are_binomial_coefficients(fam):
+    count = fam.last - fam.first + 1
+    for max_size in (None, 0, 1, 5, count - 1, count, count + 3):
+        top = count if max_size is None else min(max_size, count)
+        assert fam._class_counts(Caps(max_size=max_size)) == [
+            math.comb(count, k) for k in range(top + 1)], max_size
 
 
 def test_cap_exceeded_reports_projected_count():
