@@ -119,12 +119,11 @@ def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
 def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     """log x_j = Y_j^2 / (2 sigma^2) and log c_k, the weight of a size-k
     support apart from its prod x_j: base - pen_k / 2, with pen_k the
-    `penalty` of a size-k support, built without one."""
+    `penalty` of a size-k support, from the family's per-size vectors."""
     y = np.asarray(Y, dtype=float)
     log_x = 0.5 * (y * y) / cfg.sigma**2
     base = -0.5 * sq_norm(y) / cfg.sigma**2
-    pen = np.array([_penalty_value(family.size_majorant(k), k, cfg.kappa, cfg.pen_variant)
-                    for k in range(family.n + 1)])
+    pen = _penalty_value(family.size_majorants, family.size_dims, cfg.kappa, cfg.pen_variant)
     return log_x, base - 0.5 * pen
 
 

@@ -2,29 +2,29 @@
 
 The selected structure minimizes  ||Y - P_I Y||^2 + sigma^2 * pen(I)  with
 pen(I) = 2*kappa*rho(I) (or the model-averaging variant that adds dim L_I).
-The method is looked up by family tag.  Nested-path families (`_PATHS`:
-smoothness, banding, sparsity, jump) score one (structure, SSE) pair per
-size; leveled sparsity scans each level alone; the rest are enumerated
-within `EXACT_CAPS`.  Heuristic mode runs the family's search (`_SEARCHES`:
+The method is looked up by family tag.  Nested-path families score one
+structure per size: smoothness, banding and sparsity (`_SIZE_PATHS`) as one
+numpy objective array over sizes, jump (`_PATHS`) lazily along its DP rows;
+leveled sparsity scans each level alone; the rest are enumerated within
+`EXACT_CAPS`.  Heuristic mode runs the family's search (`_SEARCHES`:
 regression greedy, bicluster alternation, clustering DP), or the exact
 selector when it has none; `search_candidates` returns what the search visits.
 The jump path (`segment_dp`) and the clustering search run one segmentation
 DP, `_segmentations`; the clustering search runs it once per free set.
 
-Nested paths are built lazily, in size order, and scoring stops once the
-penalty alone loses: when sigma^2 * pen of the next entry exceeds the
-tracker's kept objective by more than the tie tolerance, that entry and
-every later one leave the result as it is (`_ArgminTracker.settled`).  This
-is exact where two things hold along the path (`_stops_early`): pen never
-decreases, and every SSE is >= 0 in floating point, so each later objective
-is at least its pen.  Both hold for jump (clipped DP costs), smoothness
-(suffix sums of squares) and sparsity under rho (prefix sums of squares).
-The bound is the kept objective, not the running minimum of the offers: a
-tie that keeps the earlier structure leaves the kept objective above that
-minimum, and a later offer can still tie with it and win on its key.
-Banding is scored in full, because its total - energy can fall below 0 by
-rounding, and so is sparsity under rho', whose majorant max{s, log C(n, s)}
-falls for a stretch past s = n/2.  The clustering search reads every cut
+On a size-indexed path pen depends on the size alone, so the objective
+array is sse + sigma^2 * pen_k with the float operations of `penalty`,
+elementwise, and only the sizes within 2(n+2) tie tolerances of its minimum
+are offered to the tie rule and built as structures (`_near_minimum` gives
+the bound).  The jump path stops once the penalty alone loses: when
+sigma^2 * pen of the next entry exceeds the tracker's kept objective by
+more than the tie tolerance, that entry and every later one leave the
+result as it is (`_ArgminTracker.settled`).  This is exact because pen
+never decreases along it and every SSE is >= 0 (clipped DP costs), so each
+later objective is at least its pen.  The bound is the kept objective, not
+the running minimum of the offers: a tie that keeps the earlier structure
+leaves the kept objective above that minimum, and a later offer can still
+tie with it and win on its key.  The clustering search reads every cut
 count, since each one is a candidate of its restricted posterior.
 
 The bicluster alternation scores a move exactly only when the move can
@@ -270,12 +270,12 @@ def segment_dp(values, max_breaks: int):
 # ---------------------------------------------------------------------------
 
 
-def _smoothness_path(y, family):
+def _smoothness_sizes(y, family):
     tails = np.concatenate([np.cumsum((y * y)[::-1])[::-1], [0.0]])
-    return ((Truncation(level), tails[level]) for level in range(family.n + 1))
+    return tails, Truncation
 
 
-def _banding_path(y, family):
+def _banding_sizes(y, family):
     y = y.reshape(family.p, family.p)
     sym = 0.5 * (y + y.T)
     total = float(np.sum(y * y))
@@ -283,7 +283,7 @@ def _banding_path(y, family):
     dist = np.abs(idx[:, None] - idx[None, :])
     # captured energy of the symmetric part per band width
     energy = np.array([float(np.sum((sym * sym)[dist <= w])) for w in range(family.p)])
-    return [(Band(w), total - energy[w]) for w in range(family.p)]
+    return total - energy, Band
 
 
 def _magnitude_gains(y):
@@ -293,39 +293,62 @@ def _magnitude_gains(y):
     return order, np.concatenate([[0.0], np.cumsum((y * y)[order])])
 
 
-def _sparsity_path(y, family):
+def _sparsity_sizes(y, family):
     order, gains = _magnitude_gains(y)
-    return ((SparseSet(sorted_tuple(order[:size])), gains[-1] - gains[size])
-            for size in range(family.n + 1))
+    return gains[-1] - gains, lambda size: SparseSet(sorted_tuple(order[:size]))
 
 
 def _jump_path(y, family):
     return ((JumpSet(breaks), sse) for sse, breaks in _break_sets(y, family.n - 1))
 
 
-_PATHS = {
-    "smoothness": _smoothness_path,
-    "banding": _banding_path,
-    "sparsity": _sparsity_path,
-    "jump": _jump_path,
+# size-indexed paths: (sse, build), the SSE of every size k = 0..n_sizes-1
+# and build(k), the size-k structure
+_SIZE_PATHS = {
+    "smoothness": _smoothness_sizes,
+    "banding": _banding_sizes,
+    "sparsity": _sparsity_sizes,
 }
+
+# lazy paths: (structure, SSE) pairs in size order
+_PATHS = {"jump": _jump_path}
 
 
 def nested_path(Y, family: Family):
     """(structure, SSE) pairs along the family's nested path, one per size,
     or None when the family has no such path."""
+    y = np.asarray(Y, dtype=float)
+    sizes = _SIZE_PATHS.get(family.tag)
+    if sizes is not None:
+        sse, build = sizes(y, family)
+        return [(build(k), sse[k]) for k in range(sse.size)]
     path = _PATHS.get(family.tag)
-    return None if path is None else list(path(np.asarray(Y, dtype=float), family))
+    return None if path is None else list(path(y, family))
 
 
-def _stops_early(family) -> bool:
-    """Whether the nested path may stop once sigma^2 * pen alone loses: pen
-    never decreases along it and every SSE on it is >= 0.  Banding's SSEs
-    can fall below 0 by rounding, and sparsity's rho' majorant
-    max{s, log C(n, s)} falls for a stretch past s = n/2."""
-    if family.tag == "sparsity":
-        return family.majorant_variant == "rho"
-    return family.tag in ("smoothness", "jump")
+def _near_minimum(obj: np.ndarray) -> list[int]:
+    """The sizes whose objective lies within 2(n+2) tie tolerances of the
+    minimum, n + 1 = obj.size, in path order; scoring them alone selects
+    what scoring every size does.
+
+    With T = TIE_RTOL * (1 + max|obj|), no tie tolerance on the path exceeds
+    T.  The band [m, m + 2(n+2)T] above the minimum m holds at most n+1
+    values, so the gaps between its sorted values and the band's top, at
+    most n+1 of them, sum to 2(n+2)T: one gap exceeds 2T.  Call the entries
+    below that gap low (the minimum is one) and the others high; every high
+    value exceeds every low value by more than 2T.
+    - A low offer improves on a kept high entry and replaces the tracker's
+      whole state, so the first low offer leaves the same state whatever
+      high entries came before it.
+    - From then on the kept objective is a low value, and a high offer
+      neither improves on it nor ties with it.
+    So scoring any set of entries that holds every low one, in path order,
+    ends in the same state: the band and the whole path both do, chained
+    ties included.  NaN entries (from overflowed data) never change the
+    tracker and are skipped.
+    """
+    width = 2 * (obj.size + 1) * TIE_RTOL * (1.0 + np.nanmax(np.abs(obj)))
+    return np.flatnonzero(obj <= np.nanmin(obj) + width).tolist()
 
 
 def _select_leveled(proj, sigma, kappa, pen_variant):
@@ -619,14 +642,15 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     (forward greedy) and bicluster/clustering searches, and falls back to
     exact mode, with the same caps, for the other families.
 
-    A nested path stops being read once sigma^2 * pen alone exceeds the
-    tracker's kept objective by more than the tie tolerance.  Where pen never
-    decreases along the path and every SSE is >= 0 (jump, smoothness and
-    sparsity under rho; not banding or sparsity under rho'), no later entry
-    could be taken or tie, so the result is that of scoring the whole path.
+    The size-indexed paths (smoothness, banding, sparsity) are scored as one
+    objective array, and only the sizes near its minimum are offered to the
+    tie rule (`_near_minimum`).  The jump path is read lazily and stops once
+    sigma^2 * pen alone exceeds the kept objective by more than the tie
+    tolerance: pen never decreases along it and every SSE is >= 0, so no
+    later entry could be taken or tie.
     """
-    if sigma <= 0 or kappa <= 0:
-        raise ValueError("sigma and kappa must be positive")
+    if not (0 < sigma < math.inf and 0 < kappa < math.inf):
+        raise ValueError("sigma and kappa must be positive and finite")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     proj = Projections.of(Y, family, proj)
@@ -635,12 +659,22 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
         for s, obj in _search(proj, sigma, kappa, pen_variant, rng, max_blocks):
             tracker.offer(s, obj)
         return _finish(proj, sigma, kappa, pen_variant, tracker)
+    sizes = _SIZE_PATHS.get(family.tag)
+    if sizes is not None:
+        sse, build = sizes(proj.y, family)
+        # the float operations of `sse + sigma**2 * penalty(...)`, elementwise
+        obj = sse + sigma**2 * _penalty_value(family.size_majorants, family.size_dims, kappa,
+                                              pen_variant)
+        tracker = _ArgminTracker(family)
+        for k in _near_minimum(obj):
+            tracker.offer(build(k), obj[k])
+        return _finish(proj, sigma, kappa, pen_variant, tracker)
     path = _PATHS.get(family.tag)
     if path is not None:
-        tracker, stops = _ArgminTracker(family), _stops_early(family)
+        tracker = _ArgminTracker(family)
         for s, sse in path(proj.y, family):
             pen = sigma**2 * penalty(family, s, kappa, pen_variant)
-            if stops and tracker.settled(pen):
+            if tracker.settled(pen):
                 break
             tracker.offer(s, sse + pen)
         return _finish(proj, sigma, kappa, pen_variant, tracker)

@@ -17,6 +17,7 @@ All index data is 0-based, both in memory and in the JSON wire shape
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -286,12 +287,35 @@ class Family:
         return structure
 
 
+class _SizeIndexed:
+    """A family whose nested path holds one structure per size k = 0..n_sizes-1,
+    with a majorant and a dimension that depend on k alone (`size_majorant`,
+    `size_dim`).  `size_majorants` and `size_dims` hold them for every k,
+    built on first read, once per family instance, and read-only."""
+
+    n_sizes: int
+
+    @functools.cached_property
+    def size_majorants(self) -> np.ndarray:
+        return _read_only([self.size_majorant(k) for k in range(self.n_sizes)], float)
+
+    @functools.cached_property
+    def size_dims(self) -> np.ndarray:
+        return _read_only([self.size_dim(k) for k in range(self.n_sizes)], int)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Smoothness (truncation levels)
 # ---------------------------------------------------------------------------
 
 
-class SmoothnessFamily(Family):
+class SmoothnessFamily(_SizeIndexed, Family):
     """Truncation structures: L_I zeroes every coordinate past the level."""
 
     tag = "smoothness"
@@ -301,6 +325,7 @@ class SmoothnessFamily(Family):
             raise ValueError("n >= 1 required")
         self.n = n
         self.ambient_dim = n
+        self.n_sizes = n + 1
 
     def validate(self, s):
         if not isinstance(s, Truncation) or not (0 <= s.level <= self.n):
@@ -314,10 +339,16 @@ class SmoothnessFamily(Family):
         return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
-        return s.level
+        return self.size_dim(s.level)
 
     def _majorant(self, s):
-        return float(s.level)
+        return self.size_majorant(s.level)
+
+    def size_dim(self, level: int) -> int:
+        return level
+
+    def size_majorant(self, level: int) -> float:
+        return float(level)
 
     def _slicing(self, s):
         return s.level
@@ -425,7 +456,7 @@ class _PositionSetFamily(Family):
         return self.structure_type(sorted_tuple(d[self.field]))
 
 
-class SparsityFamily(_PositionSetFamily):
+class SparsityFamily(_SizeIndexed, _PositionSetFamily):
     """Subset structures: L_I zeroes the complement of the index set.
 
     majorant_variant "rho" uses 2|I| log(en/|I|); "rho_prime" the slightly
@@ -440,6 +471,7 @@ class SparsityFamily(_PositionSetFamily):
         if majorant_variant not in ("rho", "rho_prime"):
             raise ValueError(f"unknown majorant variant {majorant_variant!r}")
         self.majorant_variant = majorant_variant
+        self.n_sizes = n + 1
 
     def kept_coordinates(self, s):
         # intp: validate accepts integral positions of any number type
@@ -449,7 +481,10 @@ class SparsityFamily(_PositionSetFamily):
         return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
-        return len(s.indices)
+        return self.size_dim(len(s.indices))
+
+    def size_dim(self, size: int) -> int:
+        return size
 
     def size_majorant(self, size: int) -> float:
         if self.majorant_variant == "rho":
@@ -886,8 +921,9 @@ class RegressionFamily(Family):
 # ---------------------------------------------------------------------------
 
 
-class BandingFamily(Family):
-    """Symmetric banded p x p matrices in vectorized (row-major) form."""
+class BandingFamily(_SizeIndexed, Family):
+    """Symmetric banded p x p matrices in vectorized (row-major) form; the
+    nested path holds widths 0..p-1 (width p spans what p-1 spans)."""
 
     tag = "banding"
 
@@ -896,6 +932,7 @@ class BandingFamily(Family):
             raise ValueError("p >= 1 required")
         self.p = p
         self.ambient_dim = p * p
+        self.n_sizes = p
 
     def validate(self, s):
         if not isinstance(s, Band) or not (0 <= s.width <= self.p):
@@ -911,11 +948,16 @@ class BandingFamily(Family):
         return (sym * self.band_mask(s.width)[None]).reshape(rows.shape)
 
     def _dim(self, s):
-        w = min(s.width, self.p - 1)
-        return self.p + w * self.p - (w * (w + 1)) // 2
+        return self.size_dim(min(s.width, self.p - 1))
 
     def _majorant(self, s):
-        return float(self._dim(s))
+        return self.size_majorant(min(s.width, self.p - 1))
+
+    def size_dim(self, width: int) -> int:
+        return self.p + width * self.p - (width * (width + 1)) // 2
+
+    def size_majorant(self, width: int) -> float:
+        return float(self.size_dim(width))
 
     def _slicing(self, s):
         return s.width

@@ -29,6 +29,7 @@ from projstruct.structures import (
     BiclusterFamily,
     Caps,
     ClusteringFamily,
+    Family,
     JumpFamily,
     MultiLevelPartition,
     SmoothnessFamily,
@@ -537,6 +538,94 @@ def test_rho_prime_sparsity_path_is_scored_in_full():
     assert len(s.indices) > 50
     assert selection.penalty(fam, SparseSet(tuple(range(50))), 1.0) > \
         objective(y, fam, SparseSet(tuple(range(49))), 1.0, 1.0) > obj
+
+
+def _band_select(Y, family, sigma, kappa, pen_variant, tolerances):
+    """The nested-path selector that offers only the entries within the given
+    number of tie tolerances, TIE_RTOL * (1 + max|obj|), of the minimum."""
+    path = nested_path(Y, family)
+    obj = np.array([sse + sigma**2 * selection.penalty(family, s, kappa, pen_variant)
+                    for s, sse in path])
+    top = obj.min() + tolerances * TIE_RTOL * (1.0 + np.abs(obj).max())
+    tracker = _ArgminTracker(family)
+    for (s, _), value in zip(path, obj):
+        if value <= top:
+            tracker.offer(s, value)
+    return tracker.result()[0]
+
+
+@pytest.mark.parametrize("name, make, n", [
+    ("smoothness", SmoothnessFamily, 30),
+    ("sparsity", SparsityFamily, 30),
+    ("sparsity-rho-prime", lambda n: SparsityFamily(n, majorant_variant="rho_prime"), 30),
+    ("banding", BandingFamily, 14),
+])
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+def test_tie_chains_longer_than_a_fixed_band_match_full_scoring(name, make, n, pen_variant,
+                                                                monkeypatch):
+    """Ten path entries whose objectives fall by 0.9 tie tolerances per size
+    chain the tracker's improvements: each one two sizes on beats the kept
+    entry, the one next to it ties and loses on its key.  Where the chain
+    enters the band decides the winner, so a band of 4 tolerances picks
+    another structure than scoring the whole path; the selector must not."""
+    fam = make(n)
+    sigma, kappa = 1.0, 0.7
+    y = np.random.default_rng(95).standard_normal(fam.ambient_dim)
+    real = selection._SIZE_PATHS[fam.tag]
+    _, build = real(y, fam)
+    base = 1000.0
+    step = 0.9 * TIE_RTOL * (1.0 + base)
+    first, length = 3, 10  # sizes 3..12, below n/2, where rho' still rises
+    target = np.full(fam.n_sizes, base + 1.0)
+    target[first:first + length] = base + step * np.arange(length - 1, -1, -1)
+    pen = np.array([sigma**2 * selection.penalty(fam, build(k), kappa, pen_variant)
+                    for k in range(fam.n_sizes)])
+    sse = target - pen
+
+    def chained(y, family):
+        return sse, real(y, family)[1]
+
+    monkeypatch.setitem(selection._SIZE_PATHS, fam.tag, chained)
+    want = full_scoring_select(y, fam, sigma, kappa, pen_variant)
+    assert select_penalized(y, fam, sigma, kappa, pen_variant=pen_variant) == want
+    assert _band_select(y, fam, sigma, kappa, pen_variant, 4) != want[0]
+    assert _band_select(y, fam, sigma, kappa, pen_variant, 2 * (fam.n_sizes + 1)) == want[0]
+
+
+def test_smoothness_select_scores_its_path_without_per_size_majorants(monkeypatch):
+    """At n = 4096 on a rate-scaling input (Sobolev beta = 1, Q = 1000, sigma
+    = 1/sqrt(n)) the selector reads a handful of majorants, one per offered
+    entry and one for the reported objective; scoring entry by entry would
+    read thousands."""
+    n = 4096
+    idx = np.arange(1, n + 1, dtype=float)
+    theta = math.sqrt(1000.0 / np.sum(1.0 / idx)) * idx ** -1.5
+    sigma = 1.0 / math.sqrt(n)
+    y = theta + sigma * np.random.default_rng(96).standard_normal(n)
+    fam = SmoothnessFamily(n)
+    calls = [0]
+    real = Family.majorant
+
+    def counting(self, structure):
+        calls[0] += 1
+        return real(self, structure)
+
+    monkeypatch.setattr(Family, "majorant", counting)
+    got = select_penalized(y, fam, sigma, 1.0)
+    assert 0 < calls[0] <= 8
+    monkeypatch.setattr(Family, "majorant", real)
+    assert got == full_scoring_select(y, fam, sigma, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(small_families()))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_select_rejects_non_finite_sigma_and_kappa(name, bad):
+    fam = small_families()[name]
+    y = np.random.default_rng(97).standard_normal(fam.ambient_dim)
+    for sigma, kappa in ((bad, 1.0), (1.0, bad)):
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(ValueError, match="sigma and kappa must be positive"):
+                select_penalized(y, fam, sigma, kappa, mode=mode)
 
 
 def test_settled_uses_the_kept_objective_not_the_running_minimum():

@@ -559,3 +559,23 @@ def test_leveled_max_size_builds_only_the_allowed_size_tuples():
     classes = fam.size_classes(Caps(max_size=1))
     assert len(classes) == 6 and sum(count for count, _ in classes) == 32
     assert len(list(fam.enumerate_structures(Caps(max_size=1)))) == 32
+
+
+@pytest.mark.parametrize("family, structure", [
+    (SmoothnessFamily(9), Truncation),
+    (SparsityFamily(9), lambda k: SparseSet(tuple(range(k)))),
+    (SparsityFamily(9, majorant_variant="rho_prime"), lambda k: SparseSet(tuple(range(9 - k, 9)))),
+    (BandingFamily(5), Band),
+])
+def test_size_vectors_hold_each_size_majorant_and_dimension(family, structure):
+    """size_majorants[k] and size_dims[k] equal majorant and dim of a size-k
+    structure, bit for bit; they are built once per instance and read-only."""
+    rho, dim = family.size_majorants, family.size_dims
+    assert rho.size == dim.size == family.n_sizes
+    for k in range(family.n_sizes):
+        assert rho[k] == family.majorant(structure(k)) and dim[k] == family.dim(structure(k))
+    assert family.size_majorants is rho and family.size_dims is dim
+    with pytest.raises(ValueError):
+        rho[0] = 1.0
+    with pytest.raises(ValueError):
+        dim[0] = 1
