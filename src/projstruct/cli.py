@@ -29,6 +29,7 @@ from .experiments import (
     build_signal,
     config_hash,
     derive_rng,
+    finite_data,
     integer,
     nonnegative_number,
     positive_number,
@@ -83,12 +84,13 @@ def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
                 f"data file has {y.size} values, family needs {family.ambient_dim}")
         if not np.all(np.isfinite(y)):
             raise ConfigError(f"data file {data['file']} holds non-finite values")
-        return y
+        return finite_data(y, f"data file {data['file']}")
     if "signal" in data:
         theta = build_signal(data["signal"], family, sigma)
         noise = build_noise(data.get("noise"))
         rng = derive_rng(seed, "select-data")
-        return theta + sigma * noise.sample(rng, family.ambient_dim)
+        return finite_data(theta + sigma * noise.sample(rng, family.ambient_dim),
+                           "the signal plus noise")
     raise ConfigError("data section needs either 'file' or 'signal'")
 
 

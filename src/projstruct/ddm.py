@@ -45,8 +45,8 @@ class DdmConfig:
     pen_variant: str = "main"  # "main" = 2*kappa*rho; "map" adds dim(L_I)
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.sigma < 0:
-            raise ValueError("kappa must be positive and sigma nonnegative")
+        if not (0 < self.kappa < math.inf and 0 <= self.sigma < math.inf):
+            raise ValueError("kappa must be positive and sigma nonnegative, both finite")
         if self.conditional_law not in ("gaussian", "resample"):
             raise ValueError(f"unknown conditional law {self.conditional_law!r}")
         if self.conditional_law == "resample" and self.z_sampler is None:

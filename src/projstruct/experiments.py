@@ -26,7 +26,7 @@ from . import __version__
 from .balls import contains, duplicate_gaussian, ebr_ball, highly_structured, quarter_ball, v_statistic
 from .ddm import DdmConfig, StructureMeasure, sample_conditional
 from .errors import ConfigError, ExactModeUnavailableError
-from .linalg import sq_norm
+from .linalg import finite_energy, sq_norm
 from .noise import NoiseModel
 from .oracle import FrameworkConstants, oracle_rate
 from .selection import Projections, select_penalized
@@ -218,7 +218,18 @@ def resolve_sigma(spec, n: int) -> float:
         if spec == "1/sqrt(n)":
             return 1.0 / math.sqrt(n)
         raise ConfigError(f"unknown sigma rule {spec!r}")
-    return positive_number(spec, "sigma")
+    sigma = positive_number(spec, "sigma")
+    if sigma * sigma == math.inf:
+        raise ConfigError(f"sigma**2 overflows the float range, got sigma = {spec!r}")
+    return sigma
+
+
+def finite_data(y: np.ndarray, what: str) -> np.ndarray:
+    """y; a config error unless its sum of squares is finite."""
+    if not finite_energy(y):
+        raise ConfigError(f"{what} has entries that are not finite or whose squares "
+                          "overflow the float range")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +280,8 @@ class _Ctx:
         if self.estimator not in ("ms", "ma"):
             raise ConfigError(f"unknown estimator {self.estimator!r}; choose ms or ma")
         self.noise = build_noise(config.get("noise"))
-        self.theta = build_signal(config["signal"], self.family, self.sigma)
+        self.theta = finite_data(build_signal(config["signal"], self.family, self.sigma),
+                                 "the signal")
         self.constants = build_constants(config.get("constants"))
         self.structured_c = positive_number(config.get("structured_c", 1.0), "structured_c")
 
@@ -312,11 +324,10 @@ def _grid(config: dict, key: str, default):
 
 def _cells(config: dict, seed: int):
     """(cell index, context) for every (n, sigma) grid cell, n-major; every
-    n is checked before the first cell is built."""
+    cell is built, and so checked, before the first replication runs."""
     ns = [n if n is None else integer(n, "grid.n", 1) for n in _grid(config, "n", [None])]
     grid = itertools.product(ns, _grid(config, "sigma", [config.get("sigma", 1.0)]))
-    for ci, (n, sigma_spec) in enumerate(grid):
-        yield ci, _Ctx(config, seed, n, sigma_spec)
+    return list(enumerate(_Ctx(config, seed, n, sigma_spec) for n, sigma_spec in grid))
 
 
 def _mean_se(flags) -> tuple[float, float]:

@@ -29,6 +29,14 @@ def as_vector(y) -> np.ndarray:
     return y
 
 
+def finite_energy(y) -> bool:
+    """Whether the sum of squares of the entries of y is finite; overflow
+    and NaN give False, without a warning."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.dot(y, y)))
+
+
 def sq_norm(y) -> float:
     """Squared Euclidean norm of a vector."""
     y = as_vector(y)

@@ -5,12 +5,14 @@ pen(I) = 2*kappa*rho(I) (or the model-averaging variant that adds dim L_I).
 The method is looked up by family tag.  Nested-path families score one
 structure per size: smoothness, banding and sparsity (`_SIZE_PATHS`) as one
 numpy objective array over sizes, jump (`_PATHS`) lazily along its DP rows;
-leveled sparsity scans each level alone; the rest are enumerated within
-`EXACT_CAPS`.  Heuristic mode runs the family's search (`_SEARCHES`:
-regression greedy, bicluster alternation, clustering DP), or the exact
-selector when it has none; `search_candidates` returns what the search visits.
-The jump path (`segment_dp`) and the clustering search run one segmentation
-DP, `_segmentations`; the clustering search runs it once per free set.
+leveled sparsity scans each level alone; clustering runs one DP over the
+sorted order (`_clustering_cells`) that is exact over every cluster count up
+to `EXACT_CLUSTERING_MAX_N`; the rest are enumerated within `EXACT_CAPS`.
+Heuristic mode runs the family's search (`_SEARCHES`: regression greedy,
+bicluster alternation, the clustering DP with at most max_blocks clusters),
+or the exact selector when it has none; `search_candidates` returns what the
+search visits.  The jump path (`segment_dp`) runs the segmentation DP
+`_segmentations`.
 
 On a size-indexed path pen depends on the size alone, so the objective
 array is sse + sigma^2 * pen_k with the float operations of `penalty`,
@@ -24,8 +26,7 @@ never decreases along it and every SSE is >= 0 (clipped DP costs), so each
 later objective is at least its pen.  The bound is the kept objective, not
 the running minimum of the offers: a tie that keeps the earlier structure
 leaves the kept objective above that minimum, and a later offer can still
-tie with it and win on its key.  The clustering search reads every cut
-count, since each one is a candidate of its restricted posterior.
+tie with it and win on its key.
 
 The bicluster alternation scores a move exactly only when the move can
 decide its sweep: block sums give every move's objective up to rounding,
@@ -43,14 +44,13 @@ the exact selectors, the brute force, the alternating bicluster restarts and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceededError, ExactModeUnavailableError
-from .linalg import as_vector, sq_norm
+from .linalg import as_vector, finite_energy, sq_norm
 from .structures import (
     Band,
     Bicluster,
@@ -108,6 +108,8 @@ class Projections:
 
     def __init__(self, Y, family: Family):
         self.y = as_vector(Y)
+        if not finite_energy(self.y):
+            raise ValueError("the sum of squares of Y overflows the float range")
         self.family = family
         self.stored: dict = {}
 
@@ -547,49 +549,124 @@ def _bicluster_search(proj, sigma, kappa, pen_variant, rng, max_blocks):
     return visited
 
 
-def _clustering_search(proj, sigma, kappa, pen_variant, rng, max_blocks):
-    """Sorted-order DP: clusters contiguous in value order, free sets of up to
-    two coordinates swept exhaustively (none when n > 20), at most max_blocks
-    clusters.
+def _clustering_cells(y, sigma, kappa, max_clusters: int):
+    """The best structure of every feasible cell, f free coordinates and m
+    <= max_clusters clusters, by one DP over the stable-sorted y.
 
-    Optimality is not claimed; the penalty's per-cluster term -log|I_k|! is
-    separable, so one segmentation DP per free set gives, for every cluster
-    count, the best clustering among the contiguous-in-sorted-order ones.
+    Inside a cell the rest of the penalty (min(f+m, n), -log f!,
+    log C(n+m, m), dim) is fixed, so the best structure minimizes SSE -
+    2 kappa sigma^2 sum log|I_k|!.  Some best structure splits the sorted y
+    into runs, each a free singleton or a cluster of at least 2 entries:
+    with the sizes fixed, SSE-best clusters on a line do not interleave
+    (Fisher 1958), and a free coordinate inside a cluster's range swaps with
+    one of its ends at no larger SSE.  tables[m][i, f] is the least cost of
+    the sorted prefix 0:i with f free coordinates and m clusters.
+
+    Returns (cells, ties): cells lists ((m, f), structure) in (m, f) order;
+    ties(m, f, slack) lists the best of cell (m, f), then every other run
+    sequence that costs at most slack more, up to POSTERIOR_CAPS.max_count
+    in all.  A structure that swaps two equal entries between runs, or
+    between a run and a free coordinate, ties too and is not listed.
     """
-    y, family = proj.y, proj.family
-    n = family.n
-    max_free = 2 if n <= 20 else 0  # the exhaustive free-set sweep is quadratic in n
-    run_pen = 2.0 * kappa * sigma**2 * np.array([math.lgamma(ln + 1) for ln in range(n + 1)])
-    candidates = []
+    n = y.size
     order = np.argsort(y, kind="stable")
-    for f in range(min(max_free, n) + 1):
-        for free_combo in itertools.combinations(range(n), f):
-            free = sorted_tuple(free_combo)
-            rest = [i for i in order if i not in free]
-            k = len(rest)
-            fits = [(0.0, [])] if k == 0 and max_blocks >= 0 else []  # nothing to cluster
-            if k and max_blocks >= 1:
-                # run cost SSE - 2*kappa*sigma^2*log(len!); runs shorter than 2 are barred
-                cost = _sse_costs(y[rest])
-                lo, hi = np.ogrid[:k + 1, :k + 1]
-                cost -= run_pen[np.maximum(hi - lo, 0)]
-                cost[hi - lo < 2] = np.inf
-                fits = _segmentations(cost, min(max_blocks, k) - 1)
-            for total, cuts in fits:
-                if total == math.inf:
-                    continue
-                bounds = [0, *cuts, k]
-                clusters = canonical_partition(rest[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-                s = MultiLevelPartition(free, clusters)
-                candidates.append((s, objective(y, family, s, sigma, kappa, pen_variant, proj)))
-    return candidates
+    run_pen = 2.0 * kappa * sigma**2 * np.array([math.lgamma(ln + 1) for ln in range(n + 1)])
+    cost = _sse_costs(y[order])
+    lo, hi = np.ogrid[:n + 1, :n + 1]
+    cost -= run_pen[np.maximum(hi - lo, 0)]
+    cost[hi - lo < 2] = np.inf  # runs shorter than 2 are not clusters
+    idx = np.arange(n + 1)
+    tables = [np.where(lo == hi, 0.0, np.inf)]  # no cluster: every coordinate free
+    starts = [None]
+    for m in range(1, min(max_clusters, n // 2) + 1):
+        prev, best = tables[-1], np.full((n + 1, n + 1), np.inf)
+        start = np.zeros((n + 1, n + 1), dtype=np.intp)
+        first = 2 * m - 2  # the prefix before the last cluster holds m - 1 clusters
+        for i in range(2 * m, n + 1):
+            w = i - 2 * m + 1  # the free counts 0..i-2m that 0:i can hold
+            # the last run is the cluster j:i, or the free coordinate i - 1
+            cand = prev[first:i - 1, :w] + cost[first:i - 1, i, None]
+            j = np.argmin(cand, axis=0)
+            row = cand[j, idx[:w]]
+            j += first
+            free = best[i - 1, :w - 1] < row[1:]
+            row[1:][free] = best[i - 1, :w - 1][free]
+            j[1:][free] = i - 1
+            best[i, :w], start[i, :w] = row, j
+        tables.append(best)
+        starts.append(start)
+
+    def structure(runs):
+        # runs: the clusters, as (start, end) slices of the sorted order
+        clustered = np.zeros(n, dtype=bool)
+        for j, i in runs:
+            clustered[j:i] = True
+        return MultiLevelPartition(sorted_tuple(order[~clustered]),
+                                   canonical_partition(order[j:i] for j, i in runs))
+
+    def cell_best(m, f):
+        runs, i = [], n
+        while m:
+            j = int(starts[m][i, f])
+            if j == i - 1:
+                f -= 1
+            else:
+                runs.append((j, i))
+                m -= 1
+            i = j
+        return structure(runs)
+
+    def ties(m, f, slack):
+        # depth first over the last runs, each step keeping the prefix's best
+        # within what is left of the budget
+        found = dict.fromkeys([cell_best(m, f)])
+        stack = [(m, n, f, tables[m][n, f] + slack, ())]
+        while stack and len(found) < POSTERIOR_CAPS.max_count:
+            m, i, f, budget, runs = stack.pop()
+            if m == 0:  # the prefix 0:i is free
+                found.setdefault(structure(runs))
+                continue
+            if f and tables[m][i - 1, f - 1] <= budget:
+                stack.append((m, i - 1, f - 1, budget, runs))
+            within = tables[m - 1][:i - 1, f] + cost[:i - 1, i] <= budget
+            for j in np.flatnonzero(within).tolist():
+                stack.append((m - 1, j, f, budget - cost[j, i], runs + ((j, i),)))
+        return list(found)
+
+    cells = [((m, f), cell_best(m, f)) for m in range(len(tables))
+             for f in np.flatnonzero(tables[m][n] < np.inf).tolist()]
+    return cells, ties
+
+
+def _clustering_optima(proj, sigma, kappa, pen_variant, rng, max_blocks):
+    """The best structure of every cell of `_clustering_cells`, at most
+    max_blocks clusters, then the run sequences that tie with the best of
+    the lowest cells, so that the tie rule picks among these what it picks
+    among the whole family (up to the swaps of equal entries that
+    `_clustering_cells` does not list)."""
+    y, family = proj.y, proj.family
+
+    def score(s):
+        return objective(y, family, s, sigma, kappa, pen_variant, proj)
+
+    cells, ties = _clustering_cells(y, sigma, kappa, max_blocks)
+    scored = [(cell, s, score(s)) for cell, s in cells]
+    low = min(obj for *_, obj in scored)
+    # a band far wider than the tie tolerance and the rounding of the run
+    # costs; what it lets in beyond the ties is scored and loses
+    slack = 1e-9 * (1.0 + sq_norm(y) + abs(low))
+    found = [(s, obj) for _, s, obj in scored]
+    for cell, _, obj in scored:
+        if obj <= low + slack:
+            found += [(t, score(t)) for t in ties(*cell, slack)[1:]]
+    return found
 
 
 # every search takes (proj, sigma, kappa, pen_variant, rng, max_blocks)
 _SEARCHES = {
     "regression": _greedy_regression_path,
     "bicluster": _bicluster_search,
-    "clustering": _clustering_search,
+    "clustering": _clustering_optima,
 }
 
 
@@ -623,8 +700,11 @@ EXACT_CAPS = {
     "knot": Caps(max_count=400_000),
     "regression": Caps(max_count=400_000),
     "bicluster": Caps(max_count=300_000, max_blocks=None),
-    "clustering": Caps(max_count=300_000, max_blocks=3),
 }
+
+# the largest clustering family that exact mode selects over, all cluster
+# counts (`_clustering_cells`)
+EXACT_CLUSTERING_MAX_N = 100
 
 # the largest family that `select` and `simulate` posteriors enumerate, and
 # the most projections a `Projections` memo stores
@@ -637,9 +717,11 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     """Penalized selector; returns (structure, objective value).
 
     Exact mode is available for smoothness, banding, sparsity, leveled
-    sparsity, jump and knot shape sets, regression within caps, and tiny
-    bicluster/clustering instances; heuristic mode covers regression
-    (forward greedy) and bicluster/clustering searches, and falls back to
+    sparsity, jump and knot shape sets, regression within caps, tiny
+    bicluster instances and clustering up to n = EXACT_CLUSTERING_MAX_N
+    (the sorted-order DP over every cluster count; caps do not apply);
+    heuristic mode covers regression (forward greedy), the bicluster search
+    and the clustering DP with at most max_blocks clusters, and falls back to
     exact mode, with the same caps, for the other families.
 
     The size-indexed paths (smoothness, banding, sparsity) are scored as one
@@ -649,14 +731,24 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     tolerance: pen never decreases along it and every SSE is >= 0, so no
     later entry could be taken or tie.
     """
-    if not (0 < sigma < math.inf and 0 < kappa < math.inf):
-        raise ValueError("sigma and kappa must be positive and finite")
+    if not (0 < sigma < math.inf and 0 < kappa < math.inf and sigma * sigma < math.inf):
+        raise ValueError("sigma and kappa must be positive and finite, and so must sigma**2")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     proj = Projections.of(Y, family, proj)
-    if mode == "heuristic" and family.tag in _SEARCHES:
+    scored = None
+    if mode == "exact" and family.tag == "clustering":
+        if family.n > EXACT_CLUSTERING_MAX_N:
+            raise ExactModeUnavailableError(
+                f"exact selection for family clustering is limited to n <= "
+                f"{EXACT_CLUSTERING_MAX_N}, got n = {family.n}")
+        # every cluster count: the whole family
+        scored = _clustering_optima(proj, sigma, kappa, pen_variant, rng, family.n // 2)
+    elif mode == "heuristic" and family.tag in _SEARCHES:
+        scored = _search(proj, sigma, kappa, pen_variant, rng, max_blocks)
+    if scored is not None:
         tracker = _ArgminTracker(family)
-        for s, obj in _search(proj, sigma, kappa, pen_variant, rng, max_blocks):
+        for s, obj in scored:
             tracker.offer(s, obj)
         return _finish(proj, sigma, kappa, pen_variant, tracker)
     sizes = _SIZE_PATHS.get(family.tag)

@@ -209,6 +209,18 @@ def test_cap_error_exit_code(tmp_path):
     assert "cap" in r.stderr.lower()
 
 
+def test_exact_clustering_past_its_size_limit_exits_with_a_cap_error(tmp_path):
+    cfg = write_config(tmp_path, {
+        "family": {"kind": "clustering", "n": selection.EXACT_CLUSTERING_MAX_N + 1},
+        "sigma": 1.0, "kappa": 1.0, "data": {"signal": {"kind": "zero"}}})
+    out = tmp_path / "o.json"
+    r = run_cli("select", "--config", cfg, "--out", str(out))
+    assert r.returncode == 3
+    assert r.stderr.startswith("cap error:") and r.stderr.count("\n") == 1
+    assert f"n <= {selection.EXACT_CLUSTERING_MAX_N}" in r.stderr
+    assert not out.exists()
+
+
 def test_check_a2_report_contains_bound(tmp_path):
     cfg = write_config(tmp_path, {"check": "a2",
                                   "family": {"kind": "smoothness", "n": 30}, "nu": 1.0})
@@ -320,6 +332,25 @@ def test_simulate_ma_uses_the_posterior_that_select_writes(tmp_path, family, mod
             assert r.stderr == ""
             tables.append(table.read_bytes())
     assert tables[:1] == tables[1:]
+
+
+@pytest.mark.parametrize("config", [
+    json.loads((DATA_DIR / "golden_select" / "clustering-heuristic.json").read_text()),
+    {"family": {"kind": "clustering", "n": 10}, "mode": "heuristic", "sigma": 1.0,
+     "kappa": 1.0, "data": {"signal": {"kind": "piecewise", "breaks": [4],
+                                       "levels": [0.0, 3.0]}}},
+], ids=["clustering-heuristic", "clustering-10"])
+def test_clustering_select_is_the_restricted_posterior_mode(tmp_path, config):
+    """Past the enumeration cap the posterior runs over the structures that
+    the selector offers, so the selected structure is a candidate and holds
+    the largest weight."""
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "sel.json"
+    assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["posterior"]["method"] == "restricted-candidate-set"
+    # the top rows are sorted by weight, largest first
+    assert doc["posterior"]["top"][0]["structure"] == doc["structure"]
 
 
 @pytest.mark.parametrize("config", GOLDEN_SIMULATE, ids=lambda p: p.stem)
@@ -444,21 +475,26 @@ BUILD_ERROR_IDS = ["family-n-string", "family-n-0", "sparsity-variant", "regress
     ({"posterior_top_k": "3"}, "posterior_top_k"),
     ({"posterior_top_k": -1}, "posterior_top_k"),
     ({"data": "nan-file"}, "non-finite"),
+    ({"data": "overflow-file"}, "overflow"),
     ({"sigma": float("nan")}, "sigma"),
+    ({"sigma": 1e200}, "sigma"),
+    ({"data": {"signal": {"kind": "constant", "value": 1e200}}}, "overflow"),
     *[({"family": spec}, "family") for spec in FAMILY_ERRORS],
     *[({"data": {"signal": spec}}, "signal") for spec in SIGNAL_ERRORS],
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
-        "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file", "sigma-nan",
-        *BUILD_ERROR_IDS])
+        "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file",
+        "overflow-in-data-file", "sigma-nan", "sigma-square-overflows",
+        "signal-square-overflows", *BUILD_ERROR_IDS])
 def test_select_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, overrides,
                                                    field):
     def no_scoring(*args, **kwargs):
         raise AssertionError("scoring started")
 
     monkeypatch.setattr(cli, "select_penalized", no_scoring)
-    if overrides.get("data") == "nan-file":
+    if overrides.get("data") in ("nan-file", "overflow-file"):
         data = tmp_path / "y.csv"
-        data.write_text("5.0\nnan\n0.1\n0.05\n")
+        bad = "nan" if overrides["data"] == "nan-file" else "1e200"
+        data.write_text(f"5.0\n{bad}\n0.1\n0.05\n")
         overrides = {"family": {"kind": "smoothness", "n": 4}, "data": {"file": str(data)}}
     cfg = write_config(tmp_path, {**SELECT_CONFIG, **overrides})
     out = tmp_path / "sel.json"
@@ -524,8 +560,12 @@ def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, ove
     ({"constants": {"kappa": 1.0, "M0_override": "x"}}, "M0_override"),
     ({"constants": {"kappa": 1.0, "C_nu": float("nan")}}, "C_nu"),
     ({"constants": [1.0]}, "constants"),
+    ({"signal": {"kind": "sparse", "s": 1, "amplitude": 1e200}}, "signal"),
+    ({"sigma": 1e200}, "sigma"),
+    ({"grid": {"sigma": [1.0, 1e200]}}, "sigma"),
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
-        *BUILD_ERROR_IDS, "m0-override-string", "c-nu-nan", "constants-a-list"])
+        *BUILD_ERROR_IDS, "m0-override-string", "c-nu-nan", "constants-a-list",
+        "signal-square-overflows", "sigma-square-overflows", "later-sigma-square-overflows"])
 def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, overrides, field):
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication started")

@@ -248,6 +248,13 @@ def test_sample_conditional_degenerate_cases():
         assert np.array_equal(d, np.zeros(3))
 
 
+@pytest.mark.parametrize("kappa,sigma", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                         (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+def test_config_rejects_non_finite_or_out_of_range_kappa_and_sigma(kappa, sigma):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        DdmConfig(kappa=kappa, sigma=sigma)
+
+
 def test_resample_law_and_posterior_export():
     fam = SparsityFamily(3)
     y = np.array([1.0, -1.0, 0.5])

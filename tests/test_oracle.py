@@ -100,8 +100,6 @@ def test_oracle_reports_are_minimal_over_enumeration():
     rng = np.random.default_rng(8)
     fams = small_families()
     for name, fam in fams.items():
-        if name == "clustering":
-            continue
         for _ in range(5):
             theta = rng.standard_normal(fam.ambient_dim)
             sigma = float(rng.uniform(0.3, 1.5))

@@ -13,7 +13,6 @@ from projstruct.selection import (
     AlternatingTrace,
     Projections,
     _ArgminTracker,
-    _clustering_search,
     _label_blocks,
     alternating_bicluster,
     nested_path,
@@ -36,8 +35,6 @@ from projstruct.structures import (
     SparseSet,
     SparsityFamily,
     Truncation,
-    canonical_partition,
-    sorted_tuple,
 )
 from conftest import ENUM_CAPS, enumerate_small, small_families
 
@@ -78,8 +75,6 @@ def test_exact_matches_bruteforce_on_random_instances():
     rng = np.random.default_rng(7)
     fams = small_families()
     for name, fam in fams.items():
-        if name == "clustering":
-            continue  # no exact polynomial algorithm; covered by heuristic test
         for _ in range(20):
             y = rng.standard_normal(fam.ambient_dim)
             sigma = float(rng.uniform(0.3, 2.0))
@@ -172,8 +167,6 @@ def test_exact_matches_bruteforce_under_map_penalty_variant():
     rng = np.random.default_rng(31)
     fams = small_families()
     for name, fam in fams.items():
-        if name == "clustering":
-            continue
         for _ in range(15):
             y = rng.standard_normal(fam.ambient_dim) * rng.uniform(0.5, 2.5)
             sigma = float(rng.uniform(0.4, 1.8))
@@ -208,80 +201,47 @@ def test_dispatch_table_paths_searches_and_heuristic_fallback(name):
             search_candidates(y, fam, 1.0, 1.0)
 
 
-def dp_clusters(values, m, kappa, sigma):
-    # min over partitions of sorted `values` into m contiguous runs of
-    # SSE(run) - 2*kappa*sigma^2*log(len!)  (runs of length >= 2)
-    k = values.size
-    if m == 0:
-        return (0.0, []) if k == 0 else None
-    if k < 2 * m:
-        return None
-    cs = np.concatenate([[0.0], np.cumsum(values)])
-    cs2 = np.concatenate([[0.0], np.cumsum(values * values)])
-
-    def run_cost(lo, hi):
-        ln = hi - lo
-        sse = max((cs2[hi] - cs2[lo]) - (cs[hi] - cs[lo]) ** 2 / ln, 0.0)
-        return sse - 2.0 * kappa * sigma**2 * math.lgamma(ln + 1)
-
-    best = {(0, 0): (0.0, [])}
-    for j in range(1, m + 1):
-        for hi in range(2 * j, k + 1):
-            for lo in range(2 * (j - 1), hi - 1):
-                prev = best.get((j - 1, lo))
-                if prev is None:
-                    continue
-                val = prev[0] + run_cost(lo, hi)
-                cur = best.get((j, hi))
-                if cur is None or val < cur[0]:
-                    best[(j, hi)] = (val, prev[1] + [(lo, hi)])
-    return best.get((m, k))
-
-
-def reference_clustering_search(Y, family, sigma, kappa, pen_variant, max_blocks):
-    """The clustering search with one pure-Python DP per cluster count."""
-    y = np.asarray(Y, dtype=float)
-    n = family.n
-    max_free = 2 if n <= 20 else 0
-    candidates = []
-    order = np.argsort(y, kind="stable")
-    for f in range(min(max_free, n) + 1):
-        for free_combo in itertools.combinations(range(n), f):
-            free = sorted_tuple(free_combo)
-            rest = [i for i in order if i not in free]
-            vals = y[rest]
-            for m in range(0, max_blocks + 1):
-                fit = dp_clusters(vals, m, kappa, sigma)
-                if fit is None:
-                    continue
-                clusters = canonical_partition(
-                    tuple(sorted_tuple(rest[lo:hi]) for lo, hi in fit[1]))
-                s = MultiLevelPartition(free, clusters)
-                candidates.append((s, objective(Y, family, s, sigma, kappa, pen_variant)))
-    return candidates
-
-
-def test_clustering_search_matches_reference_dp():
-    """One segmentation DP over all cluster counts visits the same structures,
-    in the same order and with the same objectives, as one DP per count;
-    rounded data forces tied run costs."""
-    rng = np.random.default_rng(77)
-    for rep in range(36):
-        n = int(rng.integers(1, 10))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_clustering_dp_matches_enumeration(n):
+    """The sorted-order DP selects the enumeration's structure and objective,
+    bit for bit: in exact mode over every cluster count, in heuristic mode
+    over at most max_blocks clusters, under both penalty variants.  Rounded
+    and integer-valued draws force tied objectives; n = 9 (21,147 structures)
+    keeps those two."""
+    rng = np.random.default_rng(100 + n)
+    fam = ClusteringFamily(n)
+    settings = [("exact", 4, None), ("heuristic", 0, 0), ("heuristic", 1, 1),
+                ("heuristic", 2, 2)]
+    for kind in ("continuous", "rounded", "integer")[n // 9:]:
         y = rng.standard_normal(n) * rng.uniform(0.3, 3.0)
-        if rep % 3 == 1:
+        if kind == "rounded":
             y = np.round(y)
-        elif rep % 3 == 2:
-            y = np.round(2.0 * y) / 2.0
-        fam = ClusteringFamily(n)
-        sigma, kappa = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 2.0))
-        for max_blocks in (-1, 0, 1, 2, 4):
-            for pen_variant in ("main", "map"):
-                got = _clustering_search(Projections(y, fam), sigma, kappa, pen_variant, None,
-                                         max_blocks)
-                want = reference_clustering_search(y, fam, sigma, kappa, pen_variant,
-                                                   max_blocks)
-                assert repr(got) == repr(want), (rep, max_blocks, pen_variant)
+        elif kind == "integer":
+            y = rng.integers(0, 3, n).astype(float)
+        sigma, kappa = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 2.0))
+        proj = Projections(y, fam)
+        for pen_variant in ("main", "map"):
+            for mode, max_blocks, enum_blocks in settings:
+                got = select_penalized(y, fam, sigma, kappa, mode=mode, pen_variant=pen_variant,
+                                       max_blocks=max_blocks, proj=proj)
+                want = select_bruteforce(y, fam, sigma, kappa,
+                                         Caps(max_count=10**6, max_blocks=enum_blocks),
+                                         pen_variant, proj)
+                assert got == want, (kind, pen_variant, mode, max_blocks, y.tolist())
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_heuristic_clustering_is_no_worse_than_all_free_or_one_block(n):
+    rng = np.random.default_rng(n)
+    fam = ClusteringFamily(n)
+    every = tuple(range(n))
+    for _ in range(5):
+        y = np.cumsum(rng.uniform(3.0, 5.0, 3))[rng.permutation(np.arange(n) % 3)]
+        y = y + rng.uniform(0.1, 3.0) * rng.standard_normal(n)
+        sigma = float(rng.uniform(0.2, 2.0))
+        _, obj = select_penalized(y, fam, sigma, 1.0, mode="heuristic")
+        for s in (MultiLevelPartition(every, ()), MultiLevelPartition((), (every,))):
+            assert obj <= objective(y, fam, s, sigma, 1.0) * (1.0 + TIE_RTOL)
 
 
 def full_rescoring_alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
@@ -626,6 +586,18 @@ def test_select_rejects_non_finite_sigma_and_kappa(name, bad):
         for mode in ("exact", "heuristic"):
             with pytest.raises(ValueError, match="sigma and kappa must be positive"):
                 select_penalized(y, fam, sigma, kappa, mode=mode)
+
+
+def test_select_rejects_data_and_sigma_whose_squares_overflow():
+    """Both end in one ValueError before scoring, with no overflow warning
+    (the suite turns warnings into errors)."""
+    fam = SparsityFamily(3)
+    with pytest.raises(ValueError, match="sum of squares of Y overflows"):
+        select_penalized([1e200, 1.0, 2.0], fam, 1.0, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        Projections([1.0, -1e160, 0.0], fam)
+    with pytest.raises(ValueError, match="sigma\\*\\*2"):
+        select_penalized([1.0, 1.0, 2.0], fam, 1e200, 1.0)
 
 
 def test_settled_uses_the_kept_objective_not_the_running_minimum():
