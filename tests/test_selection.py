@@ -230,6 +230,17 @@ def test_clustering_dp_matches_enumeration(n):
                 assert got == want, (kind, pen_variant, mode, max_blocks, y.tolist())
 
 
+def test_clustering_selection_ignores_a_large_common_offset():
+    """The DP runs on centered data: an offset of 1e6 leaves the selected
+    structure and the candidates as they are, and lists no extra ties."""
+    y = np.random.default_rng(40).standard_normal(40)
+    fam = ClusteringFamily(40)
+    for mode in ("exact", "heuristic"):
+        assert (select_penalized(y + 1e6, fam, 1.0, 1.0, mode=mode)[0]
+                == select_penalized(y, fam, 1.0, 1.0, mode=mode)[0])
+    assert search_candidates(y + 1e6, fam, 1.0, 1.0) == search_candidates(y, fam, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("n", [12, 40])
 def test_heuristic_clustering_is_no_worse_than_all_free_or_one_block(n):
     rng = np.random.default_rng(n)
