@@ -565,8 +565,9 @@ def _clustering_cells(y, sigma, kappa, max_clusters: int):
     Returns (cells, ties): cells lists ((m, f), structure) in (m, f) order;
     ties(m, f, slack) lists the best of cell (m, f), then every other run
     sequence that costs at most slack more, give or take rounding, up to
-    POSTERIOR_CAPS.max_count in all.  A structure that swaps two equal entries between runs, or
-    between a run and a free coordinate, ties too and is not listed.
+    POSTERIOR_CAPS.max_count in all.  A structure that swaps two equal
+    entries between runs, or between a run and a free coordinate, ties too
+    and is not listed.
     """
     n = y.size
     order = np.argsort(y, kind="stable")
