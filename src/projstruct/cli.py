@@ -110,7 +110,7 @@ def cmd_select(config: dict, seed: int, out_path: str) -> None:
     theta_check = proj.project(structure)
 
     cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
-    measure = StructureMeasure(proj, cfg, derive_rng(seed, "select-posterior"))
+    measure = StructureMeasure(proj, cfg)
     post, theta_tilde = measure.posterior, measure.theta_tilde
 
     doc = {

@@ -11,7 +11,9 @@ from one reverse pass through an 8(n+1)^2-byte table of the recurrence.
 Conditional laws produce draws supported on L_I.
 `StructureMeasure` alone decides which measure, and which model-averaging
 mean theta_tilde, a family gets; `select` and `simulate`'s "ma" estimator
-both read it.
+both read it.  Past the enumeration cap its restricted posterior ranges over
+the structures the selector's search scored (`Projections.searched`), so
+`select` searches once and the selected structure is among the candidates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import CapExceededError, ExactModeUnavailableError
 from .linalg import sq_norm
 from .selection import (POSTERIOR_CAPS, Projections, _ArgminTracker, _penalty_value,
-                        nested_path, penalty, search_candidates)
+                        nested_path, penalty)
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
@@ -230,13 +232,14 @@ class StructureMeasure:
     """The structure measure of one observation; each part is built on first read.
 
     `posterior`: the enumeration within POSTERIOR_CAPS; past it, the sparsity
-    nested path under the exact 2^n normalizer, else the restricted set the
-    heuristic search visits (drawing on rng), else None.  `theta_tilde`: for
-    sparsity, Y times the inclusion marginals, with no posterior built;
-    otherwise `ma_mean` over the posterior, or None."""
+    nested path under the exact 2^n normalizer, else the restricted set of
+    the structures the selector's search scored on proj (`proj.searched`),
+    else None.  `theta_tilde`: for sparsity, Y times the inclusion marginals,
+    with no posterior built; otherwise `ma_mean` over the posterior, or
+    None."""
 
-    def __init__(self, proj: Projections, cfg: DdmConfig, rng=None):
-        self.proj, self.cfg, self.rng = proj, cfg, rng
+    def __init__(self, proj: Projections, cfg: DdmConfig):
+        self.proj, self.cfg = proj, cfg
 
     @functools.cached_property
     def posterior(self) -> DdmPosterior | None:
@@ -248,12 +251,9 @@ class StructureMeasure:
         if isinstance(family, SparsityFamily):
             return structure_posterior(y, family, cfg, [s for s, _ in nested_path(y, family)],
                                        "symmetric-polynomial", proj=proj)
-        try:
-            candidates = search_candidates(y, family, cfg.sigma, cfg.kappa, cfg.pen_variant,
-                                           rng=self.rng, proj=proj)
-        except ExactModeUnavailableError:
+        if proj.searched is None:
             return None
-        return structure_posterior(y, family, cfg, candidates, proj=proj)
+        return structure_posterior(y, family, cfg, proj.searched, proj=proj)
 
     @functools.cached_property
     def theta_tilde(self) -> np.ndarray | None:

@@ -249,11 +249,11 @@ def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str
         return proj.project(i_hat), i_hat
     if estimator == "ma":
         cfg = DdmConfig(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
-        theta_tilde = StructureMeasure(proj, cfg, rng).theta_tilde
+        theta_tilde = StructureMeasure(proj, cfg).theta_tilde
         if theta_tilde is None:
             raise ExactModeUnavailableError(
                 f"the ma estimator needs a structure posterior, and family {family.tag} has "
-                "none: too many structures to enumerate and no heuristic search")
+                "none: too many structures to enumerate, and the selector ran no search")
         return theta_tilde, i_hat
     raise ConfigError(f"unknown estimator {estimator!r}")
 
@@ -261,6 +261,10 @@ def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str
 # ---------------------------------------------------------------------------
 # experiment harness
 # ---------------------------------------------------------------------------
+
+
+# a replication's draws scale with sigma, so a finite sigma can still overflow them
+_DRAWN = "an observation drawn in a replication"
 
 
 class _Ctx:
@@ -302,12 +306,13 @@ class _Ctx:
         return self.theta + self.sigma * self.noise.sample(rng, self.family.ambient_dim)
 
     def select(self, y, rng):
-        return select_penalized(y, self.family, self.sigma, self.kappa, mode=self.mode,
-                                pen_variant=self.pen_variant, rng=rng)[0]
+        return select_penalized(finite_data(y, _DRAWN), self.family, self.sigma, self.kappa,
+                                mode=self.mode, pen_variant=self.pen_variant, rng=rng)[0]
 
     def estimate(self, y, rng, sigma: float | None = None):
-        return point_estimate(y, self.family, self.sigma if sigma is None else sigma,
-                              self.kappa, self.estimator, self.mode, self.pen_variant, rng)
+        return point_estimate(finite_data(y, _DRAWN), self.family,
+                              self.sigma if sigma is None else sigma, self.kappa,
+                              self.estimator, self.mode, self.pen_variant, rng)
 
 
 def _grid(config: dict, key: str, default):

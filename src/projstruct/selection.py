@@ -10,9 +10,10 @@ sorted order (`_clustering_cells`) that is exact over every cluster count up
 to `EXACT_CLUSTERING_MAX_N`; the rest are enumerated within `EXACT_CAPS`.
 Heuristic mode runs the family's search (`_SEARCHES`: regression greedy,
 bicluster alternation, the clustering DP with at most max_blocks clusters),
-or the exact selector when it has none; `search_candidates` returns what the
-search visits.  The jump path (`segment_dp`) runs the segmentation DP
-`_segmentations`.
+or the exact selector when it has none.  A search, and the exact clustering
+DP, leaves the structures it scored on the `Projections` memo
+(`Projections.searched`), where the restricted posterior reads them.  The
+jump path (`segment_dp`) runs the segmentation DP `_segmentations`.
 
 On a size-indexed path pen depends on the size alone, so the objective
 array is sse + sigma^2 * pen_k with the float operations of `penalty`,
@@ -104,6 +105,12 @@ class Projections:
     the posterior's projections would hold every candidate's N floats
     (4,097 x 4,096 for smoothness at N = 4,096) while the mean rereads only
     those of nonzero weight.
+
+    `searched` is what the last `select_penalized` on this memo scored when
+    it ran a search (heuristic regression, bicluster and clustering, and the
+    exact clustering DP): those structures, duplicate-free in canonical
+    order; None when no search ran.  The restricted posterior ranges over
+    this list, so it holds the selected structure.
     """
 
     def __init__(self, Y, family: Family):
@@ -112,6 +119,7 @@ class Projections:
             raise ValueError("the sum of squares of Y overflows the float range")
         self.family = family
         self.stored: dict = {}
+        self.searched: list | None = None
 
     @classmethod
     def of(cls, Y, family: Family, proj: Projections | None):
@@ -675,28 +683,6 @@ _SEARCHES = {
 }
 
 
-def _search(proj, sigma, kappa, pen_variant, rng, max_blocks):
-    """(structure, objective) pairs visited by the family's heuristic search."""
-    family = proj.family
-    search = _SEARCHES.get(family.tag)
-    if search is None:
-        raise ExactModeUnavailableError(
-            f"no heuristic search path for family {family.tag}; enumerate instead")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return search(proj, sigma, kappa, pen_variant, rng, max_blocks)
-
-
-def search_candidates(Y, family: Family, sigma: float, kappa: float,
-                      pen_variant: str = "main", rng=None, max_blocks: int = 4,
-                      proj: Projections | None = None):
-    """Structures visited by the heuristic search paths, duplicate-free in
-    canonical order; the honest candidate set for restricted posteriors over
-    non-enumerable families."""
-    proj = Projections.of(Y, family, proj)
-    found = [s for s, _ in _search(proj, sigma, kappa, pen_variant, rng, max_blocks)]
-    return sorted(set(found), key=family.sort_key)
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -728,7 +714,8 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     (the sorted-order DP over every cluster count; caps do not apply);
     heuristic mode covers regression (forward greedy), the bicluster search
     and the clustering DP with at most max_blocks clusters, and falls back to
-    exact mode, with the same caps, for the other families.
+    exact mode, with the same caps, for the other families.  The structures
+    a search or the exact clustering DP scored go to `proj.searched`.
 
     The size-indexed paths (smoothness, banding, sparsity) are scored as one
     objective array, and only the sizes near its minimum are offered to the
@@ -742,7 +729,7 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     proj = Projections.of(Y, family, proj)
-    scored = None
+    scored = proj.searched = None
     if mode == "exact" and family.tag == "clustering":
         if family.n > EXACT_CLUSTERING_MAX_N:
             raise ExactModeUnavailableError(
@@ -751,8 +738,10 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
         # every cluster count: the whole family
         scored = _clustering_optima(proj, sigma, kappa, pen_variant, rng, family.n // 2)
     elif mode == "heuristic" and family.tag in _SEARCHES:
-        scored = _search(proj, sigma, kappa, pen_variant, rng, max_blocks)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        scored = _SEARCHES[family.tag](proj, sigma, kappa, pen_variant, rng, max_blocks)
     if scored is not None:
+        proj.searched = sorted({s for s, _ in scored}, key=family.sort_key)
         tracker = _ArgminTracker(family)
         for s, obj in scored:
             tracker.offer(s, obj)

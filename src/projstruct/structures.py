@@ -1080,16 +1080,32 @@ class BiclusterFamily(Family):
 
         yield from rec(0, [])
 
+    @staticmethod
+    def axis_partition_count(n: int, max_blocks: int) -> int:
+        """len(list(axis_partitions(n, max_blocks))), without building them.
+
+        With S(m, k) the count for exactly k blocks, item m either joins one
+        of the k blocks over the other m-1 items or opens a block of its own:
+        S(m, k) = k S(m-1, k) + S(m-1, k-1), S(0, 0) = 1.
+        """
+        row = [1] + [0] * max(0, max_blocks)  # row[k] = S(m, k), here m = 0
+        for _ in range(n):
+            row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))]
+        return sum(row)
+
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
         max_blocks = caps.max_blocks
         b1 = self.n1 if max_blocks is None else min(max_blocks, self.n1)
         b2 = self.n2 if max_blocks is None else min(max_blocks, self.n2)
+        projected = self.axis_partition_count(self.n1, b1) * self.axis_partition_count(self.n2, b2)
+        # before the partitions are built: 4,213,597 per axis at 12 x 12
+        _check_projected(caps, projected)
 
         row_parts = list(self.axis_partitions(self.n1, b1))
         col_parts = list(self.axis_partitions(self.n2, b2))
         gen = (Bicluster(rp, cp) for rp in row_parts for cp in col_parts)
-        out = sorted(_capped(gen, caps, len(row_parts) * len(col_parts)), key=self.sort_key)
+        out = sorted(_capped(gen, caps, projected), key=self.sort_key)
         return iter(out)
 
     @staticmethod

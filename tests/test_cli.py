@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from projstruct import cli, experiments, linalg, selection
+from projstruct import cli, ddm, experiments, linalg, selection
 from projstruct.cli import main
 from projstruct.structures import Caps
 
@@ -351,6 +351,74 @@ def test_clustering_select_is_the_restricted_posterior_mode(tmp_path, config):
     assert doc["posterior"]["method"] == "restricted-candidate-set"
     # the top rows are sorted by weight, largest first
     assert doc["posterior"]["top"][0]["structure"] == doc["structure"]
+
+
+@pytest.mark.parametrize("family", [{"kind": "bicluster", "n1": 3, "n2": 9},
+                                    {"kind": "clustering", "n": 10}],
+                         ids=["bicluster-3x9", "clustering-10"])
+def test_select_searches_once(tmp_path, monkeypatch, family):
+    """Past the enumeration cap the posterior reads what the selector's
+    search scored, and runs no search of its own."""
+    calls = []
+    search = selection._SEARCHES[family["kind"]]
+
+    def counting(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setitem(selection._SEARCHES, family["kind"], counting)
+    cfg = write_config(tmp_path, {
+        "family": family, "mode": "heuristic", "sigma": 0.5, "kappa": 1.0,
+        "data": {"signal": {"kind": "zero"}, "noise": {"kind": "gaussian"}}})
+    out = tmp_path / "sel.json"
+    assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["posterior"]["method"] == "restricted-candidate-set"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "regression", "n_obs": 12, "p": 6, "design_seed": 3},
+    {"kind": "bicluster", "n1": 2, "n2": 3},
+], ids=["regression", "bicluster"])
+def test_exact_mode_past_the_posterior_cap_has_no_posterior(tmp_path, monkeypatch, capsys,
+                                                            family):
+    """Exact regression and bicluster enumerate and search nothing, so past
+    POSTERIOR_CAPS (lowered here) `select` writes null posteriors and the ma
+    estimator stops with one cap error line; heuristic mode's search still
+    gives a restricted posterior."""
+    monkeypatch.setattr(ddm, "POSTERIOR_CAPS", Caps(max_count=2))
+    signal = {"kind": "sparse", "s": 2, "amplitude": 3.0}
+    common = {"family": family, "sigma": 0.5, "kappa": 1.0}
+    out = tmp_path / "sel.json"
+    for mode, method in (("exact", None), ("heuristic", "restricted-candidate-set")):
+        cfg = write_config(tmp_path, {**common, "mode": mode, "data": {"signal": signal}})
+        assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["posterior"] or {}).get("method") == method
+        assert (doc["theta_tilde"] is None) == (method is None)
+
+    cfg = write_config(tmp_path, {**common, "signal": signal, "experiment": "estimation-risk",
+                                  "estimator": "ma", "reps": 2})
+    table = tmp_path / "table.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(table)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap error:") and err.count("\n") == 1
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_draws_that_overflow_are_one_line_config_error(tmp_path, workers):
+    """sigma**2 is finite, but the sum of squares of each draw is not; the
+    error comes back from a worker process too."""
+    cfg = write_config(tmp_path, {
+        "experiment": "estimation-risk", "family": {"kind": "sparsity", "n": 8},
+        "signal": {"kind": "zero"}, "sigma": 1e154, "reps": 2})
+    table = tmp_path / "table.csv"
+    r = run_cli("simulate", "--config", cfg, "--out", str(table), "--workers", workers)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:") and r.stderr.count("\n") == 1
+    assert "replication" in r.stderr
+    assert not table.exists()
 
 
 @pytest.mark.parametrize("config", GOLDEN_SIMULATE, ids=lambda p: p.stem)

@@ -6,6 +6,7 @@ import pytest
 from projstruct.ddm import (
     CONDITIONAL_VAR_FACTOR,
     DdmConfig,
+    StructureMeasure,
     _sparsity_terms,
     log_elementary_symmetric,
     logsumexp,
@@ -19,8 +20,11 @@ from projstruct.ddm import (
     structure_posterior,
 )
 from projstruct.linalg import sq_norm
-from projstruct.selection import penalty, select_penalized
+from projstruct.selection import Projections, penalty, select_penalized
 from projstruct.structures import (
+    BiclusterFamily,
+    ClusteringFamily,
+    RegressionFamily,
     SmoothnessFamily,
     SparseSet,
     SparsityFamily,
@@ -367,3 +371,42 @@ def test_sparsity_size_penalties_match_the_written_out_formula(n):
                     pen += sizes
                 base = -0.5 * sq_norm(y) / c.sigma**2
                 assert _sparsity_terms(y, fam, c)[1].tobytes() == (base - 0.5 * pen).tobytes()
+
+
+# past POSTERIOR_CAPS, each with a search: regression has 174,437 supports
+SEARCHED = {
+    "regression-heuristic": (lambda: RegressionFamily(
+        np.random.default_rng(5).standard_normal((30, 30))), "heuristic"),
+    "bicluster-heuristic": (lambda: BiclusterFamily(3, 9), "heuristic"),
+    "clustering-heuristic": (lambda: ClusteringFamily(10), "heuristic"),
+    "clustering-exact": (lambda: ClusteringFamily(10), "exact"),
+}
+
+
+def _searched_posterior(fam, mode, y):
+    proj = Projections(y, fam)
+    selected, _ = select_penalized(y, fam, 1.0, 1.0, mode=mode, rng=np.random.default_rng(3),
+                                   proj=proj)
+    return selected, proj, StructureMeasure(proj, cfg()).posterior
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED))
+def test_restricted_posterior_ranges_over_what_the_selector_scored(name):
+    make, mode = SEARCHED[name]
+    fam = make()
+    rng = np.random.default_rng(17)
+    for scale in (0.3, 1.0, 3.0):
+        selected, proj, post = _searched_posterior(fam, mode, scale * rng.standard_normal(
+            fam.ambient_dim))
+        assert post.method == "restricted-candidate-set"
+        assert post.candidates == proj.searched
+        assert selected in post.candidates
+
+
+def test_exact_clustering_posterior_covers_every_cluster_count():
+    """Exact clustering past the enumeration cap: the posterior ranges over
+    the cells of the exact DP, every cluster count up to n // 2, and not only
+    over those of at most 4 clusters."""
+    y = np.random.default_rng(8).standard_normal(10)
+    _, _, post = _searched_posterior(ClusteringFamily(10), "exact", y)
+    assert {len(s.clusters) for s in post.candidates} == set(range(6))

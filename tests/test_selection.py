@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from projstruct import selection
-from projstruct.errors import ExactModeUnavailableError
 from projstruct.linalg import sq_norm
 from projstruct.selection import (
     TIE_RTOL,
@@ -17,7 +16,6 @@ from projstruct.selection import (
     alternating_bicluster,
     nested_path,
     objective,
-    search_candidates,
     segment_dp,
     select_bruteforce,
     select_penalized,
@@ -190,15 +188,16 @@ def test_dispatch_table_paths_searches_and_heuristic_fallback(name):
     else:
         assert path is None
 
+    proj = Projections(y, fam)
     heuristic = select_penalized(y, fam, 1.0, 1.0, mode="heuristic",
-                                 rng=np.random.default_rng(3))
+                                 rng=np.random.default_rng(3), proj=proj)
     if name in ("regression", "bicluster", "clustering"):
-        found = search_candidates(y, fam, 1.0, 1.0, rng=np.random.default_rng(3))
-        assert heuristic[0] in found
+        # what the search scored: duplicate-free, in canonical order
+        assert heuristic[0] in proj.searched
+        assert proj.searched == sorted(set(proj.searched), key=fam.sort_key)
     else:
         assert heuristic == select_penalized(y, fam, 1.0, 1.0)
-        with pytest.raises(ExactModeUnavailableError):
-            search_candidates(y, fam, 1.0, 1.0)
+        assert proj.searched is None
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -232,13 +231,14 @@ def test_clustering_dp_matches_enumeration(n):
 
 def test_clustering_selection_ignores_a_large_common_offset():
     """The DP runs on centered data: an offset of 1e6 leaves the selected
-    structure and the candidates as they are, and lists no extra ties."""
+    structure and the scored structures as they are, and lists no extra ties."""
     y = np.random.default_rng(40).standard_normal(40)
     fam = ClusteringFamily(40)
     for mode in ("exact", "heuristic"):
-        assert (select_penalized(y + 1e6, fam, 1.0, 1.0, mode=mode)[0]
-                == select_penalized(y, fam, 1.0, 1.0, mode=mode)[0])
-    assert search_candidates(y + 1e6, fam, 1.0, 1.0) == search_candidates(y, fam, 1.0, 1.0)
+        shifted, plain = Projections(y + 1e6, fam), Projections(y, fam)
+        assert (select_penalized(y + 1e6, fam, 1.0, 1.0, mode=mode, proj=shifted)[0]
+                == select_penalized(y, fam, 1.0, 1.0, mode=mode, proj=plain)[0])
+        assert shifted.searched == plain.searched
 
 
 @pytest.mark.parametrize("n", [12, 40])

@@ -263,9 +263,26 @@ def test_projected_count_matches_enumeration(fam):
         assert _projected_count(fam, max_blocks) == len(listed), max_blocks
 
 
-def test_capped_bicluster_reports_projected_count():
-    # Bell(8) = 4140 partitions per axis; the cap fires before any is paired
+def test_capped_bicluster_reports_projected_count(monkeypatch):
+    """Bell(8) = 4140 partitions per axis; the cap fires before any is
+    built, so the same error comes out when building them would raise."""
+
+    def unbuilt(n, max_blocks):
+        raise AssertionError("the partitions were built before the cap check")
+
+    monkeypatch.setattr(BiclusterFamily, "axis_partitions", staticmethod(unbuilt))
     assert _projected_count(BiclusterFamily(8, 8), None) == 4140**2
+    assert _projected_count(BiclusterFamily(8, 8), 2) == (1 + 127)**2
+    with pytest.raises(CapExceededError, match="max_count=200000") as err:
+        BiclusterFamily(12, 12).enumerate_structures(Caps())
+    assert err.value.projected_count == 4_213_597**2
+
+
+def test_axis_partition_count_matches_the_partitions():
+    for n in range(8):
+        for max_blocks in range(-1, n + 2):
+            assert (BiclusterFamily.axis_partition_count(n, max_blocks)
+                    == len(list(BiclusterFamily.axis_partitions(n, max_blocks)))), (n, max_blocks)
 
 
 def test_cap_error_on_counts_past_the_float_range():
