@@ -14,6 +14,12 @@ mean theta_tilde, a family gets; `select` and `simulate`'s "ma" estimator
 both read it.  Past the enumeration cap its restricted posterior ranges over
 the structures the selector's search scored (`Projections.searched`), so
 `select` searches once and the selected structure is among the candidates.
+Smoothness, banding and sparsity weigh their candidates from the SSE array
+of their size path (`selection.SizePath`), the one the selector scores, and
+the enumerated sparsity supports by a 0/1 mask; smoothness and banding take
+theta_tilde = sum_k w_k P_k Y from one reverse cumulative sum of the
+weights.  None of them projects; `structure_posterior` and `ma_mean`, which
+project each candidate, serve the other families and are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ import numpy as np
 
 from .errors import CapExceededError, ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import (POSTERIOR_CAPS, Projections, _ArgminTracker, _penalty_value,
-                        nested_path, penalty)
+from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _penalty_value,
+                        penalty, size_path)
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
@@ -78,10 +84,15 @@ class DdmPosterior:
         ]
 
 
+def _log_weights(rss, pen, cfg: DdmConfig):
+    """-(rss / sigma^2 + pen) / 2, the unnormalized log weight, elementwise."""
+    return -0.5 * (rss / cfg.sigma**2 + pen)
+
+
 def log_unnormalized_weight(Y, family: Family, structure, cfg: DdmConfig,
                             proj: Projections | None = None) -> float:
     rss = Projections.of(Y, family, proj).rss(structure)
-    return -0.5 * (rss / cfg.sigma**2 + penalty(family, structure, cfg.kappa, cfg.pen_variant))
+    return _log_weights(rss, penalty(family, structure, cfg.kappa, cfg.pen_variant), cfg)
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -118,15 +129,20 @@ def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
     return _log_esp_table(log_x)[-1].copy()
 
 
+def _size_penalties(family, cfg: DdmConfig) -> np.ndarray:
+    """pen_k, the `penalty` of a size-k structure of a size-indexed family,
+    for every size k, from the family's per-size vectors."""
+    return _penalty_value(family.size_majorants, family.size_dims, cfg.kappa, cfg.pen_variant)
+
+
 def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     """log x_j = Y_j^2 / (2 sigma^2) and log c_k, the weight of a size-k
     support apart from its prod x_j: base - pen_k / 2, with pen_k the
-    `penalty` of a size-k support, from the family's per-size vectors."""
+    `penalty` of a size-k support."""
     y = np.asarray(Y, dtype=float)
     log_x = 0.5 * (y * y) / cfg.sigma**2
     base = -0.5 * sq_norm(y) / cfg.sigma**2
-    pen = _penalty_value(family.size_majorants, family.size_dims, cfg.kappa, cfg.pen_variant)
-    return log_x, base - 0.5 * pen
+    return log_x, base - 0.5 * _size_penalties(family, cfg)
 
 
 def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig) -> float:
@@ -164,6 +180,11 @@ def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig) 
 # ---------------------------------------------------------------------------
 
 
+def _check_sigma(cfg: DdmConfig) -> None:
+    if cfg.sigma <= 0:
+        raise ValueError("posterior construction needs sigma > 0")
+
+
 def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
                         method: str = "auto", caps: Caps | None = None,
                         proj: Projections | None = None) -> DdmPosterior:
@@ -175,8 +196,7 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
     actually supplied.  "auto" picks enumeration when candidates are absent
     and the restricted mode otherwise.
     """
-    if cfg.sigma <= 0:
-        raise ValueError("posterior construction needs sigma > 0")
+    _check_sigma(cfg)
     if method == "auto":
         method = "enumeration" if candidates is None else "restricted-candidate-set"
     if method not in ("enumeration", "restricted-candidate-set", "symmetric-polynomial"):
@@ -193,6 +213,33 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
     log_z = (sparsity_log_normalizer(Y, family, cfg) if method == "symmetric-polynomial"
              else logsumexp(raw))
     return DdmPosterior(family, candidates, raw - log_z, method, log_normalizer=log_z)
+
+
+def _size_indexed_posterior(y, family, cfg: DdmConfig, path: SizePath, candidates,
+                            method: str) -> DdmPosterior:
+    """The posterior of a smoothness, banding or sparsity family, without
+    projecting.  "symmetric-polynomial": the sparsity path, from the path's
+    SSE array, under the exact 2^n normalizer.  "enumeration": candidates
+    are the family's enumeration; for smoothness and banding that is the
+    path itself, in size order, and the enumerated sparsity supports are
+    scored by a 0/1 mask, each ||Y - P_I Y||^2 the sum of Y_i^2 over the
+    coordinates I drops."""
+    _check_sigma(cfg)
+    pen = _size_penalties(family, cfg)
+    if method == "enumeration" and isinstance(family, SparsityFamily):
+        sizes = [len(s.indices) for s in candidates]
+        dropped = np.ones((len(candidates), family.n))
+        dropped[np.repeat(np.arange(len(candidates)), sizes),
+                [i for s in candidates for i in s.indices]] = 0.0
+        raw = _log_weights(dropped @ (y * y), pen[sizes], cfg)
+    else:
+        raw = _log_weights(path.sse, pen, cfg)
+    if method == "symmetric-polynomial":
+        candidates = [path.build(k) for k in range(family.n_sizes)]
+        log_z = sparsity_log_normalizer(y, family, cfg)
+    else:
+        log_z = logsumexp(raw)
+    return DdmPosterior(family, candidates, raw - log_z, method, log_z)
 
 
 def select_map(post: DdmPosterior):
@@ -234,33 +281,48 @@ class StructureMeasure:
     `posterior`: the enumeration within POSTERIOR_CAPS; past it, the sparsity
     nested path under the exact 2^n normalizer, else the restricted set of
     the structures the selector's search scored on proj (`proj.searched`),
-    else None.  `theta_tilde`: for sparsity, Y times the inclusion marginals,
-    with no posterior built; otherwise `ma_mean` over the posterior, or
-    None."""
+    else None.  Smoothness, banding and sparsity weigh their candidates from
+    the size path's arrays (`_size_indexed_posterior`) and project nothing;
+    the other families read P_I Y from proj.  `theta_tilde`: for sparsity, Y
+    times the inclusion marginals, with no posterior built; for smoothness
+    and banding, the size path's mean under the posterior weights
+    (`SizePath.mean`); otherwise `ma_mean` over the posterior; None when
+    there is no posterior."""
 
     def __init__(self, proj: Projections, cfg: DdmConfig):
         self.proj, self.cfg = proj, cfg
 
     @functools.cached_property
+    def _path(self) -> SizePath | None:
+        return size_path(self.proj.y, self.proj.family)
+
+    @functools.cached_property
     def posterior(self) -> DdmPosterior | None:
         y, family, cfg, proj = self.proj.y, self.proj.family, self.cfg, self.proj
         try:
-            return structure_posterior(y, family, cfg, caps=POSTERIOR_CAPS, proj=proj)
+            candidates = list(family.enumerate_structures(POSTERIOR_CAPS))
+            method = "enumeration"
         except CapExceededError:
-            pass
-        if isinstance(family, SparsityFamily):
-            return structure_posterior(y, family, cfg, [s for s, _ in nested_path(y, family)],
-                                       "symmetric-polynomial", proj=proj)
-        if proj.searched is None:
-            return None
-        return structure_posterior(y, family, cfg, proj.searched, proj=proj)
+            if isinstance(family, SparsityFamily):
+                candidates, method = None, "symmetric-polynomial"
+            elif proj.searched is None:
+                return None
+            else:
+                candidates, method = proj.searched, "restricted-candidate-set"
+        if self._path is not None:
+            return _size_indexed_posterior(y, family, cfg, self._path, candidates, method)
+        return structure_posterior(y, family, cfg, candidates, method, proj=proj)
 
     @functools.cached_property
     def theta_tilde(self) -> np.ndarray | None:
         y, family = self.proj.y, self.proj.family
         if isinstance(family, SparsityFamily):
             return sparsity_ma_mean_exact(y, family, self.cfg)
-        return None if self.posterior is None else ma_mean(y, family, self.posterior, self.proj)
+        if self.posterior is None:
+            return None
+        if self._path is not None:  # the posterior ranges over the path, in size order
+            return self._path.mean(self.posterior.weights())
+        return ma_mean(y, family, self.posterior, self.proj)
 
 
 def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng,

@@ -3,8 +3,9 @@
 The selected structure minimizes  ||Y - P_I Y||^2 + sigma^2 * pen(I)  with
 pen(I) = 2*kappa*rho(I) (or the model-averaging variant that adds dim L_I).
 The method is looked up by family tag.  Nested-path families score one
-structure per size: smoothness, banding and sparsity (`_SIZE_PATHS`) as one
-numpy objective array over sizes, jump (`_PATHS`) lazily along its DP rows;
+structure per size: smoothness, banding and sparsity (`_SIZE_PATHS`, each a
+`SizePath` whose SSEs the DDM posterior reads too) as one numpy objective
+array over sizes, jump (`_PATHS`) lazily along its DP rows;
 leveled sparsity scans each level alone; clustering runs one DP over the
 sorted order (`_clustering_cells`) that is exact over every cluster count up
 to `EXACT_CLUSTERING_MAX_N`; the rest are enumerated within `EXACT_CAPS`.
@@ -46,7 +47,9 @@ the exact selectors, the brute force, the alternating bicluster restarts and
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,10 +104,11 @@ class Projections:
     stored read-only, at most `POSTERIOR_CAPS.max_count` of them at 8 * N
     bytes each plus array overhead; past that they are computed and not
     kept.  The posterior and the mean read what the selector stored and add
-    nothing: a nested path scores its sizes without projecting, and storing
-    the posterior's projections would hold every candidate's N floats
-    (4,097 x 4,096 for smoothness at N = 4,096) while the mean rereads only
-    those of nonzero weight.
+    nothing, since storing the posterior's projections would hold every
+    candidate's N floats while the mean rereads only those of nonzero
+    weight.  Size-indexed families (`size_path`) score their sizes, and
+    weigh their posterior candidates, from the path's SSE array, so only
+    their selected structure is projected.
 
     `searched` is what the last `select_penalized` on this memo scored when
     it ran a search (heuristic regression, bicluster and clustering, and the
@@ -280,20 +284,42 @@ def segment_dp(values, max_breaks: int):
 # ---------------------------------------------------------------------------
 
 
+class SizePath(NamedTuple):
+    """A nested path of one structure per size k = 0..n_sizes-1: sse[k] is
+    ||Y - P_k Y||^2 and build(k) the size-k structure; mean(weights) is
+    sum_k weights[k] P_k Y, or None where no caller needs it (sparsity, whose
+    theta_tilde averages over all 2^n supports)."""
+
+    sse: np.ndarray
+    build: Callable
+    mean: Callable | None
+
+
+def _tail_sums(values) -> np.ndarray:
+    """out[k] = sum(values[k:]) for k = 0..len(values), summed from the far
+    end.  A tail of squares keeps its relative accuracy however small it is,
+    where the total minus a prefix sum would lose it next to the total."""
+    out = np.zeros(len(values) + 1)
+    np.cumsum(values[::-1], out=out[-2::-1])
+    return out
+
+
 def _smoothness_sizes(y, family):
-    tails = np.concatenate([np.cumsum((y * y)[::-1])[::-1], [0.0]])
-    return tails, Truncation
+    # level k keeps y_0..y_{k-1}, so theta_tilde_i = y_i * P(level > i)
+    return SizePath(_tail_sums(y * y), Truncation, lambda w: y * _tail_sums(w)[1:-1])
 
 
 def _banding_sizes(y, family):
-    y = y.reshape(family.p, family.p)
-    sym = 0.5 * (y + y.T)
-    total = float(np.sum(y * y))
+    # width w keeps the symmetric part S within distance w of the diagonal,
+    # so theta_tilde_ij = S_ij * P(width >= |i - j|); Y - S is in every residual
+    mat = y.reshape(family.p, family.p)
+    sym = 0.5 * (mat + mat.T)
+    anti = (mat - sym).reshape(-1)
     idx = np.arange(family.p)
     dist = np.abs(idx[:, None] - idx[None, :])
-    # captured energy of the symmetric part per band width
-    energy = np.array([float(np.sum((sym * sym)[dist <= w])) for w in range(family.p)])
-    return total - energy, Band
+    energy = np.bincount(dist.reshape(-1), weights=(sym * sym).reshape(-1), minlength=family.p)
+    return SizePath(anti @ anti + _tail_sums(energy)[1:], Band,
+                    lambda w: (sym * _tail_sums(w)[dist]).reshape(-1))
 
 
 def _magnitude_gains(y):
@@ -304,16 +330,17 @@ def _magnitude_gains(y):
 
 
 def _sparsity_sizes(y, family):
-    order, gains = _magnitude_gains(y)
-    return gains[-1] - gains, lambda size: SparseSet(sorted_tuple(order[:size]))
+    # size k keeps the k largest |y_i|, ties in index order
+    order = np.argsort(-np.abs(y), kind="stable")
+    return SizePath(_tail_sums((y * y)[order]),
+                    lambda size: SparseSet(tuple(np.sort(order[:size]).tolist())), None)
 
 
 def _jump_path(y, family):
     return ((JumpSet(breaks), sse) for sse, breaks in _break_sets(y, family.n - 1))
 
 
-# size-indexed paths: (sse, build), the SSE of every size k = 0..n_sizes-1
-# and build(k), the size-k structure
+# size-indexed paths, each a SizePath
 _SIZE_PATHS = {
     "smoothness": _smoothness_sizes,
     "banding": _banding_sizes,
@@ -324,14 +351,19 @@ _SIZE_PATHS = {
 _PATHS = {"jump": _jump_path}
 
 
+def size_path(Y, family: Family) -> SizePath | None:
+    """The family's size-indexed path (smoothness, banding, sparsity), or None."""
+    sizes = _SIZE_PATHS.get(family.tag)
+    return None if sizes is None else sizes(np.asarray(Y, dtype=float), family)
+
+
 def nested_path(Y, family: Family):
     """(structure, SSE) pairs along the family's nested path, one per size,
     or None when the family has no such path."""
     y = np.asarray(Y, dtype=float)
-    sizes = _SIZE_PATHS.get(family.tag)
+    sizes = size_path(y, family)
     if sizes is not None:
-        sse, build = sizes(y, family)
-        return [(build(k), sse[k]) for k in range(sse.size)]
+        return [(sizes.build(k), sizes.sse[k]) for k in range(sizes.sse.size)]
     path = _PATHS.get(family.tag)
     return None if path is None else list(path(y, family))
 
@@ -746,15 +778,14 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
         for s, obj in scored:
             tracker.offer(s, obj)
         return _finish(proj, sigma, kappa, pen_variant, tracker)
-    sizes = _SIZE_PATHS.get(family.tag)
+    sizes = size_path(proj.y, family)
     if sizes is not None:
-        sse, build = sizes(proj.y, family)
         # the float operations of `sse + sigma**2 * penalty(...)`, elementwise
-        obj = sse + sigma**2 * _penalty_value(family.size_majorants, family.size_dims, kappa,
-                                              pen_variant)
+        obj = sizes.sse + sigma**2 * _penalty_value(family.size_majorants, family.size_dims,
+                                                    kappa, pen_variant)
         tracker = _ArgminTracker(family)
         for k in _near_minimum(obj):
-            tracker.offer(build(k), obj[k])
+            tracker.offer(sizes.build(k), obj[k])
         return _finish(proj, sigma, kappa, pen_variant, tracker)
     path = _PATHS.get(family.tag)
     if path is not None:

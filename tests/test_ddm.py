@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from projstruct import ddm
 from projstruct.ddm import (
     CONDITIONAL_VAR_FACTOR,
     DdmConfig,
@@ -20,10 +21,13 @@ from projstruct.ddm import (
     structure_posterior,
 )
 from projstruct.linalg import sq_norm
-from projstruct.selection import Projections, penalty, select_penalized
+from projstruct.selection import Projections, nested_path, penalty, select_penalized
 from projstruct.structures import (
+    BandingFamily,
     BiclusterFamily,
+    Caps,
     ClusteringFamily,
+    Family,
     RegressionFamily,
     SmoothnessFamily,
     SparseSet,
@@ -410,3 +414,81 @@ def test_exact_clustering_posterior_covers_every_cluster_count():
     y = np.random.default_rng(8).standard_normal(10)
     _, _, post = _searched_posterior(ClusteringFamily(10), "exact", y)
     assert {len(s.clusters) for s in post.candidates} == set(range(6))
+
+
+# the size-indexed families, with the sizes the oracle enumerates in full
+SIZE_INDEXED = {
+    "smoothness": (SmoothnessFamily, range(1, 11)),
+    "sparsity": (SparsityFamily, range(1, 11)),
+    "sparsity-rho-prime": (lambda n: SparsityFamily(n, "rho_prime"), range(1, 11)),
+    "banding": (BandingFamily, range(1, 7)),
+}
+
+
+def _size_indexed_cases(name):
+    make, sizes = SIZE_INDEXED[name]
+    rng = np.random.default_rng(sorted(SIZE_INDEXED).index(name))
+    for n in sizes:
+        fam = make(n)
+        for scale in (0.05, 1.0, 30.0):
+            # rounded data ties magnitudes, and so sizes on the sparsity path
+            y = np.round(scale * rng.standard_normal(fam.ambient_dim), 1)
+            yield fam, y, float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.2, 2.0))
+
+
+def _assert_posteriors_agree(got, want):
+    assert got.candidates == want.candidates and got.method == want.method
+    assert got.log_normalizer == pytest.approx(want.log_normalizer, rel=1e-12, abs=1e-12)
+    # log weights are log_z-sized terms minus log_z
+    tol = 1e-12 * (1.0 + abs(want.log_normalizer))
+    assert np.max(np.abs(got.log_weights - want.log_weights)) <= tol
+
+
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+@pytest.mark.parametrize("name", sorted(SIZE_INDEXED))
+def test_size_indexed_measure_matches_the_projection_oracle(name, pen_variant):
+    """Weights from the size arrays and theta_tilde from one reverse
+    cumulative sum, against projecting every enumerated structure."""
+    for fam, y, kappa, sigma in _size_indexed_cases(name):
+        c = cfg(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
+        measure = StructureMeasure(Projections(y, fam), c)
+        want = structure_posterior(y, fam, c, method="enumeration")
+        _assert_posteriors_agree(measure.posterior, want)
+        if isinstance(fam, SparsityFamily):
+            continue  # theta_tilde is Y times the exact marginals
+        mean = ma_mean(y, fam, want)
+        assert np.max(np.abs(measure.theta_tilde - mean)) <= 1e-12 * (1.0 + np.abs(mean).max())
+
+
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+@pytest.mark.parametrize("name", sorted(SIZE_INDEXED))
+def test_size_indexed_measure_past_the_cap_matches_the_projection_oracle(name, pen_variant,
+                                                                         monkeypatch):
+    """Past POSTERIOR_CAPS sparsity weighs its nested path under the exact
+    2^n normalizer; smoothness and banding have no posterior."""
+    monkeypatch.setattr(ddm, "POSTERIOR_CAPS", Caps(max_count=1))
+    for fam, y, kappa, sigma in _size_indexed_cases(name):
+        c = cfg(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
+        measure = StructureMeasure(Projections(y, fam), c)
+        if not isinstance(fam, SparsityFamily):
+            assert fam.n_sizes == 1 or (measure.posterior, measure.theta_tilde) == (None, None)
+            continue
+        path = [s for s, _ in nested_path(y, fam)]
+        want = structure_posterior(y, fam, c, path, "symmetric-polynomial")
+        _assert_posteriors_agree(measure.posterior, want)
+        assert measure.posterior.log_normalizer == sparsity_log_normalizer(y, fam, c)
+
+
+@pytest.mark.parametrize("fam", [SmoothnessFamily(300), BandingFamily(12), SparsityFamily(12),
+                                 SparsityFamily(200)], ids=lambda f: f"{f.tag}-{f.ambient_dim}")
+def test_size_indexed_measure_projects_nothing(fam, monkeypatch):
+    calls = []
+    for name in ("project", "project_many"):
+        def counting(self, *args, _real=getattr(Family, name), **kwargs):
+            calls.append(1)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(Family, name, counting)
+    y = np.random.default_rng(4).standard_normal(fam.ambient_dim)
+    measure = StructureMeasure(Projections(y, fam), cfg())
+    assert measure.posterior is not None and measure.theta_tilde is not None
+    assert calls == []

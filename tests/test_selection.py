@@ -543,7 +543,7 @@ def test_tie_chains_longer_than_a_fixed_band_match_full_scoring(name, make, n, p
     sigma, kappa = 1.0, 0.7
     y = np.random.default_rng(95).standard_normal(fam.ambient_dim)
     real = selection._SIZE_PATHS[fam.tag]
-    _, build = real(y, fam)
+    build = real(y, fam).build
     base = 1000.0
     step = 0.9 * TIE_RTOL * (1.0 + base)
     first, length = 3, 10  # sizes 3..12, below n/2, where rho' still rises
@@ -554,7 +554,7 @@ def test_tie_chains_longer_than_a_fixed_band_match_full_scoring(name, make, n, p
     sse = target - pen
 
     def chained(y, family):
-        return sse, real(y, family)[1]
+        return real(y, family)._replace(sse=sse)
 
     monkeypatch.setitem(selection._SIZE_PATHS, fam.tag, chained)
     want = full_scoring_select(y, fam, sigma, kappa, pen_variant)
