@@ -19,7 +19,9 @@ of their size path (`selection.SizePath`), the one the selector scores, and
 the enumerated sparsity supports by a 0/1 mask; smoothness and banding take
 theta_tilde = sum_k w_k P_k Y from one reverse cumulative sum of the
 weights.  None of them projects; `structure_posterior` and `ma_mean`, which
-project each candidate, serve the other families and are the tests' oracle.
+project each candidate (a chunk of candidates per stacked projection,
+`Projections.project_all`), serve the other families and are the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import CapExceededError, ExactModeUnavailableError
 from .linalg import sq_norm
 from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _penalty_value,
-                        penalty, size_path)
+                        chunks, penalty, size_path)
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
@@ -145,14 +147,19 @@ def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     return log_x, base - 0.5 * _size_penalties(family, cfg)
 
 
-def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig) -> float:
+def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig,
+                            table: np.ndarray | None = None) -> float:
     """Exact log normalizer over all 2^n subsets, without enumeration: the
-    masses c_k e_k(x) of the support sizes, summed in the log domain."""
+    masses c_k e_k(x) of the support sizes, summed in the log domain.  The
+    e_k are the last row of `table`, the `_log_esp_table` of log x, built
+    when None."""
     log_x, log_c = _sparsity_terms(Y, family, cfg)
-    return logsumexp(log_c + log_elementary_symmetric(log_x))
+    log_e = log_elementary_symmetric(log_x) if table is None else table[-1]
+    return logsumexp(log_c + log_e)
 
 
-def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
+def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig,
+                                     table: np.ndarray | None = None) -> np.ndarray:
     """Exact marginal P(i in I | Y) for every coordinate, in O(n^2) time.
 
     With Z = sum_k c_k e_k(x), the forward pass keeps every row of the
@@ -161,10 +168,11 @@ def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig) 
     Poisson marginals of Chen, Dempster & Liu 1994).  The mass of the
     supports holding j is x_j * sum_k g_k e_{k-1}(x_0..x_{j-1}).  Every term
     is positive, so nothing is subtracted in the log domain and no fallback
-    is needed.  Memory is the 8(n+1)^2-byte table.
+    is needed.  Memory is the 8(n+1)^2-byte table, the `_log_esp_table` of
+    log x, built here when `table` is None.
     """
     log_x, log_c = _sparsity_terms(Y, family, cfg)
-    table = _log_esp_table(log_x)
+    table = _log_esp_table(log_x) if table is None else table
     log_z = logsumexp(log_c + table[-1])
     g = log_c.copy()
     probs = np.empty(family.n)
@@ -209,17 +217,21 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
         raise ValueError("candidate set is empty")
 
     proj = Projections.of(Y, family, proj)
-    raw = np.array([log_unnormalized_weight(proj.y, family, s, cfg, proj) for s in candidates])
+    # the float operations of `log_unnormalized_weight`, elementwise
+    rss = [r for chunk in chunks(candidates) for r in proj.rss_all(chunk)]
+    pen = [penalty(family, s, cfg.kappa, cfg.pen_variant) for s in candidates]
+    raw = _log_weights(np.array(rss), np.array(pen), cfg)
     log_z = (sparsity_log_normalizer(Y, family, cfg) if method == "symmetric-polynomial"
              else logsumexp(raw))
     return DdmPosterior(family, candidates, raw - log_z, method, log_normalizer=log_z)
 
 
 def _size_indexed_posterior(y, family, cfg: DdmConfig, path: SizePath, candidates,
-                            method: str) -> DdmPosterior:
+                            method: str, table: np.ndarray | None = None) -> DdmPosterior:
     """The posterior of a smoothness, banding or sparsity family, without
     projecting.  "symmetric-polynomial": the sparsity path, from the path's
-    SSE array, under the exact 2^n normalizer.  "enumeration": candidates
+    SSE array, under the exact 2^n normalizer (from the log-ESP `table`,
+    when given).  "enumeration": candidates
     are the family's enumeration; for smoothness and banding that is the
     path itself, in size order, and the enumerated sparsity supports are
     scored by a 0/1 mask, each ||Y - P_I Y||^2 the sum of Y_i^2 over the
@@ -236,7 +248,7 @@ def _size_indexed_posterior(y, family, cfg: DdmConfig, path: SizePath, candidate
         raw = _log_weights(path.sse, pen, cfg)
     if method == "symmetric-polynomial":
         candidates = [path.build(k) for k in range(family.n_sizes)]
-        log_z = sparsity_log_normalizer(y, family, cfg)
+        log_z = sparsity_log_normalizer(y, family, cfg, table)
     else:
         log_z = logsumexp(raw)
     return DdmPosterior(family, candidates, raw - log_z, method, log_z)
@@ -254,14 +266,13 @@ def select_map(post: DdmPosterior):
 def ma_mean(Y, family: Family, post: DdmPosterior,
             proj: Projections | None = None) -> np.ndarray:
     """Model-averaging mean: the weight-mixed projection of Y, summed in
-    candidate order."""
+    candidate order over the candidates of nonzero weight."""
     proj = Projections.of(Y, family, proj)
-    weights = post.weights()
+    weighted = [(w, s) for w, s in zip(post.weights(), post.candidates) if w != 0.0]
     out = np.zeros(family.ambient_dim)
-    for w, s in zip(weights, post.candidates):
-        if w == 0.0:
-            continue
-        out += w * proj.project(s)
+    for chunk in chunks(weighted):
+        for (w, _), p in zip(chunk, proj.project_all(s for _, s in chunk)):
+            out += w * p
     return out
 
 
@@ -270,9 +281,10 @@ def ms_mean(Y, family: Family, I_hat) -> np.ndarray:
     return family.project(I_hat, Y)
 
 
-def sparsity_ma_mean_exact(Y, family: SparsityFamily, cfg: DdmConfig) -> np.ndarray:
+def sparsity_ma_mean_exact(Y, family: SparsityFamily, cfg: DdmConfig,
+                           table: np.ndarray | None = None) -> np.ndarray:
     """Exact model-averaging mean over all 2^n supports: Y_i * P(i in I|Y)."""
-    return np.asarray(Y, dtype=float) * sparsity_inclusion_probabilities(Y, family, cfg)
+    return np.asarray(Y, dtype=float) * sparsity_inclusion_probabilities(Y, family, cfg, table)
 
 
 class StructureMeasure:
@@ -283,11 +295,15 @@ class StructureMeasure:
     the structures the selector's search scored on proj (`proj.searched`),
     else None.  Smoothness, banding and sparsity weigh their candidates from
     the size path's arrays (`_size_indexed_posterior`) and project nothing;
-    the other families read P_I Y from proj.  `theta_tilde`: for sparsity, Y
-    times the inclusion marginals, with no posterior built; for smoothness
-    and banding, the size path's mean under the posterior weights
-    (`SizePath.mean`); otherwise `ma_mean` over the posterior; None when
-    there is no posterior."""
+    the other families read P_I Y from proj, a chunk of candidates per
+    stacked projection (`Projections.project_all`), once for the weights and
+    once more, for the candidates of nonzero weight, in `ma_mean`.
+    `theta_tilde`: for sparsity, Y times the inclusion marginals, with no
+    posterior built; for smoothness and banding, the size path's mean under
+    the posterior weights (`SizePath.mean`); otherwise `ma_mean` over the
+    posterior; None when there is no posterior.  Sparsity builds its
+    (n+1)^2 log-ESP table once, for the 2^n normalizer and the marginals
+    both."""
 
     def __init__(self, proj: Projections, cfg: DdmConfig):
         self.proj, self.cfg = proj, cfg
@@ -295,6 +311,11 @@ class StructureMeasure:
     @functools.cached_property
     def _path(self) -> SizePath | None:
         return size_path(self.proj.y, self.proj.family)
+
+    @functools.cached_property
+    def _esp_table(self) -> np.ndarray:
+        """Sparsity's log-ESP table, shared by the normalizer and the marginals."""
+        return _log_esp_table(_sparsity_terms(self.proj.y, self.proj.family, self.cfg)[0])
 
     @functools.cached_property
     def posterior(self) -> DdmPosterior | None:
@@ -310,14 +331,15 @@ class StructureMeasure:
             else:
                 candidates, method = proj.searched, "restricted-candidate-set"
         if self._path is not None:
-            return _size_indexed_posterior(y, family, cfg, self._path, candidates, method)
+            table = self._esp_table if method == "symmetric-polynomial" else None
+            return _size_indexed_posterior(y, family, cfg, self._path, candidates, method, table)
         return structure_posterior(y, family, cfg, candidates, method, proj=proj)
 
     @functools.cached_property
     def theta_tilde(self) -> np.ndarray | None:
         y, family = self.proj.y, self.proj.family
         if isinstance(family, SparsityFamily):
-            return sparsity_ma_mean_exact(y, family, self.cfg)
+            return sparsity_ma_mean_exact(y, family, self.cfg, self._esp_table)
         if self.posterior is None:
             return None
         if self._path is not None:  # the posterior ranges over the path, in size order

@@ -6,7 +6,9 @@ form by the callers; here a matrix argument is always a basis whose columns
 span the target subspace.  A span is read off one thin SVD of its basis: the
 left singular vectors whose singular value exceeds COLUMN_DROP_RTOL times the
 largest column norm are an orthonormal basis of it, and their count is its
-dimension (`span_rank`, the same rule without the vectors).
+dimension (`span_rank`, the same rule without the vectors).  A stack of
+bases with the same column count is projected onto in one batched SVD
+(`project_onto_spans`), with the bytes of one call per basis.
 """
 
 from __future__ import annotations
@@ -97,3 +99,34 @@ def project_rows_onto_span(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if q.shape[1] == 0:
         return np.zeros_like(rows)
     return (rows @ q) @ q.T
+
+
+def orthonormal_spans(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`orthonormal_span` of every basis in the (G, n, r) stack ``bases``
+    that keeps all r columns, from one batched SVD.
+
+    Returns (q, full): full[g] says whether every singular value of basis g
+    exceeds its drop tolerance, and q stacks the orthonormal bases of those
+    full[g] ones, each in column-major order as `orthonormal_span` returns it
+    (the layout decides which BLAS kernel forms Q^T y, and so its bytes).
+    """
+    if bases.ndim != 3:
+        raise DimensionMismatchError(f"bases must be a (G, n, r) stack, got shape {bases.shape}")
+    drop_tol = COLUMN_DROP_RTOL * np.linalg.norm(bases, axis=1).max(axis=1, initial=0.0)
+    u, sv, _ = np.linalg.svd(bases, full_matrices=False)
+    full = (sv > drop_tol[:, None]).all(axis=1)
+    q = np.ascontiguousarray(u[full].transpose(0, 2, 1)).transpose(0, 2, 1)
+    return q, full
+
+
+def project_onto_spans(bases: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projection of the vector y onto the column span of every
+    basis in the (G, n, r) stack ``bases``, 1 <= r <= n.
+
+    Returns (out, full): out holds, for each g with full[g], the bytes of
+    `project_rows_onto_span(bases[g], y[None])[0]`; a basis with a singular
+    value at or below its drop tolerance has full[g] False and no row, and
+    the caller projects onto it alone.
+    """
+    q, full = orthonormal_spans(bases)
+    return ((y[None] @ q) @ q.transpose(0, 2, 1))[:, 0], full

@@ -8,7 +8,8 @@ structure per size: smoothness, banding and sparsity (`_SIZE_PATHS`, each a
 array over sizes, jump (`_PATHS`) lazily along its DP rows;
 leveled sparsity scans each level alone; clustering runs one DP over the
 sorted order (`_clustering_cells`) that is exact over every cluster count up
-to `EXACT_CLUSTERING_MAX_N`; the rest are enumerated within `EXACT_CAPS`.
+to `EXACT_CLUSTERING_MAX_N`; the rest are enumerated within `EXACT_CAPS`,
+a chunk of structures per stacked projection (`Projections.project_all`).
 Heuristic mode runs the family's search (`_SEARCHES`: regression greedy,
 bicluster alternation, the clustering DP with at most max_blocks clusters),
 or the exact selector when it has none.  A search, and the exact clustering
@@ -46,6 +47,7 @@ the exact selectors, the brute force, the alternating bicluster restarts and
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -99,16 +101,21 @@ class Projections:
 
     A caller makes one memo per Y and passes it to each of them; the memo
     goes when the call that made it ends, so it never outlives its Y.  The
-    first request for a structure goes through `family.project`, which
-    validates it.  The selector's projections (`objective`, keep=True) are
-    stored read-only, at most `POSTERIOR_CAPS.max_count` of them at 8 * N
-    bytes each plus array overhead; past that they are computed and not
-    kept.  The posterior and the mean read what the selector stored and add
-    nothing, since storing the posterior's projections would hold every
-    candidate's N floats while the mean rereads only those of nonzero
-    weight.  Size-indexed families (`size_path`) score their sizes, and
-    weigh their posterior candidates, from the path's SSE array, so only
-    their selected structure is projected.
+    first request for a structure validates it, once: `project` goes through
+    `family.project`, and `project_all`, which takes a list of structures,
+    through `family._project_stack`, whose rows have the same bytes.  The
+    brute force, the enumerated posterior and `ma_mean` walk their
+    structures in chunks of `PROJECTION_CHUNK` through `project_all`.  The
+    selector's projections (keep=True) are stored read-only, at most
+    `POSTERIOR_CAPS.max_count` of them at 8 * N bytes each plus array
+    overhead (a row kept by `project_all` holds its chunk's array, at most
+    one chunk more); past that they are computed and not kept.  The
+    posterior and the mean read what the selector stored and add nothing,
+    since storing the posterior's projections would hold every candidate's
+    N floats while the mean rereads only those of nonzero weight.
+    Size-indexed families (`size_path`) score their sizes, and weigh their
+    posterior candidates, from the path's SSE array, so only their selected
+    structure is projected.
 
     `searched` is what the last `select_penalized` on this memo scored when
     it ran a search (heuristic regression, bicluster and clustering, and the
@@ -143,9 +150,48 @@ class Projections:
                 self.stored[structure] = out
         return out
 
+    def project_all(self, structures, keep: bool = False) -> np.ndarray:
+        """The read-only (K, N) array whose row k is `project(structures[k],
+        keep)`: stored rows come from the memo, and the others are validated
+        and then projected in one `family._project_stack`."""
+        y, structures = self.family.as_point(self.y), list(structures)
+        out = np.empty((len(structures), y.size))
+        missing = []
+        for k, s in enumerate(structures):
+            row = self.stored.get(s)
+            if row is None:
+                self.family.validate(s)
+                missing.append(k)
+            else:
+                out[k] = row
+        if missing:
+            out[missing] = self.family._project_stack([structures[k] for k in missing], y)
+        out.flags.writeable = False
+        if keep:
+            for k in missing[:max(0, POSTERIOR_CAPS.max_count - len(self.stored))]:
+                self.stored.setdefault(structures[k], out[k])
+        return out
+
     def rss(self, structure, keep: bool = False) -> float:
         """||Y - P_I Y||^2."""
         return sq_norm(self.y - self.project(structure, keep))
+
+    def rss_all(self, structures, keep: bool = False) -> list[float]:
+        """`rss` of each structure, from one `project_all`.  Y has finite
+        energy, so no residual overflows and none needs `sq_norm`'s check."""
+        return [float(np.dot(r, r)) for r in self.y - self.project_all(structures, keep)]
+
+
+# structures per `Projections.project_all` call where a caller walks an
+# enumeration: a chunk of N floats each, however long the enumeration
+PROJECTION_CHUNK = 1024
+
+
+def chunks(structures, size: int = PROJECTION_CHUNK):
+    """Consecutive lists of at most `size` items of the iterable, lazily."""
+    it = iter(structures)
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
 
 
 def objective(Y, family: Family, structure, sigma: float, kappa: float,
@@ -193,9 +239,11 @@ def select_bruteforce(Y, family: Family, sigma: float, kappa: float,
     """Global minimizer by exhaustive search over the capped enumeration."""
     proj = Projections.of(Y, family, proj)
     tracker = _ArgminTracker(family)
-    for structure in family.enumerate_structures(caps):
-        tracker.offer(structure, objective(proj.y, family, structure, sigma, kappa,
-                                           pen_variant, proj))
+    for chunk in chunks(family.enumerate_structures(caps)):
+        # the float operations of `objective`
+        for structure, rss in zip(chunk, proj.rss_all(chunk, keep=True)):
+            tracker.offer(structure, rss + sigma**2 * penalty(family, structure, kappa,
+                                                              pen_variant))
     return tracker.result()
 
 

@@ -8,8 +8,12 @@ span(L_I0 + L_I1) <= L_I' and rho(I') <= rho(I0) + rho(I1).
 
 Everything downstream uses L_I only through the orthogonal projection P_I,
 which each family writes once, as a batch kernel over rows (see `Family`);
-bicluster alone adds a vector kernel.  Sparsity, jump and knot structures
-are sorted position sets and share their bookkeeping (`_PositionSetFamily`).
+bicluster alone adds a vector kernel.  A list of structures is projected
+in one call (`Family._project_stack`): knot and regression through one
+batched SVD per column count (`_SpanFamily`), clustering by cluster means
+grouped by cluster size, the rest one structure at a time; each row has the
+bytes of `project`.  Sparsity, jump and knot structures are sorted position
+sets and share their bookkeeping (`_PositionSetFamily`).
 
 All index data is 0-based, both in memory and in the JSON wire shape
 {"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -28,7 +33,9 @@ import numpy as np
 
 from .errors import (CapExceededError, DimensionMismatchError, InvalidStructureError,
                      UnsupportedFamilyError)
-from .linalg import as_vector, project_rows_onto_span, span_rank
+from .linalg import as_vector, project_onto_spans, project_rows_onto_span, span_rank
+
+logger = logging.getLogger(__name__)
 
 LOG = math.log
 
@@ -205,6 +212,8 @@ class Family:
     returns P_I applied to every row of a float (m, ambient_dim) array.
     `project` and `project_many` check the structure and shape, then call it;
     `project` goes through `_project`, which defaults to the one-row batch.
+    `_project_stack(structures, y)` projects one vector onto many structures,
+    each already validated, with the bytes of `project` in every row.
     """
 
     tag: str = ""
@@ -217,13 +226,18 @@ class Family:
         raise NotImplementedError
 
     def project(self, structure, theta) -> np.ndarray:
+        theta = self.as_point(theta)
+        self.validate(structure)
+        return self._project(structure, theta)
+
+    def as_point(self, theta) -> np.ndarray:
+        """theta as a finite float vector of the ambient dimension."""
         theta = as_vector(theta)
         if theta.size != self.ambient_dim:
             raise DimensionMismatchError(
                 f"{self.tag}: theta has length {theta.size}, ambient is {self.ambient_dim}"
             )
-        self.validate(structure)
-        return self._project(structure, theta)
+        return theta
 
     def project_many(self, structure, rows: np.ndarray) -> np.ndarray:
         """Project each row of the (m, ambient_dim) array ``rows``."""
@@ -240,6 +254,15 @@ class Family:
 
     def _project_rows(self, structure, rows):
         raise NotImplementedError
+
+    def _project_stack(self, structures, y) -> np.ndarray:
+        """(K, ambient_dim) array whose row k is `_project(structures[k], y)`;
+        y is a float vector of the ambient dimension.  The default projects
+        the structures one by one."""
+        out = np.empty((len(structures), self.ambient_dim))
+        for k, s in enumerate(structures):
+            out[k] = self._project(s, y)
+        return out
 
     def dim(self, structure) -> int:
         self.validate(structure)
@@ -308,6 +331,52 @@ def _read_only(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+class _SpanFamily(Family):
+    """A family whose L_I is the column span of a basis of `_width(s)`
+    columns; `_bases(group)` stacks the bases of structures of one width
+    into a (G, ambient_dim, width) array, and the per-structure kernel
+    projects onto `_bases([s])[0]`.
+
+    `_project_stack` groups the structures by width and projects onto each
+    group's stack with one batched SVD (`linalg.project_onto_spans`).  A
+    basis with a singular value at or below the drop tolerance spans less
+    than its width; it falls back to the per-structure kernel, as does a
+    width past the ambient dimension (which that kernel refuses).  Each call
+    logs at DEBUG how many structures took either way.
+    """
+
+    def _width(self, s) -> int:
+        raise NotImplementedError
+
+    def _bases(self, group) -> np.ndarray:
+        raise NotImplementedError
+
+    def _project_rows(self, s, rows):
+        return project_rows_onto_span(self._bases([s])[0], rows)
+
+    def _project_stack(self, structures, y):
+        out = np.empty((len(structures), self.ambient_dim))
+        by_width: dict[int, list[int]] = {}
+        for k, s in enumerate(structures):
+            by_width.setdefault(self._width(s), []).append(k)
+        alone = []
+        for width, idx in by_width.items():
+            if width == 0:  # the zero subspace
+                out[idx] = 0.0
+            elif width > self.ambient_dim:
+                alone += idx
+            else:
+                rows, full = project_onto_spans(self._bases([structures[k] for k in idx]), y)
+                idx = np.array(idx)
+                out[idx[full]] = rows
+                alone += idx[~full].tolist()
+        for k in alone:
+            out[k] = self._project(structures[k], y)
+        logger.debug("%s: %d structures projected in stacks, %d fell back to one at a time",
+                     self.tag, len(structures) - len(alone), len(alone))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +760,26 @@ class ClusteringFamily(Family):
             out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
         return out
 
+    def _project_stack(self, structures, y):
+        # the free coordinates of every row at once, then the means of all
+        # clusters of one size as one (count, size) array
+        free_at: tuple[list[int], list[int]] = ([], [])
+        by_size: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+        for k, s in enumerate(structures):
+            free_at[0].extend([k] * len(s.free))
+            free_at[1].extend(s.free)
+            for cluster in s.clusters:
+                rows, clusters = by_size.setdefault(len(cluster), ([], []))
+                rows.append(k)
+                clusters.append(cluster)
+        free = np.zeros((len(structures), self.n), dtype=bool)
+        free[free_at] = True
+        out = np.where(free, y, 0.0)
+        for rows, clusters in by_size.values():
+            clusters = np.array(clusters)
+            out[np.array(rows)[:, None], clusters] = y[clusters].mean(axis=1)[:, None]
+        return out
+
     def _dim(self, s):
         return min(len(s.free) + len(s.clusters), self.n)
 
@@ -779,7 +868,7 @@ class JumpFamily(_PositionSetFamily):
         return 1.0 + 2.0 * xlog(len(s.breaks), math.e * self.n)
 
 
-class KnotFamily(_PositionSetFamily):
+class KnotFamily(_SpanFamily, _PositionSetFamily):
     """Continuous piecewise-linear sequences with free curvature at knots.
 
     The subspace for knot set I is spanned by 1, t and the hinge columns
@@ -792,13 +881,19 @@ class KnotFamily(_PositionSetFamily):
     structure_type, field, first, from_end = KnotSet, "knots", 1, 2
 
     def basis(self, s) -> np.ndarray:
-        t = np.arange(self.n, dtype=float)
-        cols = [np.ones(self.n), t]
-        cols.extend(np.maximum(t - k, 0.0) for k in s.knots)
-        return np.column_stack(cols)
+        return self._bases([s])[0]
 
-    def _project_rows(self, s, rows):
-        return project_rows_onto_span(self.basis(s), rows)
+    def _width(self, s):
+        return len(s.knots) + 2
+
+    def _bases(self, group):
+        knots = np.array([s.knots for s in group], dtype=float)  # (G, width - 2)
+        t = np.arange(self.n, dtype=float)
+        out = np.empty((len(group), self.n, knots.shape[1] + 2))
+        out[:, :, 0] = 1.0
+        out[:, :, 1] = t
+        out[:, :, 2:] = np.maximum(t[:, None] - knots[:, None, :], 0.0)
+        return out
 
     def _dim(self, s):
         return len(s.knots) + 2
@@ -813,7 +908,7 @@ class KnotFamily(_PositionSetFamily):
 # ---------------------------------------------------------------------------
 
 
-class RegressionFamily(Family):
+class RegressionFamily(_SpanFamily, Family):
     """Column supports of a fixed design, living in prediction space R^n.
 
     The family is {I subset of [p]: 2|I| log(ep/|I|) <= r} plus the
@@ -867,8 +962,12 @@ class RegressionFamily(Family):
     def columns(self, s) -> np.ndarray:
         return self.design[:, list(s.indices)]
 
-    def _project_rows(self, s, rows):
-        return project_rows_onto_span(self.columns(s), rows)
+    def _width(self, s):
+        return len(s.indices)
+
+    def _bases(self, group):
+        # design[:, idx] with idx of shape (G, width) is (n_obs, G, width)
+        return np.moveaxis(self.design[:, [s.indices for s in group]], 1, 0)
 
     def _dim(self, s):
         return self.rank if s.full_rank else span_rank(self.columns(s))

@@ -452,13 +452,21 @@ def test_select_memo_bound_keeps_output(tmp_path, monkeypatch, name):
     most = []
     project = selection.Projections.project
 
+    project_all = selection.Projections.project_all
+
     def counting(self, structure, keep=False):
         out = project(self, structure, keep)
         most.append(len(self.stored))
         return out
 
+    def counting_all(self, structures, keep=False):
+        out = project_all(self, structures, keep)
+        most.append(len(self.stored))
+        return out
+
     monkeypatch.setattr(selection, "POSTERIOR_CAPS", Caps(max_count=5))
     monkeypatch.setattr(selection.Projections, "project", counting)
+    monkeypatch.setattr(selection.Projections, "project_all", counting_all)
     config = DATA_DIR / "golden_select" / f"{name}.json"
     out = tmp_path / "out.json"
     assert main(["select", "--config", str(config), "--out", str(out), "--seed", "31337"]) == 0
@@ -467,14 +475,21 @@ def test_select_memo_bound_keeps_output(tmp_path, monkeypatch, name):
 
 
 def _count_spans(monkeypatch):
+    """One entry per basis given to `linalg.orthonormal_span`, or to the
+    stacked `linalg.orthonormal_spans` (one per basis of its stack)."""
     calls = []
-    span = linalg.orthonormal_span
+    span, spans = linalg.orthonormal_span, linalg.orthonormal_spans
 
     def counting(basis):
         calls.append(1)
         return span(basis)
 
+    def counting_stack(bases):
+        calls.extend([1] * len(bases))
+        return spans(bases)
+
     monkeypatch.setattr(linalg, "orthonormal_span", counting)
+    monkeypatch.setattr(linalg, "orthonormal_spans", counting_stack)
     return calls
 
 
@@ -496,6 +511,29 @@ def test_select_projects_each_structure_once(tmp_path, monkeypatch, family, most
     doc = json.loads(out.read_text())
     assert doc["posterior"]["method"] == "enumeration" and doc["theta_tilde"] is not None
     assert 0 < len(calls) <= most
+
+
+def test_select_builds_the_sparsity_log_esp_table_once(tmp_path, monkeypatch):
+    """Past the enumeration cap the 2^n normalizer and the inclusion
+    marginals read one (n+1)^2 log-ESP table; they built one each."""
+    calls = []
+    table = ddm._log_esp_table
+
+    def counting(log_x):
+        calls.append(len(log_x))
+        return table(log_x)
+
+    monkeypatch.setattr(ddm, "_log_esp_table", counting)
+    cfg = write_config(tmp_path, {
+        "family": {"kind": "sparsity", "n": 200}, "sigma": 1.0, "kappa": 1.0,
+        "data": {"signal": {"kind": "sparse", "s": 5, "amplitude": 4.0},
+                 "noise": {"kind": "gaussian"}}})
+    out = tmp_path / "sel.json"
+    assert main(["select", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["posterior"]["method"] == "symmetric-polynomial"
+    assert doc["theta_tilde"] is not None
+    assert calls == [200]
 
 
 # family sections and signal sections the builders cannot build from

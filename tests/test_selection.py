@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from projstruct import selection
+from projstruct.errors import DimensionMismatchError, InvalidStructureError
 from projstruct.linalg import sq_norm
 from projstruct.selection import (
     TIE_RTOL,
@@ -747,6 +748,34 @@ def test_projection_memo_stores_read_only_projections(families):
                 p[0] = 1.0
             assert p.tobytes() == fam.project(s, y).tobytes(), name
             assert proj.rss(s) == sq_norm(y - fam.project(s, y)), name
+
+
+def test_project_all_reads_and_keeps_what_project_does(families, monkeypatch):
+    """`project_all` gives `project`'s bytes row by row, read-only; it reads
+    stored rows, validates the rest, and stores with keep=True only, within
+    the memo's bound."""
+    rng = np.random.default_rng(22)
+    monkeypatch.setattr(selection, "POSTERIOR_CAPS", selection.Caps(max_count=5))
+    for name, fam in families.items():
+        y = rng.standard_normal(fam.ambient_dim)
+        structs = enumerate_small(fam)[:8]
+        proj = selection.Projections(y, fam)
+        first = proj.project(structs[0], keep=True)
+        rows = proj.project_all(structs)
+        assert not rows.flags.writeable and list(proj.stored) == [structs[0]], name
+        for s, row in zip(structs, rows):
+            assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
+        assert proj.rss_all(structs) == [sq_norm(y - fam.project(s, y)) for s in structs], name
+        kept = proj.project_all(structs, keep=True)
+        assert proj.stored[structs[0]] is first, name
+        assert len(proj.stored) == min(5, len(structs)), name
+        for s, row in proj.stored.items():
+            assert not row.flags.writeable and row.tobytes() == fam.project(s, y).tobytes()
+        assert kept.tobytes() == rows.tobytes(), name
+    with pytest.raises(InvalidStructureError):
+        selection.Projections(np.ones(8), SparsityFamily(8)).project_all([SparseSet((9,))])
+    with pytest.raises(DimensionMismatchError):
+        selection.Projections(np.ones(7), SparsityFamily(8)).project_all([SparseSet((1,))])
 
 
 def test_projection_memo_rejects_another_family_or_observation():

@@ -1,7 +1,10 @@
 import collections
 import itertools
 import json
+import logging
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from projstruct.errors import (
     InvalidStructureError,
     UnsupportedFamilyError,
 )
-from projstruct.linalg import orthonormal_span
+from projstruct.experiments import build_family
+from projstruct.linalg import orthonormal_span, span_rank
 from projstruct.structures import (
     Band,
     BandingFamily,
@@ -36,6 +40,8 @@ from projstruct.structures import (
     is_sorted_unique,
 )
 from conftest import ENUM_CAPS, enumerate_small, small_families
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +435,69 @@ def test_project_and_project_many_share_one_kernel(name):
             theta = rows[0]
             one_row = fam.project_many(s, theta[None])[0]
             assert fam.project(s, theta).tobytes() == one_row.tobytes(), s
+
+
+def _rank_deficient_design():
+    """20 x 14 with column 5 a copy of column 2 and column 9 zero: the
+    supports of size 2 include {2, 5} and {9, j}, whose spans are narrower
+    than their column counts."""
+    design = np.random.default_rng(5).standard_normal((20, 14))
+    design[:, 5] = design[:, 2]
+    design[:, 9] = 0.0
+    return design
+
+
+def _stack_cases():
+    """name -> (family, caps) for the stacked-projection byte test."""
+    cases = {f"knot-{n}": (KnotFamily(n), None) for n in range(3, 14)}
+    golden = json.loads((DATA_DIR / "golden_select" / "regression.json").read_text())
+    cases["regression-golden"] = (build_family(golden["family"]), None)
+    cases["regression-rank-deficient"] = (RegressionFamily(_rank_deficient_design()), None)
+    for n in range(1, 9):
+        cases[f"clustering-{n}-exact"] = (ClusteringFamily(n), None)
+        for blocks in (0, 1, 2):
+            cases[f"clustering-{n}-blocks-{blocks}"] = (ClusteringFamily(n), Caps(max_blocks=blocks))
+    cases["bicluster-3x3-default"] = (BiclusterFamily(3, 3), None)
+    return cases
+
+
+STACK_CASES = _stack_cases()
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_project_stack_rows_have_the_bytes_of_project(name):
+    """Every row of `_project_stack` is byte for byte `project` of its
+    structure, which stays the oracle: knot and regression through the
+    batched SVD (and its fallback), clustering by grouped cluster means,
+    bicluster through the default loop over its vector kernel."""
+    fam, caps = STACK_CASES[name]
+    structs = list(fam.enumerate_structures(caps))
+    rng = np.random.default_rng(23)
+    for y in (rng.standard_normal(fam.ambient_dim) * 3.0,
+              rng.integers(-2, 3, fam.ambient_dim).astype(float) + 1e3):
+        rows = fam._project_stack(structs, y)
+        assert rows.shape == (len(structs), fam.ambient_dim)
+        for s, row in zip(structs, rows):
+            assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
+
+
+def test_span_stack_falls_back_and_says_so(caplog):
+    """A regression basis whose span is narrower than its column count
+    (two identical columns, or a zero one) goes through the per-structure
+    kernel, with the same bytes, and the DEBUG log counts it."""
+    fam = RegressionFamily(_rank_deficient_design())
+    structs = list(fam.enumerate_structures())
+    narrow = sum(len(s.indices) > 0 and span_rank(fam.columns(s)) < len(s.indices)
+                 for s in structs)
+    assert narrow == 1 + 1 + 13  # {2, 5}, {9} and {9, j}
+    y = np.random.default_rng(4).standard_normal(fam.ambient_dim)
+    with caplog.at_level(logging.DEBUG, logger="projstruct.structures"):
+        rows = fam._project_stack(structs, y)
+    counts = [tuple(map(int, re.findall(r"\d+", r.getMessage()))) for r in caplog.records
+              if r.name == "projstruct.structures"]
+    assert counts == [(len(structs) - narrow, narrow)]
+    for s, row in zip(structs, rows):
+        assert row.tobytes() == fam.project(s, y).tobytes(), s
 
 
 @pytest.mark.parametrize("method,fam,structure,rows,error", [
