@@ -340,11 +340,11 @@ class _SpanFamily(Family):
     projects onto `_bases([s])[0]`.
 
     `_project_stack` groups the structures by width and projects onto each
-    group's stack with one batched SVD (`linalg.project_onto_spans`).  A
-    basis with a singular value at or below the drop tolerance spans less
-    than its width; it falls back to the per-structure kernel, as does a
-    width past the ambient dimension (which that kernel refuses).  Each call
-    logs at DEBUG how many structures took either way.
+    group's stack with one batched SVD (`linalg.project_onto_spans`); no
+    valid structure is wider than the ambient dimension.  A basis with a
+    singular value at or below the drop tolerance spans less than its
+    width; it falls back to the per-structure kernel.  Each call logs at
+    DEBUG how many structures took either way.
     """
 
     def _width(self, s) -> int:
@@ -365,8 +365,6 @@ class _SpanFamily(Family):
         for width, idx in by_width.items():
             if width == 0:  # the zero subspace
                 out[idx] = 0.0
-            elif width > self.ambient_dim:
-                alone += idx
             else:
                 rows, full = project_onto_spans(self._bases([structures[k] for k in idx]), y)
                 idx = np.array(idx)
