@@ -450,9 +450,7 @@ def test_select_memo_bound_keeps_output(tmp_path, monkeypatch, name):
     """A memo that may store only 5 projections computes the rest and keeps
     every output byte; the posterior's own cap is left as it is."""
     most = []
-    project = selection.Projections.project
-
-    project_all = selection.Projections.project_all
+    project, project_all = selection.Projections.project, selection.Projections.project_all
 
     def counting(self, structure, keep=False):
         out = project(self, structure, keep)
