@@ -91,12 +91,6 @@ def _log_weights(rss, pen, cfg: DdmConfig):
     return -0.5 * (rss / cfg.sigma**2 + pen)
 
 
-def log_unnormalized_weight(Y, family: Family, structure, cfg: DdmConfig,
-                            proj: Projections | None = None) -> float:
-    rss = Projections.of(Y, family, proj).rss(structure)
-    return _log_weights(rss, penalty(family, structure, cfg.kappa, cfg.pen_variant), cfg)
-
-
 def logsumexp(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     hi = values.max()
@@ -217,7 +211,6 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
         raise ValueError("candidate set is empty")
 
     proj = Projections.of(Y, family, proj)
-    # the float operations of `log_unnormalized_weight`, elementwise
     rss = [r for chunk in chunks(candidates) for r in proj.rss_all(chunk)]
     pen = [penalty(family, s, cfg.kappa, cfg.pen_variant) for s in candidates]
     raw = _log_weights(np.array(rss), np.array(pen), cfg)

@@ -100,12 +100,13 @@ class Projections:
     posterior and the model-averaging mean.
 
     A caller makes one memo per Y and passes it to each of them; the memo
-    goes when the call that made it ends, so it never outlives its Y.  The
-    first request for a structure validates it, once: `project` goes through
-    `family.project`, and `project_all`, which takes a list of structures,
-    through `family._project_stack`, whose rows have the same bytes.  The
-    brute force, the enumerated posterior and `ma_mean` walk their
-    structures in chunks of `PROJECTION_CHUNK` through `project_all`.  The
+    goes when the call that made it ends, so it never outlives its Y.  Every
+    projection goes through `project_all`, which takes a list of structures
+    and projects those it has not stored in one `family._project_stack`,
+    whose rows have the bytes of `family.project`; `project` and `rss` are
+    its one-structure form.  The first request for a structure validates
+    it, once.  The brute force, the enumerated posterior and `ma_mean` walk
+    their structures in chunks of `PROJECTION_CHUNK`.  The
     selector's projections (keep=True) are stored read-only, at most
     `POSTERIOR_CAPS.max_count` of them at 8 * N bytes each plus array
     overhead (a row kept by `project_all` holds its chunk's array, at most
@@ -142,18 +143,18 @@ class Projections:
         return proj
 
     def project(self, structure, keep: bool = False) -> np.ndarray:
+        """Row 0 of `project_all([structure], keep)`; a stored row itself."""
         out = self.stored.get(structure)
         if out is None:
-            out = self.family.project(structure, self.y)
-            if keep and len(self.stored) < POSTERIOR_CAPS.max_count:
-                out.flags.writeable = False
-                self.stored[structure] = out
-        return out
+            out = self.project_all([structure], keep)[0]
+        return self.stored.get(structure, out)
 
     def project_all(self, structures, keep: bool = False) -> np.ndarray:
-        """The read-only (K, N) array whose row k is `project(structures[k],
-        keep)`: stored rows come from the memo, and the others are validated
-        and then projected in one `family._project_stack`."""
+        """The read-only (K, N) array whose row k is P_I Y for
+        I = structures[k]: stored rows come from the memo, and the others are
+        validated and then projected in one `family._project_stack`, whose
+        rows have the bytes of `family.project`; with keep=True they are
+        stored, within the memo's bound."""
         y, structures = self.family.as_point(self.y), list(structures)
         out = np.empty((len(structures), y.size))
         missing = []
@@ -174,11 +175,12 @@ class Projections:
 
     def rss(self, structure, keep: bool = False) -> float:
         """||Y - P_I Y||^2."""
-        return sq_norm(self.y - self.project(structure, keep))
+        return self.rss_all([structure], keep)[0]
 
     def rss_all(self, structures, keep: bool = False) -> list[float]:
-        """`rss` of each structure, from one `project_all`.  Y has finite
-        energy, so no residual overflows and none needs `sq_norm`'s check."""
+        """||Y - P_I Y||^2 of each structure, from one `project_all`.  Y has
+        finite energy, so no residual overflows and none needs `sq_norm`'s
+        check."""
         return [float(np.dot(r, r)) for r in self.y - self.project_all(structures, keep)]
 
 
@@ -187,16 +189,23 @@ class Projections:
 PROJECTION_CHUNK = 1024
 
 
-def chunks(structures, size: int = PROJECTION_CHUNK):
-    """Consecutive lists of at most `size` items of the iterable, lazily."""
+def chunks(structures):
+    """Consecutive lists of at most `PROJECTION_CHUNK` items of the
+    iterable, lazily."""
     it = iter(structures)
-    while chunk := list(itertools.islice(it, size)):
+    while chunk := list(itertools.islice(it, PROJECTION_CHUNK)):
         yield chunk
 
 
 def objective(Y, family: Family, structure, sigma: float, kappa: float,
               pen_variant: str = "main", proj: Projections | None = None) -> float:
     rss = Projections.of(Y, family, proj).rss(structure, keep=True)
+    return _objective_value(family, structure, rss, sigma, kappa, pen_variant)
+
+
+def _objective_value(family: Family, structure, rss: float, sigma: float, kappa: float,
+                     pen_variant: str) -> float:
+    """`objective` of a structure whose ||Y - P_I Y||^2 is rss."""
     return rss + sigma**2 * penalty(family, structure, kappa, pen_variant)
 
 
@@ -240,10 +249,9 @@ def select_bruteforce(Y, family: Family, sigma: float, kappa: float,
     proj = Projections.of(Y, family, proj)
     tracker = _ArgminTracker(family)
     for chunk in chunks(family.enumerate_structures(caps)):
-        # the float operations of `objective`
         for structure, rss in zip(chunk, proj.rss_all(chunk, keep=True)):
-            tracker.offer(structure, rss + sigma**2 * penalty(family, structure, kappa,
-                                                              pen_variant))
+            tracker.offer(structure, _objective_value(family, structure, rss, sigma, kappa,
+                                                      pen_variant))
     return tracker.result()
 
 

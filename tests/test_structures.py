@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import logging
@@ -9,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from projstruct import selection
 from projstruct.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -447,21 +449,59 @@ def _rank_deficient_design():
     return design
 
 
+def _knot_sample(n, count):
+    """count distinct knot sets of KnotFamily(n), of every size, drawn at
+    random."""
+    fam, rng = KnotFamily(n), np.random.default_rng(n)
+    positions = np.arange(fam.first, fam.last + 1)
+    drawn = {KnotSet(tuple(sorted(rng.choice(positions, k, replace=False).tolist())))
+             for k in rng.integers(0, positions.size + 1, count)}
+    return sorted(drawn, key=fam.sort_key)
+
+
+def _clustering_dp_cells(n):
+    """The best structure of every cell of the exact clustering DP on a
+    random y: among them one cluster of all n coordinates."""
+    y = np.random.default_rng(n).standard_normal(n)
+    cells, _ = selection._clustering_cells(y, 1.0, 1.0, n // 2)
+    return [s for _, s in cells]
+
+
 def _stack_cases():
-    """name -> (family, caps) for the stacked-projection byte test."""
-    cases = {f"knot-{n}": (KnotFamily(n), None) for n in range(3, 14)}
+    """name -> (family, structures) for the stacked-projection byte test;
+    structures() lists what to project."""
+    def enumeration(fam, caps=None):
+        return fam, lambda: list(fam.enumerate_structures(caps))
+
+    cases = {f"knot-{n}": enumeration(KnotFamily(n)) for n in range(3, 14)}
+    cases["knot-20-sample"] = (KnotFamily(20), lambda: _knot_sample(20, 600))
     golden = json.loads((DATA_DIR / "golden_select" / "regression.json").read_text())
-    cases["regression-golden"] = (build_family(golden["family"]), None)
-    cases["regression-rank-deficient"] = (RegressionFamily(_rank_deficient_design()), None)
+    cases["regression-golden"] = enumeration(build_family(golden["family"]))
+    cases["regression-rank-deficient"] = enumeration(RegressionFamily(_rank_deficient_design()))
     for n in range(1, 9):
-        cases[f"clustering-{n}-exact"] = (ClusteringFamily(n), None)
+        cases[f"clustering-{n}-exact"] = enumeration(ClusteringFamily(n))
         for blocks in (0, 1, 2):
-            cases[f"clustering-{n}-blocks-{blocks}"] = (ClusteringFamily(n), Caps(max_blocks=blocks))
-    cases["bicluster-3x3-default"] = (BiclusterFamily(3, 3), None)
+            cases[f"clustering-{n}-blocks-{blocks}"] = enumeration(ClusteringFamily(n),
+                                                                   Caps(max_blocks=blocks))
+    for n in (9, 20, 60):
+        cases[f"clustering-{n}-dp-cells"] = (ClusteringFamily(n),
+                                             functools.partial(_clustering_dp_cells, n))
+    cases["bicluster-3x3-default"] = enumeration(BiclusterFamily(3, 3))
     return cases
 
 
 STACK_CASES = _stack_cases()
+
+
+def test_stack_cases_reach_large_clusters_and_knot_sets():
+    """The byte test below sees clusters of more than 8 coordinates, where
+    numpy's pairwise summation of a mean comes in, and knot sets past the
+    brute force's n."""
+    for n in (9, 20, 60):
+        fam, structs = STACK_CASES[f"clustering-{n}-dp-cells"]
+        assert max(len(c) for s in structs() for c in s.clusters) == n
+    fam, structs = STACK_CASES["knot-20-sample"]
+    assert {len(s.knots) for s in structs()} >= {0, 1, fam.last - fam.first + 1}
 
 
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
@@ -470,8 +510,8 @@ def test_project_stack_rows_have_the_bytes_of_project(name):
     structure, which stays the oracle: knot and regression through the
     batched SVD (and its fallback), clustering by grouped cluster means,
     bicluster through the default loop over its vector kernel."""
-    fam, caps = STACK_CASES[name]
-    structs = list(fam.enumerate_structures(caps))
+    fam, structures = STACK_CASES[name]
+    structs = structures()
     rng = np.random.default_rng(23)
     for y in (rng.standard_normal(fam.ambient_dim) * 3.0,
               rng.integers(-2, 3, fam.ambient_dim).astype(float) + 1e3):
