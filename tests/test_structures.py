@@ -461,10 +461,13 @@ def _knot_sample(n, count):
 
 def _clustering_dp_cells(n):
     """The best structure of every cell of the exact clustering DP on a
-    random y: among them one cluster of all n coordinates."""
+    random y, among them one cluster of all n coordinates: clusters of more
+    than 8 coordinates are where numpy's mean sums pairwise."""
     y = np.random.default_rng(n).standard_normal(n)
     cells, _ = selection._clustering_cells(y, 1.0, 1.0, n // 2)
-    return [s for _, s in cells]
+    structs = [s for _, s in cells]
+    assert max(len(c) for s in structs for c in s.clusters) == n
+    return structs
 
 
 def _stack_cases():
@@ -491,17 +494,6 @@ def _stack_cases():
 
 
 STACK_CASES = _stack_cases()
-
-
-def test_stack_cases_reach_large_clusters_and_knot_sets():
-    """The byte test below sees clusters of more than 8 coordinates, where
-    numpy's pairwise summation of a mean comes in, and knot sets past the
-    brute force's n."""
-    for n in (9, 20, 60):
-        fam, structs = STACK_CASES[f"clustering-{n}-dp-cells"]
-        assert max(len(c) for s in structs() for c in s.clusters) == n
-    fam, structs = STACK_CASES["knot-20-sample"]
-    assert {len(s.knots) for s in structs()} >= {0, 1, fam.last - fam.first + 1}
 
 
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
