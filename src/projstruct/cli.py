@@ -87,7 +87,7 @@ def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
         return finite_data(y, f"data file {data['file']}")
     if "signal" in data:
         theta = build_signal(data["signal"], family, sigma)
-        noise = build_noise(data.get("noise"))
+        noise = build_noise(data.get("noise"), family.ambient_dim)
         rng = derive_rng(seed, "select-data")
         return finite_data(theta + sigma * noise.sample(rng, family.ambient_dim),
                            "the signal plus noise")
@@ -163,7 +163,7 @@ def cmd_check(config: dict, seed: int):
     rng = derive_rng(seed, "check", which)
     if which == "a1":
         family = build_family(_require(config, "family"))
-        noise = build_noise(config.get("noise"))
+        noise = build_noise(config.get("noise"), family.ambient_dim)
         rows = check_a1(family, noise, positive_number(_require(config, "alpha"), "alpha"),
                         _reps(config), rng, caps=caps,
                         se_mult=nonnegative_number(config.get("se_mult", 2.0), "se_mult"))
@@ -190,12 +190,16 @@ def cmd_check(config: dict, seed: int):
         except UnsupportedFamilyError:
             out = [[family.tag, "unsupported", 0, "", "", 0]]
     elif which == "a4":
-        noise = build_noise(config.get("noise"))
+        n = integer(_require(config, "n"), "n", 1)
+        noise = build_noise(config.get("noise"), n)
+        if not noise.unit_variance:
+            raise ConfigError(f"check a4 needs unit-variance noise (gaussian, rademacher or "
+                              f"ar1), got {noise.kind}")
         M_grid = _require(config, "M")
         if not isinstance(M_grid, list):
             raise ConfigError(f"M must be a list of numbers, got {M_grid!r}")
         rows = check_a4(noise, [nonnegative_number(m, "M") for m in M_grid],
-                        _reps(config), integer(_require(config, "n"), "n", 1), rng)
+                        _reps(config), n, rng)
         header = ["M", "psi1", "psi2"]
         out = [[r.M, r.psi1, r.psi2] for r in rows]
     else:

@@ -18,10 +18,10 @@ Smoothness, banding and sparsity weigh their candidates from the SSE array
 of their size path (`selection.SizePath`), the one the selector scores, and
 the enumerated sparsity supports by a 0/1 mask; smoothness and banding take
 theta_tilde = sum_k w_k P_k Y from one reverse cumulative sum of the
-weights.  None of them projects; `structure_posterior` and `ma_mean`, which
-project each candidate (a chunk of candidates per stacked projection,
-`Projections.project_all`), serve the other families and are the tests'
-oracle.
+weights.  None of them projects; `structure_posterior`, which projects each
+candidate once (a chunk of candidates per stacked projection,
+`Projections.project_all`), and `ma_mean`, which reads those rows from the
+memo, serve the other families and are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapExceededError, ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _penalty_value,
+from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _size_penalties,
                         chunks, penalty, size_path)
 from .structures import Caps, Family, SparsityFamily
 
@@ -125,12 +125,6 @@ def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
     return _log_esp_table(log_x)[-1].copy()
 
 
-def _size_penalties(family, cfg: DdmConfig) -> np.ndarray:
-    """pen_k, the `penalty` of a size-k structure of a size-indexed family,
-    for every size k, from the family's per-size vectors."""
-    return _penalty_value(family.size_majorants, family.size_dims, cfg.kappa, cfg.pen_variant)
-
-
 def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     """log x_j = Y_j^2 / (2 sigma^2) and log c_k, the weight of a size-k
     support apart from its prod x_j: base - pen_k / 2, with pen_k the
@@ -138,7 +132,7 @@ def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     y = np.asarray(Y, dtype=float)
     log_x = 0.5 * (y * y) / cfg.sigma**2
     base = -0.5 * sq_norm(y) / cfg.sigma**2
-    return log_x, base - 0.5 * _size_penalties(family, cfg)
+    return log_x, base - 0.5 * _size_penalties(family, cfg.kappa, cfg.pen_variant)
 
 
 def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig,
@@ -230,7 +224,7 @@ def _size_indexed_posterior(y, family, cfg: DdmConfig, path: SizePath, candidate
     scored by a 0/1 mask, each ||Y - P_I Y||^2 the sum of Y_i^2 over the
     coordinates I drops."""
     _check_sigma(cfg)
-    pen = _size_penalties(family, cfg)
+    pen = _size_penalties(family, cfg.kappa, cfg.pen_variant)
     if method == "enumeration" and isinstance(family, SparsityFamily):
         sizes = [len(s.indices) for s in candidates]
         dropped = np.ones((len(candidates), family.n))
@@ -259,7 +253,8 @@ def select_map(post: DdmPosterior):
 def ma_mean(Y, family: Family, post: DdmPosterior,
             proj: Projections | None = None) -> np.ndarray:
     """Model-averaging mean: the weight-mixed projection of Y, summed in
-    candidate order over the candidates of nonzero weight."""
+    candidate order over the candidates of nonzero weight, whose rows proj
+    holds, within its bound, when `structure_posterior` built post on it."""
     proj = Projections.of(Y, family, proj)
     weighted = [(w, s) for w, s in zip(post.weights(), post.candidates) if w != 0.0]
     out = np.zeros(family.ambient_dim)
@@ -288,9 +283,9 @@ class StructureMeasure:
     the structures the selector's search scored on proj (`proj.searched`),
     else None.  Smoothness, banding and sparsity weigh their candidates from
     the size path's arrays (`_size_indexed_posterior`) and project nothing;
-    the other families read P_I Y from proj, a chunk of candidates per
-    stacked projection (`Projections.project_all`), once for the weights and
-    once more, for the candidates of nonzero weight, in `ma_mean`.
+    the other families project each candidate once into proj, a chunk per
+    stacked projection (`Projections.project_all`), and `ma_mean` reads
+    those rows.
     `theta_tilde`: for sparsity, Y times the inclusion marginals, with no
     posterior built; for smoothness and banding, the size path's mean under
     the posterior weights (`SizePath.mean`); otherwise `ma_mean` over the

@@ -110,11 +110,15 @@ def build_family(spec: dict, n_override: int | None = None) -> Family:
         raise ConfigError(f"unknown family kind {kind!r}")
 
 
-def build_noise(spec: dict | None) -> NoiseModel:
+def build_noise(spec: dict | None, n: int) -> NoiseModel:
+    """The noise section's model for draws of length n."""
     with _section("noise", spec or {"kind": "gaussian"}) as spec:
         kind = spec.pop("kind", "gaussian")
         if kind == "bernoulli-mean":
-            return NoiseModel(kind, theta=tuple(spec["theta"]))
+            theta = tuple(spec["theta"])
+            if len(theta) != n:
+                raise ValueError(f"bernoulli-mean theta has length {len(theta)}, need {n}")
+            return NoiseModel(kind, theta=theta)
         return NoiseModel(kind, **{k: float(v) for k, v in spec.items()})
 
 
@@ -283,7 +287,7 @@ class _Ctx:
         self.estimator = config.get("estimator", "ms")
         if self.estimator not in ("ms", "ma"):
             raise ConfigError(f"unknown estimator {self.estimator!r}; choose ms or ma")
-        self.noise = build_noise(config.get("noise"))
+        self.noise = build_noise(config.get("noise"), self.family.ambient_dim)
         self.theta = finite_data(build_signal(config["signal"], self.family, self.sigma),
                                  "the signal")
         self.constants = build_constants(config.get("constants"))

@@ -48,6 +48,10 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "ar1" and not (abs(self.coefficient) < 1.0):
             raise ValueError("AR(1) coefficient must satisfy |coefficient| < 1")
+        if self.kind == "bounded-uniform" and not (0.0 <= self.half_width
+                                                   and 2.0 * self.half_width < math.inf):
+            raise ValueError(f"bounded-uniform half_width must be >= 0 and twice it finite, "
+                             f"got {self.half_width!r}")
         if self.kind == "bernoulli-mean":
             if not self.theta:
                 raise ValueError("bernoulli-mean needs a theta vector")

@@ -95,6 +95,12 @@ def _penalty_value(rho: float, dim: int, kappa: float, pen_variant: str) -> floa
     return pen
 
 
+def _size_penalties(family: Family, kappa: float, pen_variant: str) -> np.ndarray:
+    """pen_k, the `penalty` of a size-k structure of a size-indexed family,
+    for every size k, from the family's per-size vectors."""
+    return _penalty_value(family.size_majorants, family.size_dims, kappa, pen_variant)
+
+
 class Projections:
     """P_I Y for one observation Y, shared by the selector, the structure
     posterior and the model-averaging mean.
@@ -106,14 +112,13 @@ class Projections:
     whose rows have the bytes of `family.project`; `project` and `rss` are
     its one-structure form.  The first request for a structure validates
     it, once.  The brute force, the enumerated posterior and `ma_mean` walk
-    their structures in chunks of `PROJECTION_CHUNK`.  The
-    selector's projections (keep=True) are stored read-only, at most
-    `POSTERIOR_CAPS.max_count` of them at 8 * N bytes each plus array
-    overhead (a row kept by `project_all` holds its chunk's array, at most
-    one chunk more); past that they are computed and not kept.  The
-    posterior and the mean read what the selector stored and add nothing,
-    since storing the posterior's projections would hold every candidate's
-    N floats while the mean rereads only those of nonzero weight.
+    their structures in chunks of `PROJECTION_CHUNK`.  Every projection is
+    stored read-only while the memo holds fewer than
+    `POSTERIOR_CAPS.max_count`, at 8 * N bytes each plus array overhead (a
+    stored row holds the array of the rows projected with it, at most one
+    chunk more); past that they are computed and not kept.  So `ma_mean`
+    reads the rows the posterior projected, and the posterior those the
+    selector projected.
     Size-indexed families (`size_path`) score their sizes, and weigh their
     posterior candidates, from the path's SSE array, so only their selected
     structure is projected.
@@ -142,19 +147,17 @@ class Projections:
             raise ValueError("the projection memo holds another family or observation")
         return proj
 
-    def project(self, structure, keep: bool = False) -> np.ndarray:
-        """Row 0 of `project_all([structure], keep)`; a stored row itself."""
+    def project(self, structure) -> np.ndarray:
+        """Row 0 of `project_all([structure])`; a stored row itself."""
         out = self.stored.get(structure)
-        if out is None:
-            out = self.project_all([structure], keep)[0]
-        return self.stored.get(structure, out)
+        return self.project_all([structure])[0] if out is None else out
 
-    def project_all(self, structures, keep: bool = False) -> np.ndarray:
+    def project_all(self, structures) -> np.ndarray:
         """The read-only (K, N) array whose row k is P_I Y for
         I = structures[k]: stored rows come from the memo, and the others are
         validated and then projected in one `family._project_stack`, whose
-        rows have the bytes of `family.project`; with keep=True they are
-        stored, within the memo's bound."""
+        rows have the bytes of `family.project`, and stored, within the
+        memo's bound."""
         y, structures = self.family.as_point(self.y), list(structures)
         out = np.empty((len(structures), y.size))
         missing = []
@@ -166,22 +169,24 @@ class Projections:
             else:
                 out[k] = row
         if missing:
-            out[missing] = self.family._project_stack([structures[k] for k in missing], y)
+            rows = self.family._project_stack([structures[k] for k in missing], y)
+            out[missing] = rows
+            rows.flags.writeable = False
+            room = max(0, POSTERIOR_CAPS.max_count - len(self.stored))
+            for k, row in zip(missing[:room], rows):
+                self.stored.setdefault(structures[k], row)
         out.flags.writeable = False
-        if keep:
-            for k in missing[:max(0, POSTERIOR_CAPS.max_count - len(self.stored))]:
-                self.stored.setdefault(structures[k], out[k])
         return out
 
-    def rss(self, structure, keep: bool = False) -> float:
+    def rss(self, structure) -> float:
         """||Y - P_I Y||^2."""
-        return self.rss_all([structure], keep)[0]
+        return self.rss_all([structure])[0]
 
-    def rss_all(self, structures, keep: bool = False) -> list[float]:
+    def rss_all(self, structures) -> list[float]:
         """||Y - P_I Y||^2 of each structure, from one `project_all`.  Y has
         finite energy, so no residual overflows and none needs `sq_norm`'s
         check."""
-        return [float(np.dot(r, r)) for r in self.y - self.project_all(structures, keep)]
+        return [float(np.dot(r, r)) for r in self.y - self.project_all(structures)]
 
 
 # structures per `Projections.project_all` call where a caller walks an
@@ -199,7 +204,7 @@ def chunks(structures):
 
 def objective(Y, family: Family, structure, sigma: float, kappa: float,
               pen_variant: str = "main", proj: Projections | None = None) -> float:
-    rss = Projections.of(Y, family, proj).rss(structure, keep=True)
+    rss = Projections.of(Y, family, proj).rss(structure)
     return _objective_value(family, structure, rss, sigma, kappa, pen_variant)
 
 
@@ -249,7 +254,7 @@ def select_bruteforce(Y, family: Family, sigma: float, kappa: float,
     proj = Projections.of(Y, family, proj)
     tracker = _ArgminTracker(family)
     for chunk in chunks(family.enumerate_structures(caps)):
-        for structure, rss in zip(chunk, proj.rss_all(chunk, keep=True)):
+        for structure, rss in zip(chunk, proj.rss_all(chunk)):
             tracker.offer(structure, _objective_value(family, structure, rss, sigma, kappa,
                                                       pen_variant))
     return tracker.result()
@@ -837,8 +842,7 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     sizes = size_path(proj.y, family)
     if sizes is not None:
         # the float operations of `sse + sigma**2 * penalty(...)`, elementwise
-        obj = sizes.sse + sigma**2 * _penalty_value(family.size_majorants, family.size_dims,
-                                                    kappa, pen_variant)
+        obj = sizes.sse + sigma**2 * _size_penalties(family, kappa, pen_variant)
         tracker = _ArgminTracker(family)
         for k in _near_minimum(obj):
             tracker.offer(sizes.build(k), obj[k])

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from projstruct import cli, ddm, experiments, linalg, selection
+from projstruct import cli, ddm, experiments, linalg, noise, selection
 from projstruct.cli import main
 from projstruct.structures import Caps
 
@@ -452,13 +452,13 @@ def test_select_memo_bound_keeps_output(tmp_path, monkeypatch, name):
     most = []
     project, project_all = selection.Projections.project, selection.Projections.project_all
 
-    def counting(self, structure, keep=False):
-        out = project(self, structure, keep)
+    def counting(self, structure):
+        out = project(self, structure)
         most.append(len(self.stored))
         return out
 
-    def counting_all(self, structures, keep=False):
-        out = project_all(self, structures, keep)
+    def counting_all(self, structures):
+        out = project_all(self, structures)
         most.append(len(self.stored))
         return out
 
@@ -679,6 +679,52 @@ def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, ove
                                   **overrides})
     out = tmp_path / "table.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# noise sections that no draw can use, with a word of their error; JSON
+# reads the literal 1e309 as inf, and only check a4 needs unit variance
+NOISE_FAULTS = {
+    "half-width-1e309": ({"kind": "bounded-uniform", "half_width": "1e309"}, "half_width"),
+    "half-width-nan": ({"kind": "bounded-uniform", "half_width": float("nan")}, "half_width"),
+    "half-width-negative": ({"kind": "bounded-uniform", "half_width": -1}, "half_width"),
+    "theta-length": ({"kind": "bernoulli-mean", "theta": [0.5, 0.5]}, "theta"),
+    "not-unit-variance": ({"kind": "bounded-uniform", "half_width": 1.0}, "unit-variance"),
+}
+# each command that draws noise, and its config around a noise section
+NOISE_COMMANDS = {
+    "check-a1": ("check", lambda noise: {**A1_CONFIG, "noise": noise}),
+    "check-a4": ("check", lambda noise: {**A4_CONFIG, "noise": noise}),
+    "select": ("select", lambda noise: {**SELECT_CONFIG,
+                                        "data": {"signal": {"kind": "zero"}, "noise": noise}}),
+    "simulate": ("simulate", lambda noise: {**COUNT_CONFIG, "experiment": "estimation-risk",
+                                            "noise": noise}),
+}
+NOISE_CASES = [(command, fault) for command in NOISE_COMMANDS for fault in NOISE_FAULTS
+               if fault != "not-unit-variance" or command == "check-a4"]
+
+
+@pytest.mark.parametrize("command,fault", NOISE_CASES, ids=[f"{c}-{f}" for c, f in NOISE_CASES])
+def test_noise_faults_are_one_line_config_errors(tmp_path, monkeypatch, capsys, command,
+                                                 fault):
+    """A noise section that no draw can use ends in exit 2 and one config
+    error line, before any draw: a bounded-uniform half_width that is
+    infinite, NaN or negative, a bernoulli-mean theta whose length is not
+    the ambient dimension, and, in check a4, noise that is not
+    unit-variance."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw started")
+
+    name, config = NOISE_COMMANDS[command]
+    spec, field = NOISE_FAULTS[fault]
+    monkeypatch.setattr(noise.NoiseModel, "sample_many", no_draws)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config(spec)).replace('"1e309"', "1e309"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([name, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert err.count("\n") == 1

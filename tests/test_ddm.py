@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from projstruct import ddm
+from projstruct import ddm, selection
 from projstruct.ddm import (
     CONDITIONAL_VAR_FACTOR,
     DdmConfig,
@@ -28,6 +29,7 @@ from projstruct.structures import (
     Caps,
     ClusteringFamily,
     Family,
+    JumpFamily,
     RegressionFamily,
     SmoothnessFamily,
     SparseSet,
@@ -492,3 +494,52 @@ def test_size_indexed_measure_projects_nothing(fam, monkeypatch):
     measure = StructureMeasure(Projections(y, fam), cfg())
     assert measure.posterior is not None and measure.theta_tilde is not None
     assert calls == []
+
+
+def _measure_counts(fam, y, monkeypatch):
+    """theta_tilde after the posterior on a fresh memo, the memo, and per
+    structure the rows given to `_project_stack`, the `validate` calls and
+    the `majorant` calls (each of which validates too)."""
+    stacked, validated, majorants = Counter(), Counter(), Counter()
+    stack, validate, majorant = fam._project_stack, fam.validate, fam.majorant
+
+    def counting_stack(structures, y):
+        stacked.update(structures)
+        return stack(structures, y)
+
+    def counting_validate(s):
+        validated[s] += 1
+        return validate(s)
+
+    def counting_majorant(s):
+        majorants[s] += 1
+        return majorant(s)
+
+    with monkeypatch.context() as m:
+        m.setattr(fam, "_project_stack", counting_stack)
+        m.setattr(fam, "validate", counting_validate)
+        m.setattr(fam, "majorant", counting_majorant)
+        proj = Projections(y, fam)
+        measure = StructureMeasure(proj, cfg())
+        assert measure.posterior.method == "enumeration"
+        theta = measure.theta_tilde
+    return measure.posterior, theta, proj, stacked, validated - majorants
+
+
+@pytest.mark.parametrize("fam", [ClusteringFamily(8), JumpFamily(10)],
+                         ids=lambda f: f"{f.tag}-{f.ambient_dim}")
+def test_posterior_and_theta_tilde_project_and_validate_each_candidate_once(fam, monkeypatch):
+    """The enumerated posterior projects and validates each candidate once,
+    storing every row, and theta_tilde reads those rows: it has the bytes
+    of `ma_mean` on a fresh memo.  With a smaller memo bound the memo stores
+    no more rows than the bound and theta_tilde keeps its bytes."""
+    y = np.random.default_rng(fam.ambient_dim).standard_normal(fam.ambient_dim)
+    post, theta, proj, stacked, validated = _measure_counts(fam, y, monkeypatch)
+    want = dict.fromkeys(post.candidates, 1)
+    assert np.count_nonzero(post.weights()) > len(want) // 2
+    assert stacked == want and validated == want
+    assert list(proj.stored) == post.candidates
+    assert theta.tobytes() == ma_mean(y, fam, post).tobytes()
+    monkeypatch.setattr(selection, "POSTERIOR_CAPS", Caps(max_count=100))
+    _, bounded, proj, *_ = _measure_counts(fam, y, monkeypatch)
+    assert len(proj.stored) == 100 and bounded.tobytes() == theta.tobytes()

@@ -731,49 +731,46 @@ def test_jump_select_reads_few_path_entries(kind, most, monkeypatch):
     assert (s, obj) == full_scoring_select(y, fam, 1.0, 1.0)
 
 
-def test_projection_memo_stores_read_only_projections(families):
-    """The selector's projections are stored read-only; the posterior's and
-    the mean's reads (keep=False) store nothing."""
-    rng = np.random.default_rng(21)
-    for name, fam in families.items():
-        y = rng.standard_normal(fam.ambient_dim)
-        proj = selection.Projections(y, fam)
-        for s in enumerate_small(fam)[:6]:
-            assert proj.project(s).tobytes() == proj.project(s).tobytes()
-            assert s not in proj.stored, name
-            p = proj.project(s, keep=True)
-            assert proj.project(s) is p and proj.stored[s] is p, name
-            assert not p.flags.writeable, name
-            with pytest.raises(ValueError):
-                p[0] = 1.0
-            assert p.tobytes() == fam.project(s, y).tobytes(), name
-            assert proj.rss(s) == sq_norm(y - fam.project(s, y)), name
-
-
-def test_project_all_reads_and_keeps_what_project_does(families, monkeypatch):
-    """`project_all` gives `project`'s bytes row by row, read-only; it reads
-    stored rows, validates the rest, and stores with keep=True only, within
-    the memo's bound."""
+def test_projection_memo_stores_every_row_read_only_within_its_bound(families, monkeypatch):
+    """Every row that `project` and `project_all` compute has the bytes of
+    `family.project` and is stored read-only while the memo holds fewer than
+    POSTERIOR_CAPS.max_count rows; a stored row is read without validating
+    or projecting it again, and invalid or wrong-length input raises."""
     rng = np.random.default_rng(22)
     monkeypatch.setattr(selection, "POSTERIOR_CAPS", selection.Caps(max_count=5))
     for name, fam in families.items():
         y = rng.standard_normal(fam.ambient_dim)
         structs = enumerate_small(fam)[:8]
+        want = [fam.project(s, y) for s in structs]
         proj = selection.Projections(y, fam)
-        first = proj.project(structs[0], keep=True)
+        first = proj.project(structs[0])
+        assert not first.flags.writeable and first.tobytes() == want[0].tobytes(), name
+        assert list(proj.stored) == structs[:1], name
+        assert proj.project(structs[0]) is proj.stored[structs[0]], name
         rows = proj.project_all(structs)
-        assert not rows.flags.writeable and list(proj.stored) == [structs[0]], name
-        for s, row in zip(structs, rows):
-            assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
-        assert proj.rss_all(structs) == [sq_norm(y - fam.project(s, y)) for s in structs], name
-        kept = proj.project_all(structs, keep=True)
-        assert proj.stored[structs[0]] is first, name
-        assert len(proj.stored) == min(5, len(structs)), name
+        assert not rows.flags.writeable, name
+        assert [r.tobytes() for r in rows] == [w.tobytes() for w in want], name
+        assert list(proj.stored) == structs[:5], name
         for s, row in proj.stored.items():
-            assert not row.flags.writeable and row.tobytes() == fam.project(s, y).tobytes()
-        assert kept.tobytes() == rows.tobytes(), name
+            assert not row.flags.writeable, name
+            assert row.tobytes() == want[structs.index(s)].tobytes(), name
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+        rss = [sq_norm(y - w) for w in want]
+        assert proj.rss_all(structs) == rss and [proj.rss(s) for s in structs] == rss, name
+        assert len(proj.stored) == min(5, len(structs)), name
+        calls = []
+        monkeypatch.setattr(fam, "validate", lambda s: calls.append(s))
+        monkeypatch.setattr(fam, "_project_stack", lambda ss, y: calls.append(ss))
+        stored = list(proj.stored)
+        assert proj.project_all(stored).tobytes() == rows[:len(stored)].tobytes(), name
+        assert calls == [], name
+    bad = selection.Projections(np.ones(8), SparsityFamily(8))
     with pytest.raises(InvalidStructureError):
-        selection.Projections(np.ones(8), SparsityFamily(8)).project_all([SparseSet((9,))])
+        bad.project_all([SparseSet((9,))])
+    with pytest.raises(InvalidStructureError):
+        bad.project(SparseSet((1, 1)))
+    assert bad.stored == {}
     with pytest.raises(DimensionMismatchError):
         selection.Projections(np.ones(7), SparsityFamily(8)).project_all([SparseSet((1,))])
 
