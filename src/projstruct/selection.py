@@ -112,16 +112,15 @@ class Projections:
     whose rows have the bytes of `family.project`; `project` and `rss` are
     its one-structure form.  The first request for a structure validates
     it, once.  The brute force, the enumerated posterior and `ma_mean` walk
-    their structures in chunks of `PROJECTION_CHUNK`.  Every projection is
-    stored read-only while the memo holds fewer than
-    `POSTERIOR_CAPS.max_count`, at 8 * N bytes each plus array overhead (a
-    stored row holds the array of the rows projected with it, at most one
-    chunk more); past that they are computed and not kept.  So `ma_mean`
+    their structures in chunks of `PROJECTION_CHUNK`.  Every projected row
+    is stored read-only while the memo holds fewer than
+    `POSTERIOR_CAPS.max_count` rows, at 8 * N bytes each plus array overhead
+    (a stored row holds the array of the rows projected with it, at most one
+    chunk more); past that rows are computed and not kept.  So `ma_mean`
     reads the rows the posterior projected, and the posterior those the
-    selector projected.
-    Size-indexed families (`size_path`) score their sizes, and weigh their
-    posterior candidates, from the path's SSE array, so only their selected
-    structure is projected.
+    selector projected.  Size-indexed families (`size_path`) score their
+    sizes, and weigh their posterior candidates, from the path's SSE array,
+    so only their selected structure is projected.
 
     `searched` is what the last `select_penalized` on this memo scored when
     it ran a search (heuristic regression, bicluster and clustering, and the
