@@ -731,11 +731,32 @@ def test_jump_select_reads_few_path_entries(kind, most, monkeypatch):
     assert (s, obj) == full_scoring_select(y, fam, 1.0, 1.0)
 
 
-def test_projection_memo_stores_every_row_read_only_within_its_bound(families, monkeypatch):
-    """Every row that `project` and `project_all` compute has the bytes of
-    `family.project` and is stored read-only while the memo holds fewer than
-    POSTERIOR_CAPS.max_count rows; a stored row is read without validating
-    or projecting it again, and invalid or wrong-length input raises."""
+def test_projection_memo_stores_read_only_projections(families):
+    """Every row that `project` computes has the bytes of `family.project`,
+    is stored read-only, and is read back from the memo the next time."""
+    rng = np.random.default_rng(21)
+    for name, fam in families.items():
+        y = rng.standard_normal(fam.ambient_dim)
+        proj = selection.Projections(y, fam)
+        structs = enumerate_small(fam)[:6]
+        for i, s in enumerate(structs):
+            first = proj.project(s)
+            assert list(proj.stored) == structs[:i + 1], name
+            p = proj.project(s)
+            assert p is proj.stored[s] and p.tobytes() == first.tobytes(), name
+            assert not first.flags.writeable and not p.flags.writeable, name
+            with pytest.raises(ValueError):
+                p[0] = 1.0
+            assert p.tobytes() == fam.project(s, y).tobytes(), name
+            assert proj.rss(s) == sq_norm(y - fam.project(s, y)), name
+
+
+def test_project_all_reads_and_keeps_what_project_does(families, monkeypatch):
+    """`project_all` gives the bytes of `family.project` row by row,
+    read-only, and stores every row as `project` does while the memo holds
+    fewer than POSTERIOR_CAPS.max_count rows; a stored row is read without
+    validating or projecting it again, and invalid or wrong-length input
+    raises."""
     rng = np.random.default_rng(22)
     monkeypatch.setattr(selection, "POSTERIOR_CAPS", selection.Caps(max_count=5))
     for name, fam in families.items():
@@ -747,7 +768,9 @@ def test_projection_memo_stores_every_row_read_only_within_its_bound(families, m
         assert not first.flags.writeable and first.tobytes() == want[0].tobytes(), name
         assert list(proj.stored) == structs[:1], name
         assert proj.project(structs[0]) is proj.stored[structs[0]], name
+        kept = proj.stored[structs[0]]
         rows = proj.project_all(structs)
+        assert proj.stored[structs[0]] is kept and kept.tobytes() == first.tobytes(), name
         assert not rows.flags.writeable, name
         assert [r.tobytes() for r in rows] == [w.tobytes() for w in want], name
         assert list(proj.stored) == structs[:5], name
