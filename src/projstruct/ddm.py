@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import CapExceededError, ExactModeUnavailableError
 from .linalg import sq_norm
-from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _size_penalties,
-                        chunks, penalty, size_path)
+from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _penalty_value,
+                        _size_penalties, chunks, size_path)
 from .structures import Caps, Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
@@ -206,7 +206,10 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
 
     proj = Projections.of(Y, family, proj)
     rss = [r for chunk in chunks(candidates) for r in proj.rss_all(chunk)]
-    pen = [penalty(family, s, cfg.kappa, cfg.pen_variant) for s in candidates]
+    # project_all validated each candidate, now or when it stored its row
+    map_dim = cfg.pen_variant == "map"
+    pen = [_penalty_value(family._majorant(s), family._dim(s) if map_dim else 0,
+                          cfg.kappa, cfg.pen_variant) for s in candidates]
     raw = _log_weights(np.array(rss), np.array(pen), cfg)
     log_z = (sparsity_log_normalizer(Y, family, cfg) if method == "symmetric-polynomial"
              else logsumexp(raw))

@@ -26,6 +26,8 @@ from .structures import Caps, Family
 EXPONENT_CAP = 700.0
 # largest ||P_{I'} P_I x - P_I x|| that check_a3 counts as containment
 CONTAINMENT_TOL = 1e-8
+# rows of A4 directions drawn, normalized and dotted at a time
+A4_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,23 +107,37 @@ class A1Row:
 
 
 def _log_mean_exp_with_jackknife(values: np.ndarray) -> tuple[float, float]:
-    """Stabilized log-mean-exp and its jackknife standard error."""
+    """Stabilized log-mean-exp and its jackknife standard error.
+
+    One work array of len(values) holds exp(values - max), then the
+    leave-one-out sums, logs and squared deviations in turn (`out=`); each
+    step is the elementwise operation the formula names, so the bytes are
+    those of computing it with a new array per step.
+    """
     m = values.size
     hi = float(values.max())
-    ex = np.exp(values - hi)
-    total = float(ex.sum())
+    work = np.subtract(values, hi)
+    np.exp(work, out=work)
+    total = float(work.sum())
     lme = hi + math.log(total / m)
     # leave-one-out estimates; recompute directly when one term dominates
-    rest = total - ex
+    rest = np.subtract(total, work, out=work)
     tiny = rest <= total * 1e-12
-    loo = np.empty(m)
-    ok = ~tiny
-    loo[ok] = hi + np.log(rest[ok] / (m - 1))
-    for i in np.flatnonzero(tiny):
-        sub = np.delete(values, i)
-        h2 = float(sub.max())
-        loo[i] = h2 + math.log(float(np.exp(sub - h2).sum()) / (m - 1))
-    se = math.sqrt((m - 1) / m * float(np.sum((loo - loo.mean()) ** 2)))
+    if tiny.any():
+        loo = np.empty(m)
+        ok = ~tiny
+        loo[ok] = hi + np.log(rest[ok] / (m - 1))
+        for i in np.flatnonzero(tiny):
+            sub = np.delete(values, i)
+            h2 = float(sub.max())
+            loo[i] = h2 + math.log(float(np.exp(sub - h2).sum()) / (m - 1))
+    else:
+        loo = np.divide(rest, m - 1, out=rest)
+        np.log(loo, out=loo)
+        loo += hi
+    loo -= loo.mean()
+    np.square(loo, out=loo)
+    se = math.sqrt((m - 1) / m * float(loo.sum()))
     return lme, se
 
 
@@ -163,9 +179,10 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
     draws = noise.sample_many(rng, reps, family.ambient_dim)
     rows = []
     for structure, sq_norms in _projected_sq_norms(family, draws, caps):
-        exponents = alpha * sq_norms
-        n_sat = int(np.sum(exponents > EXPONENT_CAP))
-        exponents = np.minimum(exponents, EXPONENT_CAP)
+        # sq_norms is a new array per structure: scale and cap it in place
+        exponents = np.multiply(sq_norms, alpha, out=sq_norms)
+        n_sat = int(np.count_nonzero(exponents > EXPONENT_CAP))
+        np.minimum(exponents, EXPONENT_CAP, out=exponents)
         est, se = _log_mean_exp_with_jackknife(exponents)
         bound = float(family.dim(structure))
         rows.append(A1Row(structure, est, bound, se, n_sat, est <= bound + se_mult * se))
@@ -273,13 +290,21 @@ class A4Row:
 def check_a4(noise: NoiseModel, M_grid, reps: int, n: int, rng) -> list[A4Row]:
     """Empirical psi1(M) = P(|<v, xi'>| >= sqrt(M)) over random unit v, and
     psi2(M) = P(| ||xi'||^2 - V | >= M sqrt(N)) with V = N for unit-variance
-    kinds."""
+    kinds.
+
+    The directions come from rng after the draws, A4_BLOCK rows at a time.
+    The generator fills its output in sequence and each row's norm and dot
+    product reads that row only, so the values are those of one (reps, n)
+    array of directions, which is never held."""
     if not noise.unit_variance:
         raise ValueError("A4 check is defined for unit-variance noise kinds")
     draws = noise.sample_many(rng, reps, n)
-    v = rng.standard_normal((reps, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    dots = np.abs(np.einsum("ij,ij->i", v, draws))
+    dots = np.empty(reps)
+    for start in range(0, reps, A4_BLOCK):
+        stop = min(start + A4_BLOCK, reps)
+        v = rng.standard_normal((stop - start, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        np.abs(np.einsum("ij,ij->i", v, draws[start:stop]), out=dots[start:stop])
     sqn = np.einsum("ij,ij->i", draws, draws)
     rows = []
     for M in M_grid:

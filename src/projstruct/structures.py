@@ -1115,23 +1115,30 @@ class BiclusterFamily(Family):
     # block in a different order, so their bytes differ in the last bits.
     # `select` output is pinned to this kernel's bytes and `check a1` output
     # to the batch kernel's, and no single kernel reproduces both.
+    #
+    # Both assign each block through the open mesh (r, cb) that np.ix_
+    # builds, with r made once per row block.  Each keeps its own gather:
+    # `mat[r, cb]` is the one-step gather of `mat[np.ix_(rb, cb)]`, and the
+    # batch kernel gathers in two steps; the other gather in either kernel
+    # sums the block mean in another order.
     def _project(self, s, theta):
         mat = theta.reshape(self.n1, self.n2)
         out = np.empty_like(mat)
+        cols = [np.array(cb) for cb in s.cols]
         for rb in s.rows:
-            for cb in s.cols:
-                out[np.ix_(rb, cb)] = mat[np.ix_(rb, cb)].mean()
+            r = np.array(rb)[:, None]
+            for cb in cols:
+                out[r, cb] = mat[r, cb].mean()
         return out.reshape(-1)
 
     def _project_rows(self, s, rows):
         mats = rows.reshape(-1, self.n1, self.n2)
         out = np.empty_like(mats)
+        cols = [np.array(cb) for cb in s.cols]
         for rb in s.rows:
-            for cb in s.cols:
-                block = mats[:, rb, :][:, :, cb]
-                out[np.ix_(range(mats.shape[0]), rb, cb)] = block.mean(axis=(1, 2))[
-                    :, None, None
-                ]
+            r, band = np.array(rb)[:, None], mats[:, rb, :]
+            for cb in cols:
+                out[:, r, cb] = band[:, :, cb].mean(axis=(1, 2))[:, None, None]
         return out.reshape(rows.shape)
 
     def block_counts(self, s):

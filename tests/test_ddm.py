@@ -498,10 +498,10 @@ def test_size_indexed_measure_projects_nothing(fam, monkeypatch):
 
 def _measure_counts(fam, y, monkeypatch):
     """theta_tilde after the posterior on a fresh memo, the memo, and per
-    structure the rows given to `_project_stack`, the `validate` calls and
-    the `majorant` calls (each of which validates too)."""
-    stacked, validated, majorants = Counter(), Counter(), Counter()
-    stack, validate, majorant = fam._project_stack, fam.validate, fam.majorant
+    structure the rows given to `_project_stack` and the `validate` calls,
+    those made through `majorant` included."""
+    stacked, validated = Counter(), Counter()
+    stack, validate = fam._project_stack, fam.validate
 
     def counting_stack(structures, y):
         stacked.update(structures)
@@ -511,28 +511,24 @@ def _measure_counts(fam, y, monkeypatch):
         validated[s] += 1
         return validate(s)
 
-    def counting_majorant(s):
-        majorants[s] += 1
-        return majorant(s)
-
     with monkeypatch.context() as m:
         m.setattr(fam, "_project_stack", counting_stack)
         m.setattr(fam, "validate", counting_validate)
-        m.setattr(fam, "majorant", counting_majorant)
         proj = Projections(y, fam)
         measure = StructureMeasure(proj, cfg())
         assert measure.posterior.method == "enumeration"
         theta = measure.theta_tilde
-    return measure.posterior, theta, proj, stacked, validated - majorants
+    return measure.posterior, theta, proj, stacked, validated
 
 
 @pytest.mark.parametrize("fam", [ClusteringFamily(8), JumpFamily(10)],
                          ids=lambda f: f"{f.tag}-{f.ambient_dim}")
 def test_posterior_and_theta_tilde_project_and_validate_each_candidate_once(fam, monkeypatch):
     """The enumerated posterior projects and validates each candidate once,
-    storing every row, and theta_tilde reads those rows: it has the bytes
-    of `ma_mean` on a fresh memo.  With a smaller memo bound the memo stores
-    no more rows than the bound and theta_tilde keeps its bytes."""
+    scoring its penalty without a second `validate`, storing every row, and
+    theta_tilde reads those rows: it has the bytes of `ma_mean` on a fresh
+    memo.  With a smaller memo bound the memo stores no more rows than the
+    bound and theta_tilde keeps its bytes."""
     y = np.random.default_rng(fam.ambient_dim).standard_normal(fam.ambient_dim)
     post, theta, proj, stacked, validated = _measure_counts(fam, y, monkeypatch)
     want = dict.fromkeys(post.candidates, 1)

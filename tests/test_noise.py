@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from projstruct import noise as noise_module
 from projstruct.errors import CapExceededError, UnsupportedFamilyError
-from projstruct.noise import (NoiseModel, _projected_sq_norms, check_a1, check_a2, check_a3,
-                              check_a4)
+from projstruct.noise import (NoiseModel, _log_mean_exp_with_jackknife, _projected_sq_norms,
+                              check_a1, check_a2, check_a3, check_a4)
 from projstruct.structures import (
     BandingFamily,
     BiclusterFamily,
@@ -353,3 +355,96 @@ def test_a1_mask_path_falls_back_when_squares_overflow():
     for (s, norms), (_, oracle) in zip(got, expected):
         assert not np.isnan(norms).any(), s
         assert norms.tobytes() == oracle.tobytes(), s
+
+
+def _jackknife_oracle(values):
+    """`_log_mean_exp_with_jackknife` with a new array for every step, kept
+    as the oracle of the in-place form."""
+    m = values.size
+    hi = float(values.max())
+    ex = np.exp(values - hi)
+    total = float(ex.sum())
+    lme = hi + math.log(total / m)
+    rest = total - ex
+    tiny = rest <= total * 1e-12
+    loo = np.empty(m)
+    ok = ~tiny
+    loo[ok] = hi + np.log(rest[ok] / (m - 1))
+    for i in np.flatnonzero(tiny):
+        sub = np.delete(values, i)
+        h2 = float(sub.max())
+        loo[i] = h2 + math.log(float(np.exp(sub - h2).sum()) / (m - 1))
+    se = math.sqrt((m - 1) / m * float(np.sum((loo - loo.mean()) ** 2)))
+    return lme, se
+
+
+def _jackknife_inputs():
+    rng = np.random.default_rng(21)
+    for m in (2, 3, 17, 20_000):
+        yield f"normal-{m}", rng.standard_normal(m)
+        yield f"capped-chi2-{m}", np.minimum(0.4 * rng.chisquare(8, m) ** 2, 700.0)
+    yield "all-equal", np.full(50, 3.25)
+    yield "zeros", np.zeros(20_000)
+    # leaving the 40 out leaves under 1e-12 of the sum: the direct leave-one-out path
+    spike = np.zeros(1_000)
+    spike[123] = 40.0
+    yield "spike-40", spike
+    saturated = rng.standard_normal(500)
+    saturated[[7, 300]] = [700.0, 650.0]
+    yield "saturated", saturated
+
+
+@pytest.mark.parametrize("name,values", list(_jackknife_inputs()),
+                         ids=[name for name, _ in _jackknife_inputs()])
+def test_jackknife_has_the_bytes_of_the_oracle(name, values):
+    """The in-place jackknife returns the oracle's (lme, se) bit for bit on
+    random, all-equal and one-dominant-term inputs, and leaves its input
+    as it was."""
+    before = values.copy()
+    got = _log_mean_exp_with_jackknife(values)
+    assert np.array_equal(values, before)
+    want = _jackknife_oracle(values)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _a4_oracle(noise, M_grid, reps, n, rng):
+    """`check_a4` with the (reps, n) array of directions drawn at once."""
+    draws = noise.sample_many(rng, reps, n)
+    v = rng.standard_normal((reps, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    dots = np.abs(np.einsum("ij,ij->i", v, draws))
+    sqn = np.einsum("ij,ij->i", draws, draws)
+    return [(float(M), float(np.mean(dots >= math.sqrt(M))),
+             float(np.mean(np.abs(sqn - n) >= M * math.sqrt(n)))) for M in M_grid]
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096, 10**6])
+@pytest.mark.parametrize("noise,reps,n", [
+    (NoiseModel("gaussian"), 4097, 7),
+    (NoiseModel("gaussian"), 5, 64),
+    (NoiseModel("rademacher"), 1000, 16),
+    (NoiseModel("ar1", coefficient=0.5), 301, 9),
+], ids=["gaussian-4097x7", "gaussian-5x64", "rademacher-1000x16", "ar1-301x9"])
+def test_a4_in_row_blocks_has_the_bytes_of_one_direction_array(monkeypatch, block, noise,
+                                                               reps, n):
+    """Drawing the directions in row blocks of any size, partial last block
+    included, gives the rows of drawing them in one array."""
+    M_grid = [0.0, 0.3, 1.0, 2.5, 6.0]
+    monkeypatch.setattr(noise_module, "A4_BLOCK", block)
+    got = check_a4(noise, M_grid, reps, n, np.random.default_rng(8))
+    want = _a4_oracle(noise, M_grid, reps, n, np.random.default_rng(8))
+    assert np.array([(r.M, r.psi1, r.psi2) for r in got]).tobytes() == np.array(want).tobytes()
+
+
+def test_a4_holds_the_draws_and_not_the_directions():
+    """check_a4's traced peak stays below 1.5 times the 8 * reps * n bytes
+    of the draws; one (reps, n) array of directions and its norm temporary
+    would take it to about 3 times."""
+    reps, n = 50_000, 64
+    tracemalloc.start()
+    try:
+        check_a4(NoiseModel("gaussian"), [1.0, 4.0], reps, n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * reps * n

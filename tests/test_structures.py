@@ -39,6 +39,7 @@ from projstruct.structures import (
     SparseSet,
     SparsityFamily,
     Truncation,
+    canonical_partition,
     is_sorted_unique,
 )
 from conftest import ENUM_CAPS, enumerate_small, small_families
@@ -69,6 +70,56 @@ def test_bicluster_single_block_is_global_mean():
     s = Bicluster(((0, 1),), ((0, 1),))
     got = fam.project(s, np.array([1.0, 3.0, 5.0, 7.0]))
     assert np.array_equal(got, [4.0, 4.0, 4.0, 4.0])
+
+
+def _ix_project(fam, s, theta):
+    """The np.ix_ form of `BiclusterFamily._project`, kept as an oracle."""
+    mat = theta.reshape(fam.n1, fam.n2)
+    out = np.empty_like(mat)
+    for rb in s.rows:
+        for cb in s.cols:
+            out[np.ix_(rb, cb)] = mat[np.ix_(rb, cb)].mean()
+    return out.reshape(-1)
+
+
+def _ix_project_rows(fam, s, rows):
+    """The np.ix_ form of `BiclusterFamily._project_rows`, kept as an oracle."""
+    mats = rows.reshape(-1, fam.n1, fam.n2)
+    out = np.empty_like(mats)
+    for rb in s.rows:
+        for cb in s.cols:
+            block = mats[:, rb, :][:, :, cb]
+            out[np.ix_(range(mats.shape[0]), rb, cb)] = block.mean(axis=(1, 2))[:, None, None]
+    return out.reshape(rows.shape)
+
+
+def _random_partitions(rng, n):
+    """Whole axis, all singletons, and random labelings of [0, n) with
+    a random number of labels, as canonical partitions."""
+    parts = [(tuple(range(n)),), tuple((i,) for i in range(n))]
+    for _ in range(4):
+        labels = rng.integers(0, rng.integers(1, n + 1), n)
+        parts.append(canonical_partition(
+            [[i for i in range(n) if labels[i] == b] for b in range(n)]))
+    return parts
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 3), (4, 6), (5, 5), (7, 3), (8, 8)])
+def test_bicluster_kernels_have_the_bytes_of_the_ix_forms(n1, n2):
+    """Both bicluster kernels give the bytes of their np.ix_ forms, on
+    singleton, whole-axis and random blocks, for one row and for many."""
+    fam = BiclusterFamily(n1, n2)
+    rng = np.random.default_rng(n1 * 10 + n2)
+    for rows in _random_partitions(rng, n1):
+        for cols in _random_partitions(rng, n2):
+            s = Bicluster(rows, cols)
+            fam.validate(s)
+            theta = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4, n1 * n2)
+            assert fam._project(s, theta).tobytes() == _ix_project(fam, s, theta).tobytes()
+            for m in (1, 9):
+                block = rng.standard_normal((m, n1 * n2)) * 10.0 ** rng.integers(-3, 4, n1 * n2)
+                assert (fam._project_rows(s, block).tobytes()
+                        == _ix_project_rows(fam, s, block).tobytes())
 
 
 def test_band_projection_symmetrizes_then_zeroes():
