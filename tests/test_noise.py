@@ -394,9 +394,8 @@ def _jackknife_inputs():
     yield "saturated", saturated
 
 
-@pytest.mark.parametrize("name,values", list(_jackknife_inputs()),
-                         ids=[name for name, _ in _jackknife_inputs()])
-def test_jackknife_has_the_bytes_of_the_oracle(name, values):
+@pytest.mark.parametrize("values", [pytest.param(v, id=name) for name, v in _jackknife_inputs()])
+def test_jackknife_has_the_bytes_of_the_oracle(values):
     """The in-place jackknife returns the oracle's (lme, se) bit for bit on
     random, all-equal and one-dominant-term inputs, and leaves its input
     as it was."""
