@@ -8,6 +8,14 @@ coverage over the whole space.  Y' must be independent of the sample that
 produced theta_hat; Gaussian duplication manufactures such a pair at the cost
 of doubling the variance, while the Bernoulli V statistic requires a genuine
 second sample.
+
+A coverage experiment asks, for each replication, whether theta lies in the
+ball for every cell of a (t, M) or M grid.  Only the radius depends on the
+cell, so a replication takes its statistics once: the majorant rho(I_hat)
+for the EBR ball, ||Y' - theta_hat||^2 - sigma^2 V for the quarter ball, and
+||theta - theta_hat||^2 for both; each cell is then `ebr_radius_sq` or
+`quarter_radius_sq` and one comparison.  `ebr_ball`, `quarter_ball` and
+`contains` build and test one ball, from the same two radius functions.
 """
 
 from __future__ import annotations
@@ -66,20 +74,26 @@ def quarter_ball(Y_prime, theta_hat, sigma: float, M: float, M1: float,
 
     Caller contract: Y' is independent of the sample behind theta_hat.
     """
-    if M < 0 or M1 < 0:
-        raise ValueError("M and M1 must be nonnegative")
     Y_prime = as_vector(Y_prime)
     theta_hat = as_vector(theta_hat)
     if Y_prime.size != theta_hat.size:
         raise DimensionMismatchError("Y' and theta_hat must have equal length")
-    n = Y_prime.size
-    g_m = math.sqrt(M * (M + M1))
     stat = sq_norm(Y_prime - theta_hat) - sigma**2 * v_stat
-    radius_sq = max(stat + 2.0 * sigma**2 * g_m * math.sqrt(n), 0.0)
+    radius_sq = quarter_radius_sq(stat, sigma, M, M1, Y_prime.size)
     return ConfidenceBall(
         theta_hat, radius_sq, "quarter",
-        {"M": M, "M1": M1, "G_M": g_m, "v_stat": v_stat, "sigma": sigma},
+        {"M": M, "M1": M1, "G_M": math.sqrt(M * (M + M1)), "v_stat": v_stat,
+         "sigma": sigma},
     )
+
+
+def quarter_radius_sq(stat: float, sigma: float, M: float, M1: float, n: int) -> float:
+    """(stat + 2 sigma^2 G_M sqrt(n))_+ with G_M = sqrt(M (M + M1)), where
+    stat = ||Y' - theta_hat||^2 - sigma^2 V and n is the length of Y'."""
+    if M < 0 or M1 < 0:
+        raise ValueError("M and M1 must be nonnegative")
+    g_m = math.sqrt(M * (M + M1))
+    return max(stat + 2.0 * sigma**2 * g_m * math.sqrt(n), 0.0)
 
 
 def duplicate_gaussian(Y, sigma: float, rng):

@@ -23,10 +23,16 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .balls import contains, duplicate_gaussian, ebr_ball, highly_structured, quarter_ball, v_statistic
+from .balls import (
+    duplicate_gaussian,
+    ebr_radius_sq,
+    highly_structured,
+    quarter_radius_sq,
+    v_statistic,
+)
 from .ddm import DdmConfig, StructureMeasure, sample_conditional
-from .errors import ConfigError, ExactModeUnavailableError
-from .linalg import finite_energy, sq_norm
+from .errors import ConfigError, DimensionMismatchError, ExactModeUnavailableError
+from .linalg import as_vector, finite_energy, sq_norm
 from .noise import NoiseModel
 from .oracle import FrameworkConstants, oracle_rate
 from .selection import Projections, select_penalized
@@ -352,12 +358,24 @@ def _ratio(value: float, rate: float) -> float:
 
 
 def _rep_contraction(ctx, rng, thresholds):
+    """Per threshold t, the fraction of posterior draws whose squared error
+    is at least t; the errors are sorted once per replication."""
     y = ctx.draw(rng)
     cfg = DdmConfig(kappa=ctx.kappa, sigma=ctx.sigma, pen_variant=ctx.pen_variant)
     draws = int(ctx.config.get("posterior_draws", 200))
     samples = sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws)
-    errs = np.sum((samples - ctx.theta[None, :]) ** 2, axis=1)
-    return [float(np.mean(errs >= threshold)) for threshold in thresholds]
+    return _exceedance(np.sum((samples - ctx.theta[None, :]) ** 2, axis=1), thresholds)
+
+
+def _exceedance(errs, thresholds) -> list[float]:
+    """float(np.mean(errs >= t)) for each threshold t of NaN-free errs, from
+    one sort: the errors below t are the first searchsorted(side="left") of
+    the sorted errors, so ties count as exceeding.  The count and the size
+    are exact in float64, so each quotient has the bytes of the mean of the
+    0/1 flags."""
+    errs = np.sort(errs)
+    below = np.searchsorted(errs, thresholds, side="left")
+    return [(errs.size - int(b)) / errs.size for b in below]
 
 
 def _rep_error_sq(ctx, rng):
@@ -365,15 +383,32 @@ def _rep_error_sq(ctx, rng):
     return sq_norm(theta_hat - ctx.theta), ctx.family.majorant(i_hat)
 
 
-def _hit(ball, theta) -> tuple[float, float]:
-    return float(contains(ball, theta)), ball.radius_sq
+def _center(ctx, theta_hat) -> np.ndarray:
+    """theta_hat checked once as a ball center: a finite vector of the
+    length of theta."""
+    theta_hat = as_vector(theta_hat)
+    if theta_hat.size != ctx.theta.size:
+        raise DimensionMismatchError("theta has the wrong length for this ball")
+    return theta_hat
+
+
+def _hits(dist_sq: float, radii) -> list[tuple[float, float]]:
+    """(whether the closed ball of each squared radius holds a point at
+    squared distance dist_sq from its center, the squared radius)."""
+    return [(float(dist_sq <= r), r) for r in radii]
 
 
 def _rep_coverage_ebr(ctx, rng, t_list, M_list):
+    """(hit, squared radius) of the EBR ball for each (t, M), t-major, as
+    `contains(ebr_ball(...), theta)` would give them: rho(I_hat) and
+    ||theta - theta_hat||^2 are computed once per replication, and each
+    cell is one `ebr_radius_sq` and one comparison."""
     y = ctx.draw(rng)
     theta_hat, i_hat = ctx.estimate(y, rng)
-    return [_hit(ebr_ball(y, ctx.family, ctx.sigma, ctx.constants, i_hat, theta_hat, t, M),
-                 ctx.theta) for t in t_list for M in M_list]
+    rho_hat = ctx.family.majorant(i_hat)
+    dist_sq = sq_norm(ctx.theta - _center(ctx, theta_hat))
+    return _hits(dist_sq, [ebr_radius_sq(rho_hat, ctx.sigma, ctx.constants, t, M)
+                           for t in t_list for M in M_list])
 
 
 def _check_quarter(ctx) -> None:
@@ -391,6 +426,11 @@ def _check_quarter(ctx) -> None:
 
 
 def _rep_coverage_quarter(ctx, rng, M_list):
+    """(hit, squared radius) of the quarter ball for each M, as
+    `contains(quarter_ball(...), theta)` would give them: the statistic
+    ||Y' - theta_hat||^2 - sigma^2 V and ||theta - theta_hat||^2 are
+    computed once per replication, and each M is one `quarter_radius_sq`
+    and one comparison."""
     if ctx.config.get("duplication", "gaussian") == "gaussian":
         y_prime, y_second = duplicate_gaussian(ctx.draw(rng), ctx.sigma, rng)
         sigma_eff = ctx.sigma * math.sqrt(2.0)
@@ -402,8 +442,11 @@ def _rep_coverage_quarter(ctx, rng, M_list):
         v_kind = ctx.config.get("v_statistic", "unit-variance")
     theta_hat, _ = ctx.estimate(y_second, rng, sigma_eff)
     v = v_statistic(v_kind, y_prime, y_second)
-    return [_hit(quarter_ball(y_prime, theta_hat, sigma_eff, M, ctx.constants.M1, v),
-                 ctx.theta) for M in M_list]
+    theta_hat = _center(ctx, theta_hat)
+    stat = sq_norm(y_prime - theta_hat) - sigma_eff**2 * v
+    return _hits(sq_norm(ctx.theta - theta_hat),
+                 [quarter_radius_sq(stat, sigma_eff, M, ctx.constants.M1, y_prime.size)
+                  for M in M_list])
 
 
 def _rep_recovery(ctx, rng):

@@ -209,8 +209,12 @@ def objective(Y, family: Family, structure, sigma: float, kappa: float,
 
 def _objective_value(family: Family, structure, rss: float, sigma: float, kappa: float,
                      pen_variant: str) -> float:
-    """`objective` of a structure whose ||Y - P_I Y||^2 is rss."""
-    return rss + sigma**2 * penalty(family, structure, kappa, pen_variant)
+    """`objective` of a structure whose ||Y - P_I Y||^2 is rss.  The
+    structure was validated when `Projections.project_all` projected it, so
+    its penalty reads `_majorant` and `_dim` without validating it again."""
+    dim = family._dim(structure) if pen_variant == "map" else 0
+    return rss + sigma**2 * _penalty_value(family._majorant(structure), dim, kappa,
+                                           pen_variant)
 
 
 class _ArgminTracker:

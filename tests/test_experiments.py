@@ -1,12 +1,15 @@
 import collections
 import json
+import math
 import os
+import pathlib
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from projstruct import ddm, experiments
+from projstruct.balls import contains, duplicate_gaussian, ebr_ball, quarter_ball, v_statistic
 from projstruct.cli import main
 from projstruct.errors import ConfigError
 from projstruct.experiments import (
@@ -19,7 +22,8 @@ from projstruct.experiments import (
     resolve_sigma,
     run_experiment,
 )
-from projstruct.structures import KnotFamily, RegressionFamily, SparsityFamily
+from projstruct.oracle import FrameworkConstants
+from projstruct.structures import KnotFamily, RegressionFamily, SparseSet, SparsityFamily
 
 
 BASE = {
@@ -341,3 +345,162 @@ def test_negative_shell_offsets_stay_allowed(name):
     cfg = dict(SMALL, experiment=name, reps=2, posterior_draws=5, grid={"M": [-1e9, -1.0]})
     _, rows = run_experiment(cfg, seed=3)
     assert [row[2] for row in rows] == [-1e9, -1.0]
+
+
+# -- the coverage and contraction sweeps against their per-cell oracles -------
+
+GOLDEN_SIMULATE = pathlib.Path(__file__).parent / "data" / "golden_simulate"
+
+
+def _bits(cells) -> bytes:
+    assert all(type(v) is float for cell in cells for v in cell)
+    return np.array(cells, dtype=float).tobytes()
+
+
+def _oracle_coverage_ebr(ctx, rng, t_list, M_list):
+    """One `ebr_ball` and one `contains` per (t, M) cell."""
+    y = ctx.draw(rng)
+    theta_hat, i_hat = ctx.estimate(y, rng)
+    balls = [ebr_ball(y, ctx.family, ctx.sigma, ctx.constants, i_hat, theta_hat, t, M)
+             for t in t_list for M in M_list]
+    return [(float(contains(ball, ctx.theta)), ball.radius_sq) for ball in balls]
+
+
+def _oracle_coverage_quarter(ctx, rng, M_list):
+    """One `quarter_ball` and one `contains` per M."""
+    if ctx.config.get("duplication", "gaussian") == "gaussian":
+        y_prime, y_second = duplicate_gaussian(ctx.draw(rng), ctx.sigma, rng)
+        sigma_eff, v_kind = ctx.sigma * math.sqrt(2.0), "unit-variance"
+    else:
+        y_second, y_prime = ctx.draw(rng), ctx.draw(rng)
+        sigma_eff, v_kind = ctx.sigma, ctx.config.get("v_statistic", "unit-variance")
+    theta_hat, _ = ctx.estimate(y_second, rng, sigma_eff)
+    v = v_statistic(v_kind, y_prime, y_second)
+    balls = [quarter_ball(y_prime, theta_hat, sigma_eff, M, ctx.constants.M1, v)
+             for M in M_list]
+    return [(float(contains(ball, ctx.theta)), ball.radius_sq) for ball in balls]
+
+
+def _oracle_contraction(ctx, rng, thresholds):
+    """One mean of 0/1 flags per threshold."""
+    y = ctx.draw(rng)
+    cfg = ddm.DdmConfig(kappa=ctx.kappa, sigma=ctx.sigma, pen_variant=ctx.pen_variant)
+    draws = int(ctx.config.get("posterior_draws", 200))
+    samples = ddm.sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws)
+    errs = np.sum((samples - ctx.theta[None, :]) ** 2, axis=1)
+    return [float(np.mean(errs >= t)) for t in thresholds]
+
+
+def _grid_args(cfg, ctx):
+    grid = cfg.get("grid", {})
+    if cfg["experiment"] == "coverage-ebr":
+        return grid.get("t", [0.0]), grid.get("M", [0.0])
+    if cfg["experiment"] == "coverage-quarter":
+        return (grid.get("M", [1.0]),)
+    return ([ctx.constants.M0 * ctx.rate + M * ctx.sigma**2 for M in grid.get("M", [0.0])],)
+
+
+@pytest.mark.parametrize("name,sweep,oracle", [
+    ("coverage-ebr", experiments._rep_coverage_ebr, _oracle_coverage_ebr),
+    ("coverage-ebr-knot-ma", experiments._rep_coverage_ebr, _oracle_coverage_ebr),
+    ("coverage-quarter", experiments._rep_coverage_quarter, _oracle_coverage_quarter),
+    ("coverage-quarter-bernoulli", experiments._rep_coverage_quarter,
+     _oracle_coverage_quarter),
+    ("contraction-grid", experiments._rep_contraction, _oracle_contraction),
+])
+def test_replication_sweeps_match_per_cell_oracles(name, sweep, oracle):
+    """On the golden simulate configs, each replication's sweep has the
+    bytes of the per-cell construction, hit flags and radii alike."""
+    cfg = json.loads((GOLDEN_SIMULATE / f"{name}.json").read_text())
+    for ci, ctx in experiments._cells(cfg, seed=3):
+        extra = _grid_args(cfg, ctx)
+        for rep in range(4):
+            got = sweep(ctx, derive_rng(3, "rep", ci, rep), *extra)
+            want = oracle(ctx, derive_rng(3, "rep", ci, rep), *extra)
+            if sweep is experiments._rep_contraction:
+                got, want = [(f,) for f in got], [(f,) for f in want]
+            assert _bits(got) == _bits(want)
+
+
+class _FixedCtx:
+    """A replication context whose draws cycle through given vectors and
+    whose estimate is a given (theta_hat, I_hat)."""
+
+    def __init__(self, family, theta, theta_hat, draws, constants, config=None, i_hat=None):
+        self.family, self.sigma, self.constants = family, 1.0, constants
+        self.theta, self.theta_hat = np.asarray(theta, float), np.asarray(theta_hat, float)
+        self.i_hat, self.config = i_hat, config or {}
+        self._draws = [np.asarray(d, float) for d in draws]
+        self._next = 0
+
+    def draw(self, rng):
+        self._next += 1
+        return self._draws[(self._next - 1) % len(self._draws)]
+
+    def estimate(self, y, rng, sigma=None):
+        return self.theta_hat, self.i_hat
+
+
+def _compare(sweep, oracle, ctx, *grid):
+    got = sweep(ctx, np.random.default_rng(0), *grid)
+    assert _bits(got) == _bits(oracle(ctx, np.random.default_rng(0), *grid))
+    return got
+
+
+@pytest.mark.parametrize("step,want", [
+    ([1.0, 0.0, 0.0, 0.0], [(1.0, 1.0), (1.0, 3.0), (1.0, 2.0), (1.0, 5.0)]),
+    ([1.0, 1.0, 1.0, 0.0], [(0.0, 1.0), (1.0, 3.0), (0.0, 2.0), (1.0, 5.0)]),
+])
+def test_ebr_sweep_closed_ball_at_t_and_M_zero(step, want, monkeypatch):
+    """sigma = M2 = 1 and rho(I_hat) = 0 give the radii (t + 1) + (t + 2) M:
+    1, 3, 2 and 5 over t, M in {0, 1}.  theta sits at squared distance 1 or
+    3 from theta_hat, exactly on a sphere; the closed ball holds it.  One
+    replication takes the majorant once, not once per cell."""
+    fam = SparsityFamily(4)
+    theta_hat = np.array([0.5, -0.25, 0.0, 2.0])
+    ctx = _FixedCtx(fam, theta_hat + np.array(step), theta_hat, [np.zeros(4)],
+                    FrameworkConstants(M2_override=1.0), i_hat=SparseSet(()))
+    assert _compare(experiments._rep_coverage_ebr, _oracle_coverage_ebr, ctx,
+                    [0.0, 1.0], [0.0, 1.0]) == want
+    majorant, calls = fam.majorant, []
+    monkeypatch.setattr(fam, "majorant", lambda s: calls.append(s) or majorant(s))
+    experiments._rep_coverage_ebr(ctx, np.random.default_rng(0), [0.0, 1.0, 2.0], [0.0, 1.0])
+    assert calls == [SparseSet(())]
+
+
+@pytest.mark.parametrize("config,draws,theta_hat,theta,M_list,want", [
+    # ||Y' - theta_hat||^2 - V = 4 - 4 = 0; M = 1, M1 = 3: radius 2 * 2 * 2 = 8,
+    # and theta at squared distance 8
+    ({}, [np.zeros(4), np.ones(4)], np.zeros(4), [2.0, 2.0, 0.0, 0.0],
+     [0.0, 1.0], [(0.0, 0.0), (1.0, 8.0)]),
+    # the statistic is -4 and the margins too small: both radii clip to 0,
+    # and theta = theta_hat lies in the closed ball of radius 0
+    ({}, [np.zeros(4), np.zeros(4)], np.zeros(4), np.zeros(4),
+     [0.0, 0.1], [(1.0, 0.0), (1.0, 0.0)]),
+    ({}, [np.zeros(4), np.zeros(4)], np.zeros(4), [0.0, 0.0, 0.0, 1e-9],
+     [0.0, 0.1], [(0.0, 0.0), (0.0, 0.0)]),
+    # Bernoulli V = sum Y' - sum Y' Y = 2 - 1 = 1 and ||Y' - theta_hat||^2 = 1
+    ({"v_statistic": "bernoulli"}, [[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+     np.full(4, 0.5), [2.5, 2.5, 0.5, 0.5], [0.0, 1.0], [(0.0, 0.0), (1.0, 8.0)]),
+])
+def test_quarter_sweep_second_sample_edges(config, draws, theta_hat, theta, M_list, want):
+    ctx = _FixedCtx(SparsityFamily(4), theta, theta_hat, draws,
+                    FrameworkConstants(M1_override=3.0),
+                    config=dict(config, duplication="second-sample"))
+    assert _compare(experiments._rep_coverage_quarter, _oracle_coverage_quarter, ctx,
+                    M_list) == want
+
+
+def test_exceedance_fractions_are_means_of_flags():
+    """Ties count as exceeding; thresholds below or above every error, and
+    +-inf, give 1 and 0 (or the share of infinite errors)."""
+    errs = np.random.default_rng(5).exponential(2.0, 197)
+    for e in (np.concatenate([errs, [1.0, 1.0, 3.0]]), np.full(7, 2.0),
+              np.array([0.0, np.inf, 5.0, 0.0, 5.0, 5.0])):
+        thresholds = [*e[:12], -np.inf, np.inf, -1.0, -0.0, 0.0, e.min(), e.max(),
+                      np.nextafter(e.max(), -np.inf), np.nextafter(e.min(), np.inf),
+                      np.median(e), 2.0 * e.max() + 1.0]
+        got = experiments._exceedance(e, thresholds)
+        want = [float(np.mean(e >= t)) for t in thresholds]
+        assert _bits([got]) == _bits([want])
+    assert experiments._exceedance(np.full(7, 2.0), [2.0, np.inf, -np.inf]) == [1.0, 0.0, 1.0]

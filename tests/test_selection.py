@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 import json
 import math
 
@@ -29,6 +30,7 @@ from projstruct.structures import (
     ClusteringFamily,
     Family,
     JumpFamily,
+    KnotFamily,
     MultiLevelPartition,
     SmoothnessFamily,
     SparseSet,
@@ -807,3 +809,41 @@ def test_projection_memo_rejects_another_family_or_observation():
         select_penalized(y + 1.0, fam, 1.0, 1.0, proj=proj)
     with pytest.raises(ValueError, match="memo"):
         select_penalized(y, SmoothnessFamily(4), 1.0, 1.0, proj=proj)
+
+
+@pytest.mark.parametrize("fam,mode", [(KnotFamily(13), "exact"),
+                                      (BiclusterFamily(5, 5), "heuristic")],
+                         ids=["knot-13-bruteforce", "bicluster-5x5-search"])
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+def test_objective_validates_each_scored_structure_once(fam, mode, pen_variant, monkeypatch):
+    """Scoring validates each structure once, when `Projections.project_all`
+    first projects it; its penalty does not validate it again.  The only
+    other validations are the tie rule's `majorant` calls."""
+    y = np.random.default_rng(13).standard_normal(fam.ambient_dim)
+    validated, scored, tie_keys = Counter(), [], Counter()
+    validate, score, tie_key = fam.validate, selection._objective_value, _ArgminTracker._tie_key
+
+    def counting_validate(s):
+        validated[s] += 1
+        return validate(s)
+
+    def counting_score(family, s, *args):
+        scored.append(s)
+        return score(family, s, *args)
+
+    def counting_tie_key(tracker, s):
+        tie_keys[s] += 1
+        return tie_key(tracker, s)
+
+    monkeypatch.setattr(fam, "validate", counting_validate)
+    monkeypatch.setattr(selection, "_objective_value", counting_score)
+    monkeypatch.setattr(_ArgminTracker, "_tie_key", counting_tie_key)
+    got = select_penalized(y, fam, 1.0, 1.0, mode=mode, pen_variant=pen_variant,
+                           rng=np.random.default_rng(0))
+    monkeypatch.undo()
+    assert got[0] in scored and len(set(scored)) > 100
+    assert validated == Counter(set(scored)) + tie_keys
+    # the unvalidated penalty has the bytes of the public, validating one
+    for s in set(scored):
+        assert (selection._objective_value(fam, s, 1.5, 0.5, 1.0, pen_variant)
+                == 1.5 + 0.5**2 * selection.penalty(fam, s, 1.0, pen_variant))
