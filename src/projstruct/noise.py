@@ -9,10 +9,13 @@ tail curves behind the quarter ball.
 A1 estimation targets a log-MGF whose plug-in estimator is heavy tailed, so
 the checker reports a stabilized log-mean-exp with jackknife standard errors
 and caps each exponent summand at 700, counting how often the cap bites.
+Its projected-noise norms come a block of structures at a time, from one
+matrix product per block wherever the family allows it.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,13 +24,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .structures import Caps, Family
+from .linalg import orthonormal_spans
+from .structures import Caps, Family, _SpanFamily
+
+logger = logging.getLogger(__name__)
 
 EXPONENT_CAP = 700.0
 # largest ||P_{I'} P_I x - P_I x|| that check_a3 counts as containment
 CONTAINMENT_TOL = 1e-8
 # rows of A4 directions drawn, normalized and dotted at a time
 A4_BLOCK = 4096
+# floats in one A1 block product of structures against the draws (2 MB)
+A1_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,32 +149,121 @@ def _log_mean_exp_with_jackknife(values: np.ndarray) -> tuple[float, float]:
     return lme, se
 
 
-def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
-    """(I, ||P_I xi||^2 for each row xi of draws) for every enumerated I.
+def _sq_norm_rows(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows, rows)
 
-    Where P_I keeps a coordinate subset (`kept_coordinates`), the norm is
-    the sum of xi^2 against the subset's 0/1 mask, with no projected copy of
-    the draws.  Its bytes equal those of the projection path: each product
-    is unchanged (xi^2 * 1 = xi * xi, and xi^2 * 0 = 0 * 0 = +0), and einsum
-    sums both with the same kernel over the same n terms.  The identity needs
-    every xi^2 finite (inf * 0 is nan), so overflowing draws fall back to
-    projecting.
+
+def _blocks(structures, width, budget: int):
+    """Runs of consecutive structures whose widths sum to at most budget; a
+    structure wider than budget makes a run alone."""
+    block: list = []
+    rows = 0
+    for s in structures:
+        w = width(s)
+        if block and rows + w > budget:
+            yield block
+            block, rows = [], 0
+        block.append(s)
+        rows += w
+    if block:
+        yield block
+
+
+def _mask_sq_norms(family: Family, block, sq: np.ndarray) -> np.ndarray:
+    """Norms of the block: row g sums the squares sq over the coordinates
+    that block[g] keeps, as one product with the 0/1 masks."""
+    masks = np.zeros((len(block), sq.shape[1]))
+    for g, s in enumerate(block):
+        masks[g, family.kept_coordinates(s)] = 1.0
+    return masks @ sq.T
+
+
+def _span_sq_norms(family: _SpanFamily, block, draws: np.ndarray) -> tuple[np.ndarray, int]:
+    """(norms of the block, how many structures were projected onto alone).
+
+    Each width's orthonormal bases come from one `orthonormal_spans`, and
+    ||Q_I^T xi||^2 sums the squares of the rows of (stacked Q^T) @ xi^T that
+    belong to I.  A basis that spans less than its width is projected onto
+    alone."""
+    reps, n = draws.shape
+    norms = np.empty((len(block), reps))
+    by_width: dict[int, list[int]] = {}
+    for g, s in enumerate(block):
+        by_width.setdefault(family._width(s), []).append(g)
+    alone: list[int] = []
+    for width, idx in by_width.items():
+        idx = np.array(idx)
+        if width == 0:  # the zero subspace
+            norms[idx] = 0.0
+            continue
+        q, full = orthonormal_spans(family._bases([block[g] for g in idx]))
+        prod = q.transpose(0, 2, 1).reshape(-1, n) @ draws.T
+        np.square(prod, out=prod)
+        norms[idx[full]] = prod.reshape(-1, width, reps).sum(axis=1)
+        alone += idx[~full].tolist()
+    for g in alone:
+        norms[g] = _sq_norm_rows(family._project_rows(block[g], draws))
+    return norms, len(alone)
+
+
+def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
+    """(I, ||P_I xi||^2 for each row xi of draws) for every enumerated I, in
+    enumeration order; each I is validated once.
+
+    Mask and span families take the norms of a block of consecutive
+    structures from one matrix product, and the caller consumes each block
+    before the next is computed.  A block's product holds at most A1_BLOCK
+    floats, unless one structure alone needs more.
+
+    - A mask family (`kept_coordinates`: P_I keeps a coordinate subset)
+      takes `masks @ sq.T` with the 0/1 masks of the block, and sq = xi^2
+      squared once.
+    - A span family (`_SpanFamily`: knot, regression) takes
+      ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width in the
+      block (`_span_sq_norms`); a basis that spans less than its width is
+      projected onto alone.
+    - Every other family projects the draws onto one structure at a time.
+
+    A product sums in another order than projecting and then squaring, so
+    the block norms are within a few n * eps * ||xi||^2 of the projection
+    path's, not its bytes.  The products are taken only while every xi^2 is
+    finite (in the mask product inf * 0 is nan): if one overflows, the
+    whole family projects one structure at a time.  One DEBUG line says how
+    many structures took the block products and how many were projected
+    alone.
     """
-    kept = getattr(family, "kept_coordinates", None)
-    if kept is not None:
+    reps = len(draws)
+    kept = getattr(family, "kept_coordinates", None) is not None
+    spans = isinstance(family, _SpanFamily)
+    if kept or spans:
         with np.errstate(over="ignore"):
             sq = draws * draws
         if not np.isfinite(sq).all():
-            kept = None
-    for structure in family.enumerate_structures(caps):
-        if kept is None:
-            proj = family.project_many(structure, draws)
-            yield structure, np.einsum("ij,ij->i", proj, proj)
-        else:
-            family.validate(structure)
-            mask = np.zeros(family.ambient_dim)
-            mask[kept(structure)] = 1.0
-            yield structure, np.einsum("ij,j->i", sq, mask)
+            kept = spans = False
+        if spans:
+            del sq  # only the overflow test reads the squares
+    structures = family.enumerate_structures(caps)
+    total = alone = 0
+    if kept or spans:
+        width = (lambda s: max(family._width(s), 1)) if spans else (lambda s: 1)
+        for block in _blocks(structures, width, max(A1_BLOCK // reps, 1)):
+            for s in block:
+                family.validate(s)
+            if spans:
+                norms, k = _span_sq_norms(family, block, draws)
+                alone += k
+            else:
+                norms = _mask_sq_norms(family, block, sq)
+            total += len(block)
+            yield from zip(block, norms)
+    else:
+        for s in structures:
+            family.validate(s)
+            total += 1
+            alone += 1
+            yield s, _sq_norm_rows(family._project_rows(s, draws))
+    logger.debug("%s: A1 norms of %d structures from block products, %d projected one at "
+                 "a time", family.tag, total - alone, alone)
 
 
 def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
@@ -175,16 +272,20 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
     against the family's statistical dimension.  For theta-dependent noise
     (bernoulli-mean) the estimate is at the supplied theta only, not the sup
     over the parameter space.
+
+    The norms come from `_projected_sq_norms`, a block of structures at a
+    time; each row of a block is scaled, capped and reduced by the
+    jackknife in place before the next block is computed.  Each structure
+    is validated once, and its bound is `_dim`.
     """
     draws = noise.sample_many(rng, reps, family.ambient_dim)
     rows = []
     for structure, sq_norms in _projected_sq_norms(family, draws, caps):
-        # sq_norms is a new array per structure: scale and cap it in place
         exponents = np.multiply(sq_norms, alpha, out=sq_norms)
         n_sat = int(np.count_nonzero(exponents > EXPONENT_CAP))
         np.minimum(exponents, EXPONENT_CAP, out=exponents)
         est, se = _log_mean_exp_with_jackknife(exponents)
-        bound = float(family.dim(structure))
+        bound = float(family._dim(structure))
         rows.append(A1Row(structure, est, bound, se, n_sat, est <= bound + se_mult * se))
     return rows
 

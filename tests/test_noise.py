@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -16,6 +17,8 @@ from projstruct.structures import (
     JumpFamily,
     KnotFamily,
     LeveledSparsityFamily,
+    RegressionFamily,
+    RegressionSupport,
     SmoothnessFamily,
     SparsityFamily,
 )
@@ -318,43 +321,125 @@ def test_a2_rejects_a_non_finite_nu():
             check_a2(SmoothnessFamily(3), nu)
 
 
-def _sq_norms_by_projection(family, draws):
-    for structure in family.enumerate_structures():
-        proj = family.project_many(structure, draws)
-        yield structure, np.einsum("ij,ij->i", proj, proj)
+def _per_structure_sq_norms(family, draws, caps):
+    """The per-structure `_projected_sq_norms`, kept as the oracle of the
+    block products: one 0/1-mask einsum per structure where P_I keeps a
+    coordinate subset (the bytes of projecting while every xi^2 is finite),
+    and one projection per structure otherwise."""
+    kept = getattr(family, "kept_coordinates", None)
+    if kept is not None:
+        with np.errstate(over="ignore"):
+            sq = draws * draws
+        if not np.isfinite(sq).all():
+            kept = None
+    for structure in family.enumerate_structures(caps):
+        if kept is None:
+            proj = family.project_many(structure, draws)
+            yield structure, np.einsum("ij,ij->i", proj, proj)
+        else:
+            family.validate(structure)
+            mask = np.zeros(family.ambient_dim)
+            mask[kept(structure)] = 1.0
+            yield structure, np.einsum("ij,j->i", sq, mask)
 
 
+def _no_projection(*args):
+    raise AssertionError("the block path projected the draws")
+
+
+@pytest.mark.parametrize("block", [1, noise_module.A1_BLOCK], ids=["block-1", "block-default"])
 @pytest.mark.parametrize("family,reps", [
     (SparsityFamily(10), 20_000),
     (SparsityFamily(13), 1_000),
     (LeveledSparsityFamily(3), 20_000),
     (SmoothnessFamily(24), 20_000),
-], ids=["sparsity-10", "sparsity-13", "leveled-3", "smoothness-24"])
-def test_a1_mask_path_equals_projection_bit_for_bit(family, reps):
-    """The mask path must give the bytes of project_many + einsum; a numpy
-    whose einsum sums the two operand layouts in different orders fails here."""
+    (KnotFamily(10), 20_000),
+    (RegressionFamily(np.random.default_rng(5).standard_normal((30, 16))), 2_000),
+], ids=["sparsity-10", "sparsity-13", "leveled-3", "smoothness-24", "knot-10",
+        "regression-30x16"])
+def test_a1_block_norms_are_within_the_bound_of_projecting(monkeypatch, block, family, reps):
+    """Every block norm is within 4 n eps ||xi||^2 of the per-structure
+    oracle, draw by draw, in enumeration order, with nothing projected.  A
+    product sums in another order than the oracle, so the bytes may differ;
+    A1_BLOCK = 1 puts each structure in a block of its own."""
+    monkeypatch.setattr(noise_module, "A1_BLOCK", block)
     draws = NoiseModel("gaussian").sample_many(np.random.default_rng(4), reps,
                                                family.ambient_dim)
-    def no_projection(*args):
-        raise AssertionError("the mask path projected the draws")
-
-    family.project_many = no_projection
+    family._project_rows = _no_projection
     got = list(_projected_sq_norms(family, draws, None))
-    del family.project_many
-    expected = list(_sq_norms_by_projection(family, draws))
-    assert [s for s, _ in got] == [s for s, _ in expected]
-    for (s, norms), (_, oracle) in zip(got, expected):
-        assert norms.tobytes() == oracle.tobytes(), s
+    del family._project_rows
+    want = list(_per_structure_sq_norms(family, draws, None))
+    assert [s for s, _ in got] == [s for s, _ in want]
+    tol = 4 * family.ambient_dim * np.finfo(float).eps * np.einsum("ij,ij->i", draws, draws)
+    for (s, norms), (_, oracle) in zip(got, want):
+        assert (np.abs(norms - oracle) <= tol).all(), s
 
 
 def test_a1_mask_path_falls_back_when_squares_overflow():
-    family = SparsityFamily(3)
-    draws = np.array([[1e200, 2.0, -3.0], [0.5, -1e300, 1.0]])
-    got = list(_projected_sq_norms(family, draws, None))
-    expected = list(_sq_norms_by_projection(family, draws))
-    for (s, norms), (_, oracle) in zip(got, expected):
-        assert not np.isnan(norms).any(), s
-        assert norms.tobytes() == oracle.tobytes(), s
+    """One overflowing xi^2 sends the whole family, mask or span, through
+    the projection, with its bytes and no nan."""
+    draws = np.array([[1e200, 2.0, -3.0, 0.25], [0.5, -1e300, 1.0, 4.0]])
+    for family in (SparsityFamily(4), KnotFamily(4)):
+        got = list(_projected_sq_norms(family, draws, None))
+        expected = list(_per_structure_sq_norms(family, draws, None))
+        assert [s for s, _ in got] == [s for s, _ in expected]
+        for (s, norms), (_, oracle) in zip(got, expected):
+            assert not np.isnan(norms).any(), s
+            assert norms.tobytes() == oracle.tobytes(), s
+
+
+def test_a1_rank_deficient_span_falls_back_bit_for_bit(caplog):
+    """A regression support holding a column and its copy spans less than
+    its width: it alone is projected, with the oracle's bytes, and the DEBUG
+    line counts it."""
+    design = np.random.default_rng(6).standard_normal((30, 16))
+    design[:, 9] = design[:, 2]
+    family = RegressionFamily(design)
+    twin = RegressionSupport((2, 9))
+    draws = NoiseModel("gaussian").sample_many(np.random.default_rng(7), 3_000, 30)
+    with caplog.at_level(logging.DEBUG, logger="projstruct.noise"):
+        got = dict(_projected_sq_norms(family, draws, None))
+    want = dict(_per_structure_sq_norms(family, draws, None))
+    assert got.keys() == want.keys() and twin in got
+    assert got[twin].tobytes() == want[twin].tobytes()
+    assert caplog.messages == [f"regression: A1 norms of {len(want) - 1} structures from "
+                               "block products, 1 projected one at a time"]
+
+
+@pytest.mark.parametrize("family", [SparsityFamily(8), KnotFamily(8)], ids=["sparsity-8",
+                                                                            "knot-8"])
+def test_a1_validates_each_structure_once(family):
+    """check_a1 validates each enumerated structure once, in order, and its
+    bound is the structure's dimension."""
+    calls = []
+    validate = family.validate
+
+    def counting(s):
+        calls.append(s)
+        validate(s)
+
+    family.validate = counting
+    rows = check_a1(family, NoiseModel("gaussian"), 0.25, 500, np.random.default_rng(2))
+    del family.validate
+    assert calls == [row.structure for row in rows] == list(family.enumerate_structures())
+    assert [row.bound for row in rows] == [float(family.dim(row.structure)) for row in rows]
+
+
+def test_a1_holds_the_draws_and_a_block_not_every_structure():
+    """check_a1's traced peak on knot and sparsity n=10 with 20,000 draws
+    stays below the draws, their squares and four A1_BLOCK products.  The
+    norms of every structure held before the jackknife would take 41 MB
+    (knot) and 164 MB (sparsity)."""
+    reps = 20_000
+    for family in (KnotFamily(10), SparsityFamily(10)):
+        tracemalloc.start()
+        try:
+            check_a1(family, NoiseModel("gaussian"), 0.05, reps, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * reps * family.ambient_dim + 4 * 8 * noise_module.A1_BLOCK, \
+            (family.tag, peak)
 
 
 def _jackknife_oracle(values):
