@@ -267,11 +267,6 @@ def ma_mean(Y, family: Family, post: DdmPosterior,
     return out
 
 
-def ms_mean(Y, family: Family, I_hat) -> np.ndarray:
-    """Model-selection mean: the projection of Y onto the selected subspace."""
-    return family.project(I_hat, Y)
-
-
 def sparsity_ma_mean_exact(Y, family: SparsityFamily, cfg: DdmConfig,
                            table: np.ndarray | None = None) -> np.ndarray:
     """Exact model-averaging mean over all 2^n supports: Y_i * P(i in I|Y)."""

@@ -7,8 +7,10 @@ span the target subspace.  A span is read off one thin SVD of its basis: the
 left singular vectors whose singular value exceeds COLUMN_DROP_RTOL times the
 largest column norm are an orthonormal basis of it, and their count is its
 dimension (`span_rank`, the same rule without the vectors).  A stack of
-bases with the same column count is projected onto in one batched SVD
-(`project_onto_spans`), with the bytes of one call per basis.
+bases with the same column count is orthonormalized by one batched SVD
+(`orthonormal_spans`), with the bytes of one `orthonormal_span` per basis;
+`structures._SpanFamily` projects onto the stack and takes the A1 norms
+from it.
 """
 
 from __future__ import annotations
@@ -118,15 +120,3 @@ def orthonormal_spans(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.ascontiguousarray(u[full].transpose(0, 2, 1)).transpose(0, 2, 1)
     return q, full
 
-
-def project_onto_spans(bases: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projection of the vector y onto the column span of every
-    basis in the (G, n, r) stack ``bases``, 1 <= r <= n.
-
-    Returns (out, full): out holds, for each g with full[g], the bytes of
-    `project_rows_onto_span(bases[g], y[None])[0]`; a basis with a singular
-    value at or below its drop tolerance has full[g] False and no row, and
-    the caller projects onto it alone.
-    """
-    q, full = orthonormal_spans(bases)
-    return ((y[None] @ q) @ q.transpose(0, 2, 1))[:, 0], full

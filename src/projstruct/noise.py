@@ -24,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .linalg import orthonormal_spans
-from .structures import Caps, Family, _SpanFamily
+from .structures import Caps, Family, _MaskFamily, _SpanFamily
 
 logger = logging.getLogger(__name__)
 
@@ -169,38 +168,20 @@ def _blocks(structures, width, budget: int):
         yield block
 
 
-def _mask_sq_norms(family: Family, block, sq: np.ndarray) -> np.ndarray:
-    """Norms of the block: row g sums the squares sq over the coordinates
-    that block[g] keeps, as one product with the 0/1 masks."""
-    masks = np.zeros((len(block), sq.shape[1]))
-    for g, s in enumerate(block):
-        masks[g, family.kept_coordinates(s)] = 1.0
-    return masks @ sq.T
-
-
 def _span_sq_norms(family: _SpanFamily, block, draws: np.ndarray) -> tuple[np.ndarray, int]:
     """(norms of the block, how many structures were projected onto alone).
 
-    Each width's orthonormal bases come from one `orthonormal_spans`, and
-    ||Q_I^T xi||^2 sums the squares of the rows of (stacked Q^T) @ xi^T that
-    belong to I.  A basis that spans less than its width is projected onto
-    alone."""
+    The orthonormal bases come a width at a time from `family._span_groups`,
+    and ||Q_I^T xi||^2 sums the squares of the rows of (stacked Q^T) @ xi^T
+    that belong to I.  A basis that spans less than its width is projected
+    onto alone."""
     reps, n = draws.shape
-    norms = np.empty((len(block), reps))
-    by_width: dict[int, list[int]] = {}
-    for g, s in enumerate(block):
-        by_width.setdefault(family._width(s), []).append(g)
-    alone: list[int] = []
-    for width, idx in by_width.items():
-        idx = np.array(idx)
-        if width == 0:  # the zero subspace
-            norms[idx] = 0.0
-            continue
-        q, full = orthonormal_spans(family._bases([block[g] for g in idx]))
+    norms = np.zeros((len(block), reps))
+    groups, alone = family._span_groups(block)
+    for idx, q in groups:
         prod = q.transpose(0, 2, 1).reshape(-1, n) @ draws.T
         np.square(prod, out=prod)
-        norms[idx[full]] = prod.reshape(-1, width, reps).sum(axis=1)
-        alone += idx[~full].tolist()
+        norms[idx] = prod.reshape(len(idx), -1, reps).sum(axis=1)
     for g in alone:
         norms[g] = _sq_norm_rows(family._project_rows(block[g], draws))
     return norms, len(alone)
@@ -211,13 +192,14 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     enumeration order; each I is validated once.
 
     Mask and span families take the norms of a block of consecutive
-    structures from one matrix product, and the caller consumes each block
-    before the next is computed.  A block's product holds at most A1_BLOCK
-    floats, unless one structure alone needs more.
+    structures from one matrix product.  The caller consumes each block
+    before the next is computed, and neither side holds a block's norms
+    while the next is built, so at most one block is alive.  A block's
+    product holds at most A1_BLOCK floats, unless one structure alone needs
+    more.
 
-    - A mask family (`kept_coordinates`: P_I keeps a coordinate subset)
-      takes `masks @ sq.T` with the 0/1 masks of the block, and sq = xi^2
-      squared once.
+    - A mask family (`_MaskFamily`: P_I keeps a coordinate subset) takes
+      `family.masks(block) @ sq.T`, with sq = xi^2 squared once.
     - A span family (`_SpanFamily`: knot, regression) takes
       ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width in the
       block (`_span_sq_norms`); a basis that spans less than its width is
@@ -233,18 +215,18 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     alone.
     """
     reps = len(draws)
-    kept = getattr(family, "kept_coordinates", None) is not None
+    masks = isinstance(family, _MaskFamily)
     spans = isinstance(family, _SpanFamily)
-    if kept or spans:
+    if masks or spans:
         with np.errstate(over="ignore"):
             sq = draws * draws
         if not np.isfinite(sq).all():
-            kept = spans = False
+            masks = spans = False
         if spans:
             del sq  # only the overflow test reads the squares
     structures = family.enumerate_structures(caps)
     total = alone = 0
-    if kept or spans:
+    if masks or spans:
         width = (lambda s: max(family._width(s), 1)) if spans else (lambda s: 1)
         for block in _blocks(structures, width, max(A1_BLOCK // reps, 1)):
             for s in block:
@@ -253,9 +235,10 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
                 norms, k = _span_sq_norms(family, block, draws)
                 alone += k
             else:
-                norms = _mask_sq_norms(family, block, sq)
+                norms = family.masks(block) @ sq.T
             total += len(block)
             yield from zip(block, norms)
+            del norms  # before the next block's product
     else:
         for s in structures:
             family.validate(s)
@@ -287,6 +270,8 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
         est, se = _log_mean_exp_with_jackknife(exponents)
         bound = float(family._dim(structure))
         rows.append(A1Row(structure, est, bound, se, n_sat, est <= bound + se_mult * se))
+        # a row is a view of its block: let the block go before the next
+        del sq_norms, exponents
     return rows
 
 

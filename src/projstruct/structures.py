@@ -2,18 +2,19 @@
 
 Each family maps a discrete structure I to a linear subspace L_I of the
 ambient space and carries the bookkeeping around it: statistical dimension
-d_I, complexity majorant rho(I), slicing label s(I), exhaustive (capped)
-enumeration in canonical order, and the union witness I' with
-span(L_I0 + L_I1) <= L_I' and rho(I') <= rho(I0) + rho(I1).
+d_I, complexity majorant rho(I), exhaustive (capped) enumeration in
+canonical order, and the union witness I' with span(L_I0 + L_I1) <= L_I'
+and rho(I') <= rho(I0) + rho(I1).
 
-Everything downstream uses L_I only through the orthogonal projection P_I,
-which each family writes once, as a batch kernel over rows (see `Family`);
-bicluster alone adds a vector kernel.  A list of structures is projected
-in one call (`Family._project_stack`): knot and regression through one
-batched SVD per column count (`_SpanFamily`), clustering by cluster means
-grouped by cluster size, the rest one structure at a time; each row has the
-bytes of `project`.  Sparsity, jump and knot structures are sorted position
-sets and share their bookkeeping (`_PositionSetFamily`).
+Everything downstream uses L_I only through the orthogonal projection P_I:
+a batch kernel over rows (see `Family`), and a stacked kernel that projects
+a list of structures in one call (`Family._project_stack`), each row with
+the bytes of `project`.  Every P_I but banding's and bicluster's has one of
+three shapes, whose base class owns both kernels and what `noise.check_a1`
+reads: a coordinate mask (`_MaskFamily`: smoothness, sparsity, leveled), a
+column span (`_SpanFamily`: knot, regression) or block means
+(`_BlockMeanFamily`: clustering, jump).  Sparsity, jump and knot structures
+are sorted position sets and share their bookkeeping (`_PositionSetFamily`).
 
 All index data is 0-based, both in memory and in the JSON wire shape
 {"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
@@ -33,7 +34,8 @@ import numpy as np
 
 from .errors import (CapExceededError, DimensionMismatchError, InvalidStructureError,
                      UnsupportedFamilyError)
-from .linalg import as_vector, project_onto_spans, project_rows_onto_span, span_rank
+from . import linalg
+from .linalg import as_vector, project_rows_onto_span, span_rank
 
 logger = logging.getLogger(__name__)
 
@@ -257,8 +259,8 @@ class Family:
 
     def _project_stack(self, structures, y) -> np.ndarray:
         """(K, ambient_dim) array whose row k is `_project(structures[k], y)`;
-        y is a float vector of the ambient dimension.  The default projects
-        the structures one by one."""
+        y is a float vector of the ambient dimension.  The default, left to
+        banding and bicluster, projects the structures one by one."""
         out = np.empty((len(structures), self.ambient_dim))
         for k, s in enumerate(structures):
             out[k] = self._project(s, y)
@@ -271,10 +273,6 @@ class Family:
     def majorant(self, structure) -> float:
         self.validate(structure)
         return self._majorant(structure)
-
-    def slicing(self, structure):
-        self.validate(structure)
-        return self._slicing(structure)
 
     def enumerate_structures(self, caps: Caps | None = None):
         raise NotImplementedError
@@ -333,19 +331,43 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Subspace shapes: coordinate masks, column spans and block means
+# ---------------------------------------------------------------------------
+
+
+class _MaskFamily(Family):
+    """A family whose P_I keeps the coordinates `kept_coordinates(s)` and
+    zeroes the rest: smoothness, sparsity and leveled.  The stack and
+    `noise.check_a1` both read the boolean `masks`."""
+
+    def kept_coordinates(self, s):
+        """Column index of the coordinates that P_I keeps (and does not zero)."""
+        raise NotImplementedError
+
+    def masks(self, structures) -> np.ndarray:
+        """(K, ambient_dim) bool array whose row k marks the coordinates
+        that structures[k] keeps."""
+        out = np.zeros((len(structures), self.ambient_dim), dtype=bool)
+        for k, s in enumerate(structures):
+            out[k, self.kept_coordinates(s)] = True
+        return out
+
+    def _project_rows(self, s, rows):
+        return _keep_columns(rows, self.kept_coordinates(s))
+
+    def _project_stack(self, structures, y):
+        return np.where(self.masks(structures), y, 0.0)
+
+
 class _SpanFamily(Family):
     """A family whose L_I is the column span of a basis of `_width(s)`
-    columns; `_bases(group)` stacks the bases of structures of one width
-    into a (G, ambient_dim, width) array, and the per-structure kernel
-    projects onto `_bases([s])[0]`.
-
-    `_project_stack` groups the structures by width and projects onto each
-    group's stack with one batched SVD (`linalg.project_onto_spans`); no
-    valid structure is wider than the ambient dimension.  A basis with a
-    singular value at or below the drop tolerance spans less than its
-    width; it falls back to the per-structure kernel.  Each call logs at
-    DEBUG how many structures took either way.
-    """
+    columns (at most ambient_dim): knot and regression.  `_bases(group)`
+    stacks the bases of one width into a (G, ambient_dim, width) array;
+    the row kernel projects onto `_bases([s])[0]`.  The stacked projection
+    and `noise.check_a1` read the bases through `_span_groups`, and the
+    stack logs at DEBUG how many structures it stacked and how many fell
+    back to the row kernel."""
 
     def _width(self, s) -> int:
         raise NotImplementedError
@@ -356,24 +378,73 @@ class _SpanFamily(Family):
     def _project_rows(self, s, rows):
         return project_rows_onto_span(self._bases([s])[0], rows)
 
-    def _project_stack(self, structures, y):
-        out = np.empty((len(structures), self.ambient_dim))
+    def _span_groups(self, structures) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[int]]:
+        """(groups, alone): one group (idx, q) per nonzero width, with q the
+        `linalg.orthonormal_spans` of the bases at positions idx; `alone`
+        holds the positions whose basis spans less than its width (a
+        singular value at or below the drop tolerance).  Width 0, the zero
+        subspace, is in neither."""
         by_width: dict[int, list[int]] = {}
         for k, s in enumerate(structures):
             by_width.setdefault(self._width(s), []).append(k)
-        alone = []
+        groups, alone = [], []
         for width, idx in by_width.items():
-            if width == 0:  # the zero subspace
-                out[idx] = 0.0
-            else:
-                rows, full = project_onto_spans(self._bases([structures[k] for k in idx]), y)
-                idx = np.array(idx)
-                out[idx[full]] = rows
-                alone += idx[~full].tolist()
+            if width == 0:
+                continue
+            q, full = linalg.orthonormal_spans(self._bases([structures[k] for k in idx]))
+            idx = np.array(idx)
+            groups.append((idx[full], q))
+            alone += idx[~full].tolist()
+        return groups, alone
+
+    def _project_stack(self, structures, y):
+        out = np.zeros((len(structures), self.ambient_dim))
+        groups, alone = self._span_groups(structures)
+        for idx, q in groups:
+            out[idx] = ((y[None] @ q) @ q.transpose(0, 2, 1))[:, 0]
         for k in alone:
             out[k] = self._project(structures[k], y)
         logger.debug("%s: %d structures projected in stacks, %d fell back to one at a time",
                      self.tag, len(structures) - len(alone), len(alone))
+        return out
+
+
+class _BlockMeanFamily(Family):
+    """A family whose P_I keeps the coordinates `_blocks(s)[0]`, replaces
+    each block of `_blocks(s)[1]` (of at least 2) by its mean and zeroes the
+    rest: clustering and jump.  The stack keeps the coordinates of every
+    row at once, then takes the means of all blocks of one size at once."""
+
+    def _blocks(self, s) -> tuple:
+        raise NotImplementedError
+
+    def _project_rows(self, s, rows):
+        kept, blocks = self._blocks(s)
+        out = _keep_columns(rows, list(kept))
+        for block in blocks:
+            idx = list(block)
+            out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
+        return out
+
+    def _project_stack(self, structures, y):
+        if len(structures) == 1:  # one row has the row kernel's bytes, without the grouping
+            return self._project(structures[0], y)[None]
+        kept_at: tuple[list[int], list[int]] = ([], [])
+        by_size: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+        for k, s in enumerate(structures):
+            kept, blocks = self._blocks(s)
+            kept_at[0].extend([k] * len(kept))
+            kept_at[1].extend(kept)
+            for block in blocks:
+                rows, same_size = by_size.setdefault(len(block), ([], []))
+                rows.append(k)
+                same_size.append(block)
+        keep = np.zeros((len(structures), self.ambient_dim), dtype=bool)
+        keep[kept_at] = True
+        out = np.where(keep, y, 0.0)
+        for rows, same_size in by_size.values():
+            same_size = np.array(same_size)
+            out[np.array(rows)[:, None], same_size] = y[same_size].mean(axis=1)[:, None]
         return out
 
 
@@ -382,7 +453,7 @@ class _SpanFamily(Family):
 # ---------------------------------------------------------------------------
 
 
-class SmoothnessFamily(_SizeIndexed, Family):
+class SmoothnessFamily(_SizeIndexed, _MaskFamily):
     """Truncation structures: L_I zeroes every coordinate past the level."""
 
     tag = "smoothness"
@@ -399,11 +470,7 @@ class SmoothnessFamily(_SizeIndexed, Family):
             raise InvalidStructureError(f"invalid truncation level for n={self.n}: {s!r}")
 
     def kept_coordinates(self, s):
-        """Column index of the coordinates that P_I keeps (and does not zero)."""
         return slice(0, s.level)
-
-    def _project_rows(self, s, rows):
-        return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
         return self.size_dim(s.level)
@@ -416,9 +483,6 @@ class SmoothnessFamily(_SizeIndexed, Family):
 
     def size_majorant(self, level: int) -> float:
         return float(level)
-
-    def _slicing(self, s):
-        return s.level
 
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
@@ -476,9 +540,6 @@ class _PositionSetFamily(Family):
                 f"{self.field} out of range [{self.first}, {self.last + 1})"
             )
 
-    def _slicing(self, s):
-        return len(self._positions(s))
-
     def _class_counts(self, caps: Caps) -> list[int]:
         """counts[k]: the number of sets of size k, for each size the caps allow."""
         count = self.last - self.first + 1
@@ -523,7 +584,7 @@ class _PositionSetFamily(Family):
         return self.structure_type(sorted_tuple(d[self.field]))
 
 
-class SparsityFamily(_SizeIndexed, _PositionSetFamily):
+class SparsityFamily(_SizeIndexed, _MaskFamily, _PositionSetFamily):
     """Subset structures: L_I zeroes the complement of the index set.
 
     majorant_variant "rho" uses 2|I| log(en/|I|); "rho_prime" the slightly
@@ -543,9 +604,6 @@ class SparsityFamily(_SizeIndexed, _PositionSetFamily):
     def kept_coordinates(self, s):
         # intp: validate accepts integral positions of any number type
         return np.array(s.indices, dtype=np.intp)
-
-    def _project_rows(self, s, rows):
-        return _keep_columns(rows, self.kept_coordinates(s))
 
     def _dim(self, s):
         return self.size_dim(len(s.indices))
@@ -572,7 +630,7 @@ class SparsityFamily(_SizeIndexed, _PositionSetFamily):
 # ---------------------------------------------------------------------------
 
 
-class LeveledSparsityFamily(Family):
+class LeveledSparsityFamily(_MaskFamily):
     """Per-level index subsets over dyadic levels 0..n_levels-1.
 
     Level j holds 2^j coordinates, stored level-major, so the ambient
@@ -618,9 +676,6 @@ class LeveledSparsityFamily(Family):
             out.extend(off + k for k in lv)
         return out
 
-    def _project_rows(self, s, rows):
-        return _keep_columns(rows, self.kept_coordinates(s))
-
     def _dim(self, s):
         return sum(len(lv) for lv in s.levels)
 
@@ -631,9 +686,6 @@ class LeveledSparsityFamily(Family):
     def _majorant(self, s):
         # start at 0.0 so the empty structure's majorant stays a float
         return sum((self.level_majorant(j, len(lv)) for j, lv in enumerate(s.levels)), 0.0)
-
-    def _slicing(self, s):
-        return (len(s.levels) - 1,) + tuple(len(lv) for lv in s.levels)
 
     def _projected_count(self, caps: Caps) -> int:
         """sum_{k <= m} C(N, k) supports of at most m = caps.max_size indices;
@@ -724,7 +776,7 @@ def _min2_partition_counts(n: int, max_blocks: int) -> list[int]:
     return [sum(row) for row in table]
 
 
-class ClusteringFamily(Family):
+class ClusteringFamily(_BlockMeanFamily):
     """Free coordinates plus clusters replaced by their group averages.
 
     Canonical form keeps only clusters of size >= 2: a singleton cluster
@@ -751,32 +803,8 @@ class ClusteringFamily(Family):
         if s.clusters != canonical_partition(s.clusters):
             raise InvalidStructureError("clusters must be in canonical order")
 
-    def _project_rows(self, s, rows):
-        out = _keep_columns(rows, list(s.free))
-        for cluster in s.clusters:
-            idx = list(cluster)
-            out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
-        return out
-
-    def _project_stack(self, structures, y):
-        # the free coordinates of every row at once, then the means of all
-        # clusters of one size as one (count, size) array
-        free_at: tuple[list[int], list[int]] = ([], [])
-        by_size: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-        for k, s in enumerate(structures):
-            free_at[0].extend([k] * len(s.free))
-            free_at[1].extend(s.free)
-            for cluster in s.clusters:
-                rows, clusters = by_size.setdefault(len(cluster), ([], []))
-                rows.append(k)
-                clusters.append(cluster)
-        free = np.zeros((len(structures), self.n), dtype=bool)
-        free[free_at] = True
-        out = np.where(free, y, 0.0)
-        for rows, clusters in by_size.values():
-            clusters = np.array(clusters)
-            out[np.array(rows)[:, None], clusters] = y[clusters].mean(axis=1)[:, None]
-        return out
+    def _blocks(self, s):
+        return s.free, s.clusters
 
     def _dim(self, s):
         return min(len(s.free) + len(s.clusters), self.n)
@@ -789,9 +817,6 @@ class ClusteringFamily(Family):
             + log_multinom(self.n, sizes)
             + log_binom(self.n + m, m)
         )
-
-    def _slicing(self, s):
-        return (len(s.free), tuple(sorted(len(c) for c in s.clusters)))
 
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
@@ -843,8 +868,12 @@ class ClusteringFamily(Family):
 # ---------------------------------------------------------------------------
 
 
-class JumpFamily(_PositionSetFamily):
-    """Piecewise-constant sequences; a break after position b frees x[b+1]."""
+class JumpFamily(_BlockMeanFamily, _PositionSetFamily):
+    """Piecewise-constant sequences; a break after position b frees x[b+1].
+
+    P_I takes the mean of each segment between breaks.  The row kernel
+    takes it over a slice, which sums many rows in another order than the
+    base's gathered copy (one row gives the same bytes), so it is kept."""
 
     tag = "jump"
     structure_type, field, first, from_end = JumpSet, "breaks", 0, 2
@@ -852,6 +881,11 @@ class JumpFamily(_PositionSetFamily):
     def segments(self, s):
         bounds = [0] + [int(b) + 1 for b in s.breaks] + [self.n]
         return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+    def _blocks(self, s):
+        segments = self.segments(s)
+        return ([lo for lo, hi in segments if hi - lo == 1],
+                [tuple(range(lo, hi)) for lo, hi in segments if hi - lo > 1])
 
     def _project_rows(self, s, rows):
         out = np.empty_like(rows)
@@ -877,9 +911,6 @@ class KnotFamily(_SpanFamily, _PositionSetFamily):
 
     tag = "knot"
     structure_type, field, first, from_end = KnotSet, "knots", 1, 2
-
-    def basis(self, s) -> np.ndarray:
-        return self._bases([s])[0]
 
     def _width(self, s):
         return len(s.knots) + 2
@@ -975,9 +1006,6 @@ class RegressionFamily(_SpanFamily, Family):
             return float(self.rank)
         return 2.0 * xlog(len(s.indices), math.e * self.p)
 
-    def _slicing(self, s):
-        return self.rank if s.full_rank else len(s.indices)
-
     def enumerate_structures(self, caps=None):
         caps = caps or Caps()
         limit = self.p if caps.max_size is None else min(caps.max_size, self.p)
@@ -1055,9 +1083,6 @@ class BandingFamily(_SizeIndexed, Family):
 
     def size_majorant(self, width: int) -> float:
         return float(self.size_dim(width))
-
-    def _slicing(self, s):
-        return s.width
 
     def enumerate_structures(self, caps=None):
         # widths p-1 and p give the same subspace; emit one representative each
@@ -1161,9 +1186,6 @@ class BiclusterFamily(Family):
         if s2 < n2:
             return n1 * s2 + n2 * LOG(s2)
         return float(n1 * n2)
-
-    def _slicing(self, s):
-        return self.block_counts(s)
 
     @staticmethod
     def axis_partitions(n: int, max_blocks: int):

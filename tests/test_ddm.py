@@ -13,7 +13,6 @@ from projstruct.ddm import (
     log_elementary_symmetric,
     logsumexp,
     ma_mean,
-    ms_mean,
     sample_conditional,
     select_map,
     sparsity_inclusion_probabilities,
@@ -120,10 +119,12 @@ def test_ma_mean_matches_direct_sum_on_smoothness():
 
 
 def test_ms_mean_is_projection():
+    """The model-selection mean is the projection of Y onto the selected
+    subspace, `family.project`."""
     fam = SparsityFamily(4)
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(ms_mean(y, fam, SparseSet((0, 1, 2, 3))), y)
-    assert np.allclose(ms_mean(y, fam, SparseSet(())), 0.0)
+    assert np.allclose(fam.project(SparseSet((0, 1, 2, 3)), y), y)
+    assert np.allclose(fam.project(SparseSet(()), y), 0.0)
 
 
 def test_exact_sparsity_marginals_match_enumeration():
@@ -220,7 +221,7 @@ def test_ms_ddm_is_degenerate_mixture():
         fam, post.candidates,
         np.log(np.array([1.0 if s == i_hat else 1e-300 for s in post.candidates])),
         "restricted-candidate-set")
-    assert np.allclose(ma_mean(y, fam, degenerate), ms_mean(y, fam, i_hat), atol=1e-9)
+    assert np.allclose(ma_mean(y, fam, degenerate), fam.project(i_hat, y), atol=1e-9)
 
 
 def test_sample_conditional_support_and_covariance():

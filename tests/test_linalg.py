@@ -144,12 +144,12 @@ def _differential_bases():
     for n in (3, 4, 8, 16, 25, 40):
         fam = KnotFamily(n)
         interior = range(fam.first, fam.last + 1)
-        yield f"knot-{n}-none", fam.basis(KnotSet(()))
-        yield f"knot-{n}-all", fam.basis(KnotSet(tuple(interior)))
+        yield f"knot-{n}-none", fam._bases([KnotSet(())])[0]
+        yield f"knot-{n}-all", fam._bases([KnotSet(tuple(interior))])[0]
         for _ in range(10):
             knots = sorted(rng.choice(list(interior), size=int(rng.integers(1, len(interior) + 1)),
                                       replace=False))
-            yield f"knot-{n}-{len(knots)}", fam.basis(KnotSet(tuple(int(k) for k in knots)))
+            yield f"knot-{n}-{len(knots)}", fam._bases([KnotSet(tuple(int(k) for k in knots))])[0]
     design = rng.standard_normal((40, 20))
     design[:, 7] = design[:, 3]
     yield "regression-duplicate", design

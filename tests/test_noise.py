@@ -21,6 +21,7 @@ from projstruct.structures import (
     RegressionSupport,
     SmoothnessFamily,
     SparsityFamily,
+    _MaskFamily,
 )
 
 from conftest import ENUM_CAPS
@@ -326,7 +327,7 @@ def _per_structure_sq_norms(family, draws, caps):
     block products: one 0/1-mask einsum per structure where P_I keeps a
     coordinate subset (the bytes of projecting while every xi^2 is finite),
     and one projection per structure otherwise."""
-    kept = getattr(family, "kept_coordinates", None)
+    kept = family.kept_coordinates if isinstance(family, _MaskFamily) else None
     if kept is not None:
         with np.errstate(over="ignore"):
             sq = draws * draws
@@ -440,6 +441,26 @@ def test_a1_holds_the_draws_and_a_block_not_every_structure():
             tracemalloc.stop()
         assert peak < 2 * 8 * reps * family.ambient_dim + 4 * 8 * noise_module.A1_BLOCK, \
             (family.tag, peak)
+
+
+@pytest.mark.parametrize("family", [SparsityFamily(10), SmoothnessFamily(40)],
+                         ids=["sparsity-10", "smoothness-40"])
+def test_a1_holds_one_block_of_norms_at_a_time(family):
+    """With 20,000 draws a block holds 13 structures, so check_a1 walks
+    many blocks; its traced peak stays below the draws, their squares, one
+    A1_BLOCK of norms and a slack of four draw-long arrays (the jackknife's
+    work) and 256 KiB of rows.  While one block's norms were computed the
+    previous block's stayed alive, 2 MB more."""
+    reps = 20_000
+    check_a1(family, NoiseModel("gaussian"), 0.05, 10, np.random.default_rng(1))  # warm up
+    tracemalloc.start()
+    try:
+        check_a1(family, NoiseModel("gaussian"), 0.05, reps, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = 2 * reps * family.ambient_dim + noise_module.A1_BLOCK + 4 * reps
+    assert peak < 8 * floats + 256 * 1024, (family.tag, peak)
 
 
 def _jackknife_oracle(values):

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from projstruct import selection
+from projstruct import selection, structures
 from projstruct.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -220,18 +220,6 @@ def test_bicluster_majorant_elbow_branches():
     assert fam.majorant(make(4, 5)) == 20.0
     for s1, s2 in itertools.product(range(1, 5), range(1, 6)):
         assert fam.counts_majorant(s1, s2) == fam.majorant(make(s1, s2))
-
-
-# ---------------------------------------------------------------------------
-# slicing examples
-# ---------------------------------------------------------------------------
-
-
-def test_slicing_labels():
-    assert SparsityFamily(8).slicing(SparseSet((1, 6))) == 2
-    assert SmoothnessFamily(4).slicing(Truncation(0)) == 0
-    s = Bicluster(((0, 1), (2,)), ((0,), (1,), (2,)))
-    assert BiclusterFamily(3, 3).slicing(s) == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +488,14 @@ def _rank_deficient_design():
     return design
 
 
-def _knot_sample(n, count):
-    """count distinct knot sets of KnotFamily(n), of every size, drawn at
-    random."""
-    fam, rng = KnotFamily(n), np.random.default_rng(n)
+def _position_sample(fam, count, most=None):
+    """count distinct position sets of fam (knot, jump or sparsity), of
+    every size up to `most` (all of them when None), drawn at random."""
+    rng = np.random.default_rng(fam.n)
     positions = np.arange(fam.first, fam.last + 1)
-    drawn = {KnotSet(tuple(sorted(rng.choice(positions, k, replace=False).tolist())))
-             for k in rng.integers(0, positions.size + 1, count)}
+    top = positions.size if most is None else most
+    drawn = {fam.structure_type(tuple(sorted(rng.choice(positions, k, replace=False).tolist())))
+             for k in rng.integers(0, top + 1, count)}
     return sorted(drawn, key=fam.sort_key)
 
 
@@ -528,7 +517,8 @@ def _stack_cases():
         return fam, lambda: list(fam.enumerate_structures(caps))
 
     cases = {f"knot-{n}": enumeration(KnotFamily(n)) for n in range(3, 14)}
-    cases["knot-20-sample"] = (KnotFamily(20), lambda: _knot_sample(20, 600))
+    cases["knot-20-sample"] = (KnotFamily(20), functools.partial(_position_sample,
+                                                                 KnotFamily(20), 600))
     golden = json.loads((DATA_DIR / "golden_select" / "regression.json").read_text())
     cases["regression-golden"] = enumeration(build_family(golden["family"]))
     cases["regression-rank-deficient"] = enumeration(RegressionFamily(_rank_deficient_design()))
@@ -540,6 +530,16 @@ def _stack_cases():
     for n in (9, 20, 60):
         cases[f"clustering-{n}-dp-cells"] = (ClusteringFamily(n),
                                              functools.partial(_clustering_dp_cells, n))
+    for n in (*range(2, 13), 16):
+        cases[f"jump-{n}"] = enumeration(JumpFamily(n))
+    # segments past 128 coordinates, where numpy's mean sums pairwise in blocks
+    cases["jump-600-sample"] = (JumpFamily(600), functools.partial(_position_sample,
+                                                                   JumpFamily(600), 80, 4))
+    for levels in range(1, 5):
+        cases[f"leveled-{levels}"] = enumeration(LeveledSparsityFamily(levels))
+    cases["smoothness-64"] = enumeration(SmoothnessFamily(64))
+    cases["sparsity-40-sample"] = (SparsityFamily(40), functools.partial(_position_sample,
+                                                                         SparsityFamily(40), 400))
     cases["bicluster-3x3-default"] = enumeration(BiclusterFamily(3, 3))
     return cases
 
@@ -550,11 +550,12 @@ STACK_CASES = _stack_cases()
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_project_stack_rows_have_the_bytes_of_project(name):
     """Every row of `_project_stack` is byte for byte `project` of its
-    structure, which stays the oracle: knot and regression through the
-    batched SVD (and its fallback), clustering by grouped cluster means,
-    bicluster through the default loop over its vector kernel."""
-    fam, structures = STACK_CASES[name]
-    structs = structures()
+    structure, which stays the oracle: the mask families through one
+    `np.where`, knot and regression through the batched SVD (and its
+    fallback), clustering and jump by grouped block means, bicluster
+    through the default loop over its vector kernel."""
+    fam, listing = STACK_CASES[name]
+    structs = listing()
     rng = np.random.default_rng(23)
     for y in (rng.standard_normal(fam.ambient_dim) * 3.0,
               rng.integers(-2, 3, fam.ambient_dim).astype(float) + 1e3):
@@ -562,6 +563,20 @@ def test_project_stack_rows_have_the_bytes_of_project(name):
         assert rows.shape == (len(structs), fam.ambient_dim)
         for s, row in zip(structs, rows):
             assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
+
+
+def test_only_banding_and_bicluster_project_a_stack_one_at_a_time():
+    """Every other family stacks its projection through the base of its
+    subspace shape: mask, span or block mean."""
+    families = [c for c in vars(structures).values()
+                if isinstance(c, type) and issubclass(c, structures.Family) and c.tag]
+    assert len(families) == 9
+    default = {c.tag for c in families
+               if c._project_stack is structures.Family._project_stack}
+    assert default == {"banding", "bicluster"}
+    shapes = (structures._MaskFamily, structures._SpanFamily, structures._BlockMeanFamily)
+    for c in families:
+        assert sum(issubclass(c, shape) for shape in shapes) == (c.tag not in default), c
 
 
 def test_span_stack_falls_back_and_says_so(caplog):
