@@ -379,11 +379,11 @@ class _SpanFamily(Family):
         return project_rows_onto_span(self._bases([s])[0], rows)
 
     def _span_groups(self, structures) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[int]]:
-        """(groups, alone): one group (idx, q) per nonzero width, with q the
-        `linalg.orthonormal_spans` of the bases at positions idx; `alone`
-        holds the positions whose basis spans less than its width (a
-        singular value at or below the drop tolerance).  Width 0, the zero
-        subspace, is in neither."""
+        """(groups, alone): one group (idx, q) per nonzero width with at
+        least one full-rank basis, with q the `linalg.orthonormal_spans` of
+        the bases at positions idx; `alone` holds the positions whose basis
+        spans less than its width (a singular value at or below the drop
+        tolerance).  Width 0, the zero subspace, is in neither."""
         by_width: dict[int, list[int]] = {}
         for k, s in enumerate(structures):
             by_width.setdefault(self._width(s), []).append(k)
@@ -393,7 +393,8 @@ class _SpanFamily(Family):
                 continue
             q, full = linalg.orthonormal_spans(self._bases([structures[k] for k in idx]))
             idx = np.array(idx)
-            groups.append((idx[full], q))
+            if full.any():
+                groups.append((idx[full], q))
             alone += idx[~full].tolist()
         return groups, alone
 

@@ -389,22 +389,26 @@ def test_a1_mask_path_falls_back_when_squares_overflow():
             assert norms.tobytes() == oracle.tobytes(), s
 
 
-def test_a1_rank_deficient_span_falls_back_bit_for_bit(caplog):
+def test_a1_rank_deficient_span_falls_back_bit_for_bit(caplog, monkeypatch):
     """A regression support holding a column and its copy spans less than
     its width: it alone is projected, with the oracle's bytes, and the DEBUG
-    line counts it."""
+    line counts it.  At A1_BLOCK = 1 the twin support is in a block of its
+    own, whose width has no full-rank basis."""
     design = np.random.default_rng(6).standard_normal((30, 16))
     design[:, 9] = design[:, 2]
     family = RegressionFamily(design)
     twin = RegressionSupport((2, 9))
     draws = NoiseModel("gaussian").sample_many(np.random.default_rng(7), 3_000, 30)
-    with caplog.at_level(logging.DEBUG, logger="projstruct.noise"):
-        got = dict(_projected_sq_norms(family, draws, None))
     want = dict(_per_structure_sq_norms(family, draws, None))
-    assert got.keys() == want.keys() and twin in got
-    assert got[twin].tobytes() == want[twin].tobytes()
-    assert caplog.messages == [f"regression: A1 norms of {len(want) - 1} structures from "
-                               "block products, 1 projected one at a time"]
+    for block in (1, noise_module.A1_BLOCK):
+        monkeypatch.setattr(noise_module, "A1_BLOCK", block)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="projstruct.noise"):
+            got = dict(_projected_sq_norms(family, draws, None))
+        assert got.keys() == want.keys() and twin in got, block
+        assert got[twin].tobytes() == want[twin].tobytes(), block
+        assert caplog.messages == [f"regression: A1 norms of {len(want) - 1} structures from "
+                                   "block products, 1 projected one at a time"], block
 
 
 @pytest.mark.parametrize("family", [SparsityFamily(8), KnotFamily(8)], ids=["sparsity-8",
