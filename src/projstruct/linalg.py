@@ -8,9 +8,11 @@ left singular vectors whose singular value exceeds COLUMN_DROP_RTOL times the
 largest column norm are an orthonormal basis of it, and their count is its
 dimension (`span_rank`, the same rule without the vectors).  A stack of
 bases with the same column count is orthonormalized by one batched SVD
-(`orthonormal_spans`), with the bytes of one `orthonormal_span` per basis;
-`structures._SpanFamily` projects onto the stack and takes the A1 norms
-from it.
+(`orthonormal_spans`), with the bytes of one `orthonormal_span` per basis.
+Of the two projection shapes in `structures`, only the column spans
+(`_SpanFamily`: knot, regression) come here: they project onto the stack,
+and `noise.check_a1` takes their A1 norms from it.  The block means of
+every other family but banding need no basis.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ tail curves behind the quarter ball.
 A1 estimation targets a log-MGF whose plug-in estimator is heavy tailed, so
 the checker reports a stabilized log-mean-exp with jackknife standard errors
 and caps each exponent summand at 700, counting how often the cap bites.
-Its projected-noise norms come a block of structures at a time, from one
-matrix product per block wherever the family allows it.
+Its projected-noise norms come a block of structures at a time, from BLAS
+products for every family but banding: block means through the keep masks
+and the block sums, column spans through their orthonormal bases.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .structures import Caps, Family, _MaskFamily, _SpanFamily
+from .structures import Caps, Family, _BlockMeanFamily, _SpanFamily
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +153,7 @@ def _sq_norm_rows(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _blocks(structures, width, budget: int):
+def _runs(structures, width, budget: int):
     """Runs of consecutive structures whose widths sum to at most budget; a
     structure wider than budget makes a run alone."""
     block: list = []
@@ -187,24 +188,44 @@ def _span_sq_norms(family: _SpanFamily, block, draws: np.ndarray) -> tuple[np.nd
     return norms, len(alone)
 
 
+def _block_mean_sq_norms(family: _BlockMeanFamily, block, draws: np.ndarray,
+                         sq: np.ndarray) -> np.ndarray:
+    """||P_I xi||^2 for the block: `keep @ sq.T` sums xi_i^2 over the kept
+    coordinates, and each block B of I adds (sum_{i in B} xi_i / sqrt|B|)^2,
+    from one product of the indicators of the blocks of each size with the
+    draws.  Each sum is scaled before it is squared, so it overflows only
+    if the norm does."""
+    keep, by_size = family.masks(block)
+    norms = keep @ sq.T
+    for rows, blocks in by_size.values():
+        indicators = np.zeros((len(rows), draws.shape[1]))
+        indicators[np.arange(len(rows))[:, None], blocks] = 1.0
+        sums = indicators @ draws.T
+        sums /= math.sqrt(blocks.shape[1])
+        np.square(sums, out=sums)
+        np.add.at(norms, rows, sums)
+    return norms
+
+
 def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     """(I, ||P_I xi||^2 for each row xi of draws) for every enumerated I, in
     enumeration order; each I is validated once.
 
-    Mask and span families take the norms of a block of consecutive
-    structures from one matrix product.  The caller consumes each block
-    before the next is computed, and neither side holds a block's norms
-    while the next is built, so at most one block is alive.  A block's
-    product holds at most A1_BLOCK floats, unless one structure alone needs
-    more.
+    Every family but banding takes the norms of a block of consecutive
+    structures from BLAS products.  The caller consumes each block before
+    the next is computed, and neither side holds a block's norms while the
+    next is built, so at most one block is alive.  A block's products hold
+    at most A1_BLOCK floats, unless one structure alone needs more.
 
-    - A mask family (`_MaskFamily`: P_I keeps a coordinate subset) takes
-      `family.masks(block) @ sq.T`, with sq = xi^2 squared once.
+    - A block-mean family (`_BlockMeanFamily`) takes `_block_mean_sq_norms`:
+      one row per structure and one per block of coordinates it averages,
+      so a mask family (no blocks) takes `keep @ sq.T` alone, with
+      sq = xi^2 squared once.
     - A span family (`_SpanFamily`: knot, regression) takes
       ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width in the
       block (`_span_sq_norms`); a basis that spans less than its width is
       projected onto alone.
-    - Every other family projects the draws onto one structure at a time.
+    - Banding projects the draws onto one structure at a time.
 
     A product sums in another order than projecting and then squaring, so
     the block norms are within a few n * eps * ||xi||^2 of the projection
@@ -215,27 +236,28 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     alone.
     """
     reps = len(draws)
-    masks = isinstance(family, _MaskFamily)
     spans = isinstance(family, _SpanFamily)
-    if masks or spans:
+    products = spans or isinstance(family, _BlockMeanFamily)
+    if products:
         with np.errstate(over="ignore"):
             sq = draws * draws
         if not np.isfinite(sq).all():
-            masks = spans = False
+            products = False
         if spans:
             del sq  # only the overflow test reads the squares
     structures = family.enumerate_structures(caps)
     total = alone = 0
-    if masks or spans:
-        width = (lambda s: max(family._width(s), 1)) if spans else (lambda s: 1)
-        for block in _blocks(structures, width, max(A1_BLOCK // reps, 1)):
+    if products:
+        width = ((lambda s: max(family._width(s), 1)) if spans
+                 else (lambda s: 1 + len(family._blocks(s)[1])))
+        for block in _runs(structures, width, max(A1_BLOCK // reps, 1)):
             for s in block:
                 family.validate(s)
             if spans:
                 norms, k = _span_sq_norms(family, block, draws)
                 alone += k
             else:
-                norms = family.masks(block) @ sq.T
+                norms = _block_mean_sq_norms(family, block, draws, sq)
             total += len(block)
             yield from zip(block, norms)
             del norms  # before the next block's product

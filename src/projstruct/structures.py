@@ -9,12 +9,14 @@ and rho(I') <= rho(I0) + rho(I1).
 Everything downstream uses L_I only through the orthogonal projection P_I:
 a batch kernel over rows (see `Family`), and a stacked kernel that projects
 a list of structures in one call (`Family._project_stack`), each row with
-the bytes of `project`.  Every P_I but banding's and bicluster's has one of
-three shapes, whose base class owns both kernels and what `noise.check_a1`
-reads: a coordinate mask (`_MaskFamily`: smoothness, sparsity, leveled), a
-column span (`_SpanFamily`: knot, regression) or block means
-(`_BlockMeanFamily`: clustering, jump).  Sparsity, jump and knot structures
-are sorted position sets and share their bookkeeping (`_PositionSetFamily`).
+the bytes of `project`.  Every P_I but banding's has one of two shapes,
+whose base class owns both kernels and what `noise.check_a1` reads: block
+means (`_BlockMeanFamily`: keep some coordinates, replace disjoint blocks of
+others by their mean and zero the rest; a mask has no blocks) or a column
+span (`_SpanFamily`: knot, regression).  Banding's P_I symmetrizes, so it
+keeps its own row kernel and the default stack.  Sparsity, jump and knot
+structures are sorted position sets and share their bookkeeping
+(`_PositionSetFamily`).
 
 All index data is 0-based, both in memory and in the JSON wire shape
 {"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
@@ -213,7 +215,7 @@ class Family:
     A subclass's one projection kernel `_project_rows(structure, rows)`
     returns P_I applied to every row of a float (m, ambient_dim) array.
     `project` and `project_many` check the structure and shape, then call it;
-    `project` goes through `_project`, which defaults to the one-row batch.
+    `project` goes through `_project`, the one-row batch.
     `_project_stack(structures, y)` projects one vector onto many structures,
     each already validated, with the bytes of `project` in every row.
     """
@@ -260,7 +262,7 @@ class Family:
     def _project_stack(self, structures, y) -> np.ndarray:
         """(K, ambient_dim) array whose row k is `_project(structures[k], y)`;
         y is a float vector of the ambient dimension.  The default, left to
-        banding and bicluster, projects the structures one by one."""
+        banding, projects the structures one by one."""
         out = np.empty((len(structures), self.ambient_dim))
         for k, s in enumerate(structures):
             out[k] = self._project(s, y)
@@ -332,32 +334,8 @@ def _read_only(values, dtype) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subspace shapes: coordinate masks, column spans and block means
+# Subspace shapes: column spans and block means
 # ---------------------------------------------------------------------------
-
-
-class _MaskFamily(Family):
-    """A family whose P_I keeps the coordinates `kept_coordinates(s)` and
-    zeroes the rest: smoothness, sparsity and leveled.  The stack and
-    `noise.check_a1` both read the boolean `masks`."""
-
-    def kept_coordinates(self, s):
-        """Column index of the coordinates that P_I keeps (and does not zero)."""
-        raise NotImplementedError
-
-    def masks(self, structures) -> np.ndarray:
-        """(K, ambient_dim) bool array whose row k marks the coordinates
-        that structures[k] keeps."""
-        out = np.zeros((len(structures), self.ambient_dim), dtype=bool)
-        for k, s in enumerate(structures):
-            out[k, self.kept_coordinates(s)] = True
-        return out
-
-    def _project_rows(self, s, rows):
-        return _keep_columns(rows, self.kept_coordinates(s))
-
-    def _project_stack(self, structures, y):
-        return np.where(self.masks(structures), y, 0.0)
 
 
 class _SpanFamily(Family):
@@ -413,23 +391,18 @@ class _SpanFamily(Family):
 class _BlockMeanFamily(Family):
     """A family whose P_I keeps the coordinates `_blocks(s)[0]`, replaces
     each block of `_blocks(s)[1]` (of at least 2) by its mean and zeroes the
-    rest: clustering and jump.  The stack keeps the coordinates of every
-    row at once, then takes the means of all blocks of one size at once."""
+    rest.  With no blocks P_I is a coordinate mask: smoothness, sparsity and
+    leveled; clustering, jump and bicluster have blocks.  The stack and
+    `noise.check_a1` both read `masks`."""
 
     def _blocks(self, s) -> tuple:
         raise NotImplementedError
 
-    def _project_rows(self, s, rows):
-        kept, blocks = self._blocks(s)
-        out = _keep_columns(rows, list(kept))
-        for block in blocks:
-            idx = list(block)
-            out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
-        return out
-
-    def _project_stack(self, structures, y):
-        if len(structures) == 1:  # one row has the row kernel's bytes, without the grouping
-            return self._project(structures[0], y)[None]
+    def masks(self, structures) -> tuple[np.ndarray, dict]:
+        """(keep, by_size): keep is the (K, ambient_dim) bool array whose row
+        k marks the coordinates that structures[k] keeps; by_size maps each
+        block size to (rows, blocks), the position k and the (G, size)
+        coordinates of every block of that size."""
         kept_at: tuple[list[int], list[int]] = ([], [])
         by_size: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
         for k, s in enumerate(structures):
@@ -441,11 +414,26 @@ class _BlockMeanFamily(Family):
                 rows.append(k)
                 same_size.append(block)
         keep = np.zeros((len(structures), self.ambient_dim), dtype=bool)
-        keep[kept_at] = True
+        # intp: validate accepts integral positions of any number type
+        keep[tuple(np.array(at, dtype=np.intp) for at in kept_at)] = True
+        return keep, {size: (np.array(rows), np.array(same_size, dtype=np.intp))
+                      for size, (rows, same_size) in by_size.items()}
+
+    def _project_rows(self, s, rows):
+        kept, blocks = self._blocks(s)
+        out = _keep_columns(rows, np.array(kept, dtype=np.intp))
+        for block in blocks:
+            idx = np.array(block, dtype=np.intp)
+            out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
+        return out
+
+    def _project_stack(self, structures, y):
+        if len(structures) == 1:  # one row has the row kernel's bytes, without the grouping
+            return self._project(structures[0], y)[None]
+        keep, by_size = self.masks(structures)
         out = np.where(keep, y, 0.0)
-        for rows, same_size in by_size.values():
-            same_size = np.array(same_size)
-            out[np.array(rows)[:, None], same_size] = y[same_size].mean(axis=1)[:, None]
+        for rows, blocks in by_size.values():
+            out[rows[:, None], blocks] = y[blocks].mean(axis=1)[:, None]
         return out
 
 
@@ -454,7 +442,7 @@ class _BlockMeanFamily(Family):
 # ---------------------------------------------------------------------------
 
 
-class SmoothnessFamily(_SizeIndexed, _MaskFamily):
+class SmoothnessFamily(_SizeIndexed, _BlockMeanFamily):
     """Truncation structures: L_I zeroes every coordinate past the level."""
 
     tag = "smoothness"
@@ -470,8 +458,8 @@ class SmoothnessFamily(_SizeIndexed, _MaskFamily):
         if not isinstance(s, Truncation) or not (0 <= s.level <= self.n):
             raise InvalidStructureError(f"invalid truncation level for n={self.n}: {s!r}")
 
-    def kept_coordinates(self, s):
-        return slice(0, s.level)
+    def _blocks(self, s):
+        return range(s.level), ()
 
     def _dim(self, s):
         return self.size_dim(s.level)
@@ -585,7 +573,7 @@ class _PositionSetFamily(Family):
         return self.structure_type(sorted_tuple(d[self.field]))
 
 
-class SparsityFamily(_SizeIndexed, _MaskFamily, _PositionSetFamily):
+class SparsityFamily(_SizeIndexed, _BlockMeanFamily, _PositionSetFamily):
     """Subset structures: L_I zeroes the complement of the index set.
 
     majorant_variant "rho" uses 2|I| log(en/|I|); "rho_prime" the slightly
@@ -602,9 +590,8 @@ class SparsityFamily(_SizeIndexed, _MaskFamily, _PositionSetFamily):
         self.majorant_variant = majorant_variant
         self.n_sizes = n + 1
 
-    def kept_coordinates(self, s):
-        # intp: validate accepts integral positions of any number type
-        return np.array(s.indices, dtype=np.intp)
+    def _blocks(self, s):
+        return s.indices, ()
 
     def _dim(self, s):
         return self.size_dim(len(s.indices))
@@ -631,7 +618,7 @@ class SparsityFamily(_SizeIndexed, _MaskFamily, _PositionSetFamily):
 # ---------------------------------------------------------------------------
 
 
-class LeveledSparsityFamily(_MaskFamily):
+class LeveledSparsityFamily(_BlockMeanFamily):
     """Per-level index subsets over dyadic levels 0..n_levels-1.
 
     Level j holds 2^j coordinates, stored level-major, so the ambient
@@ -669,13 +656,13 @@ class LeveledSparsityFamily(_MaskFamily):
             if lv and not (0 <= lv[0] and lv[-1] < 2**j):
                 raise InvalidStructureError(f"level {j}: index out of range [0, {2 ** j})")
 
-    def kept_coordinates(self, s) -> list[int]:
-        """Flat positions of the indices of every level."""
-        out = []
+    def _blocks(self, s):
+        # the flat positions of the indices of every level
+        kept = []
         for j, lv in enumerate(s.levels):
             off = self.level_offsets[j]
-            out.extend(off + k for k in lv)
-        return out
+            kept.extend(off + k for k in lv)
+        return kept, ()
 
     def _dim(self, s):
         return sum(len(lv) for lv in s.levels)
@@ -712,10 +699,14 @@ class LeveledSparsityFamily(_MaskFamily):
         caps = caps or Caps()
 
         def gen():
+            # combinations are sorted, so each product is canonical once the
+            # trailing empty levels are trimmed from the sizes
             for sizes in self._level_sizes(caps):
-                levels = (itertools.combinations(range(2**j), k) for j, k in enumerate(sizes))
+                depth = max((j + 1 for j, k in enumerate(sizes) if k), default=0)
+                levels = (itertools.combinations(range(2**j), k)
+                          for j, k in enumerate(sizes[:depth]))
                 for combo in itertools.product(*levels):
-                    yield self.canonical(combo)
+                    yield LeveledSparse(combo)
 
         out = sorted(_capped(gen(), caps, self._projected_count(caps)), key=self.sort_key)
         return iter(out)
@@ -872,9 +863,7 @@ class ClusteringFamily(_BlockMeanFamily):
 class JumpFamily(_BlockMeanFamily, _PositionSetFamily):
     """Piecewise-constant sequences; a break after position b frees x[b+1].
 
-    P_I takes the mean of each segment between breaks.  The row kernel
-    takes it over a slice, which sums many rows in another order than the
-    base's gathered copy (one row gives the same bytes), so it is kept."""
+    P_I takes the mean of each segment between breaks."""
 
     tag = "jump"
     structure_type, field, first, from_end = JumpSet, "breaks", 0, 2
@@ -887,12 +876,6 @@ class JumpFamily(_BlockMeanFamily, _PositionSetFamily):
         segments = self.segments(s)
         return ([lo for lo, hi in segments if hi - lo == 1],
                 [tuple(range(lo, hi)) for lo, hi in segments if hi - lo > 1])
-
-    def _project_rows(self, s, rows):
-        out = np.empty_like(rows)
-        for lo, hi in self.segments(s):
-            out[:, lo:hi] = rows[:, lo:hi].mean(axis=1, keepdims=True)
-        return out
 
     def _dim(self, s):
         return len(s.breaks) + 1
@@ -1112,7 +1095,7 @@ class BandingFamily(_SizeIndexed, Family):
 # ---------------------------------------------------------------------------
 
 
-class BiclusterFamily(Family):
+class BiclusterFamily(_BlockMeanFamily):
     """Row/column partitions of an n1 x n2 matrix with block-constant means.
 
     The majorant follows the four-branch elbow: per-axis label-counting costs
@@ -1137,35 +1120,10 @@ class BiclusterFamily(Family):
         if s.rows != canonical_partition(s.rows) or s.cols != canonical_partition(s.cols):
             raise InvalidStructureError("blocks must be in canonical order")
 
-    # The only family with its own vector kernel: the two kernels sum each
-    # block in a different order, so their bytes differ in the last bits.
-    # `select` output is pinned to this kernel's bytes and `check a1` output
-    # to the batch kernel's, and no single kernel reproduces both.
-    #
-    # Both assign each block through the open mesh (r, cb) that np.ix_
-    # builds, with r made once per row block.  Each keeps its own gather:
-    # `mat[r, cb]` is the one-step gather of `mat[np.ix_(rb, cb)]`, and the
-    # batch kernel gathers in two steps; the other gather in either kernel
-    # sums the block mean in another order.
-    def _project(self, s, theta):
-        mat = theta.reshape(self.n1, self.n2)
-        out = np.empty_like(mat)
-        cols = [np.array(cb) for cb in s.cols]
-        for rb in s.rows:
-            r = np.array(rb)[:, None]
-            for cb in cols:
-                out[r, cb] = mat[r, cb].mean()
-        return out.reshape(-1)
-
-    def _project_rows(self, s, rows):
-        mats = rows.reshape(-1, self.n1, self.n2)
-        out = np.empty_like(mats)
-        cols = [np.array(cb) for cb in s.cols]
-        for rb in s.rows:
-            r, band = np.array(rb)[:, None], mats[:, rb, :]
-            for cb in cols:
-                out[:, r, cb] = band[:, :, cb].mean(axis=(1, 2))[:, None, None]
-        return out.reshape(rows.shape)
+    def _blocks(self, s):
+        # the row-major flat positions of each row block x column block
+        cells = [tuple(r * self.n2 + c for r in rb for c in cb) for rb in s.rows for cb in s.cols]
+        return [c[0] for c in cells if len(c) == 1], [c for c in cells if len(c) > 1]
 
     def block_counts(self, s):
         return len(s.rows), len(s.cols)

@@ -21,7 +21,6 @@ from projstruct.structures import (
     RegressionSupport,
     SmoothnessFamily,
     SparsityFamily,
-    _MaskFamily,
 )
 
 from conftest import ENUM_CAPS
@@ -324,24 +323,10 @@ def test_a2_rejects_a_non_finite_nu():
 
 def _per_structure_sq_norms(family, draws, caps):
     """The per-structure `_projected_sq_norms`, kept as the oracle of the
-    block products: one 0/1-mask einsum per structure where P_I keeps a
-    coordinate subset (the bytes of projecting while every xi^2 is finite),
-    and one projection per structure otherwise."""
-    kept = family.kept_coordinates if isinstance(family, _MaskFamily) else None
-    if kept is not None:
-        with np.errstate(over="ignore"):
-            sq = draws * draws
-        if not np.isfinite(sq).all():
-            kept = None
+    block products: one projection per structure."""
     for structure in family.enumerate_structures(caps):
-        if kept is None:
-            proj = family.project_many(structure, draws)
-            yield structure, np.einsum("ij,ij->i", proj, proj)
-        else:
-            family.validate(structure)
-            mask = np.zeros(family.ambient_dim)
-            mask[kept(structure)] = 1.0
-            yield structure, np.einsum("ij,j->i", sq, mask)
+        proj = family.project_many(structure, draws)
+        yield structure, np.einsum("ij,ij->i", proj, proj)
 
 
 def _no_projection(*args):
@@ -356,8 +341,12 @@ def _no_projection(*args):
     (SmoothnessFamily(24), 20_000),
     (KnotFamily(10), 20_000),
     (RegressionFamily(np.random.default_rng(5).standard_normal((30, 16))), 2_000),
+    (JumpFamily(12), 5_000),
+    (ClusteringFamily(6), 3_000),
+    (BiclusterFamily(3, 3), 3_000),
+    (BiclusterFamily(3, 4), 3_000),
 ], ids=["sparsity-10", "sparsity-13", "leveled-3", "smoothness-24", "knot-10",
-        "regression-30x16"])
+        "regression-30x16", "jump-12", "clustering-6", "bicluster-3x3", "bicluster-3x4"])
 def test_a1_block_norms_are_within_the_bound_of_projecting(monkeypatch, block, family, reps):
     """Every block norm is within 4 n eps ||xi||^2 of the per-structure
     oracle, draw by draw, in enumeration order, with nothing projected.  A
@@ -377,10 +366,10 @@ def test_a1_block_norms_are_within_the_bound_of_projecting(monkeypatch, block, f
 
 
 def test_a1_mask_path_falls_back_when_squares_overflow():
-    """One overflowing xi^2 sends the whole family, mask or span, through
-    the projection, with its bytes and no nan."""
+    """One overflowing xi^2 sends the whole family, mask, block mean or
+    span, through the projection, with its bytes and no nan."""
     draws = np.array([[1e200, 2.0, -3.0, 0.25], [0.5, -1e300, 1.0, 4.0]])
-    for family in (SparsityFamily(4), KnotFamily(4)):
+    for family in (SparsityFamily(4), JumpFamily(4), KnotFamily(4)):
         got = list(_projected_sq_norms(family, draws, None))
         expected = list(_per_structure_sq_norms(family, draws, None))
         assert [s for s, _ in got] == [s for s, _ in expected]

@@ -73,24 +73,13 @@ def test_bicluster_single_block_is_global_mean():
 
 
 def _ix_project(fam, s, theta):
-    """The np.ix_ form of `BiclusterFamily._project`, kept as an oracle."""
+    """The bicluster projection in np.ix_ form, kept as an oracle."""
     mat = theta.reshape(fam.n1, fam.n2)
     out = np.empty_like(mat)
     for rb in s.rows:
         for cb in s.cols:
             out[np.ix_(rb, cb)] = mat[np.ix_(rb, cb)].mean()
     return out.reshape(-1)
-
-
-def _ix_project_rows(fam, s, rows):
-    """The np.ix_ form of `BiclusterFamily._project_rows`, kept as an oracle."""
-    mats = rows.reshape(-1, fam.n1, fam.n2)
-    out = np.empty_like(mats)
-    for rb in s.rows:
-        for cb in s.cols:
-            block = mats[:, rb, :][:, :, cb]
-            out[np.ix_(range(mats.shape[0]), rb, cb)] = block.mean(axis=(1, 2))[:, None, None]
-    return out.reshape(rows.shape)
 
 
 def _random_partitions(rng, n):
@@ -106,20 +95,20 @@ def _random_partitions(rng, n):
 
 @pytest.mark.parametrize("n1,n2", [(3, 3), (4, 6), (5, 5), (7, 3), (8, 8)])
 def test_bicluster_kernels_have_the_bytes_of_the_ix_forms(n1, n2):
-    """Both bicluster kernels give the bytes of their np.ix_ forms, on
-    singleton, whole-axis and random blocks, for one row and for many."""
+    """The block-mean row kernel projects a bicluster with the bytes of its
+    np.ix_ form, on singleton, whole-axis and random blocks; so does every
+    row of the stack of all of them."""
     fam = BiclusterFamily(n1, n2)
     rng = np.random.default_rng(n1 * 10 + n2)
-    for rows in _random_partitions(rng, n1):
-        for cols in _random_partitions(rng, n2):
-            s = Bicluster(rows, cols)
-            fam.validate(s)
-            theta = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4, n1 * n2)
-            assert fam._project(s, theta).tobytes() == _ix_project(fam, s, theta).tobytes()
-            for m in (1, 9):
-                block = rng.standard_normal((m, n1 * n2)) * 10.0 ** rng.integers(-3, 4, n1 * n2)
-                assert (fam._project_rows(s, block).tobytes()
-                        == _ix_project_rows(fam, s, block).tobytes())
+    structs = [Bicluster(rows, cols) for rows in _random_partitions(rng, n1)
+               for cols in _random_partitions(rng, n2)]
+    for s in structs:
+        fam.validate(s)
+        theta = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4, n1 * n2)
+        assert fam.project(s, theta).tobytes() == _ix_project(fam, s, theta).tobytes()
+    theta = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4, n1 * n2)
+    for s, row in zip(structs, fam._project_stack(structs, theta)):
+        assert row.tobytes() == _ix_project(fam, s, theta).tobytes(), s
 
 
 def test_band_projection_symmetrizes_then_zeroes():
@@ -499,6 +488,16 @@ def _position_sample(fam, count, most=None):
     return sorted(drawn, key=fam.sort_key)
 
 
+def _bicluster_sample(fam, count):
+    """At most count distinct biclusters of fam, pairing at random the
+    row and column partitions of ten `_random_partitions` draws per axis."""
+    rng = np.random.default_rng(fam.n1 * 100 + fam.n2)
+    rows, cols = ([p for _ in range(10) for p in _random_partitions(rng, n)]
+                  for n in (fam.n1, fam.n2))
+    pairs = rng.integers(0, 60, (count, 2))
+    return sorted({Bicluster(rows[i], cols[j]) for i, j in pairs}, key=fam.sort_key)
+
+
 def _clustering_dp_cells(n):
     """The best structure of every cell of the exact clustering DP on a
     random y, among them one cluster of all n coordinates: clusters of more
@@ -541,6 +540,9 @@ def _stack_cases():
     cases["sparsity-40-sample"] = (SparsityFamily(40), functools.partial(_position_sample,
                                                                          SparsityFamily(40), 400))
     cases["bicluster-3x3-default"] = enumeration(BiclusterFamily(3, 3))
+    for n1, n2 in ((4, 6), (7, 3), (8, 8), (12, 12)):
+        cases[f"bicluster-{n1}x{n2}-sample"] = (BiclusterFamily(n1, n2), functools.partial(
+            _bicluster_sample, BiclusterFamily(n1, n2), 300))
     return cases
 
 
@@ -550,10 +552,9 @@ STACK_CASES = _stack_cases()
 @pytest.mark.parametrize("name", sorted(STACK_CASES))
 def test_project_stack_rows_have_the_bytes_of_project(name):
     """Every row of `_project_stack` is byte for byte `project` of its
-    structure, which stays the oracle: the mask families through one
-    `np.where`, knot and regression through the batched SVD (and its
-    fallback), clustering and jump by grouped block means, bicluster
-    through the default loop over its vector kernel."""
+    structure, which stays the oracle: the block-mean families through one
+    `np.where` and grouped block means (none for the mask families), knot
+    and regression through the batched SVD (and its fallback)."""
     fam, listing = STACK_CASES[name]
     structs = listing()
     rng = np.random.default_rng(23)
@@ -565,16 +566,16 @@ def test_project_stack_rows_have_the_bytes_of_project(name):
             assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
 
 
-def test_only_banding_and_bicluster_project_a_stack_one_at_a_time():
+def test_only_banding_projects_a_stack_one_at_a_time():
     """Every other family stacks its projection through the base of its
-    subspace shape: mask, span or block mean."""
+    subspace shape: block mean or span."""
     families = [c for c in vars(structures).values()
                 if isinstance(c, type) and issubclass(c, structures.Family) and c.tag]
     assert len(families) == 9
     default = {c.tag for c in families
                if c._project_stack is structures.Family._project_stack}
-    assert default == {"banding", "bicluster"}
-    shapes = (structures._MaskFamily, structures._SpanFamily, structures._BlockMeanFamily)
+    assert default == {"banding"}
+    shapes = (structures._SpanFamily, structures._BlockMeanFamily)
     for c in families:
         assert sum(issubclass(c, shape) for shape in shapes) == (c.tag not in default), c
 
@@ -711,6 +712,18 @@ def test_leveled_canonical_form_trims_trailing_empty_levels():
     assert s == LeveledSparse(((0,),))
     with pytest.raises(InvalidStructureError):
         fam.dim(LeveledSparse(((0,), ())))
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+def test_leveled_enumeration_is_the_canonical_form_of_every_choice(n_levels):
+    """The enumeration builds each structure without `canonical`; it lists
+    the canonical form of every choice of one subset per level, once each,
+    in sort order."""
+    fam = LeveledSparsityFamily(n_levels)
+    subsets = ([c for k in range(2**j + 1) for c in itertools.combinations(range(2**j), k)]
+               for j in range(n_levels))
+    want = {fam.canonical(levels) for levels in itertools.product(*subsets)}
+    assert list(fam.enumerate_structures()) == sorted(want, key=fam.sort_key)
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 3])
