@@ -12,7 +12,7 @@ bases with the same column count is orthonormalized by one batched SVD
 Of the two projection shapes in `structures`, only the column spans
 (`_SpanFamily`: knot, regression) come here: they project onto the stack,
 and `noise.check_a1` takes their A1 norms from it.  The block means of
-every other family but banding need no basis.
+every other family need no basis.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ A1 estimation targets a log-MGF whose plug-in estimator is heavy tailed, so
 the checker reports a stabilized log-mean-exp with jackknife standard errors
 and caps each exponent summand at 700, counting how often the cap bites.
 Its projected-noise norms come a block of structures at a time, from BLAS
-products for every family but banding: block means through the keep masks
-and the block sums, column spans through their orthonormal bases.
+products: block means through the keep masks and the block sums, column
+spans through their orthonormal bases.
 """
 
 from __future__ import annotations
@@ -211,11 +211,11 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     """(I, ||P_I xi||^2 for each row xi of draws) for every enumerated I, in
     enumeration order; each I is validated once.
 
-    Every family but banding takes the norms of a block of consecutive
-    structures from BLAS products.  The caller consumes each block before
-    the next is computed, and neither side holds a block's norms while the
-    next is built, so at most one block is alive.  A block's products hold
-    at most A1_BLOCK floats, unless one structure alone needs more.
+    Every family takes the norms of a block of consecutive structures from
+    BLAS products.  The caller consumes each block before the next is
+    computed, and neither side holds a block's norms while the next is
+    built, so at most one block is alive.  A block's products hold at most
+    A1_BLOCK floats, unless one structure alone needs more.
 
     - A block-mean family (`_BlockMeanFamily`) takes `_block_mean_sq_norms`:
       one row per structure and one per block of coordinates it averages,
@@ -225,7 +225,6 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
       ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width in the
       block (`_span_sq_norms`); a basis that spans less than its width is
       projected onto alone.
-    - Banding projects the draws onto one structure at a time.
 
     A product sums in another order than projecting and then squaring, so
     the block norms are within a few n * eps * ||xi||^2 of the projection
@@ -237,14 +236,11 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     """
     reps = len(draws)
     spans = isinstance(family, _SpanFamily)
-    products = spans or isinstance(family, _BlockMeanFamily)
-    if products:
-        with np.errstate(over="ignore"):
-            sq = draws * draws
-        if not np.isfinite(sq).all():
-            products = False
-        if spans:
-            del sq  # only the overflow test reads the squares
+    with np.errstate(over="ignore"):
+        sq = draws * draws
+    products = bool(np.isfinite(sq).all())
+    if spans:
+        del sq  # only the overflow test reads the squares
     structures = family.enumerate_structures(caps)
     total = alone = 0
     if products:

@@ -8,15 +8,14 @@ and rho(I') <= rho(I0) + rho(I1).
 
 Everything downstream uses L_I only through the orthogonal projection P_I:
 a batch kernel over rows (see `Family`), and a stacked kernel that projects
-a list of structures in one call (`Family._project_stack`), each row with
-the bytes of `project`.  Every P_I but banding's has one of two shapes,
-whose base class owns both kernels and what `noise.check_a1` reads: block
-means (`_BlockMeanFamily`: keep some coordinates, replace disjoint blocks of
-others by their mean and zero the rest; a mask has no blocks) or a column
-span (`_SpanFamily`: knot, regression).  Banding's P_I symmetrizes, so it
-keeps its own row kernel and the default stack.  Sparsity, jump and knot
-structures are sorted position sets and share their bookkeeping
-(`_PositionSetFamily`).
+a list of structures in one call (`_project_stack`), each row with the bytes
+of `project`.  Every P_I has one of two shapes, whose base class owns both
+kernels and what `noise.check_a1` reads: block means (`_BlockMeanFamily`:
+keep some coordinates, replace disjoint blocks of others by their mean and
+zero the rest; a mask has no blocks, and banding's blocks are the pairs
+(i, j), (j, i) inside the band) or a column span (`_SpanFamily`: knot,
+regression).  Sparsity, jump and knot structures are sorted position sets
+and share their bookkeeping (`_PositionSetFamily`).
 
 All index data is 0-based, both in memory and in the JSON wire shape
 {"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
@@ -138,13 +137,6 @@ def canonical_partition(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cleaned, key=lambda b: b[0]))
 
 
-def _keep_columns(rows: np.ndarray, idx) -> np.ndarray:
-    """Copy of `rows` with every column outside `idx` set to zero."""
-    out = np.zeros_like(rows)
-    out[:, idx] = rows[:, idx]
-    return out
-
-
 def _check_partition(blocks, ground: int, what: str):
     seen: set[int] = set()
     for b in blocks:
@@ -215,9 +207,10 @@ class Family:
     A subclass's one projection kernel `_project_rows(structure, rows)`
     returns P_I applied to every row of a float (m, ambient_dim) array.
     `project` and `project_many` check the structure and shape, then call it;
-    `project` goes through `_project`, the one-row batch.
-    `_project_stack(structures, y)` projects one vector onto many structures,
-    each already validated, with the bytes of `project` in every row.
+    `project` goes through `_project`, the one-row batch.  Each subspace
+    shape also defines `_project_stack(structures, y)`, which projects one
+    vector onto many structures, each already validated, with the bytes of
+    `project` in every row.
     """
 
     tag: str = ""
@@ -258,15 +251,6 @@ class Family:
 
     def _project_rows(self, structure, rows):
         raise NotImplementedError
-
-    def _project_stack(self, structures, y) -> np.ndarray:
-        """(K, ambient_dim) array whose row k is `_project(structures[k], y)`;
-        y is a float vector of the ambient dimension.  The default, left to
-        banding, projects the structures one by one."""
-        out = np.empty((len(structures), self.ambient_dim))
-        for k, s in enumerate(structures):
-            out[k] = self._project(s, y)
-        return out
 
     def dim(self, structure) -> int:
         self.validate(structure)
@@ -392,8 +376,9 @@ class _BlockMeanFamily(Family):
     """A family whose P_I keeps the coordinates `_blocks(s)[0]`, replaces
     each block of `_blocks(s)[1]` (of at least 2) by its mean and zeroes the
     rest.  With no blocks P_I is a coordinate mask: smoothness, sparsity and
-    leveled; clustering, jump and bicluster have blocks.  The stack and
-    `noise.check_a1` both read `masks`."""
+    leveled; clustering, jump, bicluster and banding have blocks.  The row
+    kernel, the stack and `noise.check_a1` all read `masks`, and write the
+    means of the blocks a block size at a time."""
 
     def _blocks(self, s) -> tuple:
         raise NotImplementedError
@@ -420,16 +405,13 @@ class _BlockMeanFamily(Family):
                       for size, (rows, same_size) in by_size.items()}
 
     def _project_rows(self, s, rows):
-        kept, blocks = self._blocks(s)
-        out = _keep_columns(rows, np.array(kept, dtype=np.intp))
-        for block in blocks:
-            idx = np.array(block, dtype=np.intp)
-            out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
+        keep, by_size = self.masks([s])
+        out = np.where(keep, rows, 0.0)
+        for _, blocks in by_size.values():
+            out[:, blocks] = rows[:, blocks].mean(axis=2)[:, :, None]
         return out
 
     def _project_stack(self, structures, y):
-        if len(structures) == 1:  # one row has the row kernel's bytes, without the grouping
-            return self._project(structures[0], y)[None]
         keep, by_size = self.masks(structures)
         out = np.where(keep, y, 0.0)
         for rows, blocks in by_size.values():
@@ -1030,9 +1012,13 @@ class RegressionFamily(_SpanFamily, Family):
 # ---------------------------------------------------------------------------
 
 
-class BandingFamily(_SizeIndexed, Family):
+class BandingFamily(_SizeIndexed, _BlockMeanFamily):
     """Symmetric banded p x p matrices in vectorized (row-major) form; the
-    nested path holds widths 0..p-1 (width p spans what p-1 spans)."""
+    nested path holds widths 0..p-1 (width p spans what p-1 spans).
+
+    P_I symmetrizes and zeroes outside the band: it keeps the diagonal and
+    replaces each pair of entries (i, j), (j, i) with 0 < j - i <= width by
+    its mean."""
 
     tag = "banding"
 
@@ -1047,14 +1033,11 @@ class BandingFamily(_SizeIndexed, Family):
         if not isinstance(s, Band) or not (0 <= s.width <= self.p):
             raise InvalidStructureError(f"invalid band width for p={self.p}: {s!r}")
 
-    def band_mask(self, width: int) -> np.ndarray:
-        idx = np.arange(self.p)
-        return (np.abs(idx[:, None] - idx[None, :]) <= width).astype(float)
-
-    def _project_rows(self, s, rows):
-        mats = rows.reshape(-1, self.p, self.p)
-        sym = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
-        return (sym * self.band_mask(s.width)[None]).reshape(rows.shape)
+    def _blocks(self, s):
+        p = self.p
+        return ([i * p + i for i in range(p)],
+                [(i * p + j, j * p + i) for i in range(p)
+                 for j in range(i + 1, min(i + s.width, p - 1) + 1)])
 
     def _dim(self, s):
         return self.size_dim(min(s.width, self.p - 1))

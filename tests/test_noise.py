@@ -345,8 +345,11 @@ def _no_projection(*args):
     (ClusteringFamily(6), 3_000),
     (BiclusterFamily(3, 3), 3_000),
     (BiclusterFamily(3, 4), 3_000),
+    (BandingFamily(4), 5_000),
+    (BandingFamily(5), 5_000),
 ], ids=["sparsity-10", "sparsity-13", "leveled-3", "smoothness-24", "knot-10",
-        "regression-30x16", "jump-12", "clustering-6", "bicluster-3x3", "bicluster-3x4"])
+        "regression-30x16", "jump-12", "clustering-6", "bicluster-3x3", "bicluster-3x4",
+        "banding-4", "banding-5"])
 def test_a1_block_norms_are_within_the_bound_of_projecting(monkeypatch, block, family, reps):
     """Every block norm is within 4 n eps ||xi||^2 of the per-structure
     oracle, draw by draw, in enumeration order, with nothing projected.  A
@@ -367,9 +370,12 @@ def test_a1_block_norms_are_within_the_bound_of_projecting(monkeypatch, block, f
 
 def test_a1_mask_path_falls_back_when_squares_overflow():
     """One overflowing xi^2 sends the whole family, mask, block mean or
-    span, through the projection, with its bytes and no nan."""
-    draws = np.array([[1e200, 2.0, -3.0, 0.25], [0.5, -1e300, 1.0, 4.0]])
-    for family in (SparsityFamily(4), JumpFamily(4), KnotFamily(4)):
+    span, through the projection, with its bytes and no nan.  The banding
+    draws repeat the same entries to fill p * p coordinates."""
+    base = np.array([[1e200, 2.0, -3.0, 0.25], [0.5, -1e300, 1.0, 4.0]])
+    for family in (SparsityFamily(4), JumpFamily(4), KnotFamily(4), BandingFamily(4),
+                   BandingFamily(5)):
+        draws = np.resize(base, (2, family.ambient_dim))
         got = list(_projected_sq_norms(family, draws, None))
         expected = list(_per_structure_sq_norms(family, draws, None))
         assert [s for s, _ in got] == [s for s, _ in expected]

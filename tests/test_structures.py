@@ -540,6 +540,8 @@ def _stack_cases():
     cases["sparsity-40-sample"] = (SparsityFamily(40), functools.partial(_position_sample,
                                                                          SparsityFamily(40), 400))
     cases["bicluster-3x3-default"] = enumeration(BiclusterFamily(3, 3))
+    for p in range(1, 10):
+        cases[f"banding-{p}"] = enumeration(BandingFamily(p))
     for n1, n2 in ((4, 6), (7, 3), (8, 8), (12, 12)):
         cases[f"bicluster-{n1}x{n2}-sample"] = (BiclusterFamily(n1, n2), functools.partial(
             _bicluster_sample, BiclusterFamily(n1, n2), 300))
@@ -566,18 +568,68 @@ def test_project_stack_rows_have_the_bytes_of_project(name):
             assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
 
 
-def test_only_banding_projects_a_stack_one_at_a_time():
-    """Every other family stacks its projection through the base of its
-    subspace shape: block mean or span."""
+def _per_block_project(fam, s, rows):
+    """The block-mean row kernel one block at a time, kept as an oracle:
+    zero the rows, copy the kept columns, then write each block's mean."""
+    kept, blocks = fam._blocks(s)
+    out = np.zeros_like(rows)
+    idx = np.array(kept, dtype=np.intp)
+    out[:, idx] = rows[:, idx]
+    for block in blocks:
+        idx = np.array(block, dtype=np.intp)
+        out[:, idx] = rows[:, idx].mean(axis=1, keepdims=True)
+    return out
+
+
+def _band_project(fam, s, rows):
+    """The banding projection as a symmetrization times the band mask, kept
+    as an oracle; it writes -0.0 where a negative entry lies off the band."""
+    mats = rows.reshape(-1, fam.p, fam.p)
+    sym = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+    idx = np.arange(fam.p)
+    mask = (np.abs(idx[:, None] - idx[None, :]) <= s.width).astype(float)
+    return (sym * mask[None]).reshape(rows.shape)
+
+
+BLOCK_MEAN_CASES = sorted(name for name, (fam, _) in STACK_CASES.items()
+                          if isinstance(fam, structures._BlockMeanFamily))
+
+
+@pytest.mark.parametrize("name", BLOCK_MEAN_CASES)
+def test_block_mean_rows_have_the_bytes_of_the_oracles(name):
+    """`project_many` of 1, 6 and 130 rows has the bytes of the per-block
+    oracle on every block-mean family, banding included; banding's rows
+    also equal its symmetrize-and-mask oracle, bytes and all once the sign
+    of zero is dropped (adding 0.0 turns -0.0 into 0.0).  A case of more
+    than 400 structures is thinned to 400 evenly spaced ones."""
+    fam, listing = STACK_CASES[name]
+    structs = listing()
+    structs = [structs[k] for k in np.linspace(0, len(structs) - 1,
+                                               min(len(structs), 400)).astype(int)]
+    rng = np.random.default_rng(29)
+    batches = [rng.standard_normal((m, fam.ambient_dim))
+               * 10.0 ** rng.integers(-3, 4, fam.ambient_dim) for m in (1, 6, 130)]
+    for s in structs:
+        for rows in batches:
+            m = len(rows)
+            got = fam.project_many(s, rows)
+            assert got.tobytes() == _per_block_project(fam, s, rows).tobytes(), (name, s, m)
+            if isinstance(fam, BandingFamily):
+                band = _band_project(fam, s, rows)
+                assert np.array_equal(got, band), (name, s, m)
+                assert (got + 0.0).tobytes() == (band + 0.0).tobytes(), (name, s, m)
+
+
+def test_every_family_has_one_of_the_two_subspace_shapes():
+    """Each of the nine families projects through the base of exactly one
+    subspace shape, block mean or span, which owns its row kernel and its
+    stacked projection."""
     families = [c for c in vars(structures).values()
                 if isinstance(c, type) and issubclass(c, structures.Family) and c.tag]
     assert len(families) == 9
-    default = {c.tag for c in families
-               if c._project_stack is structures.Family._project_stack}
-    assert default == {"banding"}
     shapes = (structures._SpanFamily, structures._BlockMeanFamily)
     for c in families:
-        assert sum(issubclass(c, shape) for shape in shapes) == (c.tag not in default), c
+        assert sum(issubclass(c, shape) for shape in shapes) == 1, c
 
 
 def test_span_stack_falls_back_and_says_so(caplog):
