@@ -77,6 +77,8 @@ def _load_vector_csv(path: str) -> np.ndarray:
 
 def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
     data = _require(config, "data")
+    if not isinstance(data, dict):
+        raise ConfigError(f"data must be an object, got {data!r}")
     if "file" in data:
         y = _load_vector_csv(data["file"])
         if y.size != family.ambient_dim:

@@ -145,7 +145,7 @@ def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
             return theta
         if kind == "sobolev":
             beta = float(spec.get("beta", 1.0))
-            Q = float(spec.get("Q", 1.0))
+            Q = positive_number(spec.get("Q", 1.0), "signal.Q")
             idx = np.arange(1, n + 1, dtype=float)
             harmonic = float(np.sum(1.0 / idx))
             return math.sqrt(Q / harmonic) * idx ** (-(beta + 0.5))
@@ -168,10 +168,15 @@ def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
 def build_constants(spec: dict | None) -> FrameworkConstants:
     with _section("constants", spec or {}) as spec:
         spec.setdefault("strict", False)
-        # FrameworkConstants checks the other fields; these it only stores
-        for field in ("C_nu", "M0_override", "M1_override", "M2_override", "M3_override"):
+        # FrameworkConstants checks alpha and delta; these it lets a NaN or
+        # an infinity through, or only stores.  M1 enters the quarter radius
+        # under a square root.
+        checks = {"nu": positive_number, "kappa": positive_number,
+                  "M1_override": nonnegative_number}
+        for field in ("nu", "kappa", "C_nu", "M0_override", "M1_override", "M2_override",
+                      "M3_override"):
             if spec.get(field) is not None:
-                finite_number(spec[field], f"constants.{field}")
+                checks.get(field, finite_number)(spec[field], f"constants.{field}")
         return FrameworkConstants(**spec)
 
 
@@ -653,7 +658,7 @@ EXPERIMENTS = tuple(RUNNERS)
 
 def run_experiment(config: dict, seed: int, workers: int = 1):
     name = config.get("experiment")
-    if name not in RUNNERS:
+    if not isinstance(name, str) or name not in RUNNERS:
         raise ConfigError(f"unknown experiment {name!r}; choose one of {EXPERIMENTS}")
     if "family" not in config or "signal" not in config:
         raise ConfigError("experiment config needs 'family' and 'signal' sections")

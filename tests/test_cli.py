@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -419,6 +420,40 @@ def test_simulate_draws_that_overflow_are_one_line_config_error(tmp_path, worker
     assert r.stderr.startswith("config error:") and r.stderr.count("\n") == 1
     assert "replication" in r.stderr
     assert not table.exists()
+
+
+# (name, command, config file, section, field, value): one faulty value in a
+# valid config, each of which used to end in a traceback, a math error or a
+# silent exit 0
+CONFIG_FAULTS = [
+    ("select-data-number", "select", "golden_select/jump", None, "data", 7),
+    ("experiment-list", "simulate", "golden_simulate/size", None, "experiment", ["size"]),
+    ("M1-negative", "simulate", "golden_simulate/coverage-quarter", "constants",
+     "M1_override", -1.0),
+    ("kappa-nan", "simulate", "golden_simulate/recovery-shell", "constants", "kappa",
+     math.nan),
+    ("kappa-inf", "simulate", "golden_simulate/recovery-shell", "constants", "kappa",
+     math.inf),
+    ("nu-nan", "simulate", "golden_simulate/coverage-quarter", "constants", "nu", math.nan),
+    ("nu-inf", "simulate", "golden_simulate/coverage-quarter", "constants", "nu", math.inf),
+    ("sobolev-Q-zero", "simulate", "golden_simulate/rate-scaling", "signal", "Q", 0.0),
+]
+
+
+@pytest.mark.parametrize("command,name,section,field,value",
+                         [fault[1:] for fault in CONFIG_FAULTS],
+                         ids=[fault[0] for fault in CONFIG_FAULTS])
+def test_faulty_config_values_are_one_line_config_errors(tmp_path, command, name, section,
+                                                         field, value):
+    """A value of the wrong type or out of range is rejected where the
+    config is read: exit 2, one stderr line, no output file."""
+    config = json.loads((DATA_DIR / f"{name}.json").read_text())
+    (config if section is None else config.setdefault(section, {}))[field] = value
+    out = tmp_path / "out"
+    r = run_cli(command, "--config", write_config(tmp_path, config), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:") and r.stderr.count("\n") == 1, r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", GOLDEN_SIMULATE, ids=lambda p: p.stem)
