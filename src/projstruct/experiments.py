@@ -168,9 +168,9 @@ def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
 def build_constants(spec: dict | None) -> FrameworkConstants:
     with _section("constants", spec or {}) as spec:
         spec.setdefault("strict", False)
-        # FrameworkConstants checks alpha and delta; these it lets a NaN or
-        # an infinity through, or only stores.  M1 enters the quarter radius
-        # under a square root.
+        # FrameworkConstants checks alpha and delta, lets a NaN or infinite
+        # nu or kappa through and only stores the overrides.  M1 enters the
+        # quarter radius under a square root.
         checks = {"nu": positive_number, "kappa": positive_number,
                   "M1_override": nonnegative_number}
         for field in ("nu", "kappa", "C_nu", "M0_override", "M1_override", "M2_override",

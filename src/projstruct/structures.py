@@ -377,8 +377,8 @@ class _BlockMeanFamily(Family):
     each block of `_blocks(s)[1]` (of at least 2) by its mean and zeroes the
     rest.  With no blocks P_I is a coordinate mask: smoothness, sparsity and
     leveled; clustering, jump, bicluster and banding have blocks.  The row
-    kernel, the stack and `noise.check_a1` all read `masks`, and write the
-    means of the blocks a block size at a time."""
+    kernel, the stack and `noise.check_a1` all read `masks`; the kernels
+    write the means of all blocks of one size at once."""
 
     def _blocks(self, s) -> tuple:
         raise NotImplementedError

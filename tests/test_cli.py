@@ -422,9 +422,9 @@ def test_simulate_draws_that_overflow_are_one_line_config_error(tmp_path, worker
     assert not table.exists()
 
 
-# (name, command, config file, section, field, value): one faulty value in a
-# valid config, each of which used to end in a traceback, a math error or a
-# silent exit 0
+# (name, command, config file, section, field, value): one faulty value put
+# into a valid golden config; none of them may end in a traceback, a math
+# error in the middle of a run or a silent exit 0
 CONFIG_FAULTS = [
     ("select-data-number", "select", "golden_select/jump", None, "data", 7),
     ("experiment-list", "simulate", "golden_simulate/size", None, "experiment", ["size"]),
