@@ -3,8 +3,9 @@
 Condition A1 bounds the moment generating function of projected noise by the
 statistical dimension; A2 is an exact sum over the enumerated structures,
 taken by size class, against a closed-form constant where the family has
-one; A3 checks union witnesses by projection fixed points; A4 checks the two
-tail curves behind the quarter ball.
+one; A3 checks union witnesses by projection fixed points, the parts and
+then the unions of many pairs in one stacked projection each; A4 checks the
+two tail curves behind the quarter ball.
 
 A1 estimation targets a log-MGF whose plug-in estimator is heavy tailed, so
 the checker reports a stabilized log-mean-exp with jackknife standard errors
@@ -36,6 +37,8 @@ CONTAINMENT_TOL = 1e-8
 A4_BLOCK = 4096
 # floats in one A1 block product of structures against the draws (2 MB)
 A1_BLOCK = 1 << 18
+# A3 pairs whose parts and unions are projected in one stacked call each
+A3_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -169,15 +172,19 @@ def _runs(structures, width, budget: int):
         yield block
 
 
-def _span_sq_norms(family: _SpanFamily, block, draws: np.ndarray) -> tuple[np.ndarray, int]:
-    """(norms of the block, how many structures were projected onto alone).
+def _span_sq_norms(family: _SpanFamily, block,
+                   draws: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """(norms of the block, the dimension of each structure, how many
+    structures were projected onto alone).
 
     The orthonormal bases come a width at a time from `family._span_groups`,
     and ||Q_I^T xi||^2 sums the squares of the rows of (stacked Q^T) @ xi^T
-    that belong to I.  A basis that spans less than its width is projected
-    onto alone."""
+    that belong to I.  The dimension of a full-rank basis's span is its
+    width; a basis that spans less than its width is projected onto alone,
+    and its dimension is `_dim`."""
     reps, n = draws.shape
     norms = np.zeros((len(block), reps))
+    dims = [family._width(s) for s in block]
     groups, alone = family._span_groups(block)
     for idx, q in groups:
         prod = q.transpose(0, 2, 1).reshape(-1, n) @ draws.T
@@ -185,7 +192,8 @@ def _span_sq_norms(family: _SpanFamily, block, draws: np.ndarray) -> tuple[np.nd
         norms[idx] = prod.reshape(len(idx), -1, reps).sum(axis=1)
     for g in alone:
         norms[g] = _sq_norm_rows(family._project_rows(block[g], draws))
-    return norms, len(alone)
+        dims[g] = family._dim(block[g])
+    return norms, dims, len(alone)
 
 
 def _block_mean_sq_norms(family: _BlockMeanFamily, block, draws: np.ndarray,
@@ -208,8 +216,8 @@ def _block_mean_sq_norms(family: _BlockMeanFamily, block, draws: np.ndarray,
 
 
 def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
-    """(I, ||P_I xi||^2 for each row xi of draws) for every enumerated I, in
-    enumeration order; each I is validated once.
+    """(I, ||P_I xi||^2 for each row xi of draws, dim L_I) for every
+    enumerated I, in enumeration order; each I is validated once.
 
     Every family takes the norms of a block of consecutive structures from
     BLAS products.  The caller consumes each block before the next is
@@ -224,7 +232,9 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     - A span family (`_SpanFamily`: knot, regression) takes
       ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width in the
       block (`_span_sq_norms`); a basis that spans less than its width is
-      projected onto alone.
+      projected onto alone.  The batched SVD's full-rank flags give each
+      dimension, so `_dim` (one SVD per regression support) runs only for
+      the bases projected alone.
 
     A product sums in another order than projecting and then squaring, so
     the block norms are within a few n * eps * ||xi||^2 of the projection
@@ -250,19 +260,20 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
             for s in block:
                 family.validate(s)
             if spans:
-                norms, k = _span_sq_norms(family, block, draws)
+                norms, dims, k = _span_sq_norms(family, block, draws)
                 alone += k
             else:
                 norms = _block_mean_sq_norms(family, block, draws, sq)
+                dims = map(family._dim, block)
             total += len(block)
-            yield from zip(block, norms)
+            yield from zip(block, norms, dims)
             del norms  # before the next block's product
     else:
         for s in structures:
             family.validate(s)
             total += 1
             alone += 1
-            yield s, _sq_norm_rows(family._project_rows(s, draws))
+            yield s, _sq_norm_rows(family._project_rows(s, draws)), family._dim(s)
     logger.debug("%s: A1 norms of %d structures from block products, %d projected one at "
                  "a time", family.tag, total - alone, alone)
 
@@ -277,16 +288,17 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
     The norms come from `_projected_sq_norms`, a block of structures at a
     time; each row of a block is scaled, capped and reduced by the
     jackknife in place before the next block is computed.  Each structure
-    is validated once, and its bound is `_dim`.
+    is validated once, and its bound is its dimension, which
+    `_projected_sq_norms` gives beside its norms.
     """
     draws = noise.sample_many(rng, reps, family.ambient_dim)
     rows = []
-    for structure, sq_norms in _projected_sq_norms(family, draws, caps):
+    for structure, sq_norms, dim in _projected_sq_norms(family, draws, caps):
         exponents = np.multiply(sq_norms, alpha, out=sq_norms)
         n_sat = int(np.count_nonzero(exponents > EXPONENT_CAP))
         np.minimum(exponents, EXPONENT_CAP, out=exponents)
         est, se = _log_mean_exp_with_jackknife(exponents)
-        bound = float(family._dim(structure))
+        bound = float(dim)
         rows.append(A1Row(structure, est, bound, se, n_sat, est <= bound + se_mult * se))
         # a row is a view of its block: let the block go before the next
         del sq_norms, exponents
@@ -354,7 +366,13 @@ def check_a3(family: Family, n_pairs: int, rng, caps: Caps | None = None) -> A3R
     """Sampled pairs: P_{I'} must fix P_{I0}x and P_{I1}x, and
     rho(I') <= rho(I0) + rho(I1).  The complexity comparison allows a 1e-12
     relative slack because subadditivity holds with analytic equality for
-    some pairs (disjoint supports), where summation order costs a few ulps."""
+    some pairs (disjoint supports), where summation order costs a few ulps.
+
+    i0, i1 and x are drawn for each pair in turn, as a pair-at-a-time loop
+    draws them.  For A3_BLOCK pairs at a time, one stacked projection
+    (`family._project_stack`, whose rows have the bytes of `project`) takes
+    every part's P_I x, and a second one the union's projection of each of
+    them; each residual is the `np.linalg.norm` of its own 1-d difference."""
     if not family.supports_union:
         raise UnsupportedFamilyError(
             f"union witness unavailable for family {family.tag}")
@@ -362,19 +380,22 @@ def check_a3(family: Family, n_pairs: int, rng, caps: Caps | None = None) -> A3R
     max_resid = 0.0
     max_excess = -math.inf
     subadditive = True
-    for _ in range(n_pairs):
-        i0, i1 = (structures[rng.integers(len(structures))] for _ in range(2))
-        u = family.union_structure(i0, i1)
-        x = rng.standard_normal(family.ambient_dim)
-        for part in (i0, i1):
-            px = family.project(part, x)
-            resid = float(np.linalg.norm(family.project(u, px) - px))
-            max_resid = max(max_resid, resid)
-        budget = family.majorant(i0) + family.majorant(i1)
-        excess = family.majorant(u) - budget
-        max_excess = max(max_excess, excess)
-        if excess > 1e-12 * (1.0 + abs(budget)):
-            subadditive = False
+    for start in range(0, n_pairs, A3_BLOCK):
+        parts, unions, xs = [], [], []
+        for _ in range(min(A3_BLOCK, n_pairs - start)):
+            i0, i1 = (structures[rng.integers(len(structures))] for _ in range(2))
+            u = family.union_structure(i0, i1)
+            xs.append(rng.standard_normal(family.ambient_dim))
+            parts += [i0, i1]
+            unions += [u, u]
+            budget = family.majorant(i0) + family.majorant(i1)
+            excess = family.majorant(u) - budget
+            max_excess = max(max_excess, excess)
+            if excess > 1e-12 * (1.0 + abs(budget)):
+                subadditive = False
+        px = family._project_stack(parts, np.repeat(xs, 2, axis=0))
+        for fixed, p in zip(family._project_stack(unions, px), px):
+            max_resid = max(max_resid, float(np.linalg.norm(fixed - p)))
     return A3Report(n_pairs, max_resid, max_excess,
                     max_resid <= CONTAINMENT_TOL and subadditive)
 

@@ -35,8 +35,10 @@ The bicluster alternation scores a move exactly only when the move can
 decide its sweep: block sums give every move's objective up to rounding,
 and a move whose approximation lies clearly above the current objective or
 above the best move's cannot change which move the exact tie rule picks, so
-it is skipped (`alternating_bicluster` gives the bound).  Decisions and stored
-objectives are those of scoring every move in full.
+it is skipped (`alternating_bicluster` gives the bound).  The exact scores
+come from the label arrays through one block-mean kernel
+(`BiclusterFamily.label_rss`), not through a structure and the memo.
+Decisions and stored objectives are those of scoring every move in full.
 
 Ties are broken deterministically: objectives within a relative 1e-12 band
 count as equal, and among tied structures the one with the smallest majorant,
@@ -522,32 +524,40 @@ def _one_hot(labels, k):
     return (labels[:, None] == np.arange(k)).astype(float)
 
 
-def _approx_move_objectives(lines, labels, k, other_labels, k_other, ysq, pen):
-    """A[i, b]: the objective after moving line i (a row of `lines`) from
-    block labels[i] to block b, from block sums and up to rounding; +inf at
-    b = labels[i].  pen(s, s_other) is sigma^2 * pen for s blocks on this
-    axis and s_other on the other.
+def _approx_move_objectives(lines, k, other_labels, k_other, ysq, pen):
+    """The function that maps the labels of the rows of `lines` to A, with
+    A[i, b] the objective after moving line i from block labels[i] to block
+    b, from block sums and up to rounding; +inf at b = labels[i].
+    pen(s, s_other) is sigma^2 * pen for s blocks on this axis and s_other
+    on the other.
 
     With line sums R[i, c] over the other axis's blocks, block sums S[a, c]
     and block sizes n_a, n_c, the captured energy ||P Y||^2 is
     sum S^2 / (n_a n_c); a move changes rows labels[i] and b of S only.
+    R, the weights 1 / n_c and the penalties depend on the other axis
+    alone, which a pass holds fixed, so they are computed once per pass and
+    each move recomputes only the rest, with the same float operations.
     """
     n_other = np.bincount(other_labels, minlength=k_other)
     w = 1.0 / np.maximum(n_other, 1)  # an empty block's sums are zero
     R = lines @ _one_hot(other_labels, k_other)
-    S = _one_hot(labels, k).T @ R
-    n = np.bincount(labels, minlength=k)
-    energy = (S * S) @ w / np.maximum(n, 1)
-    left, n_left = S[labels] - R, n[labels] - 1  # each line's block without it
-    kept = energy.sum() - energy[labels] + (left * left) @ w / np.maximum(n_left, 1)
-    joined = S + R[:, None, :]
-    captured = kept[:, None] - energy + (joined * joined) @ w / (n + 1)
-    # block counts after each move; a count of 0 occurs only at b = labels[i]
-    counts = np.count_nonzero(n) - (n_left == 0)[:, None] + (n == 0)
     s_other = int(np.count_nonzero(n_other))
     pens = np.array([math.inf] + [pen(c, s_other) for c in range(1, k + 1)])
-    approx = ysq - captured + pens[counts]
-    approx[np.arange(labels.size), labels] = math.inf
+
+    def approx(labels):
+        S = _one_hot(labels, k).T @ R
+        n = np.bincount(labels, minlength=k)
+        energy = (S * S) @ w / np.maximum(n, 1)
+        left, n_left = S[labels] - R, n[labels] - 1  # each line's block without it
+        kept = energy.sum() - energy[labels] + (left * left) @ w / np.maximum(n_left, 1)
+        joined = S + R[:, None, :]
+        captured = kept[:, None] - energy + (joined * joined) @ w / (n + 1)
+        # block counts after each move; a count of 0 occurs only at b = labels[i]
+        counts = np.count_nonzero(n) - (n_left == 0)[:, None] + (n == 0)
+        out = ysq - captured + pens[counts]
+        out[np.arange(labels.size), labels] = math.inf
+        return out
+
     return approx
 
 
@@ -574,6 +584,14 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     `objective` value.  The margin scales with obj because the tolerance
     does: once sigma^2 * pen dominates ||Y||^2, moves that tie within the
     tolerance can lie far more than 1e-9 * (1 + ||Y||^2) apart.
+
+    Neither obj nor the approximations change until a line moves, so the
+    whole approximation matrix is screened in one comparison, only the
+    lines with a kept target are visited, and after a move the screen is
+    taken again from the next line on.  An exact score reads the labels
+    (`BiclusterFamily.label_rss` plus sigma^2 * pen of the block counts),
+    with the bytes of `objective` of the labels' structure; a `Bicluster`
+    is built only for each restart's final labels.
     """
     proj = Projections.of(Y, family, proj)
     mat = proj.y.reshape(family.n1, family.n2)
@@ -598,8 +616,9 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                                          pen_variant)
 
     def score(row_labels, col_labels):
-        return objective(proj.y, family, structure(row_labels, col_labels),
-                         sigma, kappa, pen_variant, proj)
+        # the bytes of `objective` of structure(row_labels, col_labels)
+        return family.label_rss(proj.y, row_labels, col_labels) + pen(
+            len(set(row_labels.tolist())), len(set(col_labels.tolist())))
 
     tracker, traces = _ArgminTracker(family), {}
     for row_labels, col_labels in inits:
@@ -612,25 +631,31 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
             for lines, labels, k, other, k_other, axis_pen in (
                     (mat, row_labels, k1, col_labels, k2, pen),
                     (mat.T, col_labels, k2, row_labels, k1, lambda s2, s1: pen(s1, s2))):
-                approx = _approx_move_objectives(lines, labels, k, other, k_other, ysq,
-                                                 axis_pen)
-                for i in range(labels.size):
-                    old = labels[i]
-                    best_b, best_obj = old, obj
+                approx_of = _approx_move_objectives(lines, k, other, k_other, ysq, axis_pen)
+                approx, first = approx_of(labels), 0
+                while first < labels.size:
+                    # screen the lines from `first` on at once; visit those
+                    # with a kept target, up to the first that moves
                     margin = 1e-9 * k * (1.0 + ysq + abs(obj))
-                    row = approx[i]
-                    for b in np.flatnonzero(row < min(obj + margin, row.min() + 2.0 * margin)):
-                        labels[i] = b
-                        cand = score(row_labels, col_labels)
-                        if _improves(cand, best_obj):
-                            best_b, best_obj = b, cand
-                    labels[i] = best_b
-                    if best_b != old:
-                        obj = best_obj
-                        history.append(obj)
-                        improved = True
-                        approx = _approx_move_objectives(lines, labels, k, other, k_other,
-                                                         ysq, axis_pen)
+                    rest = approx[first:]
+                    kept = rest < np.fmin(obj + margin, rest.min(axis=1) + 2.0 * margin)[:, None]
+                    start, first = first, labels.size
+                    for j in np.flatnonzero(kept.any(axis=1)).tolist():
+                        i = start + j
+                        old = labels[i]
+                        best_b, best_obj = old, obj
+                        for b in np.flatnonzero(kept[j]):
+                            labels[i] = b
+                            cand = score(row_labels, col_labels)
+                            if _improves(cand, best_obj):
+                                best_b, best_obj = b, cand
+                        labels[i] = best_b
+                        if best_b != old:
+                            obj = best_obj
+                            history.append(obj)
+                            improved = True
+                            approx, first = approx_of(labels), i + 1
+                            break
             if not improved:
                 break
         # obj is the exact objective of the final labels

@@ -8,9 +8,10 @@ and rho(I') <= rho(I0) + rho(I1).
 
 Everything downstream uses L_I only through the orthogonal projection P_I:
 a batch kernel over rows (see `Family`), and a stacked kernel that projects
-a list of structures in one call (`_project_stack`), each row with the bytes
-of `project`.  Every P_I has one of two shapes, whose base class owns both
-kernels and what `noise.check_a1` reads: block means (`_BlockMeanFamily`:
+one vector, or one row per structure, onto a list of structures in one call
+(`_project_stack`), each row with the bytes of `project`.  Every P_I has one
+of two shapes, whose base class owns both kernels and what
+`noise.check_a1` reads: block means (`_BlockMeanFamily`:
 keep some coordinates, replace disjoint blocks of others by their mean and
 zero the rest; a mask has no blocks, and banding's blocks are the pairs
 (i, j), (j, i) inside the band) or a column span (`_SpanFamily`: knot,
@@ -208,9 +209,10 @@ class Family:
     returns P_I applied to every row of a float (m, ambient_dim) array.
     `project` and `project_many` check the structure and shape, then call it;
     `project` goes through `_project`, the one-row batch.  Each subspace
-    shape also defines `_project_stack(structures, y)`, which projects one
-    vector onto many structures, each already validated, with the bytes of
-    `project` in every row.
+    shape also defines `_project_stack(structures, y)`, which projects onto
+    many structures, each already validated, either one vector y or, when y
+    is a (K, ambient_dim) array, row k of y onto structures[k], with the
+    bytes of `project` in every row.
     """
 
     tag: str = ""
@@ -364,9 +366,10 @@ class _SpanFamily(Family):
         out = np.zeros((len(structures), self.ambient_dim))
         groups, alone = self._span_groups(structures)
         for idx, q in groups:
-            out[idx] = ((y[None] @ q) @ q.transpose(0, 2, 1))[:, 0]
+            rows = y[None] if y.ndim == 1 else y[idx][:, None]
+            out[idx] = ((rows @ q) @ q.transpose(0, 2, 1))[:, 0]
         for k in alone:
-            out[k] = self._project(structures[k], y)
+            out[k] = self._project(structures[k], y if y.ndim == 1 else y[k])
         logger.debug("%s: %d structures projected in stacks, %d fell back to one at a time",
                      self.tag, len(structures) - len(alone), len(alone))
         return out
@@ -415,7 +418,8 @@ class _BlockMeanFamily(Family):
         keep, by_size = self.masks(structures)
         out = np.where(keep, y, 0.0)
         for rows, blocks in by_size.values():
-            out[rows[:, None], blocks] = y[blocks].mean(axis=1)[:, None]
+            gathered = y[blocks] if y.ndim == 1 else y[rows[:, None], blocks]
+            out[rows[:, None], blocks] = gathered.mean(axis=1)[:, None]
         return out
 
 
@@ -1107,6 +1111,33 @@ class BiclusterFamily(_BlockMeanFamily):
         # the row-major flat positions of each row block x column block
         cells = [tuple(r * self.n2 + c for r in rb for c in cb) for rb in s.rows for cb in s.cols]
         return [c[0] for c in cells if len(c) == 1], [c for c in cells if len(c) > 1]
+
+    def label_rss(self, y, row_labels, col_labels) -> float:
+        """||y - P_I y||^2 with the bytes of `Projections.rss`, for the
+        structure I that puts row i in row block row_labels[i] and column j
+        in column block col_labels[j] (labels >= 0; a label no line carries
+        is no block), read off the labels without building I.
+
+        A stable argsort by block size, then by cell id row_label * k2 +
+        col_label, makes each block contiguous and in ascending flat order,
+        the order of `_blocks`, and lays the G blocks of one size side by
+        side.  Each block mean is `.mean(axis=1)` over that (G, size) gather,
+        as `_project_stack` takes it (not `np.add.reduceat`, which sums a
+        block of 3 or more in another order), so P_I y and the residual have
+        the bytes of the stacked kernel's."""
+        cells = (row_labels[:, None] * (int(col_labels.max()) + 1) + col_labels).reshape(-1)
+        sizes = np.bincount(cells)
+        order = np.argsort(sizes[cells] * sizes.size + cells, kind="stable")
+        p = y.copy()  # a 1 x 1 block keeps its coordinate
+        lo = 0
+        for size, count in enumerate(np.bincount(sizes).tolist()):
+            hi = lo + size * count
+            if size > 1 and count:
+                blocks = order[lo:hi].reshape(count, size)
+                p[blocks] = y[blocks].mean(axis=1)[:, None]
+            lo = hi
+        r = y - p
+        return float(np.dot(r, r))
 
     def block_counts(self, s):
         return len(s.rows), len(s.cols)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from projstruct import noise as noise_module
+from projstruct import structures as structures_module
 from projstruct.errors import CapExceededError, UnsupportedFamilyError
 from projstruct.noise import (NoiseModel, _log_mean_exp_with_jackknife, _projected_sq_norms,
                               check_a1, check_a2, check_a3, check_a4)
@@ -119,6 +120,109 @@ def test_a3_reports():
     # bicluster: containment holds, subadditivity fails on adversarial pairs
     report = check_a3(BiclusterFamily(3, 3), 200, rng, caps=Caps(max_blocks=3))
     assert report.max_containment_residual <= 1e-8
+
+
+def _pair_at_a_time_a3(family, n_pairs, rng, caps=None):
+    """`check_a3` one pair at a time, each part and union projected through
+    `project`, kept as the oracle of the stacked check."""
+    structures = list(family.enumerate_structures(caps))
+    max_resid, max_excess, subadditive = 0.0, -math.inf, True
+    for _ in range(n_pairs):
+        i0, i1 = (structures[rng.integers(len(structures))] for _ in range(2))
+        u = family.union_structure(i0, i1)
+        x = rng.standard_normal(family.ambient_dim)
+        for part in (i0, i1):
+            px = family.project(part, x)
+            max_resid = max(max_resid, float(np.linalg.norm(family.project(u, px) - px)))
+        budget = family.majorant(i0) + family.majorant(i1)
+        excess = family.majorant(u) - budget
+        max_excess = max(max_excess, excess)
+        if excess > 1e-12 * (1.0 + abs(budget)):
+            subadditive = False
+    return noise_module.A3Report(n_pairs, max_resid, max_excess,
+                                 max_resid <= noise_module.CONTAINMENT_TOL and subadditive)
+
+
+def _repeated_column_design():
+    """30 x 16 with column 9 a copy of column 2 and column 12 zero: a
+    support holding column 12, or columns 2 and 9, spans less than its
+    width and takes the `alone` fallback of the stacked span projection."""
+    design = np.random.default_rng(8).standard_normal((30, 16))
+    design[:, 9] = design[:, 2]
+    design[:, 12] = 0.0
+    return design
+
+
+A3_FAMILIES = {
+    "smoothness-9": (SmoothnessFamily(9), None),
+    "sparsity-7": (SparsityFamily(7), None),
+    "leveled-3": (LeveledSparsityFamily(3), None),
+    "jump-9": (JumpFamily(9), None),
+    "jump-40": (JumpFamily(40), Caps(max_size=2)),
+    "knot-12": (KnotFamily(12), None),
+    "regression-12x6": (RegressionFamily(np.random.default_rng(3).standard_normal((12, 6))),
+                        None),
+    "regression-repeated-columns": (RegressionFamily(_repeated_column_design()), None),
+    "banding-5": (BandingFamily(5), None),
+    "bicluster-3x4": (BiclusterFamily(3, 4), Caps(max_blocks=3)),
+    "bicluster-4x4": (BiclusterFamily(4, 4), Caps(max_blocks=4)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, noise_module.A3_BLOCK],
+                         ids=["block-1", "block-7", "block-default"])
+@pytest.mark.parametrize("name", sorted(A3_FAMILIES))
+def test_stacked_a3_equals_the_pair_at_a_time_oracle(monkeypatch, name, block):
+    """The stacked `check_a3` reports what checking one pair at a time does,
+    float for float, and leaves the generator in the same state, for every
+    family with a union witness, A3_BLOCK pairs per stacked call.  Data
+    rounded to integers have exact ties in the block means."""
+    family, caps = A3_FAMILIES[name]
+    monkeypatch.setattr(noise_module, "A3_BLOCK", block)
+    for seed in range(3):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = check_a3(family, 40, got_rng, caps)
+        assert got == _pair_at_a_time_a3(family, 40, want_rng, caps), (name, seed)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_a3_regression_unions_take_the_alone_fallback(monkeypatch):
+    """On the design with a repeated and a zero column, some parts span less
+    than their width: the stacked span projection sends them to the row
+    kernel, so the oracle test above covers the fallback."""
+    family, _ = A3_FAMILIES["regression-repeated-columns"]
+    fell_back = []
+    span_groups = family._span_groups
+
+    def counting(structures):
+        groups, alone = span_groups(structures)
+        fell_back.extend(alone)
+        return groups, alone
+
+    monkeypatch.setattr(family, "_span_groups", counting)
+    check_a3(family, 40, np.random.default_rng(0))
+    assert fell_back
+
+
+def test_a1_regression_dims_take_no_svd_beyond_the_span_groups(monkeypatch):
+    """check_a1 on the repeated-column design reads the dimension of a
+    full-rank support off the batched SVD's flags: `span_rank` runs once
+    for each support projected alone and for no other, and every bound is
+    float(family.dim(s))."""
+    family = RegressionFamily(_repeated_column_design())
+    narrow = [s for s in family.enumerate_structures() if family.dim(s) < len(s.indices)]
+    calls = []
+    span_rank = structures_module.span_rank
+
+    def counting(basis):
+        calls.append(basis.shape)
+        return span_rank(basis)
+
+    monkeypatch.setattr(structures_module, "span_rank", counting)
+    rows = check_a1(family, NoiseModel("gaussian"), 0.25, 200, np.random.default_rng(2))
+    monkeypatch.undo()
+    assert narrow and len(calls) == len(narrow)
+    assert [row.bound for row in rows] == [float(family.dim(row.structure)) for row in rows]
 
 
 def test_a4_gaussian_envelopes():
@@ -362,10 +466,11 @@ def test_a1_block_norms_are_within_the_bound_of_projecting(monkeypatch, block, f
     got = list(_projected_sq_norms(family, draws, None))
     del family._project_rows
     want = list(_per_structure_sq_norms(family, draws, None))
-    assert [s for s, _ in got] == [s for s, _ in want]
+    assert [s for s, *_ in got] == [s for s, _ in want]
     tol = 4 * family.ambient_dim * np.finfo(float).eps * np.einsum("ij,ij->i", draws, draws)
-    for (s, norms), (_, oracle) in zip(got, want):
+    for (s, norms, dim), (_, oracle) in zip(got, want):
         assert (np.abs(norms - oracle) <= tol).all(), s
+        assert dim == family._dim(s), s
 
 
 def test_a1_mask_path_falls_back_when_squares_overflow():
@@ -378,10 +483,11 @@ def test_a1_mask_path_falls_back_when_squares_overflow():
         draws = np.resize(base, (2, family.ambient_dim))
         got = list(_projected_sq_norms(family, draws, None))
         expected = list(_per_structure_sq_norms(family, draws, None))
-        assert [s for s, _ in got] == [s for s, _ in expected]
-        for (s, norms), (_, oracle) in zip(got, expected):
+        assert [s for s, *_ in got] == [s for s, _ in expected]
+        for (s, norms, dim), (_, oracle) in zip(got, expected):
             assert not np.isnan(norms).any(), s
             assert norms.tobytes() == oracle.tobytes(), s
+            assert dim == family._dim(s), s
 
 
 def test_a1_rank_deficient_span_falls_back_bit_for_bit(caplog, monkeypatch):
@@ -399,9 +505,11 @@ def test_a1_rank_deficient_span_falls_back_bit_for_bit(caplog, monkeypatch):
         monkeypatch.setattr(noise_module, "A1_BLOCK", block)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="projstruct.noise"):
-            got = dict(_projected_sq_norms(family, draws, None))
+            got = {s: (norms, dim) for s, norms, dim in _projected_sq_norms(family, draws, None)}
         assert got.keys() == want.keys() and twin in got, block
-        assert got[twin].tobytes() == want[twin].tobytes(), block
+        assert got[twin][0].tobytes() == want[twin].tobytes(), block
+        assert got[twin][1] == 1
+        assert all(dim == family._dim(s) for s, (_, dim) in got.items()), block
         assert caplog.messages == [f"regression: A1 norms of {len(want) - 1} structures from "
                                    "block products, 1 projected one at a time"], block
 

@@ -311,15 +311,43 @@ def full_rescoring_alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     return traces[tracker.result()[0]]
 
 
+def _label_cases():
+    """(family, row labels, column labels, y) cases for the label kernel:
+    labels that leave blocks empty, 1 x n, n x 1 and 1 x 1 shapes, blocks of
+    more than 8 entries (where numpy's mean sums pairwise), offsets of 1e6
+    and rounded data with exact ties."""
+    rng = np.random.default_rng(2027)
+    shapes = [(1, 1), (1, 7), (9, 1), (12, 12), (10, 3)] + [
+        (int(a), int(b)) for a, b in rng.integers(1, 10, size=(195, 2))]
+    for case, (n1, n2) in enumerate(shapes):
+        k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
+        row_labels, col_labels = rng.integers(0, k1, n1), rng.integers(0, k2, n2)
+        y = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4)
+        y = (y, np.round(y), y + 1e6, np.round(2.0 * y) / 2.0 + 1e6)[case % 4]
+        yield BiclusterFamily(n1, n2), row_labels, col_labels, k1, k2, y
+
+
+def test_label_rss_has_the_bytes_of_projections_rss():
+    """`BiclusterFamily.label_rss` reads the labels and gives the bytes of
+    `Projections.rss` of the `_label_blocks` structure, which stays the
+    oracle."""
+    for fam, row_labels, col_labels, k1, k2, y in _label_cases():
+        s = Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
+        want = Projections(y, fam).rss(s)
+        got = fam.label_rss(y, row_labels, col_labels)
+        assert type(got) is float and got.hex() == want.hex(), (fam.n1, fam.n2, s)
+
+
 def test_screened_alternation_matches_full_rescoring():
     """Screening moves by block sums changes no decision: same structure,
     objective and history (exact floats) as scoring every move in full.
     Covers both penalties, rounded data with exact ties, more blocks than
-    lines (blocks empty and reopen), 1 x n and n x 1 shapes, and penalties
-    that dominate the data (sigma^2 * pen >> ||Y||^2)."""
+    lines (blocks empty and reopen), 1 x n and n x 1 shapes, penalties
+    that dominate the data (sigma^2 * pen >> ||Y||^2), and 8 x 8 shapes,
+    half of them with an offset of 1e6."""
     rng = np.random.default_rng(2026)
     shapes = [(1, 5), (6, 1), (1, 1), (2, 2)] + [
-        (int(a), int(b)) for a, b in rng.integers(1, 7, size=(116, 2))]
+        (int(a), int(b)) for a, b in rng.integers(1, 7, size=(116, 2))] + [(8, 8)] * 24
     for case, (n1, n2) in enumerate(shapes):
         fam = BiclusterFamily(n1, n2)
         y = rng.standard_normal(n1 * n2) * rng.uniform(0.3, 4.0)
@@ -327,6 +355,8 @@ def test_screened_alternation_matches_full_rescoring():
             y = np.round(y)
         elif case % 3 == 2:
             y = np.round(2.0 * y) / 2.0
+        if case >= 120 and case % 2:
+            y = y + 1e6
         k1, k2 = (int(k) for k in rng.integers(1, 5, size=2))
         sigma = float(rng.uniform(0.2, 2.0)) * (30.0 if case % 7 == 3 else 1.0)
         kappa = float(rng.uniform(0.1, 2.0))
@@ -368,7 +398,8 @@ def test_screened_alternation_is_exact_when_the_penalty_dominates():
 def test_bicluster_select_scores_few_moves_exactly(tmp_path, monkeypatch):
     """The fixed 8x8 bicluster `select` of the benchmark (seed 20261018)
     scored 25,745 structures with `objective` when every move was scored in
-    full; screening by block sums must keep it under a third of that."""
+    full; screening by block sums must keep its exact scores, now label
+    kernel calls (`BiclusterFamily.label_rss`), under a third of that."""
     from projstruct.cli import main
 
     fixed = np.random.default_rng(20261018)
@@ -382,13 +413,13 @@ def test_bicluster_select_scores_few_moves_exactly(tmp_path, monkeypatch):
         "family": {"kind": "bicluster", "n1": 8, "n2": 8}, "sigma": 1.0, "kappa": 1.0,
         "posterior_top_k": 5, "mode": "heuristic", "data": {"file": str(data)}}))
     calls = [0]
-    real = selection.objective
+    real = BiclusterFamily.label_rss
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(selection, "objective", counting)
+    monkeypatch.setattr(BiclusterFamily, "label_rss", counting)
     assert main(["select", "--config", str(config), "--seed", "20261018",
                  "--out", str(tmp_path / "out.json")]) == 0
     assert 0 < calls[0] < 25_745 // 3
@@ -818,10 +849,14 @@ def test_projection_memo_rejects_another_family_or_observation():
 def test_objective_validates_each_scored_structure_once(fam, mode, pen_variant, monkeypatch):
     """Scoring validates each structure once, when `Projections.project_all`
     first projects it; its penalty does not validate it again.  The only
-    other validations are the tie rule's `majorant` calls."""
+    other validations are the tie rule's `majorant` calls.  The bicluster
+    search scores its moves off the label arrays (`label_rss`), which builds
+    and validates no structure, so there `_finish` alone scores a structure,
+    the selected one."""
     y = np.random.default_rng(13).standard_normal(fam.ambient_dim)
-    validated, scored, tie_keys = Counter(), [], Counter()
+    validated, scored, tie_keys, label_scores = Counter(), [], Counter(), []
     validate, score, tie_key = fam.validate, selection._objective_value, _ArgminTracker._tie_key
+    label_rss = getattr(fam, "label_rss", None)
 
     def counting_validate(s):
         validated[s] += 1
@@ -835,13 +870,22 @@ def test_objective_validates_each_scored_structure_once(fam, mode, pen_variant, 
         tie_keys[s] += 1
         return tie_key(tracker, s)
 
+    def counting_label_rss(*args):
+        label_scores.append(args)
+        return label_rss(*args)
+
     monkeypatch.setattr(fam, "validate", counting_validate)
     monkeypatch.setattr(selection, "_objective_value", counting_score)
     monkeypatch.setattr(_ArgminTracker, "_tie_key", counting_tie_key)
+    if label_rss is not None:
+        monkeypatch.setattr(fam, "label_rss", counting_label_rss)
     got = select_penalized(y, fam, 1.0, 1.0, mode=mode, pen_variant=pen_variant,
                            rng=np.random.default_rng(0))
     monkeypatch.undo()
-    assert got[0] in scored and len(set(scored)) > 100
+    if label_rss is None:
+        assert got[0] in scored and len(set(scored)) > 100
+    else:
+        assert scored == [got[0]] and len(label_scores) > 100
     assert validated == Counter(set(scored)) + tie_keys
     # the unvalidated penalty has the bytes of the public, validating one
     for s in set(scored):

@@ -568,6 +568,27 @@ def test_project_stack_rows_have_the_bytes_of_project(name):
             assert row.tobytes() == fam.project(s, y).tobytes(), (name, s)
 
 
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_project_stack_rows_have_the_bytes_of_project_per_row(name):
+    """Given one row per structure, row k of `_project_stack` is byte for
+    byte `project` of structures[k] and y[k], as `noise.check_a3` projects
+    the parts and then their unions; the rows draw random data at mixed
+    scales and rounded data with an offset.  A case of more than 600
+    structures is thinned to 600 evenly spaced ones."""
+    fam, listing = STACK_CASES[name]
+    structs = listing()
+    structs = [structs[k] for k in np.linspace(0, len(structs) - 1,
+                                               min(len(structs), 600)).astype(int)]
+    rng = np.random.default_rng(31)
+    shape = (len(structs), fam.ambient_dim)
+    for y in (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape),
+              rng.integers(-2, 3, shape).astype(float) + 1e3):
+        rows = fam._project_stack(structs, y)
+        assert rows.shape == shape
+        for s, yk, row in zip(structs, y, rows):
+            assert row.tobytes() == fam.project(s, yk).tobytes(), (name, s)
+
+
 def _per_block_project(fam, s, rows):
     """The block-mean row kernel one block at a time, kept as an oracle:
     zero the rows, copy the kept columns, then write each block's mean."""
