@@ -120,7 +120,8 @@ class Projections:
     (a stored row holds the array of the rows projected with it, at most one
     chunk more); past that rows are computed and not kept.  So `ma_mean`
     reads the rows the posterior projected, and the posterior those the
-    selector projected.  Size-indexed families (`size_path`) score their
+    selector projected (the bicluster search scores its moves from labels
+    and projects only the selected structure).  Size-indexed families (`size_path`) score their
     sizes, and weigh their posterior candidates, from the path's SSE array,
     so only their selected structure is projected.
 

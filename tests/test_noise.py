@@ -186,7 +186,7 @@ def test_stacked_a3_equals_the_pair_at_a_time_oracle(monkeypatch, name, block):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_a3_regression_unions_take_the_alone_fallback(monkeypatch):
+def test_a3_regression_parts_take_the_alone_fallback(monkeypatch):
     """On the design with a repeated and a zero column, some parts span less
     than their width: the stacked span projection sends them to the row
     kernel, so the oracle test above covers the fallback."""
