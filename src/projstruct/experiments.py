@@ -602,9 +602,10 @@ def run_size(config, seed, workers):
     for ci, ctx in _cells(config, seed):
         rhos = np.array([rho for _, rho in _run_reps(_rep_error_sq, ctx, ci, reps, workers)])
         r_hat_sq = ctx.sigma**2 * (1.0 + rhos)
-        ratio = r_hat_sq / ctx.rate if ctx.rate > 0 else np.full_like(r_hat_sq, math.inf)
-        rows.append([*ctx.cell, float(np.mean(r_hat_sq)),
-                     float(np.quantile(ratio, 0.5)), float(np.quantile(ratio, 0.9)),
+        # at rate 0 every ratio is inf, whose np.quantile would be nan
+        quantiles = ([float(np.quantile(r_hat_sq / ctx.rate, q)) for q in (0.5, 0.9)]
+                     if ctx.rate > 0 else [math.inf, math.inf])
+        rows.append([*ctx.cell, float(np.mean(r_hat_sq)), *quantiles,
                      ctx.rate, ctx.highly_structured(), reps])
     return header, rows
 

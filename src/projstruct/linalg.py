@@ -1,4 +1,4 @@
-"""Dense vector primitives and orthogonal projection onto column spans.
+"""Dense vector primitives and orthonormal bases of column spans.
 
 Everything operates on plain float64 numpy arrays.  Matrices representing
 parameters (covariance, bicluster means) are handled in vectorized row-major
@@ -6,13 +6,13 @@ form by the callers; here a matrix argument is always a basis whose columns
 span the target subspace.  A span is read off one thin SVD of its basis: the
 left singular vectors whose singular value exceeds COLUMN_DROP_RTOL times the
 largest column norm are an orthonormal basis of it, and their count is its
-dimension (`span_rank`, the same rule without the vectors).  A stack of
-bases with the same column count is orthonormalized by one batched SVD
-(`orthonormal_spans`), with the bytes of one `orthonormal_span` per basis.
-Of the two projection shapes in `structures`, only the column spans
-(`_SpanFamily`: knot, regression) come here: they project onto the stack,
-and `noise.check_a1` takes their A1 norms from it.  The block means of
-every other family need no basis.
+dimension.  A stack of bases with the same column count, full rank or not,
+is orthonormalized by one batched SVD (`orthonormal_spans`); `span_rank` is
+the same rule for one basis, without the vectors.  Of the two projection
+shapes in `structures`, only the column spans (`_SpanFamily`: knot,
+regression) come here: they project onto the stack, and `noise.check_a1`
+takes their A1 norms from it.  The block means of every other family need
+no basis.
 """
 
 from __future__ import annotations
@@ -49,76 +49,40 @@ def sq_norm(y) -> float:
     return float(np.dot(y, y))
 
 
-def _basis_and_drop_tol(basis) -> tuple[np.ndarray, float]:
-    """``basis`` as a 2-d float array, and COLUMN_DROP_RTOL times its largest
-    column norm (0.0 when it has no columns or only zero ones)."""
+def span_rank(basis: np.ndarray) -> int:
+    """Dimension of the column span of ``basis``: the count of its singular
+    values above COLUMN_DROP_RTOL times its largest column norm, the rule of
+    `orthonormal_spans`."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
         raise DimensionMismatchError(f"basis must be 2-d, got shape {basis.shape}")
-    largest = float(np.linalg.norm(basis, axis=0).max(initial=0.0))
-    return basis, COLUMN_DROP_RTOL * largest
-
-
-def orthonormal_span(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Q of the column span of ``basis``.
-
-    Q is the thin SVD's left singular vectors with singular value above
-    COLUMN_DROP_RTOL times the largest column norm, so rank-deficient inputs
-    are fine.  The SVD is backward stable (Golub & Van Loan, Matrix
-    Computations, 5.4) and shows the rank directly.  Callers use only
-    Q Q^T, which does not depend on the choice of Q.
-    """
-    basis, drop_tol = _basis_and_drop_tol(basis)
-    if drop_tol == 0.0:
-        return np.zeros((basis.shape[0], 0))
-    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
-    return u[:, sv > drop_tol]
-
-
-def span_rank(basis: np.ndarray) -> int:
-    """Dimension of the column span of ``basis``: the number of columns
-    ``orthonormal_span`` keeps, by the same drop rule."""
-    basis, drop_tol = _basis_and_drop_tol(basis)
+    drop_tol = COLUMN_DROP_RTOL * float(np.linalg.norm(basis, axis=0).max(initial=0.0))
     if drop_tol == 0.0:
         return 0
     return int(np.count_nonzero(np.linalg.svd(basis, compute_uv=False) > drop_tol))
 
 
-def project_rows_onto_span(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of every row of ``rows`` onto the column span
-    of ``basis``.
+def orthonormal_spans(bases: np.ndarray) -> tuple[np.ndarray, list]:
+    """Orthonormal bases of the column spans of the (G, n, r) stack
+    ``bases``, from one batched SVD.
 
-    Each residual is orthogonal to every column; redundant (proportional)
-    columns add no direction to the span.
-    """
-    basis = np.asarray(basis, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    if basis.ndim != 2 or rows.ndim != 2 or basis.shape[0] != rows.shape[1]:
-        raise DimensionMismatchError(
-            f"basis shape {basis.shape} incompatible with rows of shape {rows.shape}"
-        )
-    if basis.shape[1] > basis.shape[0]:
-        raise DimensionMismatchError("basis must have at most as many columns as it has rows")
-    q = orthonormal_span(basis)
-    if q.shape[1] == 0:
-        return np.zeros_like(rows)
-    return (rows @ q) @ q.T
-
-
-def orthonormal_spans(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`orthonormal_span` of every basis in the (G, n, r) stack ``bases``
-    that keeps all r columns, from one batched SVD.
-
-    Returns (q, full): full[g] says whether every singular value of basis g
-    exceeds its drop tolerance, and q stacks the orthonormal bases of those
-    full[g] ones, each in column-major order as `orthonormal_span` returns it
-    (the layout decides which BLAS kernel forms Q^T y, and so its bytes).
+    Returns (rank, groups).  rank[g] is the dimension of span g, the count
+    of its singular values above the drop tolerance, as `span_rank` counts
+    them.  groups holds (positions, q) for each nonzero rank k: q stacks the
+    first k left singular vectors of the bases at those positions, each in
+    column-major order (the layout decides which BLAS kernel forms Q^T y,
+    and so its bytes).  The SVD is backward stable (Golub & Van Loan,
+    Matrix Computations, 5.4) and shows the rank directly; callers use only
+    Q Q^T, which does not depend on the choice of Q.
     """
     if bases.ndim != 3:
         raise DimensionMismatchError(f"bases must be a (G, n, r) stack, got shape {bases.shape}")
     drop_tol = COLUMN_DROP_RTOL * np.linalg.norm(bases, axis=1).max(axis=1, initial=0.0)
     u, sv, _ = np.linalg.svd(bases, full_matrices=False)
-    full = (sv > drop_tol[:, None]).all(axis=1)
-    q = np.ascontiguousarray(u[full].transpose(0, 2, 1)).transpose(0, 2, 1)
-    return q, full
-
+    rank = np.count_nonzero(sv > drop_tol[:, None], axis=1)
+    groups = []
+    for k in np.unique(rank[rank > 0]).tolist():
+        at = np.flatnonzero(rank == k)
+        q = np.ascontiguousarray(u[at, :, :k].transpose(0, 2, 1)).transpose(0, 2, 1)
+        groups.append((at, q))
+    return rank, groups

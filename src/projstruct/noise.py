@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UnsupportedFamilyError
+from .errors import ConfigError, UnsupportedFamilyError
 from .structures import Caps, Family, _BlockMeanFamily, _SpanFamily
 
 logger = logging.getLogger(__name__)
@@ -173,27 +173,21 @@ def _runs(structures, width, budget: int):
 
 
 def _span_sq_norms(family: _SpanFamily, block,
-                   draws: np.ndarray) -> tuple[np.ndarray, list[int], int]:
-    """(norms of the block, the dimension of each structure, how many
-    structures were projected onto alone).
+                   draws: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(norms of the block, the dimension of each structure).
 
-    The orthonormal bases come a width at a time from `family._span_groups`,
-    and ||Q_I^T xi||^2 sums the squares of the rows of (stacked Q^T) @ xi^T
-    that belong to I.  The dimension of a full-rank basis's span is its
-    width; a basis that spans less than its width is projected onto alone,
-    and its dimension is `_dim`."""
+    The orthonormal bases come a width and rank at a time from
+    `family._span_groups`, beside each span's dimension, and
+    ||Q_I^T xi||^2 sums the squares of the rows of (stacked Q^T) @ xi^T
+    that belong to I.  A zero span is in no group, and its norms are 0."""
     reps, n = draws.shape
     norms = np.zeros((len(block), reps))
-    dims = [family._width(s) for s in block]
-    groups, alone = family._span_groups(block)
+    groups, dims = family._span_groups(block)
     for idx, q in groups:
         prod = q.transpose(0, 2, 1).reshape(-1, n) @ draws.T
         np.square(prod, out=prod)
         norms[idx] = prod.reshape(len(idx), -1, reps).sum(axis=1)
-    for g in alone:
-        norms[g] = _sq_norm_rows(family._project_rows(block[g], draws))
-        dims[g] = family._dim(block[g])
-    return norms, dims, len(alone)
+    return norms, dims
 
 
 def _block_mean_sq_norms(family: _BlockMeanFamily, block, draws: np.ndarray,
@@ -230,19 +224,17 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
       so a mask family (no blocks) takes `keep @ sq.T` alone, with
       sq = xi^2 squared once.
     - A span family (`_SpanFamily`: knot, regression) takes
-      ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width in the
-      block (`_span_sq_norms`); a basis that spans less than its width is
-      projected onto alone.  The batched SVD's full-rank flags give each
-      dimension, so `_dim` (one SVD per regression support) runs only for
-      the bases projected alone.
+      ||P_I xi||^2 = ||Q_I^T xi||^2 from one product per width and rank in
+      the block (`_span_sq_norms`), rank-deficient bases included.  The
+      batched SVD's ranks are the dimensions, so no structure takes an SVD
+      of its own.
 
     A product sums in another order than projecting and then squaring, so
     the block norms are within a few n * eps * ||xi||^2 of the projection
     path's, not its bytes.  The products are taken only while every xi^2 is
     finite (in the mask product inf * 0 is nan): if one overflows, the
     whole family projects one structure at a time.  One DEBUG line says how
-    many structures took the block products and how many were projected
-    alone.
+    many structures took which way.
     """
     reps = len(draws)
     spans = isinstance(family, _SpanFamily)
@@ -252,7 +244,7 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
     if spans:
         del sq  # only the overflow test reads the squares
     structures = family.enumerate_structures(caps)
-    total = alone = 0
+    total = 0
     if products:
         width = ((lambda s: max(family._width(s), 1)) if spans
                  else (lambda s: 1 + len(family._blocks(s)[1])))
@@ -260,8 +252,7 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
             for s in block:
                 family.validate(s)
             if spans:
-                norms, dims, k = _span_sq_norms(family, block, draws)
-                alone += k
+                norms, dims = _span_sq_norms(family, block, draws)
             else:
                 norms = _block_mean_sq_norms(family, block, draws, sq)
                 dims = map(family._dim, block)
@@ -272,10 +263,9 @@ def _projected_sq_norms(family: Family, draws: np.ndarray, caps: Caps | None):
         for s in structures:
             family.validate(s)
             total += 1
-            alone += 1
             yield s, _sq_norm_rows(family._project_rows(s, draws)), family._dim(s)
-    logger.debug("%s: A1 norms of %d structures from block products, %d projected one at "
-                 "a time", family.tag, total - alone, alone)
+    logger.debug("%s: A1 norms of %d structures %s", family.tag, total,
+                 "from block products" if products else "projected one at a time")
 
 
 def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
@@ -372,11 +362,14 @@ def check_a3(family: Family, n_pairs: int, rng, caps: Caps | None = None) -> A3R
     draws them.  For A3_BLOCK pairs at a time, one stacked projection
     (`family._project_stack`, whose rows have the bytes of `project`) takes
     every part's P_I x, and a second one the union's projection of each of
-    them; each residual is the `np.linalg.norm` of its own 1-d difference."""
+    them; each residual is the `np.linalg.norm` of its own 1-d difference.
+    Caps that leave no structure to draw are a ConfigError."""
     if not family.supports_union:
         raise UnsupportedFamilyError(
             f"union witness unavailable for family {family.tag}")
     structures = list(family.enumerate_structures(caps))
+    if not structures:
+        raise ConfigError(f"the caps leave family {family.tag} no structure to draw pairs from")
     max_resid = 0.0
     max_excess = -math.inf
     subadditive = True

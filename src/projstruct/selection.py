@@ -389,13 +389,6 @@ def _banding_sizes(y, family):
                     lambda w: (sym * _tail_sums(w)[dist]).reshape(-1))
 
 
-def _magnitude_gains(y):
-    """Coordinates by decreasing |y| (stable order) and the energy captured by
-    each prefix of that order, sizes 0..n."""
-    order = np.argsort(-np.abs(y), kind="stable")
-    return order, np.concatenate([[0.0], np.cumsum((y * y)[order])])
-
-
 def _sparsity_sizes(y, family):
     # size k keeps the k largest |y_i|, ties in index order
     order = np.argsort(-np.abs(y), kind="stable")
@@ -466,15 +459,14 @@ def _select_leveled(proj, sigma, kappa, pen_variant):
     chosen = []
     for j in range(family.n_levels):
         off = family.level_offsets[j]
-        order, gains = _magnitude_gains(y[off:off + 2**j])
-        total = gains[-1]
+        sizes = _sparsity_sizes(y[off:off + 2**j], None)
         best_size, best_val = 0, math.inf
         for size in range(2**j + 1):
             pen_j = _penalty_value(family.level_majorant(j, size), size, kappa, pen_variant)
-            val = (total - gains[size]) + sigma**2 * pen_j
+            val = sizes.sse[size] + sigma**2 * pen_j
             if _improves(val, best_val):
                 best_size, best_val = size, val
-        chosen.append(sorted_tuple(order[:best_size]))
+        chosen.append(sizes.build(best_size).indices)
     structure = family.canonical(chosen)
     return structure, objective(y, family, structure, sigma, kappa, pen_variant, proj)
 

@@ -15,8 +15,9 @@ of two shapes, whose base class owns both kernels and what
 keep some coordinates, replace disjoint blocks of others by their mean and
 zero the rest; a mask has no blocks, and banding's blocks are the pairs
 (i, j), (j, i) inside the band) or a column span (`_SpanFamily`: knot,
-regression).  Sparsity, jump and knot structures are sorted position sets
-and share their bookkeeping (`_PositionSetFamily`).
+regression; every basis, rank-deficient or not, is orthonormalized in one
+batched SVD per width).  Sparsity, jump and knot structures are sorted
+position sets and share their bookkeeping (`_PositionSetFamily`).
 
 All index data is 0-based, both in memory and in the JSON wire shape
 {"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -37,9 +37,7 @@ import numpy as np
 from .errors import (CapExceededError, DimensionMismatchError, InvalidStructureError,
                      UnsupportedFamilyError)
 from . import linalg
-from .linalg import as_vector, project_rows_onto_span, span_rank
-
-logger = logging.getLogger(__name__)
+from .linalg import as_vector, span_rank
 
 LOG = math.log
 
@@ -327,11 +325,9 @@ def _read_only(values, dtype) -> np.ndarray:
 class _SpanFamily(Family):
     """A family whose L_I is the column span of a basis of `_width(s)`
     columns (at most ambient_dim): knot and regression.  `_bases(group)`
-    stacks the bases of one width into a (G, ambient_dim, width) array;
-    the row kernel projects onto `_bases([s])[0]`.  The stacked projection
-    and `noise.check_a1` read the bases through `_span_groups`, and the
-    stack logs at DEBUG how many structures it stacked and how many fell
-    back to the row kernel."""
+    stacks the bases of one width into a (G, ambient_dim, width) array.
+    The row kernel, the stacked projection and `noise.check_a1` all read
+    the orthonormal bases through `_span_groups`, full rank or not."""
 
     def _width(self, s) -> int:
         raise NotImplementedError
@@ -340,38 +336,36 @@ class _SpanFamily(Family):
         raise NotImplementedError
 
     def _project_rows(self, s, rows):
-        return project_rows_onto_span(self._bases([s])[0], rows)
+        groups, _ = self._span_groups([s])
+        if not groups:
+            return np.zeros_like(rows)
+        q = groups[0][1][0]
+        return (rows @ q) @ q.T
 
     def _span_groups(self, structures) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[int]]:
-        """(groups, alone): one group (idx, q) per nonzero width with at
-        least one full-rank basis, with q the `linalg.orthonormal_spans` of
-        the bases at positions idx; `alone` holds the positions whose basis
-        spans less than its width (a singular value at or below the drop
-        tolerance).  Width 0, the zero subspace, is in neither."""
+        """(groups, dims): one group (idx, q) per width and nonzero rank,
+        with q the `linalg.orthonormal_spans` of the bases at positions idx,
+        and dims the dimension of each structure's span.  A structure whose
+        span is the zero subspace (width 0, or only zero columns) is in no
+        group."""
         by_width: dict[int, list[int]] = {}
         for k, s in enumerate(structures):
             by_width.setdefault(self._width(s), []).append(k)
-        groups, alone = [], []
+        groups, dims = [], np.zeros(len(structures), dtype=int)
         for width, idx in by_width.items():
             if width == 0:
                 continue
-            q, full = linalg.orthonormal_spans(self._bases([structures[k] for k in idx]))
             idx = np.array(idx)
-            if full.any():
-                groups.append((idx[full], q))
-            alone += idx[~full].tolist()
-        return groups, alone
+            dims[idx], same_width = linalg.orthonormal_spans(
+                self._bases([structures[k] for k in idx]))
+            groups += [(idx[at], q) for at, q in same_width]
+        return groups, dims.tolist()
 
     def _project_stack(self, structures, y):
         out = np.zeros((len(structures), self.ambient_dim))
-        groups, alone = self._span_groups(structures)
-        for idx, q in groups:
+        for idx, q in self._span_groups(structures)[0]:
             rows = y[None] if y.ndim == 1 else y[idx][:, None]
             out[idx] = ((rows @ q) @ q.transpose(0, 2, 1))[:, 0]
-        for k in alone:
-            out[k] = self._project(structures[k], y if y.ndim == 1 else y[k])
-        logger.debug("%s: %d structures projected in stacks, %d fell back to one at a time",
-                     self.tag, len(structures) - len(alone), len(alone))
         return out
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import pathlib
 import subprocess
@@ -437,6 +438,7 @@ CONFIG_FAULTS = [
     ("nu-nan", "simulate", "golden_simulate/coverage-quarter", "constants", "nu", math.nan),
     ("nu-inf", "simulate", "golden_simulate/coverage-quarter", "constants", "nu", math.inf),
     ("sobolev-Q-zero", "simulate", "golden_simulate/rate-scaling", "signal", "Q", 0.0),
+    ("a3-no-structure", "check", "golden_check/a3-bicluster", "caps", "max_blocks", 0),
 ]
 
 
@@ -454,6 +456,70 @@ def test_faulty_config_values_are_one_line_config_errors(tmp_path, command, name
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("config error:") and r.stderr.count("\n") == 1, r.stderr
     assert not out.exists()
+
+
+def test_size_at_oracle_rate_zero_reports_infinite_ratio_quantiles(tmp_path):
+    """A zero signal has oracle rate 0, so every ratio r_hat^2 / rate is
+    inf and so are its quantiles; np.quantile of infs gives nan, with a
+    RuntimeWarning."""
+    config = json.loads((DATA_DIR / "golden_simulate" / "size-leveled.json").read_text())
+    config["signal"]["scale"] = 0
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines()[-2:])
+    cells = dict(zip(header, row))
+    assert cells["oracle_rate_sq"] == "0.0"
+    assert cells["q50_ratio"] == cells["q90_ratio"] == "inf"
+
+
+# the values a config fuzz puts into one field at a time; DELETE removes it
+DELETE = object()
+FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, math.nan, [], {}, DELETE]
+# every third (field, value) case of each config, so the values rotate over
+# the fields; all the cases of all the golden configs take about 35 s
+FUZZ_STRIDE = 3
+FUZZ_CONFIGS = [(command, config) for command, config in GOLDEN_SELECT_CHECK] + [
+    ("simulate", p) for p in GOLDEN_SIMULATE]
+
+
+def _fuzz_cases(doc):
+    """(path, value) for every field of doc at every depth, in document
+    order, with every FUZZ_VALUES entry; every FUZZ_STRIDE-th is kept."""
+    def fields(node, prefix):
+        for key, child in node.items():
+            yield prefix + (key,)
+            if isinstance(child, dict):
+                yield from fields(child, prefix + (key,))
+
+    cases = [(path, value) for path in fields(doc, ()) for value in FUZZ_VALUES]
+    return cases[::FUZZ_STRIDE]
+
+
+@pytest.mark.parametrize("command,config", FUZZ_CONFIGS,
+                         ids=lambda v: v.stem if isinstance(v, pathlib.Path) else v)
+def test_config_fuzz_ends_in_a_result_or_one_line(tmp_path, capsys, caplog, command, config):
+    """A golden config with one field set to null, true, "x", -1, 0, 0.5,
+    NaN, [] or {}, or deleted, exits 0, 2 or 3 with no traceback, and
+    with exactly one stderr line when it is not 0.  A log record of level
+    WARNING or above counts as a line, since the CLI prints it to stderr."""
+    doc = json.loads(config.read_text())
+    for path, value in _fuzz_cases(doc):
+        mutated = json.loads(json.dumps(doc))
+        node = mutated
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        caplog.clear()
+        code = main([command, "--config", write_config(tmp_path, mutated),
+                     "--out", str(tmp_path / "out"), "--seed", "1"])
+        err = capsys.readouterr().err
+        lines = err.count("\n") + sum(r.levelno >= logging.WARNING for r in caplog.records)
+        case = (".".join(path), "deleted" if value is DELETE else value, err)
+        assert code in (0, 2, 3), case
+        assert code == 0 or lines == 1, case
 
 
 @pytest.mark.parametrize("config", GOLDEN_SIMULATE, ids=lambda p: p.stem)
@@ -508,21 +574,16 @@ def test_select_memo_bound_keeps_output(tmp_path, monkeypatch, name):
 
 
 def _count_spans(monkeypatch):
-    """One entry per basis given to `linalg.orthonormal_span`, or to the
-    stacked `linalg.orthonormal_spans` (one per basis of its stack)."""
+    """One entry per basis given to `linalg.orthonormal_spans`, the one SVD
+    path of every span projection."""
     calls = []
-    span, spans = linalg.orthonormal_span, linalg.orthonormal_spans
+    spans = linalg.orthonormal_spans
 
-    def counting(basis):
-        calls.append(1)
-        return span(basis)
-
-    def counting_stack(bases):
+    def counting(bases):
         calls.extend([1] * len(bases))
         return spans(bases)
 
-    monkeypatch.setattr(linalg, "orthonormal_span", counting)
-    monkeypatch.setattr(linalg, "orthonormal_spans", counting_stack)
+    monkeypatch.setattr(linalg, "orthonormal_spans", counting)
     return calls
 
 
@@ -533,7 +594,7 @@ def _count_spans(monkeypatch):
 def test_select_projects_each_structure_once(tmp_path, monkeypatch, family, most):
     """The brute force, theta_check, the enumerated posterior and
     theta_tilde share one projection per structure; scoring them apart took
-    three (6,145 and 4,057 orthonormal_span calls)."""
+    three (6,145 and 4,057 bases orthonormalized)."""
     cfg = write_config(tmp_path, {
         "family": family, "sigma": 0.5, "kappa": 1.0,
         "data": {"signal": {"kind": "sparse", "s": 2, "amplitude": 3.0},

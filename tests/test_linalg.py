@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from projstruct.errors import DimensionMismatchError
-from projstruct.linalg import (
-    COLUMN_DROP_RTOL,
-    orthonormal_span,
-    project_rows_onto_span,
-    span_rank,
-    sq_norm,
-)
+from projstruct.linalg import COLUMN_DROP_RTOL, orthonormal_spans, span_rank, sq_norm
 from projstruct.structures import KnotFamily, KnotSet
 
 
@@ -23,8 +17,19 @@ def ridge_sweep_projection(basis, y):
     return out
 
 
+def svd_orthonormal_span(basis):
+    """Oracle: the thin SVD of the one basis, keeping the left singular
+    vectors whose singular value exceeds COLUMN_DROP_RTOL times the largest
+    column norm (column-major, as boolean indexing leaves them)."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.shape[1] == 0:
+        return np.zeros((basis.shape[0], 0))
+    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
+    return u[:, sv > COLUMN_DROP_RTOL * np.linalg.norm(basis, axis=0).max()]
+
+
 def mgs_orthonormal_span(basis):
-    """Oracle: the pivoted modified Gram-Schmidt that orthonormal_span used
+    """Oracle: the pivoted modified Gram-Schmidt that the span code used
     before the thin SVD, kept verbatim.  Modified Gram-Schmidt with column
     pivoting and one reorthogonalization pass; dependent columns are dropped
     at the COLUMN_DROP_RTOL threshold."""
@@ -63,9 +68,19 @@ def mgs_orthonormal_span(basis):
     return np.column_stack(cols)
 
 
+def span_of(basis):
+    """(rank, Q) of the one basis, from `orthonormal_spans` of a stack of
+    one; Q has no columns when the rank is 0."""
+    basis = np.asarray(basis, dtype=float)
+    rank, groups = orthonormal_spans(basis[None])
+    q = groups[0][1][0] if groups else np.zeros((basis.shape[0], 0))
+    return int(rank[0]), q
+
+
 def project(basis, y):
-    """Projection of the single vector y, as a one-row batch."""
-    return project_rows_onto_span(basis, y[None])[0]
+    """Projection of the single vector y onto the span of basis."""
+    q = span_of(basis)[1]
+    return (y[None] @ q @ q.T)[0]
 
 
 def test_coordinate_projection():
@@ -96,9 +111,9 @@ def test_sq_norm_values():
 
 def test_dimension_mismatch_errors():
     with pytest.raises(DimensionMismatchError):
-        project_rows_onto_span(np.ones((3, 1)), np.ones((1, 2)))
+        orthonormal_spans(np.ones((3, 1)))
     with pytest.raises(DimensionMismatchError):
-        project_rows_onto_span(np.ones((2, 3)), np.ones((1, 2)))
+        span_rank(np.ones(3))
 
 
 def test_projection_algebra_random():
@@ -160,11 +175,35 @@ def _differential_bases():
                                    for i, (name, basis) in enumerate(_differential_bases())])
 def test_svd_span_matches_mgs_oracle(basis):
     """The thin SVD keeps as many columns as the pivoted MGS it replaced, and
-    both give the same projection Q Q^T y."""
-    got, want = orthonormal_span(basis), mgs_orthonormal_span(basis)
+    both give the same projection Q Q^T y; `orthonormal_spans` of a stack
+    of one has the bytes of the basis's own SVD."""
+    rank, got = span_of(basis)
+    want = mgs_orthonormal_span(basis)
     assert got.shape == want.shape
-    assert span_rank(basis) == got.shape[1]
+    assert span_rank(basis) == rank == got.shape[1]
+    assert got.tobytes() == svd_orthonormal_span(basis).tobytes()
     rng = np.random.default_rng(got.shape[0])
     for y in (rng.standard_normal(got.shape[0]), basis.sum(axis=1)):
         diff = got @ (got.T @ y) - want @ (want.T @ y)
         assert np.max(np.abs(diff), initial=0.0) <= 1e-12 * (1.0 + np.linalg.norm(y))
+
+
+def test_stacked_spans_have_the_bytes_of_each_basis_alone():
+    """A stack of 14-column bases of every rank from 0 to 14, made by
+    copying, zeroing and scaling columns, gives each basis the rank of
+    `span_rank` and, in its rank's group, the bytes and column-major layout
+    of that basis's own SVD."""
+    rng = np.random.default_rng(3)
+    bases = rng.standard_normal((45, 20, 14)) * rng.choice([1e-6, 1.0, 1e6], (45, 1, 1))
+    for g, basis in enumerate(bases):
+        for j in rng.choice(14, g % 15, replace=False):
+            basis[:, j] = (0.0 if rng.random() < 0.3 else rng.standard_normal()) * basis[:, 0]
+    rank, groups = orthonormal_spans(bases)
+    assert rank.tolist() == [span_rank(b) for b in bases]
+    assert sorted(k for at, _ in groups for k in at) == np.flatnonzero(rank).tolist()
+    assert len(groups) == len(set(rank.tolist()) - {0}) > 5
+    for at, q in groups:
+        for g, qg in zip(at, q):
+            want = svd_orthonormal_span(bases[g])
+            assert qg.shape == want.shape and qg.flags.f_contiguous, g
+            assert qg.tobytes() == want.tobytes(), g

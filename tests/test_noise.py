@@ -146,7 +146,7 @@ def _pair_at_a_time_a3(family, n_pairs, rng, caps=None):
 def _repeated_column_design():
     """30 x 16 with column 9 a copy of column 2 and column 12 zero: a
     support holding column 12, or columns 2 and 9, spans less than its
-    width and takes the `alone` fallback of the stacked span projection."""
+    width, and the stacked span projection groups it by its rank."""
     design = np.random.default_rng(8).standard_normal((30, 16))
     design[:, 9] = design[:, 2]
     design[:, 12] = 0.0
@@ -186,29 +186,29 @@ def test_stacked_a3_equals_the_pair_at_a_time_oracle(monkeypatch, name, block):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_a3_regression_parts_take_the_alone_fallback(monkeypatch):
+def test_a3_regression_parts_include_rank_deficient_groups(monkeypatch):
     """On the design with a repeated and a zero column, some parts span less
-    than their width: the stacked span projection sends them to the row
-    kernel, so the oracle test above covers the fallback."""
+    than their width and join the batched SVD's group of their rank, so the
+    oracle test above covers rank-deficient groups."""
     family, _ = A3_FAMILIES["regression-repeated-columns"]
-    fell_back = []
+    narrow = []
     span_groups = family._span_groups
 
     def counting(structures):
-        groups, alone = span_groups(structures)
-        fell_back.extend(alone)
-        return groups, alone
+        groups, dims = span_groups(structures)
+        narrow.extend(structures[k] for idx, _ in groups for k in idx
+                      if dims[k] < family._width(structures[k]))
+        return groups, dims
 
     monkeypatch.setattr(family, "_span_groups", counting)
     check_a3(family, 40, np.random.default_rng(0))
-    assert fell_back
+    assert narrow
 
 
 def test_a1_regression_dims_take_no_svd_beyond_the_span_groups(monkeypatch):
-    """check_a1 on the repeated-column design reads the dimension of a
-    full-rank support off the batched SVD's flags: `span_rank` runs once
-    for each support projected alone and for no other, and every bound is
-    float(family.dim(s))."""
+    """check_a1 on the repeated-column design reads every support's
+    dimension off the batched SVD's ranks: `span_rank` never runs, and every
+    bound is float(family.dim(s)), rank-deficient supports included."""
     family = RegressionFamily(_repeated_column_design())
     narrow = [s for s in family.enumerate_structures() if family.dim(s) < len(s.indices)]
     calls = []
@@ -221,7 +221,7 @@ def test_a1_regression_dims_take_no_svd_beyond_the_span_groups(monkeypatch):
     monkeypatch.setattr(structures_module, "span_rank", counting)
     rows = check_a1(family, NoiseModel("gaussian"), 0.25, 200, np.random.default_rng(2))
     monkeypatch.undo()
-    assert narrow and len(calls) == len(narrow)
+    assert narrow and calls == []
     assert [row.bound for row in rows] == [float(family.dim(row.structure)) for row in rows]
 
 
@@ -490,28 +490,30 @@ def test_a1_mask_path_falls_back_when_squares_overflow():
             assert dim == family._dim(s), s
 
 
-def test_a1_rank_deficient_span_falls_back_bit_for_bit(caplog, monkeypatch):
+def test_a1_rank_deficient_span_norms_come_from_the_product(caplog, monkeypatch):
     """A regression support holding a column and its copy spans less than
-    its width: it alone is projected, with the oracle's bytes, and the DEBUG
-    line counts it.  At A1_BLOCK = 1 the twin support is in a block of its
-    own, whose width has no full-rank basis."""
+    its width: its norms come from the block product, within 4 n eps
+    ||xi||^2 of projecting, with dimension 1, and the DEBUG line counts
+    every structure as a block product.  At A1_BLOCK = 1 the twin support
+    is in a block of its own."""
     design = np.random.default_rng(6).standard_normal((30, 16))
     design[:, 9] = design[:, 2]
     family = RegressionFamily(design)
     twin = RegressionSupport((2, 9))
     draws = NoiseModel("gaussian").sample_many(np.random.default_rng(7), 3_000, 30)
     want = dict(_per_structure_sq_norms(family, draws, None))
+    tol = 4 * family.ambient_dim * np.finfo(float).eps * np.einsum("ij,ij->i", draws, draws)
     for block in (1, noise_module.A1_BLOCK):
         monkeypatch.setattr(noise_module, "A1_BLOCK", block)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="projstruct.noise"):
             got = {s: (norms, dim) for s, norms, dim in _projected_sq_norms(family, draws, None)}
         assert got.keys() == want.keys() and twin in got, block
-        assert got[twin][0].tobytes() == want[twin].tobytes(), block
+        assert (np.abs(got[twin][0] - want[twin]) <= tol).all(), block
         assert got[twin][1] == 1
         assert all(dim == family._dim(s) for s, (_, dim) in got.items()), block
-        assert caplog.messages == [f"regression: A1 norms of {len(want) - 1} structures from "
-                                   "block products, 1 projected one at a time"], block
+        assert caplog.messages == [f"regression: A1 norms of {len(want)} structures from "
+                                   "block products"], block
 
 
 @pytest.mark.parametrize("family", [SparsityFamily(8), KnotFamily(8)], ids=["sparsity-8",

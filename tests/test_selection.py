@@ -31,6 +31,7 @@ from projstruct.structures import (
     Family,
     JumpFamily,
     KnotFamily,
+    LeveledSparsityFamily,
     MultiLevelPartition,
     SmoothnessFamily,
     SparseSet,
@@ -242,6 +243,26 @@ def test_clustering_selection_ignores_a_large_common_offset():
         assert (select_penalized(y + 1e6, fam, 1.0, 1.0, mode=mode, proj=shifted)[0]
                 == select_penalized(y, fam, 1.0, 1.0, mode=mode, proj=plain)[0])
         assert shifted.searched == plain.searched
+
+
+@pytest.mark.parametrize("levels,seeds", [(3, range(40)), (4, range(5, 8))], ids=["3", "4"])
+def test_leveled_selection_matches_bruteforce_next_to_a_large_coordinate(levels, seeds):
+    """With one coordinate near 1e8 (sigma = kappa = 1), each level's SSEs
+    are tail sums of its sorted squares and keep their accuracy; the level
+    total minus a prefix sum chose another structure than the brute force in
+    6 of the 80 three-level cases and in all 3 four-level seeds (a
+    four-level brute force takes 0.3 s)."""
+    fam = LeveledSparsityFamily(levels)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(fam.ambient_dim) * rng.choice([0.5, 2.0, 4.0], fam.ambient_dim)
+        y[rng.integers(fam.ambient_dim)] = 1e8 + rng.standard_normal()
+        proj = Projections(y, fam)
+        for pen_variant in ("main", "map"):
+            got = select_penalized(y, fam, 1.0, 1.0, pen_variant=pen_variant, proj=proj)
+            want = select_bruteforce(y, fam, 1.0, 1.0, pen_variant=pen_variant, proj=proj)
+            assert got[0] == want[0], (levels, seed, pen_variant)
+            assert got[1] == pytest.approx(want[1], rel=1e-12), (levels, seed, pen_variant)
 
 
 @pytest.mark.parametrize("n", [12, 40])

@@ -5,7 +5,6 @@ import json
 import logging
 import math
 import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from projstruct.errors import (
     UnsupportedFamilyError,
 )
 from projstruct.experiments import build_family
-from projstruct.linalg import orthonormal_span, span_rank
+from projstruct.linalg import COLUMN_DROP_RTOL
 from projstruct.structures import (
     Band,
     BandingFamily,
@@ -162,7 +161,7 @@ def test_regression_rank_follows_the_projection_drop_rule():
     fam = RegressionFamily(design)
     pair = RegressionSupport((0, 1))
     for s in (pair, fam.full_rank_structure):
-        assert fam.dim(s) == orthonormal_span(fam.columns(s)).shape[1]
+        assert [fam.dim(s)] == fam._span_groups([s])[1]
     assert fam.dim(pair) == 1
     assert fam.rank == fam.dim(fam.full_rank_structure) == 19
     assert 1 not in fam.full_rank_structure.indices
@@ -468,13 +467,25 @@ def test_project_and_project_many_share_one_kernel(name):
 
 
 def _rank_deficient_design():
-    """20 x 14 with column 5 a copy of column 2 and column 9 zero: the
-    supports of size 2 include {2, 5} and {9, j}, whose spans are narrower
-    than their column counts."""
-    design = np.random.default_rng(5).standard_normal((20, 14))
+    """20 x 16 with column 5 a copy of column 2, column 9 zero and column
+    11 a multiple of column 7: the supports {9}, {2, 5}, {7, 11} and
+    {9, j} span less than their column counts."""
+    design = np.random.default_rng(5).standard_normal((20, 16))
     design[:, 5] = design[:, 2]
     design[:, 9] = 0.0
+    design[:, 11] = -2.5 * design[:, 7]
     return design
+
+
+def _svd_project(basis, rows):
+    """P_I of every row by the basis's own thin SVD, kept as the oracle of
+    the span kernels: the left singular vectors whose singular value exceeds
+    COLUMN_DROP_RTOL times the largest column norm, then (rows Q) Q^T."""
+    if basis.shape[1] == 0:
+        return np.zeros_like(rows)
+    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
+    q = u[:, sv > COLUMN_DROP_RTOL * np.linalg.norm(basis, axis=0).max()]
+    return (rows @ q) @ q.T
 
 
 def _position_sample(fam, count, most=None):
@@ -556,7 +567,7 @@ def test_project_stack_rows_have_the_bytes_of_project(name):
     """Every row of `_project_stack` is byte for byte `project` of its
     structure, which stays the oracle: the block-mean families through one
     `np.where` and grouped block means (none for the mask families), knot
-    and regression through the batched SVD (and its fallback)."""
+    and regression through the batched SVD, rank-deficient bases included."""
     fam, listing = STACK_CASES[name]
     structs = listing()
     rng = np.random.default_rng(23)
@@ -653,23 +664,54 @@ def test_every_family_has_one_of_the_two_subspace_shapes():
         assert sum(issubclass(c, shape) for shape in shapes) == 1, c
 
 
-def test_span_stack_falls_back_and_says_so(caplog):
-    """A regression basis whose span is narrower than its column count
-    (two identical columns, or a zero one) goes through the per-structure
-    kernel, with the same bytes, and the DEBUG log counts it."""
+def test_span_stack_takes_rank_deficient_bases_in_its_groups(caplog):
+    """A regression basis whose span is narrower than its column count (a
+    copied, a zero or a scaled column) joins the group of its width and
+    rank: both stack forms give the bytes of `project` and of the SVD
+    oracle, the group ranks are the dimensions, and nothing is logged."""
     fam = RegressionFamily(_rank_deficient_design())
     structs = list(fam.enumerate_structures())
-    narrow = sum(len(s.indices) > 0 and span_rank(fam.columns(s)) < len(s.indices)
-                 for s in structs)
-    assert narrow == 1 + 1 + 13  # {2, 5}, {9} and {9, j}
-    y = np.random.default_rng(4).standard_normal(fam.ambient_dim)
-    with caplog.at_level(logging.DEBUG, logger="projstruct.structures"):
-        rows = fam._project_stack(structs, y)
-    counts = [tuple(map(int, re.findall(r"\d+", r.getMessage()))) for r in caplog.records
-              if r.name == "projstruct.structures"]
-    assert counts == [(len(structs) - narrow, narrow)]
-    for s, row in zip(structs, rows):
+    groups, dims = fam._span_groups(structs)
+    assert dims == [fam.dim(s) for s in structs]
+    narrow = [s for s, dim in zip(structs, dims) if dim < len(s.indices)]
+    assert len(narrow) == 1 + 1 + 1 + 15  # {9}, {2, 5}, {7, 11} and {9, j}
+    grouped = sorted(k for idx, _ in groups for k in idx)
+    assert grouped == [k for k, dim in enumerate(dims) if dim > 0]
+    rng = np.random.default_rng(4)
+    y, ys = rng.standard_normal(fam.ambient_dim), rng.standard_normal((len(structs),
+                                                                      fam.ambient_dim))
+    with caplog.at_level(logging.DEBUG):
+        rows, per_row = fam._project_stack(structs, y), fam._project_stack(structs, ys)
+    assert not caplog.records
+    for s, row, yk, row_k in zip(structs, rows, ys, per_row):
         assert row.tobytes() == fam.project(s, y).tobytes(), s
+        assert row.tobytes() == _svd_project(fam.columns(s), y[None])[0].tobytes(), s
+        assert row_k.tobytes() == _svd_project(fam.columns(s), yk[None])[0].tobytes(), s
+
+
+SPAN_CASES = sorted(name for name, (fam, _) in STACK_CASES.items()
+                    if isinstance(fam, structures._SpanFamily))
+
+
+@pytest.mark.parametrize("name", SPAN_CASES)
+def test_span_rows_have_the_bytes_of_the_svd_oracle(name):
+    """`project_many` of 1, 6 and 130 rows, and `project`, have the bytes of
+    the basis's own SVD on knot and regression, rank-deficient designs
+    included.  A case of more than 400 structures is thinned to 400 evenly
+    spaced ones."""
+    fam, listing = STACK_CASES[name]
+    structs = listing()
+    structs = [structs[k] for k in np.linspace(0, len(structs) - 1,
+                                               min(len(structs), 400)).astype(int)]
+    rng = np.random.default_rng(37)
+    batches = [rng.standard_normal((m, fam.ambient_dim))
+               * 10.0 ** rng.integers(-3, 4, fam.ambient_dim) for m in (1, 6, 130)]
+    for s in structs:
+        basis = fam._bases([s])[0]
+        for rows in batches:
+            want = _svd_project(basis, rows)
+            assert fam.project_many(s, rows).tobytes() == want.tobytes(), (name, s, len(rows))
+            assert fam.project(s, rows[0]).tobytes() == _svd_project(basis, rows[:1])[0].tobytes()
 
 
 @pytest.mark.parametrize("method,fam,structure,rows,error", [
