@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from . import __version__
 from .ddm import DdmConfig, StructureMeasure
-from .errors import CapExceededError, ConfigError, ExactModeUnavailableError
+from .errors import (CapExceededError, ConfigError, ExactModeUnavailableError,
+                     UnsupportedFamilyError, WorkerError)
 from .experiments import (
     build_family,
     build_noise,
@@ -41,7 +41,6 @@ from .experiments import (
 from .noise import check_a1, check_a2, check_a3, check_a4
 from .selection import Projections, select_penalized
 from .structures import Caps
-from .errors import UnsupportedFamilyError
 
 
 def load_config(path: str) -> dict:
@@ -121,8 +120,8 @@ def cmd_select(config: dict, seed: int, out_path: str) -> None:
         "config_sha256": config_hash(config),
         "structure": family.structure_to_json(structure),
         "objective": objective,
-        "theta_check": [float(v) for v in theta_check],
-        "theta_tilde": None if theta_tilde is None else [float(v) for v in theta_tilde],
+        "theta_check": theta_check.tolist(),
+        "theta_tilde": None if theta_tilde is None else theta_tilde.tolist(),
         "posterior": None if post is None else {
             "method": post.method,
             "top": post.export(top_k),
@@ -250,7 +249,7 @@ def main(argv=None) -> int:
     except (CapExceededError, ExactModeUnavailableError) as exc:
         print(f"cap error: {exc}", file=sys.stderr)
         return 3
-    except BrokenProcessPool as exc:
+    except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return 3
     return 0

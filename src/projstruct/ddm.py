@@ -92,11 +92,13 @@ def _log_weights(rss, pen, cfg: DdmConfig):
 
 
 def logsumexp(values: np.ndarray) -> float:
+    """log sum exp(values), shifted by the maximum; the maximum itself when
+    it is not finite (all -inf, any +inf or NaN)."""
     values = np.asarray(values, dtype=float)
     hi = values.max()
-    if not np.isfinite(hi):
+    if not math.isfinite(hi):
         return float(hi)
-    return float(hi + math.log(np.sum(np.exp(values - hi))))
+    return float(hi + math.log(np.exp(values - hi).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +336,20 @@ class StructureMeasure:
 
 
 def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng,
-                       count: int) -> np.ndarray:
+                       count: int, proj: Projections | None = None) -> np.ndarray:
     """(count, N) draws from the conditional law on L_I centered at P_I Y.
 
     Gaussian: N(P_I Y, (kappa/(kappa+1)) sigma^2 P_I) with kappa = e-1.
     Resample: P_I Y + sigma P_I Z with caller-supplied Z draws.
+    The center is `proj.project(structure)`, on a new memo when proj is
+    None: after `select_penalized` on proj it is the row the selector
+    stored, so the selected structure is not projected again.  The
+    projected draws are scaled and shifted in place, with the float
+    operations of center + scale * P_I Z.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
-    center = family.project(structure, Y)
+    center = Projections.of(Y, family, proj).project(structure)
     if cfg.conditional_law == "gaussian":
         scale = cfg.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
         noise = rng.standard_normal((count, family.ambient_dim))
@@ -350,5 +357,7 @@ def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng,
         scale = cfg.sigma
         noise = np.stack([np.asarray(cfg.z_sampler(rng, family.ambient_dim), dtype=float)
                           for _ in range(count)])
-    projected = family.project_many(structure, noise)
-    return center + scale * projected
+    draws = family.project_many(structure, noise)
+    draws *= scale
+    draws += center
+    return draws

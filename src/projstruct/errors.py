@@ -27,3 +27,7 @@ class UnsupportedFamilyError(RuntimeError):
 
 class ConfigError(ValueError):
     """A CLI / experiment configuration document failed validation."""
+
+
+class WorkerError(RuntimeError):
+    """A replication worker process died before returning its results."""

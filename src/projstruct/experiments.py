@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .balls import (
     v_statistic,
 )
 from .ddm import DdmConfig, StructureMeasure, sample_conditional
-from .errors import ConfigError, DimensionMismatchError, ExactModeUnavailableError
+from .errors import ConfigError, DimensionMismatchError, ExactModeUnavailableError, WorkerError
 from .linalg import as_vector, finite_energy, sq_norm
 from .noise import NoiseModel
 from .oracle import FrameworkConstants, oracle_rate
@@ -217,6 +216,8 @@ def selector_options(config: dict, kappa) -> tuple[float, str, str]:
     simulate config; a config error unless kappa is a positive number, mode
     exact or heuristic and pen_variant main or map."""
     kappa = positive_number(kappa, "kappa")
+    if 2.0 * kappa == math.inf:
+        raise ConfigError(f"2*kappa overflows the float range, got kappa = {kappa!r}")
     mode = config.get("mode", "exact")
     if mode not in ("exact", "heuristic"):
         raise ConfigError(f"unknown mode {mode!r}; choose exact or heuristic")
@@ -239,11 +240,15 @@ def resolve_sigma(spec, n: int) -> float:
     return sigma
 
 
+def _not_finite(what: str) -> ConfigError:
+    return ConfigError(f"{what} has entries that are not finite or whose squares "
+                       "overflow the float range")
+
+
 def finite_data(y: np.ndarray, what: str) -> np.ndarray:
     """y; a config error unless its sum of squares is finite."""
     if not finite_energy(y):
-        raise ConfigError(f"{what} has entries that are not finite or whose squares "
-                          "overflow the float range")
+        raise _not_finite(what)
     return y
 
 
@@ -253,12 +258,13 @@ def finite_data(y: np.ndarray, what: str) -> np.ndarray:
 
 
 def point_estimate(Y, family: Family, sigma: float, kappa: float, estimator: str,
-                   mode: str, pen_variant: str, rng=None):
+                   mode: str, pen_variant: str, rng=None, proj: Projections | None = None):
     """Returns (theta_hat, I_hat).  "ms" projects onto the selected structure;
     "ma" is the theta_tilde that `select` writes (`ddm.StructureMeasure`), and
-    a cap error where it is None.  Each structure is projected once for this Y."""
-    proj = Projections(Y, family)
-    i_hat, _ = select_penalized(Y, family, sigma, kappa, mode=mode,
+    a cap error where it is None.  Each structure is projected once for this
+    Y, into proj, which must hold this family and Y, or a new memo when None."""
+    proj = Projections.of(Y, family, proj)
+    i_hat, _ = select_penalized(proj.y, family, sigma, kappa, mode=mode,
                                 pen_variant=pen_variant, rng=rng, proj=proj)
     if estimator == "ms":
         return proj.project(i_hat), i_hat
@@ -286,7 +292,12 @@ class _Ctx:
     """One grid cell, built once from the JSON config: the family, sigma,
     signal, noise and constants, plus the master seed that keys the
     replication streams.  Every replication of the cell receives this same
-    object, pickled whole when it runs in a worker process."""
+    object, pickled whole when it runs in a worker process.
+
+    A replication makes one `Projections` memo of each observation it draws
+    (`memo`), which checks the draw's finiteness once, and hands it to the
+    selector, the point estimate and the conditional sampler, so each
+    structure is projected once for that draw."""
 
     def __init__(self, config: dict, seed: int, n: int | None, sigma_spec):
         self.config = config
@@ -320,14 +331,22 @@ class _Ctx:
     def draw(self, rng) -> np.ndarray:
         return self.theta + self.sigma * self.noise.sample(rng, self.family.ambient_dim)
 
-    def select(self, y, rng):
-        return select_penalized(finite_data(y, _DRAWN), self.family, self.sigma, self.kappa,
-                                mode=self.mode, pen_variant=self.pen_variant, rng=rng)[0]
+    def memo(self, y) -> Projections:
+        """The projection memo of the drawn observation y; a config error
+        when the sum of squares of y is not finite."""
+        try:
+            return Projections(y, self.family)
+        except ValueError as exc:
+            raise _not_finite(_DRAWN) from exc
 
-    def estimate(self, y, rng, sigma: float | None = None):
-        return point_estimate(finite_data(y, _DRAWN), self.family,
-                              self.sigma if sigma is None else sigma, self.kappa,
-                              self.estimator, self.mode, self.pen_variant, rng)
+    def select(self, proj: Projections, rng):
+        return select_penalized(proj.y, self.family, self.sigma, self.kappa, mode=self.mode,
+                                pen_variant=self.pen_variant, rng=rng, proj=proj)[0]
+
+    def estimate(self, proj: Projections, rng, sigma: float | None = None):
+        return point_estimate(proj.y, self.family, self.sigma if sigma is None else sigma,
+                              self.kappa, self.estimator, self.mode, self.pen_variant, rng,
+                              proj)
 
 
 def _grid(config: dict, key: str, default):
@@ -364,12 +383,16 @@ def _ratio(value: float, rate: float) -> float:
 
 def _rep_contraction(ctx, rng, thresholds):
     """Per threshold t, the fraction of posterior draws whose squared error
-    is at least t; the errors are sorted once per replication."""
-    y = ctx.draw(rng)
+    is at least t; the errors are sorted once per replication.  The sampler
+    centers at the row the selector stored in the draw's memo, and the
+    squared errors are formed in place in the array of draws."""
+    proj = ctx.memo(ctx.draw(rng))
     cfg = DdmConfig(kappa=ctx.kappa, sigma=ctx.sigma, pen_variant=ctx.pen_variant)
     draws = int(ctx.config.get("posterior_draws", 200))
-    samples = sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws)
-    return _exceedance(np.sum((samples - ctx.theta[None, :]) ** 2, axis=1), thresholds)
+    samples = sample_conditional(proj.y, ctx.family, ctx.select(proj, rng), cfg, rng, draws,
+                                 proj)
+    samples -= ctx.theta
+    return _exceedance(np.square(samples, out=samples).sum(axis=1), thresholds)
 
 
 def _exceedance(errs, thresholds) -> list[float]:
@@ -384,7 +407,7 @@ def _exceedance(errs, thresholds) -> list[float]:
 
 
 def _rep_error_sq(ctx, rng):
-    theta_hat, i_hat = ctx.estimate(ctx.draw(rng), rng)
+    theta_hat, i_hat = ctx.estimate(ctx.memo(ctx.draw(rng)), rng)
     return sq_norm(theta_hat - ctx.theta), ctx.family.majorant(i_hat)
 
 
@@ -408,8 +431,7 @@ def _rep_coverage_ebr(ctx, rng, t_list, M_list):
     `contains(ebr_ball(...), theta)` would give them: rho(I_hat) and
     ||theta - theta_hat||^2 are computed once per replication, and each
     cell is one `ebr_radius_sq` and one comparison."""
-    y = ctx.draw(rng)
-    theta_hat, i_hat = ctx.estimate(y, rng)
+    theta_hat, i_hat = ctx.estimate(ctx.memo(ctx.draw(rng)), rng)
     rho_hat = ctx.family.majorant(i_hat)
     dist_sq = sq_norm(ctx.theta - _center(ctx, theta_hat))
     return _hits(dist_sq, [ebr_radius_sq(rho_hat, ctx.sigma, ctx.constants, t, M)
@@ -445,7 +467,7 @@ def _rep_coverage_quarter(ctx, rng, M_list):
         y_prime = ctx.draw(rng)
         sigma_eff = ctx.sigma
         v_kind = ctx.config.get("v_statistic", "unit-variance")
-    theta_hat, _ = ctx.estimate(y_second, rng, sigma_eff)
+    theta_hat, _ = ctx.estimate(ctx.memo(y_second), rng, sigma_eff)
     v = v_statistic(v_kind, y_prime, y_second)
     theta_hat = _center(ctx, theta_hat)
     stat = sq_norm(y_prime - theta_hat) - sigma_eff**2 * v
@@ -455,7 +477,7 @@ def _rep_coverage_quarter(ctx, rng, M_list):
 
 
 def _rep_recovery(ctx, rng):
-    return ctx.family.majorant(ctx.select(ctx.draw(rng), rng))
+    return ctx.family.majorant(ctx.select(ctx.memo(ctx.draw(rng)), rng))
 
 
 def _call(func, ctx, stream, extra, rep):
@@ -464,13 +486,20 @@ def _call(func, ctx, stream, extra, rep):
 
 def _run_reps(func, ctx: _Ctx, stream, reps: int, workers: int, *extra):
     """func(ctx, rng, *extra) for reps replications of one cell, in rep order.
-    Starts no more worker processes than replications or CPUs."""
+    Starts no more worker processes than replications or CPUs.  The process
+    pool, and with it multiprocessing, is imported only when more than one
+    worker runs; a pool whose worker died raises `WorkerError`."""
     task = functools.partial(_call, func, ctx, stream, extra)
     workers = min(workers, reps, os.cpu_count() or 1)
     if workers <= 1:
         return [task(rep) for rep in range(reps)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(reps), chunksize=max(1, reps // (4 * workers))))
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, range(reps), chunksize=max(1, reps // (4 * workers))))
+    except BrokenProcessPool as exc:
+        raise WorkerError(str(exc)) from exc
 
 
 def _calibration(func, ctx: _Ctx, ci: int, reps: int, workers: int, *extra):

@@ -17,6 +17,8 @@ no basis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -40,7 +42,7 @@ def finite_energy(y) -> bool:
     and NaN give False, without a warning."""
     y = np.asarray(y, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(np.dot(y, y)))
+        return math.isfinite(np.dot(y, y))
 
 
 def sq_norm(y) -> float:

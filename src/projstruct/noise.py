@@ -117,24 +117,28 @@ class A1Row:
     passed: bool
 
 
-def _log_mean_exp_with_jackknife(values: np.ndarray) -> tuple[float, float]:
-    """Stabilized log-mean-exp and its jackknife standard error.
+def _log_mean_exp_with_jackknife(values: np.ndarray,
+                                 hi: float | None = None) -> tuple[float, float]:
+    """Stabilized log-mean-exp and its jackknife standard error; hi is
+    float(values.max()), computed when None.
 
     One work array of len(values) holds exp(values - max), then the
     leave-one-out sums, logs and squared deviations in turn (`out=`); each
     step is the elementwise operation the formula names, so the bytes are
-    those of computing it with a new array per step.
+    those of computing it with a new array per step.  The largest term is
+    exp(0) = 1, so the smallest leave-one-out sum is total - 1, and one
+    scalar test tells whether any sum is tiny enough to recompute.
     """
     m = values.size
-    hi = float(values.max())
+    hi = float(values.max()) if hi is None else hi
     work = np.subtract(values, hi)
     np.exp(work, out=work)
     total = float(work.sum())
     lme = hi + math.log(total / m)
     # leave-one-out estimates; recompute directly when one term dominates
     rest = np.subtract(total, work, out=work)
-    tiny = rest <= total * 1e-12
-    if tiny.any():
+    if total - 1.0 <= total * 1e-12:
+        tiny = rest <= total * 1e-12
         loo = np.empty(m)
         ok = ~tiny
         loo[ok] = hi + np.log(rest[ok] / (m - 1))
@@ -277,17 +281,22 @@ def check_a1(family: Family, noise: NoiseModel, alpha: float, reps: int, rng,
 
     The norms come from `_projected_sq_norms`, a block of structures at a
     time; each row of a block is scaled, capped and reduced by the
-    jackknife in place before the next block is computed.  Each structure
-    is validated once, and its bound is its dimension, which
+    jackknife in place before the next block is computed.  A row is counted
+    and capped only when its maximum exceeds EXPONENT_CAP or is NaN; the
+    capped row's maximum is then EXPONENT_CAP (NaN stays NaN).  Each
+    structure is validated once, and its bound is its dimension, which
     `_projected_sq_norms` gives beside its norms.
     """
     draws = noise.sample_many(rng, reps, family.ambient_dim)
     rows = []
     for structure, sq_norms, dim in _projected_sq_norms(family, draws, caps):
         exponents = np.multiply(sq_norms, alpha, out=sq_norms)
-        n_sat = int(np.count_nonzero(exponents > EXPONENT_CAP))
-        np.minimum(exponents, EXPONENT_CAP, out=exponents)
-        est, se = _log_mean_exp_with_jackknife(exponents)
+        hi, n_sat = float(exponents.max()), 0
+        if not hi <= EXPONENT_CAP:
+            n_sat = int(np.count_nonzero(exponents > EXPONENT_CAP))
+            np.minimum(exponents, EXPONENT_CAP, out=exponents)
+            hi = min(hi, EXPONENT_CAP)
+        est, se = _log_mean_exp_with_jackknife(exponents, hi)
         bound = float(dim)
         rows.append(A1Row(structure, est, bound, se, n_sat, est <= bound + se_mult * se))
         # a row is a view of its block: let the block go before the next

@@ -108,7 +108,12 @@ class Projections:
     posterior and the model-averaging mean.
 
     A caller makes one memo per Y and passes it to each of them; the memo
-    goes when the call that made it ends, so it never outlives its Y.  Every
+    goes when the call that made it ends, so it never outlives its Y.  It
+    checks Y once, when it is made: one `finite_energy` pass, which a Y with
+    a non-finite entry fails too, and its length; no projection checks Y
+    again.  A `simulate` replication makes one memo of each draw and hands
+    it to the selector, the point estimate and the conditional sampler
+    (`experiments._Ctx.memo`).  Every
     projection goes through `project_all`, which takes a list of structures
     and projects those it has not stored in one `family._project_stack`,
     whose rows have the bytes of `family.project`; `project` and `rss` are
@@ -121,9 +126,10 @@ class Projections:
     chunk more); past that rows are computed and not kept.  So `ma_mean`
     reads the rows the posterior projected, and the posterior those the
     selector projected (the bicluster search scores its moves from labels
-    and projects only the selected structure).  Size-indexed families (`size_path`) score their
-    sizes, and weigh their posterior candidates, from the path's SSE array,
-    so only their selected structure is projected.
+    and projects only the selected structure).  Size-indexed families
+    (`size_path`) score their sizes, and weigh their posterior candidates,
+    from the path's SSE array, so only their selected structure is
+    projected.
 
     `searched` is what the last `select_penalized` on this memo scored when
     it ran a search (heuristic regression, bicluster and clustering, and the
@@ -133,9 +139,16 @@ class Projections:
     """
 
     def __init__(self, Y, family: Family):
-        self.y = as_vector(Y)
-        if not finite_energy(self.y):
+        # one pass: a finite sum of squares has finite entries, so `as_vector`
+        # runs only to raise its error for a wrong shape or a non-finite
+        # entry, and `as_point` only for a wrong length
+        y = np.asarray(Y, dtype=float)
+        if y.ndim != 1 or y.size < 1 or not finite_energy(y):
+            as_vector(y)
             raise ValueError("the sum of squares of Y overflows the float range")
+        if y.size != family.ambient_dim:
+            family.as_point(y)
+        self.y = y
         self.family = family
         self.stored: dict = {}
         self.searched: list | None = None
@@ -160,7 +173,7 @@ class Projections:
         validated and then projected in one `family._project_stack`, whose
         rows have the bytes of `family.project`, and stored, within the
         memo's bound."""
-        y, structures = self.family.as_point(self.y), list(structures)
+        y, structures = self.y, list(structures)
         out = np.empty((len(structures), y.size))
         missing = []
         for k, s in enumerate(structures):
@@ -301,19 +314,31 @@ def _segmentations(cost, max_cuts: int):
     it must be +inf wherever lo >= hi.  Yields (total, cuts) for 0, 1, ...,
     max_cuts cuts, lazily, so a caller that stops early skips the larger cut
     counts; cuts are the sorted interior run starts, and ties go to the
-    smallest last cut (first argmin).  Segment neighbourhood DP with one
-    numpy step, O(n^2), per cut count: row k holds, for every end hi, the
-    best total of k cuts over 0:hi.
+    smallest last cut (first argmin).  Segment neighbourhood DP (Auger &
+    Lawrence 1989) with one numpy step, O(n^2), per cut count: row k holds,
+    for every end hi, the best total of k cuts over 0:hi.
+
+    The steps run on a contiguous layout: the run costs are transposed once,
+    when the first cut count is asked for, so that the candidates of one end
+    hi are one contiguous row, and each cut count adds its candidates into
+    one reused buffer and takes the first argmin along the rows.  Each
+    candidate is the same sum of two floats as in the column layout of
+    cost, so totals and cuts, ties included, are those of the first argmin
+    down the columns of cost.
     """
     n = cost.shape[0] - 1
     row = cost[0, 1:]  # the best totals of k cuts for hi = k+1..n; here k = 0
-    back = []  # back[k - 1][hi - k - 1]: the last cut of the best k cuts over 0:hi
     yield float(row[-1]), []
+    by_end = np.ascontiguousarray(cost.T)  # by_end[hi, lo] = cost[lo, hi]
+    buf = np.empty(max(n - 1, 0) ** 2)
+    back = []  # back[k - 1][hi - k - 1]: the last cut of the best k cuts over 0:hi
     for k in range(1, max_cuts + 1):
-        # cand[lo - k, hi - k - 1]: k - 1 cuts over 0:lo, then the run lo:hi (+inf if lo >= hi)
-        cand = row[:-1, None] + cost[k:n, k + 1:]
-        j = np.argmin(cand, axis=0)
-        row = cand[j, np.arange(n - k)]
+        m = n - k
+        # cand[hi - k - 1, lo - k]: the run lo:hi (+inf if lo >= hi) after
+        # k - 1 cuts over 0:lo
+        cand = np.add(by_end[k + 1:, k:n], row[:-1], out=buf[:m * m].reshape(m, m))
+        j = cand.argmin(axis=1)
+        row = cand[np.arange(m), j]  # a copy: the buffer is reused
         back.append(j + k)
         cuts, hi = [], n
         for kk in range(k, 0, -1):
@@ -446,11 +471,17 @@ def _near_minimum(obj: np.ndarray) -> list[int]:
       neither improves on it nor ties with it.
     So scoring any set of entries that holds every low one, in path order,
     ends in the same state: the band and the whole path both do, chained
-    ties included.  NaN entries (from overflowed data) never change the
-    tracker and are skipped.
+    ties included.
+
+    obj holds no NaN: the `Projections` memo admits only a Y of finite
+    energy, so every SSE is finite, and sigma^2, 2 * kappa and the
+    majorants are finite (`select_penalized` checks sigma^2 and 2 * kappa),
+    so each sigma^2 * pen_k is finite or +inf, never inf * 0.  So the plain
+    `min` and `max` give the bounds; +inf entries make the band the whole
+    path, as they would under the NaN-skipping reductions.
     """
-    width = 2 * (obj.size + 1) * TIE_RTOL * (1.0 + np.nanmax(np.abs(obj)))
-    return np.flatnonzero(obj <= np.nanmin(obj) + width).tolist()
+    width = 2 * (obj.size + 1) * TIE_RTOL * (1.0 + np.abs(obj).max())
+    return np.flatnonzero(obj <= obj.min() + width).tolist()
 
 
 def _select_leveled(proj, sigma, kappa, pen_variant):
@@ -838,8 +869,10 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     tolerance: pen never decreases along it and every SSE is >= 0, so no
     later entry could be taken or tie.
     """
-    if not (0 < sigma < math.inf and 0 < kappa < math.inf and sigma * sigma < math.inf):
-        raise ValueError("sigma and kappa must be positive and finite, and so must sigma**2")
+    if not (0 < sigma < math.inf and 0 < kappa < math.inf and sigma * sigma < math.inf
+            and 2.0 * kappa < math.inf):
+        raise ValueError("sigma and kappa must be positive and finite, and so must sigma**2 "
+                         "and 2*kappa")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     proj = Projections.of(Y, family, proj)

@@ -423,6 +423,27 @@ def test_simulate_draws_that_overflow_are_one_line_config_error(tmp_path, worker
     assert not table.exists()
 
 
+@pytest.mark.parametrize("experiment", ["contraction", "estimation-risk", "coverage-ebr",
+                                        "coverage-quarter", "size", "recovery-shell"])
+def test_each_replication_kind_reports_an_overflowing_draw_in_one_line(tmp_path, capsys,
+                                                                       experiment):
+    """Every replication checks its draw in the memo it makes of it, and a
+    draw whose sum of squares overflows ends the run with exit 2 and this
+    one line.  The noise, not sigma, is wide, so the per-cell oracle rate
+    stays finite."""
+    cfg = write_config(tmp_path, {
+        "experiment": experiment, "family": {"kind": "sparsity", "n": 8},
+        "signal": {"kind": "zero"}, "sigma": 1.0, "reps": 2,
+        "noise": {"kind": "bounded-uniform", "half_width": 1e155},
+        "duplication": "second-sample", "constants": {"kappa": 1.0, "strict": False}})
+    table = tmp_path / "table.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(table)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: an observation drawn in a replication has entries that are not "
+        "finite or whose squares overflow the float range\n")
+    assert not table.exists()
+
+
 # (name, command, config file, section, field, value): one faulty value put
 # into a valid golden config; none of them may end in a traceback, a math
 # error in the middle of a run or a silent exit 0
@@ -679,12 +700,13 @@ BUILD_ERROR_IDS = ["family-n-string", "family-n-0", "sparsity-variant", "regress
     ({"sigma": float("nan")}, "sigma"),
     ({"sigma": 1e200}, "sigma"),
     ({"data": {"signal": {"kind": "constant", "value": 1e200}}}, "overflow"),
+    ({"kappa": 1e308}, "kappa"),
     *[({"family": spec}, "family") for spec in FAMILY_ERRORS],
     *[({"data": {"signal": spec}}, "signal") for spec in SIGNAL_ERRORS],
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
         "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file",
         "overflow-in-data-file", "sigma-nan", "sigma-square-overflows",
-        "signal-square-overflows", *BUILD_ERROR_IDS])
+        "signal-square-overflows", "kappa-double-overflows", *BUILD_ERROR_IDS])
 def test_select_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, overrides,
                                                    field):
     def no_scoring(*args, **kwargs):
@@ -763,9 +785,11 @@ def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, ove
     ({"signal": {"kind": "sparse", "s": 1, "amplitude": 1e200}}, "signal"),
     ({"sigma": 1e200}, "sigma"),
     ({"grid": {"sigma": [1.0, 1e200]}}, "sigma"),
+    ({"kappa": 1e308}, "kappa"),
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
         *BUILD_ERROR_IDS, "m0-override-string", "c-nu-nan", "constants-a-list",
-        "signal-square-overflows", "sigma-square-overflows", "later-sigma-square-overflows"])
+        "signal-square-overflows", "sigma-square-overflows", "later-sigma-square-overflows",
+        "kappa-double-overflows"])
 def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, overrides, field):
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication started")

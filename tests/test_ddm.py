@@ -29,6 +29,7 @@ from projstruct.structures import (
     ClusteringFamily,
     Family,
     JumpFamily,
+    KnotFamily,
     RegressionFamily,
     SmoothnessFamily,
     SparseSet,
@@ -244,6 +245,64 @@ def test_sample_conditional_support_and_covariance():
         v = arr[:, i].var()
         se_var = target_var * math.sqrt(2.0 / arr.shape[0])
         assert abs(v - target_var) <= 3.0 * se_var
+
+
+def _sample_conditional_oracle(Y, family, structure, c, rng, count):
+    """`sample_conditional` as family.project(structure, Y) plus the scaled
+    projected draws, each step a new array."""
+    center = family.project(structure, Y)
+    if c.conditional_law == "gaussian":
+        scale = c.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
+        noise = rng.standard_normal((count, family.ambient_dim))
+    else:
+        scale = c.sigma
+        noise = np.stack([np.asarray(c.z_sampler(rng, family.ambient_dim), dtype=float)
+                          for _ in range(count)])
+    return center + scale * family.project_many(structure, noise)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "resample"])
+def test_sample_conditional_with_the_memo_has_the_bytes_of_the_call_without(law):
+    """Centered at the row the selector stored in the memo, the draws have
+    the bytes of the call that makes its own memo, and of the center
+    projected apart and the draws scaled and shifted into new arrays."""
+    z = lambda rng, n: rng.uniform(-1.0, 1.0, n)  # noqa: E731
+    families = [SmoothnessFamily(64), SparsityFamily(12), JumpFamily(10), BandingFamily(4),
+                KnotFamily(7), ClusteringFamily(6)]
+    for seed, family in enumerate(families):
+        y = np.random.default_rng(seed).standard_normal(family.ambient_dim) * 2.0
+        c = cfg(sigma=0.7, conditional_law=law, z_sampler=z if law == "resample" else None)
+        proj = Projections(y, family)
+        structure, _ = select_penalized(y, family, 0.7, 1.0, proj=proj)
+        got = sample_conditional(y, family, structure, c, np.random.default_rng(9), 5, proj)
+        alone = sample_conditional(y, family, structure, c, np.random.default_rng(9), 5)
+        want = _sample_conditional_oracle(y, family, structure, c, np.random.default_rng(9), 5)
+        assert got.tobytes() == alone.tobytes() == want.tobytes(), family.tag
+        assert got.flags.writeable and got.flags.c_contiguous
+
+
+def _logsumexp_oracle(values):
+    """`logsumexp` with np.isfinite and np.sum."""
+    values = np.asarray(values, dtype=float)
+    hi = values.max()
+    if not np.isfinite(hi):
+        return float(hi)
+    return float(hi + math.log(np.sum(np.exp(values - hi))))
+
+
+def test_logsumexp_has_the_bytes_of_the_formula():
+    """Random, single-entry, all -inf and +inf inputs give the old formula's
+    float."""
+    rng = np.random.default_rng(24)
+    cases = [rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 3)
+             for size in (1, 2, 3, 50, 1000) for _ in range(5)]
+    cases += [np.array([-3.5]), np.array([0.0]), np.array([-math.inf]),
+              np.full(4, -math.inf), np.array([-math.inf, 2.0, -math.inf]),
+              np.array([1.0, math.inf]), np.array([math.inf])]
+    for values in cases:
+        got, want = logsumexp(values), _logsumexp_oracle(values)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(want).tobytes(), values
 
 
 def test_sample_conditional_degenerate_cases():

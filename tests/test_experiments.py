@@ -1,14 +1,17 @@
 import collections
+import concurrent.futures
 import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from projstruct import ddm, experiments
+from projstruct import ddm, experiments, linalg
 from projstruct.balls import contains, duplicate_gaussian, ebr_ball, quarter_ball, v_statistic
 from projstruct.cli import main
 from projstruct.errors import ConfigError
@@ -23,6 +26,7 @@ from projstruct.experiments import (
     run_experiment,
 )
 from projstruct.oracle import FrameworkConstants
+from projstruct.selection import select_penalized
 from projstruct.structures import KnotFamily, RegressionFamily, SparseSet, SparsityFamily
 
 
@@ -208,8 +212,10 @@ class _DeadPool(_SerialPool):
 
 
 def _fake_pool(monkeypatch, pool_class, cpus):
+    """`_run_reps` imports the pool class from concurrent.futures when it
+    starts workers, so the stand-in goes there."""
     started = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: pool_class(started, max_workers))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return started
@@ -234,6 +240,62 @@ def test_dead_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert capsys.readouterr().err == (
         "worker error: a process in the pool was terminated abruptly\n")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """The process pool is imported only when a run starts workers."""
+    code = "import sys, projstruct.cli; sys.exit(int('multiprocessing' in sys.modules))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr or "projstruct.cli imported multiprocessing"
+
+
+def _count_checks_and_projections(monkeypatch, family, y, structure):
+    """Lists that grow by one entry for every finiteness check of an array
+    (`as_vector`, `finite_energy`, in whichever module calls them) and for
+    every projection of y onto structure (the stacked and the row kernel)."""
+    checks, projected = [], []
+    reals = {name: getattr(linalg, name) for name in ("as_vector", "finite_energy")}
+    for module in [m for name, m in sys.modules.items() if name.startswith("projstruct")]:
+        for name, real in reals.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, lambda v, _real=real, _name=name:
+                                    checks.append(_name) or _real(v))
+    stack, row_kernel = family._project_stack, family._project_rows
+
+    def counting_stack(structures, point):
+        if point.ndim == 1 and np.array_equal(point, y):
+            projected.extend(s for s in structures if s == structure)
+        return stack(structures, point)
+
+    def counting_rows(s, rows):
+        if s == structure and len(rows) == 1 and np.array_equal(rows[0], y):
+            projected.append(s)
+        return row_kernel(s, rows)
+
+    monkeypatch.setattr(family, "_project_stack", counting_stack)
+    monkeypatch.setattr(family, "_project_rows", counting_rows)
+    return checks, projected
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "smoothness", "n": 128}, {"kind": "sparsity", "n": 20}, {"kind": "jump", "n": 12},
+    {"kind": "knot", "n": 8}, {"kind": "banding", "p": 5}], ids=lambda f: f["kind"])
+def test_contraction_replication_checks_and_projects_its_draw_once(monkeypatch, family):
+    """One contraction replication checks its draw for finiteness once (the
+    memo's one `finite_energy` pass) and projects it onto the selected
+    structure once: the conditional sampler centers at the row the
+    selector stored."""
+    cfg = dict(BASE, experiment="contraction", family=family, signal={"kind": "zero"},
+               posterior_draws=7)
+    (_, ctx), = experiments._cells(cfg, seed=5)
+    y = ctx.draw(derive_rng(5, "rep", 0, 0))
+    i_hat, _ = select_penalized(y, ctx.family, ctx.sigma, ctx.kappa)
+    want = experiments._rep_contraction(ctx, derive_rng(5, "rep", 0, 0), [0.0, 1.0])
+    checks, projected = _count_checks_and_projections(monkeypatch, ctx.family, y, i_hat)
+    got = experiments._rep_contraction(ctx, derive_rng(5, "rep", 0, 0), [0.0, 1.0])
+    assert got == want
+    assert checks == ["finite_energy"]
+    assert projected == [i_hat]
 
 
 QUARTER = {
@@ -360,7 +422,7 @@ def _bits(cells) -> bytes:
 def _oracle_coverage_ebr(ctx, rng, t_list, M_list):
     """One `ebr_ball` and one `contains` per (t, M) cell."""
     y = ctx.draw(rng)
-    theta_hat, i_hat = ctx.estimate(y, rng)
+    theta_hat, i_hat = ctx.estimate(ctx.memo(y), rng)
     balls = [ebr_ball(y, ctx.family, ctx.sigma, ctx.constants, i_hat, theta_hat, t, M)
              for t in t_list for M in M_list]
     return [(float(contains(ball, ctx.theta)), ball.radius_sq) for ball in balls]
@@ -374,7 +436,7 @@ def _oracle_coverage_quarter(ctx, rng, M_list):
     else:
         y_second, y_prime = ctx.draw(rng), ctx.draw(rng)
         sigma_eff, v_kind = ctx.sigma, ctx.config.get("v_statistic", "unit-variance")
-    theta_hat, _ = ctx.estimate(y_second, rng, sigma_eff)
+    theta_hat, _ = ctx.estimate(ctx.memo(y_second), rng, sigma_eff)
     v = v_statistic(v_kind, y_prime, y_second)
     balls = [quarter_ball(y_prime, theta_hat, sigma_eff, M, ctx.constants.M1, v)
              for M in M_list]
@@ -386,7 +448,8 @@ def _oracle_contraction(ctx, rng, thresholds):
     y = ctx.draw(rng)
     cfg = ddm.DdmConfig(kappa=ctx.kappa, sigma=ctx.sigma, pen_variant=ctx.pen_variant)
     draws = int(ctx.config.get("posterior_draws", 200))
-    samples = ddm.sample_conditional(y, ctx.family, ctx.select(y, rng), cfg, rng, draws)
+    samples = ddm.sample_conditional(y, ctx.family, ctx.select(ctx.memo(y), rng), cfg, rng,
+                                     draws)
     errs = np.sum((samples - ctx.theta[None, :]) ** 2, axis=1)
     return [float(np.mean(errs >= t)) for t in thresholds]
 
@@ -424,7 +487,8 @@ def test_replication_sweeps_match_per_cell_oracles(name, sweep, oracle):
 
 class _FixedCtx:
     """A replication context whose draws cycle through given vectors and
-    whose estimate is a given (theta_hat, I_hat)."""
+    whose estimate is a given (theta_hat, I_hat); its memo of a draw is the
+    draw itself."""
 
     def __init__(self, family, theta, theta_hat, draws, constants, config=None, i_hat=None):
         self.family, self.sigma, self.constants = family, 1.0, constants
@@ -436,6 +500,9 @@ class _FixedCtx:
     def draw(self, rng):
         self._next += 1
         return self._draws[(self._next - 1) % len(self._draws)]
+
+    def memo(self, y):
+        return y
 
     def estimate(self, y, rng, sigma=None):
         return self.theta_hat, self.i_hat

@@ -499,6 +499,55 @@ def test_segment_dp_matches_per_hi_loop():
             assert repr(segment_dp(y, budget)) == repr(full[:budget + 1]), (n, rep, budget)
 
 
+def test_segment_dp_matches_per_hi_loop_with_ties_at_n_512():
+    """Data rounded to halves at n = 512 hit many exactly tied candidates;
+    every budget up to 40 keeps the per-hi loop's totals and first-argmin
+    cuts.  With these 9 distinct values, 12 of the 41 budgets have an exact
+    tie on their optimal path, so taking the last argmin changes their cuts."""
+    rng = np.random.default_rng(92)
+    y = np.round(2.0 * rng.standard_normal(512) * 0.6) / 2.0
+    full = [(sse, tuple(c - 1 for c in cuts))
+            for sse, cuts in per_hi_segmentations(selection._sse_costs(y), 40)]
+    for budget in range(41):
+        assert repr(segment_dp(y, budget)) == repr(full[:budget + 1]), budget
+
+
+def _near_minimum_oracle(obj):
+    """`_near_minimum` with the NaN-skipping reductions."""
+    width = 2 * (obj.size + 1) * selection.TIE_RTOL * (1.0 + np.nanmax(np.abs(obj)))
+    return np.flatnonzero(obj <= np.nanmin(obj) + width).tolist()
+
+
+def test_near_minimum_matches_the_nan_reduction_formula():
+    """Plain min and max give the NaN-skipping formula's list on random,
+    tied and +inf objectives (the objective holds no NaN)."""
+    rng = np.random.default_rng(93)
+    cases = []
+    for size in (1, 2, 7, 64, 513):
+        obj = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 6)
+        cases.append(obj)
+        cases.append(np.round(obj))  # ties
+        near = obj.min() + np.abs(obj) * 1e-13 * rng.integers(0, 3, size)
+        cases.append(near)  # within a few tie tolerances of the minimum
+        spread = obj.copy()
+        spread[rng.integers(0, size)] = math.inf
+        cases.append(spread)
+    cases += [np.full(5, math.inf), np.array([0.0, math.inf, 0.0]), np.zeros(9)]
+    for obj in cases:
+        assert selection._near_minimum(obj) == _near_minimum_oracle(obj), obj
+
+
+@pytest.mark.parametrize("kappa", [1e308, 9e307])
+def test_select_rejects_a_kappa_whose_double_overflows(kappa):
+    """pen = 2 * kappa * rho: with 2 * kappa = inf a zero majorant gives a
+    NaN penalty, so such a kappa is refused before any objective."""
+    with pytest.raises(ValueError, match="2\\*kappa"):
+        select_penalized(np.ones(8), SmoothnessFamily(8), 1.0, kappa)
+    with np.errstate(over="ignore"):  # 2 * kappa * rho overflows for rho > 1
+        chosen, _ = select_penalized(np.ones(8), SmoothnessFamily(8), 1.0, 8e307)
+    assert chosen == Truncation(0)
+
+
 def test_segmentations_match_per_hi_loop_on_clustering_costs():
     """Clustering-style costs (SSE - run penalty, +inf for runs shorter than
     2): cut counts past k/2 - 1 leave columns, and totals, all +inf."""
