@@ -8,7 +8,6 @@ Library layout:
   oracle      oracle rates, tau-oracles, excessive-bias diagnostics, constants
   balls       EBR and sqrt(N)-margin confidence balls
   noise       noise streams and the A1-A4 condition checkers
-  ingest      density/covariance/graph data converted to sequence models
   experiments Monte Carlo harness behind the CLI
   cli         `projstruct select|simulate|check`
 """

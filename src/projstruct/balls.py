@@ -35,16 +35,6 @@ from .structures import Family
 class ConfidenceBall:
     center: np.ndarray
     radius_sq: float
-    kind: str  # "ebr" | "quarter"
-    params: dict
-
-    def to_json(self) -> dict:
-        return {
-            "center": [float(v) for v in self.center],
-            "radius_sq": self.radius_sq,
-            "kind": self.kind,
-            "params": self.params,
-        }
 
 
 def ebr_radius_sq(rho_hat: float, sigma: float, constants: FrameworkConstants,
@@ -59,12 +49,8 @@ def ebr_ball(Y, family: Family, sigma: float, constants: FrameworkConstants,
     if M < 0 or t < 0:
         raise ValueError("t and M must be nonnegative")
     theta_hat = as_vector(theta_hat)
-    rho_hat = family.majorant(I_hat)
-    radius_sq = ebr_radius_sq(rho_hat, sigma, constants, t, M)
-    return ConfidenceBall(
-        theta_hat, radius_sq, "ebr",
-        {"t": t, "M": M, "rho_hat": rho_hat, "sigma": sigma},
-    )
+    radius_sq = ebr_radius_sq(family.majorant(I_hat), sigma, constants, t, M)
+    return ConfidenceBall(theta_hat, radius_sq)
 
 
 def quarter_ball(Y_prime, theta_hat, sigma: float, M: float, M1: float,
@@ -80,11 +66,7 @@ def quarter_ball(Y_prime, theta_hat, sigma: float, M: float, M1: float,
         raise DimensionMismatchError("Y' and theta_hat must have equal length")
     stat = sq_norm(Y_prime - theta_hat) - sigma**2 * v_stat
     radius_sq = quarter_radius_sq(stat, sigma, M, M1, Y_prime.size)
-    return ConfidenceBall(
-        theta_hat, radius_sq, "quarter",
-        {"M": M, "M1": M1, "G_M": math.sqrt(M * (M + M1)), "v_stat": v_stat,
-         "sigma": sigma},
-    )
+    return ConfidenceBall(theta_hat, radius_sq)
 
 
 def quarter_radius_sq(stat: float, sigma: float, M: float, M1: float, n: int) -> float:

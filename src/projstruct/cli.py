@@ -90,8 +90,9 @@ def _observation(config: dict, family, sigma: float, seed: int) -> np.ndarray:
         theta = build_signal(data["signal"], family, sigma)
         noise = build_noise(data.get("noise"), family.ambient_dim)
         rng = derive_rng(seed, "select-data")
-        return finite_data(theta + sigma * noise.sample(rng, family.ambient_dim),
-                           "the signal plus noise")
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_data refuses inf and NaN
+            y = theta + sigma * noise.sample(rng, family.ambient_dim)
+        return finite_data(y, "the signal plus noise")
     raise ConfigError("data section needs either 'file' or 'signal'")
 
 

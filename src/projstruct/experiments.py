@@ -88,6 +88,10 @@ def build_family(spec: dict, n_override: int | None = None) -> Family:
             if kind in ("bicluster", "regression"):
                 raise ConfigError(f"a grid over n is not supported for the {kind} family; "
                                   "size it explicitly in the family section")
+            size = {"banding": "p", "leveled": "n_levels"}.get(kind)
+            if spec.get(size) is not None:
+                raise ConfigError(f"a grid over n would be ignored, since family.{size} sizes "
+                                  f"the {kind} family; drop one of them")
             spec["n"] = n_override
         for field in ("n", "n1", "n2", "n_obs", "p", "n_levels"):
             if field in spec:
@@ -128,8 +132,11 @@ def build_noise(spec: dict | None, n: int) -> NoiseModel:
 
 
 def build_signal(spec: dict, family: Family, sigma: float) -> np.ndarray:
+    """The signal section's theta.  An entry that overflows is inf (or NaN,
+    as 0 * inf), with no numpy warning; the caller's `finite_data` refuses
+    it in one line."""
     n = family.ambient_dim
-    with _section("signal", spec) as spec:
+    with _section("signal", spec) as spec, np.errstate(over="ignore", invalid="ignore"):
         kind = spec.pop("kind", None)
         if kind == "zero":
             return np.zeros(n)
@@ -172,8 +179,7 @@ def build_constants(spec: dict | None) -> FrameworkConstants:
         # quarter radius under a square root.
         checks = {"nu": positive_number, "kappa": positive_number,
                   "M1_override": nonnegative_number}
-        for field in ("nu", "kappa", "C_nu", "M0_override", "M1_override", "M2_override",
-                      "M3_override"):
+        for field in ("nu", "kappa", "M0_override", "M1_override", "M2_override"):
             if spec.get(field) is not None:
                 checks.get(field, finite_number)(spec[field], f"constants.{field}")
         return FrameworkConstants(**spec)
@@ -235,8 +241,9 @@ def resolve_sigma(spec, n: int) -> float:
             return 1.0 / math.sqrt(n)
         raise ConfigError(f"unknown sigma rule {spec!r}")
     sigma = positive_number(spec, "sigma")
-    if sigma * sigma == math.inf:
-        raise ConfigError(f"sigma**2 overflows the float range, got sigma = {spec!r}")
+    if not 0.0 < sigma * sigma < math.inf:
+        raise ConfigError(f"sigma**2 underflows to 0 or overflows the float range, "
+                          f"got sigma = {spec!r}")
     return sigma
 
 
@@ -329,7 +336,9 @@ class _Ctx:
                                      self.structured_c))
 
     def draw(self, rng) -> np.ndarray:
-        return self.theta + self.sigma * self.noise.sample(rng, self.family.ambient_dim)
+        # an entry that overflows is inf, with no numpy warning; `memo` refuses it
+        with np.errstate(over="ignore"):
+            return self.theta + self.sigma * self.noise.sample(rng, self.family.ambient_dim)
 
     def memo(self, y) -> Projections:
         """The projection memo of the drawn observation y; a config error
@@ -560,8 +569,10 @@ def run_rate_scaling(config, seed, workers):
     for ci, ctx in _cells(config, seed):
         errs = np.array([e for e, _ in _run_reps(_rep_error_sq, ctx, ci, reps, workers)])
         mean, se = _mean_se(errs)
-        rows.append([*ctx.cell, mean, se,
-                     math.log(ctx.family.ambient_dim), math.log(mean), reps])
+        # a mean of 0 (every estimate exact) has log -inf, as `size` writes
+        # inf for its ratios at oracle rate 0
+        rows.append([*ctx.cell, mean, se, math.log(ctx.family.ambient_dim),
+                     math.log(mean) if mean > 0 else -math.inf, reps])
     return header, rows
 
 

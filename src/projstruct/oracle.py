@@ -2,11 +2,11 @@
 constants that the theory attaches to them.
 
 The constants bundle wires together the noise exponent alpha, the summability
-pair (nu, C_nu), the penalty scale kappa, and the derived quantities
-kappa_bar, tau_bar, tau0 and c1..c3, M0..M3.  Strict mode enforces the
-theoretical lower bound on kappa; practical mode only logs, because the
-theoretical bound (about 37 for the default alpha, nu) makes penalties far
-too large for desk-scale experiments.
+exponent nu, the penalty scale kappa, and the derived quantities kappa_bar,
+tau_bar, tau0, c3 and M0..M2.  Strict mode enforces the theoretical lower
+bound on kappa; practical mode only logs, because the theoretical bound
+(about 37 for the default alpha, nu) makes penalties far too large for
+desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ class FrameworkConstants:
     nu: float = 1.5
     kappa: float | None = None  # defaults to just above the strict bound
     delta: float = 0.1
-    C_nu: float | None = None
     strict: bool = True
     # overrides for the proof-derived values; None means "use the formula"
     M0_override: float | None = None
     M1_override: float | None = None
     M2_override: float | None = None
-    M3_override: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -75,14 +73,6 @@ class FrameworkConstants:
         return tau0_default(self, self.delta)
 
     @property
-    def c1(self) -> float:
-        return self.kappa * self.alpha / 4.0 - 5.0 / 8.0 - self.alpha / 16.0
-
-    @property
-    def c2(self) -> float:
-        return self.alpha / 16.0
-
-    @property
     def c3(self) -> float:
         return 6.0 / self.alpha + 4.0 * self.kappa
 
@@ -103,12 +93,6 @@ class FrameworkConstants:
         if self.M2_override is not None:
             return self.M2_override
         return self.M1 / self.delta
-
-    @property
-    def M3(self) -> float:
-        if self.M3_override is not None:
-            return self.M3_override
-        return self.c3
 
     @property
     def recovery_upper_factor(self) -> float:
@@ -132,15 +116,6 @@ class OracleReport:
     complexity: float  # tau * sigma^2 * rho(I_o)
     rate_sq: float
     tau: float
-
-    def to_json(self, family: Family) -> dict:
-        return {
-            "structure": family.structure_to_json(self.structure),
-            "approx_sq": self.approx_sq,
-            "complexity": self.complexity,
-            "rate_sq": self.rate_sq,
-            "tau": self.tau,
-        }
 
 
 def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,

@@ -869,7 +869,7 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
     tolerance: pen never decreases along it and every SSE is >= 0, so no
     later entry could be taken or tie.
     """
-    if not (0 < sigma < math.inf and 0 < kappa < math.inf and sigma * sigma < math.inf
+    if not (0 < sigma < math.inf and 0 < kappa < math.inf and 0 < sigma * sigma < math.inf
             and 2.0 * kappa < math.inf):
         raise ValueError("sigma and kappa must be positive and finite, and so must sigma**2 "
                          "and 2*kappa")

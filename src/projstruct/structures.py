@@ -19,8 +19,9 @@ regression; every basis, rank-deficient or not, is orthonormalized in one
 batched SVD per width).  Sparsity, jump and knot structures are sorted
 position sets and share their bookkeeping (`_PositionSetFamily`).
 
-All index data is 0-based, both in memory and in the JSON wire shape
-{"family": tag, "data": {...}} (sorted integer arrays, bit-exact round trip).
+All index data is 0-based, both in memory and in the JSON shape
+{"family": tag, "data": {...}} that `structure_to_json` writes (sorted
+integer arrays).
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ def log_multinom(n: int, sizes) -> float:
     for s in sizes:
         out -= math.lgamma(s + 1)
     return out
+
+
+def geometric_sum(nu: float) -> float:
+    """sum over k >= 0 of e^(-nu k) = 1 / (1 - e^(-nu)), through expm1, so it
+    keeps full precision at tiny nu and overflows at no nu."""
+    return -1.0 / math.expm1(-nu)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +293,6 @@ class Family:
         self.validate(structure)
         return {"family": self.tag, "data": self._data_to_json(structure)}
 
-    def structure_from_json(self, doc: dict):
-        if doc.get("family") != self.tag:
-            raise InvalidStructureError(f"expected family {self.tag!r}, got {doc.get('family')!r}")
-        structure = self._data_from_json(doc["data"])
-        self.validate(structure)
-        return structure
-
 
 class _SizeIndexed:
     """A family whose nested path holds one structure per size k = 0..n_sizes-1,
@@ -466,11 +466,8 @@ class SmoothnessFamily(_SizeIndexed, _BlockMeanFamily):
     def _data_to_json(self, s):
         return {"level": s.level}
 
-    def _data_from_json(self, d):
-        return Truncation(int(d["level"]))
-
     def a2_closed_form(self, nu: float) -> float:
-        return math.exp(nu) / (math.exp(nu) - 1.0)
+        return geometric_sum(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +545,6 @@ class _PositionSetFamily(Family):
 
     def _data_to_json(self, s):
         return {self.field: list(self._positions(s))}
-
-    def _data_from_json(self, d):
-        return self.structure_type(sorted_tuple(d[self.field]))
 
 
 class SparsityFamily(_SizeIndexed, _BlockMeanFamily, _PositionSetFamily):
@@ -717,9 +711,6 @@ class LeveledSparsityFamily(_BlockMeanFamily):
     def _data_to_json(self, s):
         return {"levels": [list(lv) for lv in s.levels]}
 
-    def _data_from_json(self, d):
-        return self.canonical(d["levels"])
-
     # No closed-form summability constant is shipped for this family: the
     # natural candidate 1/(e^{nu-1}-2) silently skips layers with empty
     # levels, yet the empty structure alone already contributes e^0 = 1 to
@@ -827,9 +818,6 @@ class ClusteringFamily(_BlockMeanFamily):
 
     def _data_to_json(self, s):
         return {"free": list(s.free), "clusters": [list(c) for c in s.clusters]}
-
-    def _data_from_json(self, d):
-        return MultiLevelPartition(sorted_tuple(d["free"]), canonical_partition(d["clusters"]))
 
     def a2_closed_form(self, nu: float) -> float | None:
         return 1.0 if nu >= 1.0 else None
@@ -998,9 +986,6 @@ class RegressionFamily(_SpanFamily, Family):
     def _data_to_json(self, s):
         return {"indices": list(s.indices), "full_rank": s.full_rank}
 
-    def _data_from_json(self, d):
-        return RegressionSupport(sorted_tuple(d["indices"]), bool(d.get("full_rank", False)))
-
     def a2_closed_form(self, nu: float) -> float | None:
         return 1.0 / (1.0 - math.exp(1.0 - nu)) if nu > 1.0 else None
 
@@ -1063,12 +1048,9 @@ class BandingFamily(_SizeIndexed, _BlockMeanFamily):
     def _data_to_json(self, s):
         return {"width": s.width}
 
-    def _data_from_json(self, d):
-        return Band(int(d["width"]))
-
     def a2_closed_form(self, nu: float) -> float:
         # same geometric structure as the truncation family
-        return math.exp(nu) / (math.exp(nu) - 1.0)
+        return geometric_sum(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,12 +1219,9 @@ class BiclusterFamily(_BlockMeanFamily):
     def _data_to_json(self, s):
         return {"rows": [list(b) for b in s.rows], "cols": [list(b) for b in s.cols]}
 
-    def _data_from_json(self, d):
-        return Bicluster(canonical_partition(d["rows"]), canonical_partition(d["cols"]))
-
     def a2_closed_form(self, nu: float) -> float | None:
-        if nu >= 1.0:
-            return 1.0 / (math.exp(nu) + math.exp(-nu) - 2.0)
+        if nu >= 1.0:  # 1 / (e^nu + e^-nu - 2), written to overflow at no nu
+            return math.exp(-nu) / math.expm1(-nu) ** 2
         return None
 
 

@@ -57,7 +57,8 @@ def test_quarter_ball_clamp_and_zero_margin():
     y = np.ones(4)
     ball = quarter_ball(y, y, sigma=1.0, M=0.0, M1=3.0, v_stat=4.0)
     assert ball.radius_sq == 0.0
-    assert ball.params["G_M"] == 0.0
+    zero_margin = quarter_ball(y + 1.0, y, sigma=1.0, M=0.0, M1=3.0, v_stat=0.0)
+    assert zero_margin.radius_sq == 4.0  # ||Y' - theta_hat||^2, no margin at M = 0
     very_neg = quarter_ball(y, y, sigma=1.0, M=1.0, M1=0.0, v_stat=100.0)
     assert very_neg.radius_sq == 0.0
 
@@ -113,11 +114,11 @@ def test_v_statistic_values():
 
 def test_contains_closed_ball():
     center = np.array([1.0, 2.0])
-    ball = ConfidenceBall(center, 4.0, "ebr", {})
+    ball = ConfidenceBall(center, 4.0)
     assert contains(ball, center)
     assert contains(ball, np.array([3.0, 2.0]))  # boundary point, closed ball
     assert not contains(ball, np.array([3.0 + 1e-9, 2.0]))
-    zero = ConfidenceBall(center, 0.0, "ebr", {})
+    zero = ConfidenceBall(center, 0.0)
     assert not contains(zero, np.array([1.0, 2.0 + 1e-12]))
     with pytest.raises(DimensionMismatchError):
         contains(ball, np.zeros(3))
@@ -126,11 +127,3 @@ def test_contains_closed_ball():
 def test_highly_structured_flag():
     assert highly_structured(rate_sq=0.5, sigma=1.0, ambient_dim=100, c=1.0)
     assert not highly_structured(rate_sq=50.0, sigma=1.0, ambient_dim=100, c=1.0)
-
-
-def test_ball_serialization():
-    ball = make_ebr(1.0, 2.0)
-    doc = ball.to_json()
-    assert doc["kind"] == "ebr"
-    assert len(doc["center"]) == 6
-    assert doc["radius_sq"] == ball.radius_sq

@@ -429,19 +429,22 @@ def test_each_replication_kind_reports_an_overflowing_draw_in_one_line(tmp_path,
                                                                        experiment):
     """Every replication checks its draw in the memo it makes of it, and a
     draw whose sum of squares overflows ends the run with exit 2 and this
-    one line.  The noise, not sigma, is wide, so the per-cell oracle rate
-    stays finite."""
-    cfg = write_config(tmp_path, {
-        "experiment": experiment, "family": {"kind": "sparsity", "n": 8},
-        "signal": {"kind": "zero"}, "sigma": 1.0, "reps": 2,
-        "noise": {"kind": "bounded-uniform", "half_width": 1e155},
-        "duplication": "second-sample", "constants": {"kappa": 1.0, "strict": False}})
-    table = tmp_path / "table.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(table)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: an observation drawn in a replication has entries that are not "
-        "finite or whose squares overflow the float range\n")
-    assert not table.exists()
+    one line, also when sigma * noise overflows entry by entry (half_width
+    1e300, sigma 1e10) and the draw is inf there, with no numpy warning.
+    The noise, not sigma, is wide, so the per-cell oracle rate stays
+    finite."""
+    for half_width, sigma in ((1e155, 1.0), (1e300, 1e10)):
+        cfg = write_config(tmp_path, {
+            "experiment": experiment, "family": {"kind": "sparsity", "n": 8},
+            "signal": {"kind": "zero"}, "sigma": sigma, "reps": 2,
+            "noise": {"kind": "bounded-uniform", "half_width": half_width},
+            "duplication": "second-sample", "constants": {"kappa": 1.0, "strict": False}})
+        table = tmp_path / "table.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(table)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: an observation drawn in a replication has entries that are not "
+            "finite or whose squares overflow the float range\n")
+        assert not table.exists()
 
 
 # (name, command, config file, section, field, value): one faulty value put
@@ -493,11 +496,34 @@ def test_size_at_oracle_rate_zero_reports_infinite_ratio_quantiles(tmp_path):
     assert cells["q50_ratio"] == cells["q90_ratio"] == "inf"
 
 
+@pytest.mark.parametrize("overrides", [
+    {"family": {"kind": "smoothness"}, "signal": {"kind": "zero"}, "kappa": 50.0},
+    {"family": {"kind": "sparsity"}, "signal": {"kind": "zero"}, "kappa": 50.0},
+    {"family": {"kind": "leveled", "n_levels": 3}, "grid": {}, "signal": {"kind": "zero"},
+     "kappa": 50.0},
+    {"signal": {"kind": "sobolev", "beta": 1.0, "Q": 1e300}},
+], ids=["smoothness-zero", "sparsity-zero", "leveled-zero", "sobolev-Q-1e300"])
+def test_rate_scaling_with_every_estimate_exact_writes_a_log_of_minus_inf(tmp_path, overrides):
+    """Every replication's estimate equals theta: the empty structure at a
+    zero signal and kappa = 50, or, at Q = 1e300, a signal beside which the
+    noise is lost in rounding.  The mean squared error is 0, and its log is
+    -inf, as `size` writes inf at oracle rate 0."""
+    config = json.loads((DATA_DIR / "golden_simulate" / "rate-scaling.json").read_text())
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, {**config, **overrides}),
+                 "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()[1:]
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["mean_err_sq"] == "0.0" and cells["log_mean_err_sq"] == "-inf"
+
+
 # the values a config fuzz puts into one field at a time; DELETE removes it
 DELETE = object()
-FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, math.nan, [], {}, DELETE]
-# every third (field, value) case of each config, so the values rotate over
-# the fields; all the cases of all the golden configs take about 35 s
+FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 1e-300, 1e300, math.nan, [], {}, DELETE]
+# every third value of each field, one value later at each next field, so
+# the values rotate over the fields; all the cases of all the golden configs
+# take about 45 s
 FUZZ_STRIDE = 3
 FUZZ_CONFIGS = [(command, config) for command, config in GOLDEN_SELECT_CHECK] + [
     ("simulate", p) for p in GOLDEN_SIMULATE]
@@ -505,22 +531,24 @@ FUZZ_CONFIGS = [(command, config) for command, config in GOLDEN_SELECT_CHECK] + 
 
 def _fuzz_cases(doc):
     """(path, value) for every field of doc at every depth, in document
-    order, with every FUZZ_VALUES entry; every FUZZ_STRIDE-th is kept."""
+    order, with the FUZZ_VALUES entries v whose position plus the field's
+    position is a multiple of FUZZ_STRIDE."""
     def fields(node, prefix):
         for key, child in node.items():
             yield prefix + (key,)
             if isinstance(child, dict):
                 yield from fields(child, prefix + (key,))
 
-    cases = [(path, value) for path in fields(doc, ()) for value in FUZZ_VALUES]
-    return cases[::FUZZ_STRIDE]
+    return [(path, value) for p, path in enumerate(fields(doc, ()))
+            for v, value in enumerate(FUZZ_VALUES) if (p + v) % FUZZ_STRIDE == 0]
 
 
 @pytest.mark.parametrize("command,config", FUZZ_CONFIGS,
                          ids=lambda v: v.stem if isinstance(v, pathlib.Path) else v)
 def test_config_fuzz_ends_in_a_result_or_one_line(tmp_path, capsys, caplog, command, config):
     """A golden config with one field set to null, true, "x", -1, 0, 0.5,
-    NaN, [] or {}, or deleted, exits 0, 2 or 3 with no traceback, and
+    1e-300, 1e300, NaN, [] or {}, or deleted, exits 0, 2 or 3 with no
+    traceback, no numpy warning (the suite makes warnings errors), and
     with exactly one stderr line when it is not 0.  A log record of level
     WARNING or above counts as a line, since the CLI prints it to stderr."""
     doc = json.loads(config.read_text())
@@ -701,12 +729,18 @@ BUILD_ERROR_IDS = ["family-n-string", "family-n-0", "sparsity-variant", "regress
     ({"sigma": 1e200}, "sigma"),
     ({"data": {"signal": {"kind": "constant", "value": 1e200}}}, "overflow"),
     ({"kappa": 1e308}, "kappa"),
+    ({"sigma": 1e-200}, "sigma"),
+    ({"data": {"signal": {"kind": "geometric", "ratio": 1e300}}}, "overflow"),
+    ({"sigma": 1e10, "data": {"signal": {"kind": "zero"},
+                              "noise": {"kind": "bounded-uniform", "half_width": 1e300}}},
+     "overflow"),
     *[({"family": spec}, "family") for spec in FAMILY_ERRORS],
     *[({"data": {"signal": spec}}, "signal") for spec in SIGNAL_ERRORS],
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
         "top-k-fraction", "top-k-string", "top-k-negative", "nan-in-data-file",
         "overflow-in-data-file", "sigma-nan", "sigma-square-overflows",
-        "signal-square-overflows", "kappa-double-overflows", *BUILD_ERROR_IDS])
+        "signal-square-overflows", "kappa-double-overflows", "sigma-square-underflows",
+        "geometric-ratio-overflows", "draw-entry-overflows", *BUILD_ERROR_IDS])
 def test_select_bad_input_is_one_line_config_error(tmp_path, monkeypatch, capsys, overrides,
                                                    field):
     def no_scoring(*args, **kwargs):
@@ -780,16 +814,23 @@ def test_simulate_rejects_non_positive_counts(tmp_path, monkeypatch, capsys, ove
     *[({"family": spec}, "family") for spec in FAMILY_ERRORS],
     *[({"signal": spec}, "signal") for spec in SIGNAL_ERRORS],
     ({"constants": {"kappa": 1.0, "M0_override": "x"}}, "M0_override"),
-    ({"constants": {"kappa": 1.0, "C_nu": float("nan")}}, "C_nu"),
+    ({"constants": {"kappa": 1.0, "C_nu": 1.0}}, "C_nu"),
+    ({"constants": {"kappa": 1.0, "M3_override": 1.0}}, "M3_override"),
     ({"constants": [1.0]}, "constants"),
     ({"signal": {"kind": "sparse", "s": 1, "amplitude": 1e200}}, "signal"),
     ({"sigma": 1e200}, "sigma"),
     ({"grid": {"sigma": [1.0, 1e200]}}, "sigma"),
     ({"kappa": 1e308}, "kappa"),
+    ({"sigma": 1e-200}, "sigma"),
+    ({"grid": {"sigma": [1.0, 1e-200]}}, "sigma"),
+    ({"signal": {"kind": "geometric", "ratio": 1e300}}, "signal"),
+    ({"signal": {"kind": "geometric", "ratio": 1e300, "scale": 0.0}}, "signal"),
 ], ids=["kappa-0", "kappa-not-a-number", "unknown-mode", "unknown-pen-variant",
-        *BUILD_ERROR_IDS, "m0-override-string", "c-nu-nan", "constants-a-list",
-        "signal-square-overflows", "sigma-square-overflows", "later-sigma-square-overflows",
-        "kappa-double-overflows"])
+        *BUILD_ERROR_IDS, "m0-override-string", "c-nu-not-a-field", "m3-override-not-a-field",
+        "constants-a-list", "signal-square-overflows", "sigma-square-overflows",
+        "later-sigma-square-overflows", "kappa-double-overflows", "sigma-square-underflows",
+        "later-sigma-square-underflows", "geometric-ratio-overflows",
+        "geometric-zero-times-inf"])
 def test_simulate_rejects_what_select_rejects(tmp_path, monkeypatch, capsys, overrides, field):
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication started")
@@ -849,6 +890,20 @@ def test_noise_faults_are_one_line_config_errors(tmp_path, monkeypatch, capsys, 
     assert err.startswith("config error:") and field in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nu", [1e-300, 1e-10, 710.0, 1e300])
+@pytest.mark.parametrize("family", [{"kind": "smoothness", "n": 6}, {"kind": "banding", "p": 3},
+                                    {"kind": "bicluster", "n1": 2, "n2": 3}],
+                         ids=["smoothness", "banding", "bicluster"])
+def test_check_a2_at_extreme_nu_writes_a_passing_row(tmp_path, family, nu):
+    """The closed forms are finite at every positive nu: e^nu / (e^nu - 1)
+    divided by zero at 1e-300 and overflowed from 710."""
+    cfg = write_config(tmp_path, {"check": "a2", "family": family, "nu": nu})
+    out = tmp_path / "a2.csv"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()[1:]
+    assert dict(zip(header.split(","), row.split(",")))["pass"] == "1"
 
 
 def test_check_a2_leveled_max_size_bounds_the_enumeration(tmp_path):

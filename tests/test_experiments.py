@@ -249,6 +249,17 @@ def test_cli_import_leaves_multiprocessing_out():
     assert r.returncode == 0, r.stderr or "projstruct.cli imported multiprocessing"
 
 
+def test_cli_import_reaches_every_module():
+    """Every module file of the package is imported by the CLI: a module
+    that no command reaches is code that nothing runs."""
+    code = ("import pkgutil, sys, projstruct, projstruct.cli; "
+            "print(*[m.name for m in pkgutil.iter_modules(projstruct.__path__) "
+            "if f'projstruct.{m.name}' not in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [], f"not imported by projstruct.cli: {r.stdout.strip()}"
+
+
 def _count_checks_and_projections(monkeypatch, family, y, structure):
     """Lists that grow by one entry for every finiteness check of an array
     (`as_vector`, `finite_energy`, in whichever module calls them) and for
@@ -377,6 +388,10 @@ SMALL = {
     ({"experiment": "rate-scaling", "grid": {"n": [6, "x"]}}, "grid.n"),
     ({"experiment": "rate-scaling", "grid": {"n": [6, 2.5]}}, "grid.n"),
     ({"experiment": "rate-scaling", "grid": {"n": [6, 0]}}, "grid.n"),
+    ({"experiment": "rate-scaling", "family": {"kind": "banding", "p": 3},
+      "grid": {"n": [2, 4]}}, "family.p"),
+    ({"experiment": "rate-scaling", "family": {"kind": "leveled", "n_levels": 3},
+      "grid": {"n": [2, 4]}}, "family.n_levels"),
     ({"experiment": "coverage-ebr", "grid": {"t": [0.0, -1.0], "M": [0.0]}}, "grid.t"),
     ({"experiment": "coverage-ebr", "grid": {"t": [0.0], "M": [-1.0]}}, "grid.M"),
     ({"experiment": "coverage-ebr", "grid": {"t": [0.0], "M": ["x"]}}, "grid.M"),
@@ -387,7 +402,8 @@ SMALL = {
     ({"experiment": "coverage-quarter", "structured_c": "x"}, "structured_c"),
     ({"experiment": "coverage-quarter", "duplication": "second-sample",
       "v_statistic": "zz"}, "v_statistic"),
-], ids=["grid-not-an-object", "grid-n-string", "grid-n-fraction", "grid-n-0", "ebr-t-negative",
+], ids=["grid-not-an-object", "grid-n-string", "grid-n-fraction", "grid-n-0",
+        "grid-n-with-banding-p", "grid-n-with-leveled-n-levels", "ebr-t-negative",
         "ebr-M-negative", "ebr-M-string", "quarter-M-negative", "contraction-M-inf",
         "recovery-M-string", "structured-c-0", "structured-c-string", "v-statistic-unknown"])
 def test_simulate_fields_are_checked_before_any_replication(tmp_path, monkeypatch, capsys,

@@ -1,3 +1,4 @@
+import decimal
 import logging
 import math
 import tracemalloc
@@ -263,6 +264,39 @@ def test_a2_leveled_and_bicluster_closed_forms():
     bic = check_a2(BiclusterFamily(3, 3), nu=1.0, caps=Caps(max_blocks=3))
     assert bic.bound == pytest.approx(1.0 / (math.e + math.exp(-1.0) - 2.0))
     assert bic.passed
+
+
+def _a2_references(nu: float):
+    """1 / (1 - e^-nu), the smoothness and banding sum, and e^-nu / (1 - e^-nu)^2,
+    the bicluster sum, in 800-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=800)):
+        e = (-decimal.Decimal(nu)).exp()
+        return 1 / (1 - e), e / (1 - e) ** 2
+
+
+def _ulps(value: float, reference: decimal.Decimal) -> float:
+    return float(abs(decimal.Decimal(value) - reference)) / math.ulp(float(reference))
+
+
+# nu from 1e-300 to 1e300 in half decades, and where e^nu overflows or e^-nu
+# leaves the normal range
+A2_NU_GRID = sorted({10.0 ** (k / 2) for k in range(-600, 601)} | {1.2, 1.5, 709.8, 745.0})
+
+
+def test_a2_geometric_closed_forms_match_a_decimal_reference_at_every_nu():
+    """Smoothness and banding share 1 / (1 - e^-nu); bicluster has
+    e^-nu / (1 - e^-nu)^2 for nu >= 1.  Written with expm1 they are finite
+    at every nu from 1e-300 to 1e300, within 1 ulp of the reference, or 2
+    for bicluster, whose three roundings reach 1.5 ulp at nu = 1.5.  The
+    old e^nu / (e^nu - 1) divided by zero at 1e-300, overflowed from 710
+    and was 8e-8 off at 1e-10."""
+    smooth, band, bic = SmoothnessFamily(3), BandingFamily(3), BiclusterFamily(2, 2)
+    for nu in A2_NU_GRID:
+        geometric, bicluster = _a2_references(nu)
+        assert _ulps(smooth.a2_closed_form(nu), geometric) <= 1.0, nu
+        assert band.a2_closed_form(nu) == smooth.a2_closed_form(nu), nu
+        if nu >= 1.0:
+            assert _ulps(bic.a2_closed_form(nu), bicluster) <= 2.0, nu
 
 
 def reference_sample(model, rng, n):

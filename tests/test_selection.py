@@ -548,6 +548,15 @@ def test_select_rejects_a_kappa_whose_double_overflows(kappa):
     assert chosen == Truncation(0)
 
 
+def test_select_rejects_a_sigma_whose_square_underflows():
+    """sigma = 1e-200 is positive, but sigma**2 is 0.0, and rss / sigma**2 in
+    the posterior's weights would be inf or NaN."""
+    with pytest.raises(ValueError, match="sigma\\*\\*2"):
+        select_penalized(np.ones(8), SmoothnessFamily(8), 1e-200, 1.0)
+    chosen, _ = select_penalized(np.ones(8), SmoothnessFamily(8), 1e-150, 1.0)
+    assert chosen == Truncation(8)
+
+
 def test_segmentations_match_per_hi_loop_on_clustering_costs():
     """Clustering-style costs (SSE - run penalty, +inf for runs shorter than
     2): cut counts past k/2 - 1 leave columns, and totals, all +inf."""
