@@ -14,59 +14,25 @@ ball for every cell of a (t, M) or M grid.  Only the radius depends on the
 cell, so a replication takes its statistics once: the majorant rho(I_hat)
 for the EBR ball, ||Y' - theta_hat||^2 - sigma^2 V for the quarter ball, and
 ||theta - theta_hat||^2 for both; each cell is then `ebr_radius_sq` or
-`quarter_radius_sq` and one comparison.  `ebr_ball`, `quarter_ball` and
-`contains` build and test one ball, from the same two radius functions.
+`quarter_radius_sq` and one comparison.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_vector, sq_norm
+from .linalg import as_vector
 from .oracle import FrameworkConstants
-from .structures import Family
-
-
-@dataclass(frozen=True)
-class ConfidenceBall:
-    center: np.ndarray
-    radius_sq: float
 
 
 def ebr_radius_sq(rho_hat: float, sigma: float, constants: FrameworkConstants,
                   t: float, M: float) -> float:
+    """(t+1) M2 r_hat^2 + (t+2) M sigma^2 with r_hat^2 = sigma^2 (1 + rho(I_hat))."""
     r_hat_sq = sigma**2 * (1.0 + rho_hat)
     return (t + 1.0) * constants.M2 * r_hat_sq + (t + 2.0) * M * sigma**2
-
-
-def ebr_ball(Y, family: Family, sigma: float, constants: FrameworkConstants,
-             I_hat, theta_hat, t: float, M: float) -> ConfidenceBall:
-    """Ball around theta_hat with squared radius (t+1) M2 r_hat^2 + (t+2) M sigma^2."""
-    if M < 0 or t < 0:
-        raise ValueError("t and M must be nonnegative")
-    theta_hat = as_vector(theta_hat)
-    radius_sq = ebr_radius_sq(family.majorant(I_hat), sigma, constants, t, M)
-    return ConfidenceBall(theta_hat, radius_sq)
-
-
-def quarter_ball(Y_prime, theta_hat, sigma: float, M: float, M1: float,
-                 v_stat: float) -> ConfidenceBall:
-    """Ball with squared radius (||Y' - theta_hat||^2 - sigma^2 V + 2 sigma^2 G_M sqrt(N))_+
-    where G_M = sqrt(M (M + M1)).
-
-    Caller contract: Y' is independent of the sample behind theta_hat.
-    """
-    Y_prime = as_vector(Y_prime)
-    theta_hat = as_vector(theta_hat)
-    if Y_prime.size != theta_hat.size:
-        raise DimensionMismatchError("Y' and theta_hat must have equal length")
-    stat = sq_norm(Y_prime - theta_hat) - sigma**2 * v_stat
-    radius_sq = quarter_radius_sq(stat, sigma, M, M1, Y_prime.size)
-    return ConfidenceBall(theta_hat, radius_sq)
 
 
 def quarter_radius_sq(stat: float, sigma: float, M: float, M1: float, n: int) -> float:
@@ -105,14 +71,6 @@ def v_statistic(kind: str, Y_prime, Y=None) -> float:
             raise DimensionMismatchError("samples must have equal length")
         return float(np.sum(Y_prime) - np.sum(Y_prime * Y))
     raise ValueError(f"unknown V statistic kind {kind!r}")
-
-
-def contains(ball: ConfidenceBall, theta) -> bool:
-    """Closed-ball membership."""
-    theta = as_vector(theta)
-    if theta.size != ball.center.size:
-        raise DimensionMismatchError("theta has the wrong length for this ball")
-    return sq_norm(theta - ball.center) <= ball.radius_sq
 
 
 def highly_structured(rate_sq: float, sigma: float, ambient_dim: int, c: float = 1.0) -> bool:

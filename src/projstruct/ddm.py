@@ -8,7 +8,7 @@ polynomials of exp{Y_i^2 / (2 sigma^2)}, so exactness does not require
 enumeration: the normalizer and all n inclusion marginals P(i in I | Y)
 (hence the exact model-averaging mean) take O(n^2) time, the marginals
 from one reverse pass through an 8(n+1)^2-byte table of the recurrence.
-Conditional laws produce draws supported on L_I.
+The conditional law gives Gaussian draws supported on L_I.
 `StructureMeasure` alone decides which measure, and which model-averaging
 mean theta_tilde, a family gets; `select` and `simulate`'s "ma" estimator
 both read it.  Past the enumeration cap its restricted posterior ranges over
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ExactModeUnavailableError
+from .errors import CapExceededError
 from .linalg import sq_norm
-from .selection import (POSTERIOR_CAPS, Projections, SizePath, _ArgminTracker, _penalty_value,
-                        _size_penalties, chunks, size_path)
-from .structures import Caps, Family, SparsityFamily
+from .selection import (POSTERIOR_CAPS, Projections, SizePath, _penalty_value, _size_penalties,
+                        chunks, size_path)
+from .structures import Family, SparsityFamily
 
 # Gaussian conditional law: prior-to-posterior shrinkage with kappa = e - 1
 # gives conditional covariance (kappa/(kappa+1)) sigma^2 P_I.
@@ -46,21 +46,15 @@ CONDITIONAL_VAR_FACTOR = CONDITIONAL_KAPPA / (CONDITIONAL_KAPPA + 1.0)
 
 @dataclass
 class DdmConfig:
-    """Penalty scale, noise intensity, and the conditional resampling law."""
+    """Penalty scale, noise intensity and penalty variant."""
 
     kappa: float
     sigma: float
-    conditional_law: str = "gaussian"  # "gaussian" | "resample"
-    z_sampler: object = None  # rng, size -> vector; required for "resample"
     pen_variant: str = "main"  # "main" = 2*kappa*rho; "map" adds dim(L_I)
 
     def __post_init__(self):
         if not (0 < self.kappa < math.inf and 0 <= self.sigma < math.inf):
             raise ValueError("kappa must be positive and sigma nonnegative, both finite")
-        if self.conditional_law not in ("gaussian", "resample"):
-            raise ValueError(f"unknown conditional law {self.conditional_law!r}")
-        if self.conditional_law == "resample" and self.z_sampler is None:
-            raise ValueError("resample law needs a z_sampler")
 
 
 @dataclass
@@ -122,11 +116,6 @@ def _log_esp_table(log_x: np.ndarray) -> np.ndarray:
     return table
 
 
-def log_elementary_symmetric(log_x: np.ndarray) -> np.ndarray:
-    """log e_k(x) for k = 0..n given log x_i, via the stable O(n^2) recurrence."""
-    return _log_esp_table(log_x)[-1].copy()
-
-
 def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
     """log x_j = Y_j^2 / (2 sigma^2) and log c_k, the weight of a size-k
     support apart from its prod x_j: base - pen_k / 2, with pen_k the
@@ -138,18 +127,15 @@ def _sparsity_terms(Y, family: SparsityFamily, cfg: DdmConfig):
 
 
 def sparsity_log_normalizer(Y, family: SparsityFamily, cfg: DdmConfig,
-                            table: np.ndarray | None = None) -> float:
+                            table: np.ndarray) -> float:
     """Exact log normalizer over all 2^n subsets, without enumeration: the
     masses c_k e_k(x) of the support sizes, summed in the log domain.  The
-    e_k are the last row of `table`, the `_log_esp_table` of log x, built
-    when None."""
-    log_x, log_c = _sparsity_terms(Y, family, cfg)
-    log_e = log_elementary_symmetric(log_x) if table is None else table[-1]
-    return logsumexp(log_c + log_e)
+    e_k are the last row of `table`, the `_log_esp_table` of log x."""
+    return logsumexp(_sparsity_terms(Y, family, cfg)[1] + table[-1])
 
 
 def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig,
-                                     table: np.ndarray | None = None) -> np.ndarray:
+                                     table: np.ndarray) -> np.ndarray:
     """Exact marginal P(i in I | Y) for every coordinate, in O(n^2) time.
 
     With Z = sum_k c_k e_k(x), the forward pass keeps every row of the
@@ -159,10 +145,9 @@ def sparsity_inclusion_probabilities(Y, family: SparsityFamily, cfg: DdmConfig,
     supports holding j is x_j * sum_k g_k e_{k-1}(x_0..x_{j-1}).  Every term
     is positive, so nothing is subtracted in the log domain and no fallback
     is needed.  Memory is the 8(n+1)^2-byte table, the `_log_esp_table` of
-    log x, built here when `table` is None.
+    log x.
     """
     log_x, log_c = _sparsity_terms(Y, family, cfg)
-    table = _log_esp_table(log_x) if table is None else table
     log_z = logsumexp(log_c + table[-1])
     g = log_c.copy()
     probs = np.empty(family.n)
@@ -183,26 +168,16 @@ def _check_sigma(cfg: DdmConfig) -> None:
         raise ValueError("posterior construction needs sigma > 0")
 
 
-def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
-                        method: str = "auto", caps: Caps | None = None,
+def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates, method: str,
                         proj: Projections | None = None) -> DdmPosterior:
-    """Normalized structure measure over a candidate set.
-
-    method "enumeration" normalizes over the family's full (capped)
-    enumeration; "symmetric-polynomial" (sparsity only) uses the exact 2^n
-    normalizer; "restricted-candidate-set" normalizes over the structures
-    actually supplied.  "auto" picks enumeration when candidates are absent
-    and the restricted mode otherwise.
-    """
+    """Normalized structure measure over the candidates, which are the
+    family's enumeration (method "enumeration") or the structures a search
+    scored ("restricted-candidate-set"); either way the weights are
+    normalized over the candidates."""
     _check_sigma(cfg)
-    if method == "auto":
-        method = "enumeration" if candidates is None else "restricted-candidate-set"
-    if method not in ("enumeration", "restricted-candidate-set", "symmetric-polynomial"):
+    if method not in ("enumeration", "restricted-candidate-set"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "symmetric-polynomial" and not isinstance(family, SparsityFamily):
-        raise ExactModeUnavailableError(
-            "symmetric-polynomial normalization applies to the sparsity family only")
-    candidates = list(family.enumerate_structures(caps) if candidates is None else candidates)
+    candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate set is empty")
 
@@ -213,8 +188,7 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates=None,
     pen = [_penalty_value(family._majorant(s), family._dim(s) if map_dim else 0,
                           cfg.kappa, cfg.pen_variant) for s in candidates]
     raw = _log_weights(np.array(rss), np.array(pen), cfg)
-    log_z = (sparsity_log_normalizer(Y, family, cfg) if method == "symmetric-polynomial"
-             else logsumexp(raw))
+    log_z = logsumexp(raw)
     return DdmPosterior(family, candidates, raw - log_z, method, log_normalizer=log_z)
 
 
@@ -222,12 +196,11 @@ def _size_indexed_posterior(y, family, cfg: DdmConfig, path: SizePath, candidate
                             method: str, table: np.ndarray | None = None) -> DdmPosterior:
     """The posterior of a smoothness, banding or sparsity family, without
     projecting.  "symmetric-polynomial": the sparsity path, from the path's
-    SSE array, under the exact 2^n normalizer (from the log-ESP `table`,
-    when given).  "enumeration": candidates
-    are the family's enumeration; for smoothness and banding that is the
-    path itself, in size order, and the enumerated sparsity supports are
-    scored by a 0/1 mask, each ||Y - P_I Y||^2 the sum of Y_i^2 over the
-    coordinates I drops."""
+    SSE array, under the exact 2^n normalizer (from the log-ESP `table`).
+    "enumeration": candidates are the family's enumeration; for smoothness
+    and banding that is the path itself, in size order, and the enumerated
+    sparsity supports are scored by a 0/1 mask, each ||Y - P_I Y||^2 the sum
+    of Y_i^2 over the coordinates I drops."""
     _check_sigma(cfg)
     pen = _size_penalties(family, cfg.kappa, cfg.pen_variant)
     if method == "enumeration" and isinstance(family, SparsityFamily):
@@ -246,15 +219,6 @@ def _size_indexed_posterior(y, family, cfg: DdmConfig, path: SizePath, candidate
     return DdmPosterior(family, candidates, raw - log_z, method, log_z)
 
 
-def select_map(post: DdmPosterior):
-    """Highest-weight structure, under the selectors' tie rule: ties go to the
-    smallest majorant, then the canonical enumeration order."""
-    tracker = _ArgminTracker(post.family)
-    for s, log_w in zip(post.candidates, post.log_weights):
-        tracker.offer(s, -log_w)
-    return tracker.result()[0]
-
-
 def ma_mean(Y, family: Family, post: DdmPosterior,
             proj: Projections | None = None) -> np.ndarray:
     """Model-averaging mean: the weight-mixed projection of Y, summed in
@@ -270,7 +234,7 @@ def ma_mean(Y, family: Family, post: DdmPosterior,
 
 
 def sparsity_ma_mean_exact(Y, family: SparsityFamily, cfg: DdmConfig,
-                           table: np.ndarray | None = None) -> np.ndarray:
+                           table: np.ndarray) -> np.ndarray:
     """Exact model-averaging mean over all 2^n supports: Y_i * P(i in I|Y)."""
     return np.asarray(Y, dtype=float) * sparsity_inclusion_probabilities(Y, family, cfg, table)
 
@@ -339,24 +303,18 @@ def sample_conditional(Y, family: Family, structure, cfg: DdmConfig, rng,
                        count: int, proj: Projections | None = None) -> np.ndarray:
     """(count, N) draws from the conditional law on L_I centered at P_I Y.
 
-    Gaussian: N(P_I Y, (kappa/(kappa+1)) sigma^2 P_I) with kappa = e-1.
-    Resample: P_I Y + sigma P_I Z with caller-supplied Z draws.
-    The center is `proj.project(structure)`, on a new memo when proj is
-    None: after `select_penalized` on proj it is the row the selector
-    stored, so the selected structure is not projected again.  The
-    projected draws are scaled and shifted in place, with the float
-    operations of center + scale * P_I Z.
+    N(P_I Y, (kappa/(kappa+1)) sigma^2 P_I) with kappa = e-1.  The center
+    is `proj.project(structure)`, on a new memo when proj is None: after
+    `select_penalized` on proj it is the row the selector stored, so the
+    selected structure is not projected again.  The projected draws are
+    scaled and shifted in place, with the float operations of
+    center + scale * P_I Z.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
     center = Projections.of(Y, family, proj).project(structure)
-    if cfg.conditional_law == "gaussian":
-        scale = cfg.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
-        noise = rng.standard_normal((count, family.ambient_dim))
-    else:
-        scale = cfg.sigma
-        noise = np.stack([np.asarray(cfg.z_sampler(rng, family.ambient_dim), dtype=float)
-                          for _ in range(count)])
+    scale = cfg.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
+    noise = rng.standard_normal((count, family.ambient_dim))
     draws = family.project_many(structure, noise)
     draws *= scale
     draws += center

@@ -436,10 +436,10 @@ def _hits(dist_sq: float, radii) -> list[tuple[float, float]]:
 
 
 def _rep_coverage_ebr(ctx, rng, t_list, M_list):
-    """(hit, squared radius) of the EBR ball for each (t, M), t-major, as
-    `contains(ebr_ball(...), theta)` would give them: rho(I_hat) and
-    ||theta - theta_hat||^2 are computed once per replication, and each
-    cell is one `ebr_radius_sq` and one comparison."""
+    """(hit, squared radius) of the EBR ball around theta_hat for each
+    (t, M), t-major: rho(I_hat) and ||theta - theta_hat||^2 are computed
+    once per replication, and each cell is one `ebr_radius_sq` and one
+    comparison."""
     theta_hat, i_hat = ctx.estimate(ctx.memo(ctx.draw(rng)), rng)
     rho_hat = ctx.family.majorant(i_hat)
     dist_sq = sq_norm(ctx.theta - _center(ctx, theta_hat))
@@ -462,11 +462,10 @@ def _check_quarter(ctx) -> None:
 
 
 def _rep_coverage_quarter(ctx, rng, M_list):
-    """(hit, squared radius) of the quarter ball for each M, as
-    `contains(quarter_ball(...), theta)` would give them: the statistic
-    ||Y' - theta_hat||^2 - sigma^2 V and ||theta - theta_hat||^2 are
-    computed once per replication, and each M is one `quarter_radius_sq`
-    and one comparison."""
+    """(hit, squared radius) of the quarter ball around theta_hat for each
+    M: the statistic ||Y' - theta_hat||^2 - sigma^2 V and
+    ||theta - theta_hat||^2 are computed once per replication, and each M is
+    one `quarter_radius_sq` and one comparison."""
     if ctx.config.get("duplication", "gaussian") == "gaussian":
         y_prime, y_second = duplicate_gaussian(ctx.draw(rng), ctx.sigma, rng)
         sigma_eff = ctx.sigma * math.sqrt(2.0)
@@ -720,8 +719,6 @@ def run_experiment(config: dict, seed: int, workers: int = 1):
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):  # includes numpy scalars; repr round-trips

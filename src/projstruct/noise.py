@@ -117,10 +117,9 @@ class A1Row:
     passed: bool
 
 
-def _log_mean_exp_with_jackknife(values: np.ndarray,
-                                 hi: float | None = None) -> tuple[float, float]:
+def _log_mean_exp_with_jackknife(values: np.ndarray, hi: float) -> tuple[float, float]:
     """Stabilized log-mean-exp and its jackknife standard error; hi is
-    float(values.max()), computed when None.
+    float(values.max()).
 
     One work array of len(values) holds exp(values - max), then the
     leave-one-out sums, logs and squared deviations in turn (`out=`); each
@@ -130,7 +129,6 @@ def _log_mean_exp_with_jackknife(values: np.ndarray,
     scalar test tells whether any sum is tiny enough to recompute.
     """
     m = values.size
-    hi = float(values.max()) if hi is None else hi
     work = np.subtract(values, hi)
     np.exp(work, out=work)
     total = float(work.sum())

@@ -70,7 +70,8 @@ class FrameworkConstants:
 
     @property
     def tau0(self) -> float:
-        return tau0_default(self, self.delta)
+        """tau0(delta) = ((1+delta)/(1-delta)) * tau_bar + 0.1."""
+        return (1.0 + self.delta) / (1.0 - self.delta) * self.tau_bar + 0.1
 
     @property
     def c3(self) -> float:
@@ -100,22 +101,13 @@ class FrameworkConstants:
         return 2.0 * self.kappa * self.alpha
 
 
-def tau0_default(constants: FrameworkConstants, delta: float = 0.1) -> float:
-    """tau0(delta) = ((1+delta)/(1-delta)) * tau_bar + 0.1."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    return (1.0 + delta) / (1.0 - delta) * constants.tau_bar + 0.1
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Best trade-off between approximation error and penalized complexity."""
 
     structure: object
     approx_sq: float
-    complexity: float  # tau * sigma^2 * rho(I_o)
-    rate_sq: float
-    tau: float
+    rate_sq: float  # approx_sq + tau * sigma^2 * rho(I_o)
 
 
 def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,
@@ -131,8 +123,7 @@ def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,
     structure, _ = select_penalized(theta, family, sigma, tau / 2.0, mode=mode, caps=caps,
                                     proj=proj)
     approx = proj.rss(structure)
-    complexity = tau * sigma**2 * family.majorant(structure)
-    return OracleReport(structure, approx, complexity, approx + complexity, tau)
+    return OracleReport(structure, approx, approx + tau * sigma**2 * family.majorant(structure))
 
 
 def ebr_ratio(theta, family: Family, sigma: float, constants: FrameworkConstants,
@@ -142,11 +133,3 @@ def ebr_ratio(theta, family: Family, sigma: float, constants: FrameworkConstants
     report = oracle_rate(theta, family, sigma, constants.tau0, mode=mode)
     rho = family.majorant(report.structure)
     return report.approx_sq / (sigma**2 * (1.0 + rho))
-
-
-def ebr_member(theta, family: Family, sigma: float, constants: FrameworkConstants,
-               t: float, mode: str = "exact") -> bool:
-    """Whether theta satisfies the excessive bias restriction at level t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return ebr_ratio(theta, family, sigma, constants, mode=mode) <= t

@@ -15,7 +15,7 @@ bicluster alternation, the clustering DP with at most max_blocks clusters),
 or the exact selector when it has none.  A search, and the exact clustering
 DP, leaves the structures it scored on the `Projections` memo
 (`Projections.searched`), where the restricted posterior reads them.  The
-jump path (`segment_dp`) runs the segmentation DP `_segmentations`.
+jump path (`_break_sets`) runs the segmentation DP `_segmentations`.
 
 On a size-indexed path pen depends on the size alone, so the objective
 array is sse + sigma^2 * pen_k with the float operations of `penalty`,
@@ -43,8 +43,8 @@ Decisions and stored objectives are those of scoring every move in full.
 Ties are broken deterministically: objectives within a relative 1e-12 band
 count as equal, and among tied structures the one with the smallest majorant,
 then the smallest canonical sort key, wins.  `_ArgminTracker` holds this rule;
-the exact selectors, the brute force, the alternating bicluster restarts and
-`ddm.select_map` all use it, so they return identical structures.
+the exact selectors, the brute force and the alternating bicluster restarts
+all use it, so they return identical structures.
 """
 
 from __future__ import annotations
@@ -354,23 +354,6 @@ def _break_sets(y, max_breaks: int):
         yield sse, tuple(cut - 1 for cut in cuts)
 
 
-def segment_dp(values, max_breaks: int):
-    """SSE-optimal break sets for every break budget.
-
-    Returns a list indexed by k = 0..max_breaks of (sse, breaks) where breaks
-    is the k-break set minimizing the within-segment sum of squares around
-    segment means.  Exact because the optimal fit on a segment is its mean,
-    so costs are additive over segments; O(n^2 * max_breaks).
-    """
-    y = np.asarray(values, dtype=float)
-    n = y.size
-    if n < 1:
-        raise ValueError("values must be nonempty")
-    if max_breaks > n - 1:
-        raise ValueError("max_breaks must be at most n-1")
-    return list(_break_sets(y, max_breaks))
-
-
 # ---------------------------------------------------------------------------
 # Nested paths: (structure, SSE) pairs, one per size, holding the minimizer
 # ---------------------------------------------------------------------------
@@ -440,17 +423,6 @@ def size_path(Y, family: Family) -> SizePath | None:
     """The family's size-indexed path (smoothness, banding, sparsity), or None."""
     sizes = _SIZE_PATHS.get(family.tag)
     return None if sizes is None else sizes(np.asarray(Y, dtype=float), family)
-
-
-def nested_path(Y, family: Family):
-    """(structure, SSE) pairs along the family's nested path, one per size,
-    or None when the family has no such path."""
-    y = np.asarray(Y, dtype=float)
-    sizes = size_path(y, family)
-    if sizes is not None:
-        return [(sizes.build(k), sizes.sse[k]) for k in range(sizes.sse.size)]
-    path = _PATHS.get(family.tag)
-    return None if path is None else list(path(y, family))
 
 
 def _near_minimum(obj: np.ndarray) -> list[int]:
@@ -895,8 +867,10 @@ def select_penalized(Y, family: Family, sigma: float, kappa: float, mode: str = 
         return _finish(proj, sigma, kappa, pen_variant, tracker)
     sizes = size_path(proj.y, family)
     if sizes is not None:
-        # the float operations of `sse + sigma**2 * penalty(...)`, elementwise
-        obj = sizes.sse + sigma**2 * _size_penalties(family, kappa, pen_variant)
+        # the float operations of `sse + sigma**2 * penalty(...)`, elementwise;
+        # an entry past the float range is +inf, which `_near_minimum` handles
+        with np.errstate(over="ignore"):
+            obj = sizes.sse + sigma**2 * _size_penalties(family, kappa, pen_variant)
         tracker = _ArgminTracker(family)
         for k in _near_minimum(obj):
             tracker.offer(sizes.build(k), obj[k])

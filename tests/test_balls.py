@@ -1,18 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from projstruct.balls import (
-    ConfidenceBall,
-    contains,
     duplicate_gaussian,
-    ebr_ball,
+    ebr_radius_sq,
     highly_structured,
-    quarter_ball,
+    quarter_radius_sq,
     v_statistic,
 )
 from projstruct.errors import DimensionMismatchError
+from projstruct.experiments import _center, _hits
+from projstruct.linalg import sq_norm
 from projstruct.oracle import FrameworkConstants
 from projstruct.structures import SparseSet, SparsityFamily
 
@@ -21,26 +22,28 @@ CONST = FrameworkConstants()
 FAM = SparsityFamily(6)
 
 
-def make_ebr(t, M, I_hat=SparseSet((0, 1))):
-    y = np.arange(6.0)
-    theta_hat = FAM.project(I_hat, y)
-    return ebr_ball(y, FAM, 1.0, CONST, I_hat, theta_hat, t, M)
+def ebr_radius(t, M, I_hat=SparseSet((0, 1))):
+    return ebr_radius_sq(FAM.majorant(I_hat), 1.0, CONST, t, M)
+
+
+def quarter_radius(y_prime, theta_hat, sigma, M, M1, v_stat):
+    """The quarter ball's squared radius from Y', theta_hat and V."""
+    stat = sq_norm(y_prime - theta_hat) - sigma**2 * v_stat
+    return quarter_radius_sq(stat, sigma, M, M1, y_prime.size)
 
 
 def test_ebr_radius_formula():
     rho = FAM.majorant(SparseSet((0, 1)))
-    ball = make_ebr(0.0, 0.0)
-    assert ball.radius_sq == pytest.approx(CONST.M2 * (1.0 + rho))
-    ball_empty = make_ebr(0.0, 0.0, I_hat=SparseSet(()))
-    assert ball_empty.radius_sq == pytest.approx(CONST.M2)
-    ball_t_m = make_ebr(2.0, 3.0, I_hat=SparseSet(()))
-    assert ball_t_m.radius_sq == pytest.approx(3.0 * CONST.M2 + 4.0 * 3.0)
+    assert ebr_radius(0.0, 0.0) == pytest.approx(CONST.M2 * (1.0 + rho))
+    assert ebr_radius(0.0, 0.0, I_hat=SparseSet(())) == pytest.approx(CONST.M2)
+    assert ebr_radius(2.0, 3.0, I_hat=SparseSet(())) == pytest.approx(
+        3.0 * CONST.M2 + 4.0 * 3.0)
 
 
 def test_ebr_radius_monotone_in_t_and_M():
     grid = [0.0, 0.5, 1.0, 4.0]
-    radii_t = [make_ebr(t, 1.0).radius_sq for t in grid]
-    radii_m = [make_ebr(1.0, m).radius_sq for m in grid]
+    radii_t = [ebr_radius(t, 1.0) for t in grid]
+    radii_m = [ebr_radius(1.0, m) for m in grid]
     assert radii_t == sorted(radii_t)
     assert radii_m == sorted(radii_m)
 
@@ -49,25 +52,23 @@ def test_quarter_ball_arithmetic_example():
     # ||Y' - theta_hat||^2 - sigma^2 V = 0, N=16, M=1, M1=3 -> radius 2*2*4 = 16
     theta_hat = np.zeros(16)
     y_prime = np.zeros(16)
-    ball = quarter_ball(y_prime, theta_hat, sigma=1.0, M=1.0, M1=3.0, v_stat=0.0)
-    assert ball.radius_sq == pytest.approx(16.0)
+    radius_sq = quarter_radius(y_prime, theta_hat, sigma=1.0, M=1.0, M1=3.0, v_stat=0.0)
+    assert radius_sq == pytest.approx(16.0)
 
 
 def test_quarter_ball_clamp_and_zero_margin():
     y = np.ones(4)
-    ball = quarter_ball(y, y, sigma=1.0, M=0.0, M1=3.0, v_stat=4.0)
-    assert ball.radius_sq == 0.0
-    zero_margin = quarter_ball(y + 1.0, y, sigma=1.0, M=0.0, M1=3.0, v_stat=0.0)
-    assert zero_margin.radius_sq == 4.0  # ||Y' - theta_hat||^2, no margin at M = 0
-    very_neg = quarter_ball(y, y, sigma=1.0, M=1.0, M1=0.0, v_stat=100.0)
-    assert very_neg.radius_sq == 0.0
+    assert quarter_radius(y, y, sigma=1.0, M=0.0, M1=3.0, v_stat=4.0) == 0.0
+    zero_margin = quarter_radius(y + 1.0, y, sigma=1.0, M=0.0, M1=3.0, v_stat=0.0)
+    assert zero_margin == 4.0  # ||Y' - theta_hat||^2, no margin at M = 0
+    assert quarter_radius(y, y, sigma=1.0, M=1.0, M1=0.0, v_stat=100.0) == 0.0
 
 
 def test_quarter_ball_monotone_in_M():
     rng = np.random.default_rng(4)
     y_prime = rng.standard_normal(9)
     theta_hat = np.zeros(9)
-    radii = [quarter_ball(y_prime, theta_hat, 1.0, M, 3.0, 9.0).radius_sq
+    radii = [quarter_radius(y_prime, theta_hat, 1.0, M, 3.0, 9.0)
              for M in (0.0, 0.5, 1.0, 2.0, 8.0)]
     assert radii == sorted(radii)
 
@@ -113,15 +114,21 @@ def test_v_statistic_values():
 
 
 def test_contains_closed_ball():
+    """The coverage sweeps' membership test: `_center` checks the center
+    against theta's length and `_hits` compares squared distances with
+    closed-ball radii."""
     center = np.array([1.0, 2.0])
-    ball = ConfidenceBall(center, 4.0)
-    assert contains(ball, center)
-    assert contains(ball, np.array([3.0, 2.0]))  # boundary point, closed ball
-    assert not contains(ball, np.array([3.0 + 1e-9, 2.0]))
-    zero = ConfidenceBall(center, 0.0)
-    assert not contains(zero, np.array([1.0, 2.0 + 1e-12]))
+
+    def hit(theta, radius_sq):
+        ctx = SimpleNamespace(theta=np.asarray(theta, dtype=float))
+        return _hits(sq_norm(ctx.theta - _center(ctx, center)), [radius_sq])[0][0] == 1.0
+
+    assert hit(center, 4.0)
+    assert hit([3.0, 2.0], 4.0)  # boundary point, closed ball
+    assert not hit([3.0 + 1e-9, 2.0], 4.0)
+    assert not hit([1.0, 2.0 + 1e-12], 0.0)
     with pytest.raises(DimensionMismatchError):
-        contains(ball, np.zeros(3))
+        hit(np.zeros(3), 4.0)
 
 
 def test_highly_structured_flag():

@@ -447,6 +447,23 @@ def test_each_replication_kind_reports_an_overflowing_draw_in_one_line(tmp_path,
         assert not table.exists()
 
 
+@pytest.mark.parametrize("name", ["contraction", "coverage-quarter", "recovery-shell"])
+def test_sigma_whose_penalties_overflow_is_one_line_config_error(tmp_path, capsys, name):
+    """A golden config at sigma 1e154: sigma**2 is finite, but
+    sigma**2 * pen_k passes the float range on the oracle's size path.
+    Those sizes score +inf with no numpy warning, and the run ends in one
+    config error line: a draw or, where the config scales its signal by
+    sigma, the signal, whose squares overflow."""
+    doc = json.loads((DATA_DIR / "golden_simulate" / f"{name}.json").read_text())
+    cfg = write_config(tmp_path, dict(doc, sigma=1e154))
+    table = tmp_path / "table.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "overflow the float range" in err
+    assert not table.exists()
+
+
 # (name, command, config file, section, field, value): one faulty value put
 # into a valid golden config; none of them may end in a traceback, a math
 # error in the middle of a run or a silent exit 0

@@ -8,20 +8,20 @@ from projstruct import ddm, selection
 from projstruct.ddm import (
     CONDITIONAL_VAR_FACTOR,
     DdmConfig,
+    DdmPosterior,
     StructureMeasure,
+    _log_esp_table,
     _sparsity_terms,
-    log_elementary_symmetric,
     logsumexp,
     ma_mean,
     sample_conditional,
-    select_map,
     sparsity_inclusion_probabilities,
     sparsity_log_normalizer,
     sparsity_ma_mean_exact,
     structure_posterior,
 )
 from projstruct.linalg import sq_norm
-from projstruct.selection import Projections, nested_path, penalty, select_penalized
+from projstruct.selection import Projections, penalty, select_penalized, size_path
 from projstruct.structures import (
     BandingFamily,
     BiclusterFamily,
@@ -42,18 +42,28 @@ def cfg(kappa=1.0, sigma=1.0, **kw):
     return DdmConfig(kappa=kappa, sigma=sigma, **kw)
 
 
+def enumerated(y, fam, c):
+    """The posterior over the family's whole enumeration."""
+    return structure_posterior(y, fam, c, fam.enumerate_structures(), "enumeration")
+
+
+def esp_table(y, fam, c):
+    """Sparsity's log-ESP table of log x = Y^2 / (2 sigma^2)."""
+    return _log_esp_table(_sparsity_terms(y, fam, c)[0])
+
+
 def test_equal_penalized_fit_gives_half_half():
     # n=1: candidates {} and {0}; weights tie when Y^2/(2 sigma^2) = kappa*rho({0})
     fam = SparsityFamily(1)
     y = np.array([2.0])  # rho({0}) = 2, kappa = 1 -> Y^2/2 = 2
-    post = structure_posterior(y, fam, cfg())
+    post = enumerated(y, fam, cfg())
     assert np.allclose(np.sort(post.weights()), [0.5, 0.5])
 
 
 def test_log_elementary_symmetric_matches_direct_expansion():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.1, 3.0, 7)
-    got = np.exp(log_elementary_symmetric(np.log(x)))
+    got = np.exp(_log_esp_table(np.log(x))[-1])
     # prod (t + x_i) = sum_k e_k t^{n-k}; np.poly lists highest degree first
     coeffs = np.poly(-x)
     assert np.allclose(got, coeffs, rtol=1e-10)
@@ -66,32 +76,35 @@ def test_symmetric_polynomial_normalizer_matches_enumeration(n):
     for _ in range(10):
         y = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
         c = cfg(kappa=float(rng.uniform(0.4, 2.0)), sigma=float(rng.uniform(0.5, 2.0)))
-        enum = structure_posterior(y, fam, c, method="enumeration")
-        sym = structure_posterior(y, fam, c, candidates=enum.candidates,
-                                  method="symmetric-polynomial")
-        assert sym.log_normalizer == pytest.approx(enum.log_normalizer, rel=1e-12)
-        assert np.allclose(sym.weights(), enum.weights(), rtol=1e-10)
-        assert abs(np.logaddexp.reduce(sym.log_weights)) <= 1e-12
+        enum = enumerated(y, fam, c)
+        log_z = sparsity_log_normalizer(y, fam, c, esp_table(y, fam, c))
+        # the unnormalized log weights, under the 2^n normalizer
+        sym = enum.log_weights + enum.log_normalizer - log_z
+        assert log_z == pytest.approx(enum.log_normalizer, rel=1e-12)
+        assert np.allclose(np.exp(sym), enum.weights(), rtol=1e-10)
+        assert abs(np.logaddexp.reduce(sym)) <= 1e-12
 
 
 def test_smoothness_posterior_argmax_matches_hand_enumeration():
     fam = SmoothnessFamily(3)
     y = np.array([10.0, 0.0, 0.0])
-    post = structure_posterior(y, fam, cfg())
+    post = enumerated(y, fam, cfg())
     # direct evaluation: log w(I) = -kappa*I - ||tail||^2/2
     raw = [-(level + {0: 50.0, 1: 0.0, 2: 0.0, 3: 0.0}[level]) for level in range(4)]
     best = int(np.argmax(raw))
-    assert select_map(post) == Truncation(best) == Truncation(1)
+    assert post.candidates[int(np.argmax(post.log_weights))] == Truncation(best) == Truncation(1)
 
 
 def test_select_map_matches_penalized_selector():
+    """The highest posterior weight sits on the penalized selector's choice:
+    log w(I) = -(||Y - P_I Y||^2 / sigma^2 + pen(I)) / 2 - log Z."""
     rng = np.random.default_rng(3)
     fam = SparsityFamily(7)
     for _ in range(100):
         y = rng.standard_normal(7) * rng.uniform(0.5, 2.5)
         c = cfg(kappa=float(rng.uniform(0.4, 2.0)))
-        post = structure_posterior(y, fam, c)
-        s_map = select_map(post)
+        post = enumerated(y, fam, c)
+        s_map = post.candidates[int(np.argmax(post.log_weights))]
         s_pen, _ = select_penalized(y, fam, c.sigma, c.kappa)
         assert s_map == s_pen
 
@@ -100,7 +113,7 @@ def test_ma_mean_point_mass_and_symmetric_mixture():
     fam = SparsityFamily(3)
     y = np.array([1.0, -2.0, 0.5])
     empty, full = SparseSet(()), SparseSet((0, 1, 2))
-    point = structure_posterior(y, fam, cfg(), candidates=[full])
+    point = structure_posterior(y, fam, cfg(), [full], "restricted-candidate-set")
     assert np.allclose(ma_mean(y, fam, point), y)
     import projstruct.ddm as ddm_mod
 
@@ -112,7 +125,7 @@ def test_ma_mean_point_mass_and_symmetric_mixture():
 def test_ma_mean_matches_direct_sum_on_smoothness():
     fam = SmoothnessFamily(3)
     y = np.array([2.0, -1.0, 0.25])
-    post = structure_posterior(y, fam, cfg())
+    post = enumerated(y, fam, cfg())
     direct = np.zeros(3)
     for w, s in zip(post.weights(), post.candidates):
         direct += w * fam.project(s, y)
@@ -133,13 +146,15 @@ def test_exact_sparsity_marginals_match_enumeration():
     fam = SparsityFamily(9)
     y = rng.standard_normal(9) * 1.5
     c = cfg(kappa=0.8, sigma=1.2)
-    post = structure_posterior(y, fam, c)
+    post = enumerated(y, fam, c)
     marg = np.zeros(9)
     for w, s in zip(post.weights(), post.candidates):
         for i in s.indices:
             marg[i] += w
-    assert np.allclose(sparsity_inclusion_probabilities(y, fam, c), marg, atol=1e-10)
-    assert np.allclose(sparsity_ma_mean_exact(y, fam, c), ma_mean(y, fam, post), atol=1e-10)
+    table = esp_table(y, fam, c)
+    assert np.allclose(sparsity_inclusion_probabilities(y, fam, c, table), marg, atol=1e-10)
+    assert np.allclose(sparsity_ma_mean_exact(y, fam, c, table), ma_mean(y, fam, post),
+                       atol=1e-10)
 
 
 def leave_one_out_inclusion_probabilities(Y, family, cfg):
@@ -147,7 +162,7 @@ def leave_one_out_inclusion_probabilities(Y, family, cfg):
     coordinate."""
     y = np.asarray(Y, dtype=float)
     log_x = 0.5 * (y * y) / cfg.sigma**2
-    log_z = sparsity_log_normalizer(Y, family, cfg)
+    log_z = sparsity_log_normalizer(Y, family, cfg, _log_esp_table(log_x))
     base = -0.5 * sq_norm(y) / cfg.sigma**2
     sizes = np.arange(family.n + 1)
     pen = np.array([penalty(family, SparseSet(tuple(range(s))), cfg.kappa, cfg.pen_variant)
@@ -155,7 +170,7 @@ def leave_one_out_inclusion_probabilities(Y, family, cfg):
     probs = np.empty(family.n)
     for i in range(family.n):
         loo = np.delete(log_x, i)
-        log_esp_loo = log_elementary_symmetric(loo)  # sizes 0..n-1
+        log_esp_loo = _log_esp_table(loo)[-1]  # sizes 0..n-1
         # mass of subsets containing i, by size s = 1..n
         terms = base - 0.5 * pen[1:] + log_x[i] + log_esp_loo
         probs[i] = math.exp(logsumexp(terms) - log_z)
@@ -181,7 +196,7 @@ def test_sparsity_marginals_match_leave_one_out(n, pen_variant):
     fam = SparsityFamily(n)
     for y in _marginal_inputs(n, rng):
         c = cfg(kappa=float(rng.uniform(0.3, 2.0)), pen_variant=pen_variant)
-        got = sparsity_inclusion_probabilities(y, fam, c)
+        got = sparsity_inclusion_probabilities(y, fam, c, esp_table(y, fam, c))
         want = leave_one_out_inclusion_probabilities(y, fam, c)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
@@ -193,20 +208,20 @@ def test_sparsity_marginals_match_enumeration_both_penalties(pen_variant):
         fam = SparsityFamily(n)
         for y in _marginal_inputs(n, rng):
             c = cfg(kappa=float(rng.uniform(0.3, 2.0)), sigma=1.0, pen_variant=pen_variant)
-            post = structure_posterior(y, fam, c)
+            post = enumerated(y, fam, c)
             marg = np.zeros(n)
             for w, s in zip(post.weights(), post.candidates):
                 marg[list(s.indices)] += w
-            np.testing.assert_allclose(sparsity_inclusion_probabilities(y, fam, c), marg,
-                                       rtol=1e-10, atol=0.0)
+            got = sparsity_inclusion_probabilities(y, fam, c, esp_table(y, fam, c))
+            np.testing.assert_allclose(got, marg, rtol=1e-10, atol=0.0)
 
 
 def test_posterior_scale_invariance():
     rng = np.random.default_rng(5)
     fam = SparsityFamily(6)
     y = rng.standard_normal(6)
-    base = structure_posterior(y, fam, cfg(sigma=0.7))
-    scaled = structure_posterior(3.0 * y, fam, cfg(sigma=2.1))
+    base = enumerated(y, fam, cfg(sigma=0.7))
+    scaled = enumerated(3.0 * y, fam, cfg(sigma=2.1))
     assert np.allclose(base.log_weights, scaled.log_weights, atol=1e-12)
 
 
@@ -214,8 +229,8 @@ def test_ms_ddm_is_degenerate_mixture():
     fam = SmoothnessFamily(4)
     y = np.array([3.0, 2.0, 0.1, 0.0])
     c = cfg()
-    post = structure_posterior(y, fam, c)
-    i_hat = select_map(post)
+    post = enumerated(y, fam, c)
+    i_hat, _ = select_penalized(y, fam, c.sigma, c.kappa)
     import projstruct.ddm as ddm_mod
 
     degenerate = ddm_mod.DdmPosterior(
@@ -251,27 +266,20 @@ def _sample_conditional_oracle(Y, family, structure, c, rng, count):
     """`sample_conditional` as family.project(structure, Y) plus the scaled
     projected draws, each step a new array."""
     center = family.project(structure, Y)
-    if c.conditional_law == "gaussian":
-        scale = c.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
-        noise = rng.standard_normal((count, family.ambient_dim))
-    else:
-        scale = c.sigma
-        noise = np.stack([np.asarray(c.z_sampler(rng, family.ambient_dim), dtype=float)
-                          for _ in range(count)])
+    scale = c.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
+    noise = rng.standard_normal((count, family.ambient_dim))
     return center + scale * family.project_many(structure, noise)
 
 
-@pytest.mark.parametrize("law", ["gaussian", "resample"])
-def test_sample_conditional_with_the_memo_has_the_bytes_of_the_call_without(law):
+def test_sample_conditional_with_the_memo_has_the_bytes_of_the_call_without():
     """Centered at the row the selector stored in the memo, the draws have
     the bytes of the call that makes its own memo, and of the center
     projected apart and the draws scaled and shifted into new arrays."""
-    z = lambda rng, n: rng.uniform(-1.0, 1.0, n)  # noqa: E731
     families = [SmoothnessFamily(64), SparsityFamily(12), JumpFamily(10), BandingFamily(4),
                 KnotFamily(7), ClusteringFamily(6)]
     for seed, family in enumerate(families):
         y = np.random.default_rng(seed).standard_normal(family.ambient_dim) * 2.0
-        c = cfg(sigma=0.7, conditional_law=law, z_sampler=z if law == "resample" else None)
+        c = cfg(sigma=0.7)
         proj = Projections(y, family)
         structure, _ = select_penalized(y, family, 0.7, 1.0, proj=proj)
         got = sample_conditional(y, family, structure, c, np.random.default_rng(9), 5, proj)
@@ -325,18 +333,10 @@ def test_config_rejects_non_finite_or_out_of_range_kappa_and_sigma(kappa, sigma)
         DdmConfig(kappa=kappa, sigma=sigma)
 
 
-def test_resample_law_and_posterior_export():
+def test_posterior_export():
     fam = SparsityFamily(3)
     y = np.array([1.0, -1.0, 0.5])
-
-    def z_sampler(rng, n):
-        return 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
-
-    c = DdmConfig(kappa=1.0, sigma=1.0, conditional_law="resample", z_sampler=z_sampler)
-    draws = sample_conditional(y, fam, SparseSet((0, 2)), c, np.random.default_rng(1), 10)
-    assert all(d[1] == 0.0 for d in draws)
-
-    post = structure_posterior(y, fam, cfg())
+    post = enumerated(y, fam, cfg())
     exported = post.export()
     assert len(exported) == 8
     lw = [row["log_weight"] for row in exported]
@@ -349,7 +349,7 @@ def test_resample_law_and_posterior_export():
 def test_sparsity_log_normalizer_empty_candidates_error():
     fam = SparsityFamily(4)
     with pytest.raises(ValueError):
-        structure_posterior(np.zeros(4), fam, cfg(), candidates=[])
+        structure_posterior(np.zeros(4), fam, cfg(), [], "restricted-candidate-set")
 
 
 def test_logsumexp_shift_invariance():
@@ -367,21 +367,22 @@ def test_logsumexp_shift_invariance():
 
 
 def test_select_map_tie_rules():
+    """Equal posterior weights are equal objectives to the selectors' tie
+    rule (`_ArgminTracker`): among tied structures the smallest majorant
+    wins, then the canonical enumeration order."""
     fam = SparsityFamily(2)
-    single = structure_posterior(np.array([1.0, 0.0]), fam, cfg(),
-                                 candidates=[SparseSet((0,))])
-    assert select_map(single) == SparseSet((0,))
-    # exact tie between two singletons: equal data, equal majorant ->
-    # canonical enumeration order breaks it
-    import projstruct.ddm as ddm_mod
 
-    tie = ddm_mod.DdmPosterior(fam, [SparseSet((1,)), SparseSet((0,))],
-                               np.log([0.5, 0.5]), "restricted-candidate-set")
-    assert select_map(tie) == SparseSet((0,))
+    def pick(*candidates):
+        tracker = selection._ArgminTracker(fam)
+        for s in candidates:
+            tracker.offer(s, 1.0)
+        return tracker.result()[0]
+
+    assert pick(SparseSet((0,))) == SparseSet((0,))
+    # exact tie between two singletons: equal majorant -> canonical order
+    assert pick(SparseSet((1,)), SparseSet((0,))) == SparseSet((0,))
     # tie between different majorants -> smaller majorant wins
-    tie2 = ddm_mod.DdmPosterior(fam, [SparseSet((0, 1)), SparseSet(())],
-                                np.log([0.5, 0.5]), "restricted-candidate-set")
-    assert select_map(tie2) == SparseSet(())
+    assert pick(SparseSet((0, 1)), SparseSet(())) == SparseSet(())
 
 
 def test_sample_conditional_covariance_on_non_coordinate_subspace():
@@ -407,18 +408,14 @@ def test_sample_conditional_returns_one_array_of_the_row_values():
     fam = SmoothnessFamily(6)
     y = np.linspace(-1.0, 2.0, 6)
     s = Truncation(3)
-    for c in (cfg(sigma=0.7), DdmConfig(kappa=1.0, sigma=0.7, conditional_law="resample",
-                                         z_sampler=lambda rng, n: rng.standard_normal(n))):
-        draws = sample_conditional(y, fam, s, c, np.random.default_rng(5), 4)
-        assert isinstance(draws, np.ndarray) and draws.shape == (4, 6)
-        rng = np.random.default_rng(5)
-        if c.conditional_law == "gaussian":
-            scale, z = c.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR), rng.standard_normal((4, 6))
-        else:
-            scale, z = c.sigma, np.stack([rng.standard_normal(6) for _ in range(4)])
-        center = fam.project(s, y)
-        rows = [center + scale * row for row in fam.project_many(s, z)]
-        assert draws.tobytes() == np.stack(rows).tobytes()
+    c = cfg(sigma=0.7)
+    draws = sample_conditional(y, fam, s, c, np.random.default_rng(5), 4)
+    assert isinstance(draws, np.ndarray) and draws.shape == (4, 6)
+    scale = c.sigma * math.sqrt(CONDITIONAL_VAR_FACTOR)
+    z = np.random.default_rng(5).standard_normal((4, 6))
+    center = fam.project(s, y)
+    rows = [center + scale * row for row in fam.project_many(s, z)]
+    assert draws.tobytes() == np.stack(rows).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 5, 100, 601])
@@ -514,7 +511,7 @@ def test_size_indexed_measure_matches_the_projection_oracle(name, pen_variant):
     for fam, y, kappa, sigma in _size_indexed_cases(name):
         c = cfg(kappa=kappa, sigma=sigma, pen_variant=pen_variant)
         measure = StructureMeasure(Projections(y, fam), c)
-        want = structure_posterior(y, fam, c, method="enumeration")
+        want = enumerated(y, fam, c)
         _assert_posteriors_agree(measure.posterior, want)
         if isinstance(fam, SparsityFamily):
             continue  # theta_tilde is Y times the exact marginals
@@ -535,10 +532,15 @@ def test_size_indexed_measure_past_the_cap_matches_the_projection_oracle(name, p
         if not isinstance(fam, SparsityFamily):
             assert fam.n_sizes == 1 or (measure.posterior, measure.theta_tilde) == (None, None)
             continue
-        path = [s for s, _ in nested_path(y, fam)]
-        want = structure_posterior(y, fam, c, path, "symmetric-polynomial")
+        path = size_path(y, fam)
+        candidates = [path.build(k) for k in range(fam.n_sizes)]
+        # the path's weights, each projected, under the exact 2^n normalizer
+        rest = structure_posterior(y, fam, c, candidates, "restricted-candidate-set")
+        log_z = sparsity_log_normalizer(y, fam, c, esp_table(y, fam, c))
+        want = DdmPosterior(fam, candidates, rest.log_weights + rest.log_normalizer - log_z,
+                            "symmetric-polynomial", log_z)
         _assert_posteriors_agree(measure.posterior, want)
-        assert measure.posterior.log_normalizer == sparsity_log_normalizer(y, fam, c)
+        assert measure.posterior.log_normalizer == log_z
 
 
 @pytest.mark.parametrize("fam", [SmoothnessFamily(300), BandingFamily(12), SparsityFamily(12),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from projstruct import ddm, experiments, linalg
-from projstruct.balls import contains, duplicate_gaussian, ebr_ball, quarter_ball, v_statistic
+from projstruct.balls import duplicate_gaussian, ebr_radius_sq, quarter_radius_sq, v_statistic
 from projstruct.cli import main
 from projstruct.errors import ConfigError
 from projstruct.experiments import (
@@ -370,7 +370,9 @@ def test_ma_on_sparsity_builds_no_posterior(monkeypatch):
     family = SparsityFamily(6)
     theta, _ = point_estimate(y, family, 0.8, 1.0, "ma", "exact", "main")
     cfg = ddm.DdmConfig(kappa=1.0, sigma=0.8)
-    assert theta.tobytes() == (y * ddm.sparsity_inclusion_probabilities(y, family, cfg)).tobytes()
+    table = ddm._log_esp_table(ddm._sparsity_terms(y, family, cfg)[0])
+    marginals = ddm.sparsity_inclusion_probabilities(y, family, cfg, table)
+    assert theta.tobytes() == (y * marginals).tobytes()
     _, rows = run_experiment(dict(BASE, experiment="estimation-risk", estimator="ma"), seed=2)
     assert len(rows) == 1
 
@@ -435,17 +437,21 @@ def _bits(cells) -> bytes:
     return np.array(cells, dtype=float).tobytes()
 
 
+def _ball_cell(theta, center, radius_sq):
+    """(whether the closed ball holds theta, its squared radius)."""
+    return float(linalg.sq_norm(theta - center) <= radius_sq), radius_sq
+
+
 def _oracle_coverage_ebr(ctx, rng, t_list, M_list):
-    """One `ebr_ball` and one `contains` per (t, M) cell."""
-    y = ctx.draw(rng)
-    theta_hat, i_hat = ctx.estimate(ctx.memo(y), rng)
-    balls = [ebr_ball(y, ctx.family, ctx.sigma, ctx.constants, i_hat, theta_hat, t, M)
-             for t in t_list for M in M_list]
-    return [(float(contains(ball, ctx.theta)), ball.radius_sq) for ball in balls]
+    """One majorant, radius and distance per (t, M) cell."""
+    theta_hat, i_hat = ctx.estimate(ctx.memo(ctx.draw(rng)), rng)
+    return [_ball_cell(ctx.theta, theta_hat, ebr_radius_sq(ctx.family.majorant(i_hat),
+                                                           ctx.sigma, ctx.constants, t, M))
+            for t in t_list for M in M_list]
 
 
 def _oracle_coverage_quarter(ctx, rng, M_list):
-    """One `quarter_ball` and one `contains` per M."""
+    """One statistic, radius and distance per M."""
     if ctx.config.get("duplication", "gaussian") == "gaussian":
         y_prime, y_second = duplicate_gaussian(ctx.draw(rng), ctx.sigma, rng)
         sigma_eff, v_kind = ctx.sigma * math.sqrt(2.0), "unit-variance"
@@ -454,9 +460,10 @@ def _oracle_coverage_quarter(ctx, rng, M_list):
         sigma_eff, v_kind = ctx.sigma, ctx.config.get("v_statistic", "unit-variance")
     theta_hat, _ = ctx.estimate(ctx.memo(y_second), rng, sigma_eff)
     v = v_statistic(v_kind, y_prime, y_second)
-    balls = [quarter_ball(y_prime, theta_hat, sigma_eff, M, ctx.constants.M1, v)
-             for M in M_list]
-    return [(float(contains(ball, ctx.theta)), ball.radius_sq) for ball in balls]
+    return [_ball_cell(ctx.theta, theta_hat, quarter_radius_sq(
+                linalg.sq_norm(y_prime - theta_hat) - sigma_eff**2 * v, sigma_eff, M,
+                ctx.constants.M1, y_prime.size))
+            for M in M_list]
 
 
 def _oracle_contraction(ctx, rng, thresholds):

@@ -6,11 +6,9 @@ import pytest
 
 from projstruct.oracle import (
     FrameworkConstants,
-    ebr_member,
     ebr_ratio,
     kappa_lower,
     oracle_rate,
-    tau0_default,
 )
 from projstruct.selection import objective
 from projstruct.structures import (
@@ -40,12 +38,10 @@ def test_constant_formulas_match_proofs():
 
 
 def test_tau0_example_value_and_monotonicity():
-    class Stub:
-        tau_bar = 3.0
-
-    assert tau0_default(Stub(), 0.1) == pytest.approx(11 / 9 * 3 + 0.1)
-    assert tau0_default(Stub(), 1e-9) == pytest.approx(3.1, abs=1e-6)
-    vals = [tau0_default(Stub(), d) for d in (0.1, 0.3, 0.5, 0.7)]
+    c = FrameworkConstants(delta=0.1)
+    assert c.tau0 == pytest.approx(11 / 9 * c.tau_bar + 0.1)
+    assert FrameworkConstants(delta=1e-9).tau0 == pytest.approx(c.tau_bar + 0.1, abs=1e-6)
+    vals = [FrameworkConstants(delta=d).tau0 for d in (0.1, 0.3, 0.5, 0.7)]
     assert vals == sorted(vals)
 
 
@@ -131,8 +127,7 @@ def test_ebr_ratio_zero_iff_structured_and_deceptive_example():
     fam = SparsityFamily(12)
     theta = np.zeros(12)
     theta[3] = 100.0
-    assert ebr_ratio(theta, fam, 1.0, c) == pytest.approx(0.0, abs=1e-15)
-    assert ebr_member(theta, fam, 1.0, c, t=0.0)
+    assert ebr_ratio(theta, fam, 1.0, c) <= 0.0  # b = 0: in the EBR class at t = 0
 
     # deceptive signal: every coordinate at half noise level
     fam50 = SparsityFamily(50)
@@ -142,7 +137,6 @@ def test_ebr_ratio_zero_iff_structured_and_deceptive_example():
     # the tau0-oracle collapses to the empty set, so b = n/4 exactly
     assert b == pytest.approx(12.5)
     assert b > 1.0
-    assert not ebr_member(theta, fam50, sigma, c, t=1.0)
     # joint scaling of (theta, sigma) leaves the ratio unchanged
     assert ebr_ratio(3.0 * theta, fam50, 3.0 * sigma, c) == pytest.approx(b, rel=1e-12)
 
@@ -153,6 +147,6 @@ def test_ebr_class_nesting():
     rng = np.random.default_rng(2)
     for _ in range(20):
         theta = rng.standard_normal(20)
-        m1 = ebr_member(theta, fam, 1.0, c, t=0.5)
-        m2 = ebr_member(theta, fam, 1.0, c, t=2.0)
-        assert m2 or not m1
+        # the class at level t is {b <= t}, so the classes nest in t once b
+        # is a number >= 0
+        assert 0.0 <= ebr_ratio(theta, fam, 1.0, c) < math.inf

@@ -16,9 +16,7 @@ from projstruct.selection import (
     _ArgminTracker,
     _label_blocks,
     alternating_bicluster,
-    nested_path,
     objective,
-    segment_dp,
     select_bruteforce,
     select_penalized,
 )
@@ -30,6 +28,7 @@ from projstruct.structures import (
     ClusteringFamily,
     Family,
     JumpFamily,
+    JumpSet,
     KnotFamily,
     LeveledSparsityFamily,
     MultiLevelPartition,
@@ -96,16 +95,30 @@ def test_bicluster_exact_recovers_block_constant_signal():
     assert fam.majorant(s) <= fam.majorant(truth) + 1e-12
 
 
+def break_table(y, max_breaks):
+    """The jump path's (sse, breaks) for 0..max_breaks breaks (`_break_sets`)."""
+    return list(selection._break_sets(np.asarray(y, dtype=float), max_breaks))
+
+
+def path_entries(Y, family):
+    """(structure, SSE) for every size along a nested path: the entries of
+    `size_path`, or the jump path's break sets (`_break_sets`)."""
+    sizes = selection.size_path(Y, family)
+    if sizes is None:
+        return [(JumpSet(breaks), sse) for sse, breaks in break_table(Y, family.n - 1)]
+    return [(sizes.build(k), sizes.sse[k]) for k in range(sizes.sse.size)]
+
+
 def test_segment_dp_examples_and_exhaustive_equivalence():
-    table = segment_dp(np.full(6, 3.25), max_breaks=3)
+    table = break_table(np.full(6, 3.25), max_breaks=3)
     assert all(sse == pytest.approx(0.0, abs=1e-12) for sse, _ in table)
 
-    table = segment_dp(np.array([0.0, 0.0, 5.0, 5.0]), max_breaks=2)
+    table = break_table(np.array([0.0, 0.0, 5.0, 5.0]), max_breaks=2)
     assert table[1] == (pytest.approx(0.0, abs=1e-12), (1,))
 
     rng = np.random.default_rng(4)
     y = rng.standard_normal(10)
-    table = segment_dp(y, max_breaks=4)
+    table = break_table(y, max_breaks=4)
     for k in range(5):
         best = min(
             float(sum((y[lo:hi] - y[lo:hi].mean()) @ (y[lo:hi] - y[lo:hi].mean())
@@ -184,13 +197,13 @@ def test_exact_matches_bruteforce_under_map_penalty_variant():
 def test_dispatch_table_paths_searches_and_heuristic_fallback(name):
     fam = small_families()[name]
     y = np.random.default_rng(41).standard_normal(fam.ambient_dim) * 2.0
-    path = nested_path(y, fam)
     if name in ("smoothness", "banding", "sparsity", "jump"):
+        path = path_entries(y, fam)
         assert len({fam.dim(s) for s, _ in path}) == len(path)
         for s, sse in path:
             assert sse == pytest.approx(sq_norm(y - fam.project(s, y)), rel=1e-9, abs=1e-9)
     else:
-        assert path is None
+        assert selection.size_path(y, fam) is None and name not in selection._PATHS
 
     proj = Projections(y, fam)
     heuristic = select_penalized(y, fam, 1.0, 1.0, mode="heuristic",
@@ -496,7 +509,7 @@ def test_segment_dp_matches_per_hi_loop():
                 for sse, cuts in per_hi_segmentations(selection._sse_costs(y), n - 1)]
         budgets = range(n) if n <= 64 else (0, 1, 7, n - 1)
         for budget in budgets:
-            assert repr(segment_dp(y, budget)) == repr(full[:budget + 1]), (n, rep, budget)
+            assert repr(break_table(y, budget)) == repr(full[:budget + 1]), (n, rep, budget)
 
 
 def test_segment_dp_matches_per_hi_loop_with_ties_at_n_512():
@@ -509,7 +522,7 @@ def test_segment_dp_matches_per_hi_loop_with_ties_at_n_512():
     full = [(sse, tuple(c - 1 for c in cuts))
             for sse, cuts in per_hi_segmentations(selection._sse_costs(y), 40)]
     for budget in range(41):
-        assert repr(segment_dp(y, budget)) == repr(full[:budget + 1]), budget
+        assert repr(break_table(y, budget)) == repr(full[:budget + 1]), budget
 
 
 def _near_minimum_oracle(obj):
@@ -579,7 +592,7 @@ def test_segmentations_match_per_hi_loop_on_clustering_costs():
 def full_scoring_select(Y, family, sigma, kappa, pen_variant="main"):
     """The nested-path selector that offers every path entry."""
     tracker = _ArgminTracker(family)
-    for s, sse in nested_path(Y, family):
+    for s, sse in path_entries(Y, family):
         tracker.offer(s, sse + sigma**2 * selection.penalty(family, s, kappa, pen_variant))
     s, _ = tracker.result()
     return s, objective(Y, family, s, sigma, kappa, pen_variant)
@@ -627,7 +640,7 @@ def test_rho_prime_sparsity_path_is_scored_in_full():
 def _band_select(Y, family, sigma, kappa, pen_variant, tolerances):
     """The nested-path selector that offers only the entries within the given
     number of tie tolerances, TIE_RTOL * (1 + max|obj|), of the minimum."""
-    path = nested_path(Y, family)
+    path = path_entries(Y, family)
     obj = np.array([sse + sigma**2 * selection.penalty(family, s, kappa, pen_variant)
                     for s, sse in path])
     top = obj.min() + tolerances * TIE_RTOL * (1.0 + np.abs(obj).max())
