@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 
 from .selection import Projections, select_penalized
-from .structures import Caps, Family
+from .structures import Family
 
 logger = logging.getLogger(__name__)
 _WARNED_PRACTICAL: set[tuple[float, float, float]] = set()
@@ -111,7 +111,7 @@ class OracleReport:
 
 
 def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,
-                mode: str = "exact", caps: Caps | None = None) -> OracleReport:
+                mode: str = "exact") -> OracleReport:
     """tau-oracle report: minimizes ||theta - P_I theta||^2 + tau sigma^2 rho(I).
 
     Reuses the penalized selector with Y replaced by theta and kappa = tau/2,
@@ -120,8 +120,7 @@ def oracle_rate(theta, family: Family, sigma: float, tau: float = 1.0,
     if tau <= 0:
         raise ValueError("tau must be positive")
     proj = Projections(theta, family)
-    structure, _ = select_penalized(theta, family, sigma, tau / 2.0, mode=mode, caps=caps,
-                                    proj=proj)
+    structure, _ = select_penalized(theta, family, sigma, tau / 2.0, mode=mode, proj=proj)
     approx = proj.rss(structure)
     return OracleReport(structure, approx, approx + tau * sigma**2 * family.majorant(structure))
 

@@ -39,6 +39,11 @@ it is skipped (`alternating_bicluster` gives the bound).  The exact scores
 come from the label arrays through one block-mean kernel
 (`BiclusterFamily.label_rss`), not through a structure and the memo.
 Decisions and stored objectives are those of scoring every move in full.
+The heuristic search runs the restarts of every block-count pair in
+lockstep (`_alternations`): each step screens all running restarts in one
+batch per axis and scores all their kept moves in one kernel call, so the
+per-call overhead of numpy on small arrays is paid per step, not per
+restart and move.
 
 Ties are broken deterministically: objectives within a relative 1e-12 band
 count as equal, and among tied structures the one with the smallest majorant,
@@ -65,6 +70,7 @@ from .structures import (
     Caps,
     Family,
     JumpSet,
+    LABEL_BLOCK,
     MultiLevelPartition,
     RegressionSupport,
     SparseSet,
@@ -513,58 +519,88 @@ class AlternatingTrace:
 
 
 def _label_blocks(labels, k):
-    return canonical_partition(np.flatnonzero(labels == b) for b in range(k))
+    blocks = [[] for _ in range(k)]
+    for i, b in enumerate(labels.tolist()):
+        blocks[b].append(i)
+    return canonical_partition(blocks)
 
 
-def _one_hot(labels, k):
-    return (labels[:, None] == np.arange(k)).astype(float)
-
-
-def _approx_move_objectives(lines, k, other_labels, k_other, ysq, pen):
-    """The function that maps the labels of the rows of `lines` to A, with
-    A[i, b] the objective after moving line i from block labels[i] to block
-    b, from block sums and up to rounding; +inf at b = labels[i].
-    pen(s, s_other) is sigma^2 * pen for s blocks on this axis and s_other
-    on the other.
+def _move_objectives(lines, labels, k, other, pen_table, ysq):
+    """A[r, i, b]: restart r's objective, from block sums and up to
+    rounding, after moving line i of `lines` from block labels[r, i] to
+    block b, for the blocks b < K = len(pen_table) - 1; +inf at
+    b = labels[r, i] and at b >= k[r].  The columns of `lines` are the other
+    axis's lines, which restart r puts in the blocks other[r], and
+    pen_table[s, s_other] is sigma^2 * pen for s blocks on this axis and
+    s_other on the other (+inf at s = 0).
 
     With line sums R[i, c] over the other axis's blocks, block sums S[a, c]
     and block sizes n_a, n_c, the captured energy ||P Y||^2 is
     sum S^2 / (n_a n_c); a move changes rows labels[i] and b of S only.
-    R, the weights 1 / n_c and the penalties depend on the other axis
-    alone, which a pass holds fixed, so they are computed once per pass and
-    each move recomputes only the rest, with the same float operations.
     """
-    n_other = np.bincount(other_labels, minlength=k_other)
-    w = 1.0 / np.maximum(n_other, 1)  # an empty block's sums are zero
-    R = lines @ _one_hot(other_labels, k_other)
-    s_other = int(np.count_nonzero(n_other))
-    pens = np.array([math.inf] + [pen(c, s_other) for c in range(1, k + 1)])
+    restarts, n = labels.shape
+    blocks = np.arange(len(pen_table) - 1)
+    one_other = (other[:, :, None] == blocks).astype(float)
+    n_other = one_other.sum(axis=1)
+    w = (1.0 / np.maximum(n_other, 1))[:, :, None]  # an empty block's sums are zero
+    R = lines @ one_other
+    pens = pen_table[:, np.count_nonzero(n_other, axis=1)].T
+    one = (labels[:, :, None] == blocks).astype(float)
+    S = one.transpose(0, 2, 1) @ R
+    size = one.sum(axis=1)
+    energy = ((S * S) @ w)[..., 0] / np.maximum(size, 1)
+    r = np.arange(restarts)[:, None]
+    left, n_left = S[r, labels] - R, size[r, labels] - 1  # each line's block without it
+    kept = (energy.sum(axis=1)[:, None] - energy[r, labels]
+            + ((left * left) @ w)[..., 0] / np.maximum(n_left, 1))
+    joined = S[:, None] + R[:, :, None]
+    captured = (kept[..., None] - energy[:, None]
+                + ((joined * joined) @ w[:, None])[..., 0] / (size + 1)[:, None])
+    # block counts after each move; a count of 0 occurs only at b = labels[r, i]
+    counts = (np.count_nonzero(size, axis=1)[:, None, None] - (n_left == 0)[..., None]
+              + (size == 0)[:, None])
+    out = ysq - captured + np.take_along_axis(
+        pens, counts.reshape(restarts, -1), axis=1).reshape(counts.shape)
+    out[(blocks == labels[..., None]) | (blocks >= k[:, None, None])] = math.inf
+    return out
 
-    def approx(labels):
-        S = _one_hot(labels, k).T @ R
-        n = np.bincount(labels, minlength=k)
-        energy = (S * S) @ w / np.maximum(n, 1)
-        left, n_left = S[labels] - R, n[labels] - 1  # each line's block without it
-        kept = energy.sum() - energy[labels] + (left * left) @ w / np.maximum(n_left, 1)
-        joined = S + R[:, None, :]
-        captured = kept[:, None] - energy + (joined * joined) @ w / (n + 1)
-        # block counts after each move; a count of 0 occurs only at b = labels[i]
-        counts = np.count_nonzero(n) - (n_left == 0)[:, None] + (n == 0)
-        out = ysq - captured + pens[counts]
-        out[np.arange(labels.size), labels] = math.inf
-        return out
 
-    return approx
+def _screen(lines, labels, k, other, pen_table, ysq, obj, first):
+    """For each restart r, the first line i >= first[r] of `lines` with a
+    target that the screen of `alternating_bicluster` keeps, or -1 when
+    there is none, and the kept targets of that line as a mask over the
+    blocks.  Restarts are screened in groups of at most `LABEL_BLOCK`
+    floats of move objectives."""
+    n = lines.shape[0]
+    K = len(pen_table) - 1
+    step = max(LABEL_BLOCK // (sum(lines.shape) * K * K), 1)
+    line = np.empty(len(labels), dtype=int)
+    targets = np.empty((len(labels), K), dtype=bool)
+    for lo in range(0, len(labels), step):
+        part = slice(lo, lo + step)
+        approx = _move_objectives(lines, labels[part], k[part], other[part], pen_table, ysq)
+        margin = (1e-9 * k[part] * (1.0 + ysq + np.abs(obj[part])))[:, None]
+        lowest = approx.min(axis=2) + 2.0 * margin
+        kept = approx < np.fmin(obj[part, None] + margin, lowest)[..., None]
+        kept &= (np.arange(n) >= first[part, None])[..., None]
+        has = kept.any(axis=2)
+        at = has.argmax(axis=1)
+        line[part] = np.where(has.any(axis=1), at, -1)
+        targets[part] = kept[np.arange(len(at)), at]
+    return line, targets
 
 
 def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
                           pen_variant="main", restarts=10, max_iter=50, proj=None):
-    """Alternating row/column reassignment; objective never increases.
+    """Alternating row/column reassignment with k1 row and k2 column
+    blocks; objective never increases.  Draws `restarts` random inits,
+    then takes one ordered init, and returns the trace of the restart whose
+    final structure the tie rule picks.
 
     Each line moves to the first target block, in label order, whose exact
     objective beats the running best by the tie tolerance, and only targets
     that can decide that outcome are scored exactly.  Block sums give every
-    target's objective (`_approx_move_objectives`) within rounding error
+    target's objective (`_move_objectives`) within rounding error
     e << margin = 1e-9 * k * (1 + ||Y||^2 + |obj|) of its exact value, obj
     the current objective.  The screen keeps the targets whose approximation
     is below obj + margin and within 2 * margin of the lowest one:
@@ -581,97 +617,135 @@ def alternating_bicluster(Y, family, sigma, kappa, k1, k2, rng,
     does: once sigma^2 * pen dominates ||Y||^2, moves that tie within the
     tolerance can lie far more than 1e-9 * (1 + ||Y||^2) apart.
 
-    Neither obj nor the approximations change until a line moves, so the
-    whole approximation matrix is screened in one comparison, only the
-    lines with a kept target are visited, and after a move the screen is
-    taken again from the next line on.  An exact score reads the labels
+    Neither obj nor the approximations change until a line moves, so a
+    sweep visits the first line with a kept target, and after that visit
+    screens again from the next line on.  An exact score reads the labels
     (`BiclusterFamily.label_rss` plus sigma^2 * pen of the block counts),
     with the bytes of `objective` of the labels' structure; a `Bicluster`
-    is built only for each restart's final labels.
+    is built only for each restart's final labels.  The restarts run in
+    lockstep (`_alternations`).
     """
     proj = Projections.of(Y, family, proj)
+    return _alternations(proj, sigma, kappa, pen_variant, rng, [(k1, k2)], restarts,
+                         max_iter)[0]
+
+
+def _alternations(proj, sigma, kappa, pen_variant, rng, pairs, restarts=10, max_iter=50):
+    """The `alternating_bicluster` trace of each block-count pair (k1, k2) of
+    pairs, called pair by pair on one rng, with every restart of every pair
+    run in lockstep.
+
+    The inits are drawn in the order of the pair-by-pair calls.  Each
+    restart keeps its labels, objective, axis, first line to screen,
+    improved flag and iteration count.  A step screens every running
+    restart on its axis (`_screen`, one batch of move objectives per axis,
+    with targets up to the largest block count); a restart with no line
+    left moves on to the other axis, or to its next iteration, or ends, and
+    is screened again, until it has a line to visit or has ended.  Then the
+    kept targets of every visited line are scored in one `label_rss` call,
+    and each restart takes the first target, in label order, that beats
+    its running best by the tie tolerance.  A restart's screens, visits
+    and moves are those of running it alone.
+    """
+    family = proj.family
     mat = proj.y.reshape(family.n1, family.n2)
     ysq = sq_norm(proj.y)
-    inits = []
-    for _ in range(restarts):
-        inits.append((rng.integers(0, k1, family.n1), rng.integers(0, k2, family.n2)))
-    # one ordered initialization: contiguous groups along marginal-mean order
+    # one ordered init per pair: contiguous groups along marginal-mean order
     r_order = np.argsort(mat.mean(axis=1), kind="stable")
     c_order = np.argsort(mat.mean(axis=0), kind="stable")
-    r_init = np.empty(family.n1, dtype=int)
-    c_init = np.empty(family.n2, dtype=int)
-    r_init[r_order] = (np.arange(family.n1) * k1) // family.n1
-    c_init[c_order] = (np.arange(family.n2) * k2) // family.n2
-    inits.append((r_init, c_init))
+    inits, ks = [], []
+    for k1, k2 in pairs:
+        for _ in range(restarts):
+            inits.append((rng.integers(0, k1, family.n1), rng.integers(0, k2, family.n2)))
+        r_init = np.empty(family.n1, dtype=int)
+        c_init = np.empty(family.n2, dtype=int)
+        r_init[r_order] = (np.arange(family.n1) * k1) // family.n1
+        c_init[c_order] = (np.arange(family.n2) * k2) // family.n2
+        inits.append((r_init, c_init))
+        ks += [(k1, k2)] * (restarts + 1)
+    labels = [np.array([init[ax] for init in inits]) for ax in (0, 1)]
+    ks = np.array(ks).T
+    K = int(ks.max())
+    pen_table = np.full((K + 1, K + 1), math.inf)
+    for s1, s2 in itertools.product(range(1, K + 1), repeat=2):
+        pen_table[s1, s2] = sigma**2 * _penalty_value(family.counts_majorant(s1, s2), s1 * s2,
+                                                      kappa, pen_variant)
 
-    def structure(row_labels, col_labels):
-        return Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
+    def score(rows, cols):
+        # the bytes of `objective` of each labeling's structure
+        s1, s2 = (1 + np.count_nonzero(np.diff(np.sort(lab, axis=1), axis=1), axis=1)
+                  for lab in (rows, cols))
+        return [rss + pen for rss, pen in zip(family.label_rss(proj.y, rows, cols),
+                                              pen_table[s1, s2].tolist())]
 
-    def pen(s1, s2):
-        return sigma**2 * _penalty_value(family.counts_majorant(s1, s2), s1 * s2, kappa,
-                                         pen_variant)
+    obj = score(*labels)
+    history = [[o] for o in obj]
+    axis, first, iters = (np.zeros(len(obj), dtype=int) for _ in range(3))
+    improved = np.zeros(len(obj), dtype=bool)
+    active = np.full(len(obj), max_iter > 0)
+    lines, tables = (mat, mat.T), (pen_table, pen_table.T)
+    while active.any():
+        visits, waiting = [], active.copy()
+        while waiting.any():
+            for ax in (0, 1):
+                idx = np.flatnonzero(waiting & (axis == ax))
+                if not idx.size:
+                    continue
+                line, targets = _screen(lines[ax], labels[ax][idx], ks[ax][idx],
+                                        labels[1 - ax][idx], tables[ax], ysq,
+                                        np.asarray(obj)[idx], first[idx])
+                found = line >= 0
+                visits.append((idx[found], ax, line[found], targets[found]))
+                waiting[idx[found]] = False
+                done = idx[~found]  # no line left on this axis
+                if ax == 0:
+                    axis[done] = 1
+                else:
+                    active[done[~improved[done] | (iters[done] + 1 >= max_iter)]] = False
+                    iters[done] += 1
+                    improved[done] = axis[done] = 0
+                first[done] = 0
+                waiting &= active
+        # every kept target of every visited line, each a copy of its
+        # restart's labels with the line moved, in restart then label order
+        moves = []
+        for idx, ax, line, targets in visits:
+            at, b = np.nonzero(targets)
+            stack = [labels[0][idx[at]], labels[1][idx[at]]]
+            stack[ax][np.arange(len(at)), line[at]] = b
+            moves.append((idx[at], line[at], b, *stack))
+            first[idx] = line + 1
+        who, where, to, rows, cols = (np.concatenate(part) for part in zip(*moves))
+        best = {}
+        for r, i, b, cand in zip(who.tolist(), where.tolist(), to.tolist(), score(rows, cols)):
+            if _improves(cand, best[r][2] if r in best else obj[r]):
+                best[r] = (i, b, cand)
+        for r, (i, b, cand) in best.items():
+            labels[axis[r]][r, i] = b
+            obj[r] = cand
+            history[r].append(cand)
+            improved[r] = True
+    traces = []
+    for p, (k1, k2) in enumerate(pairs):
+        tracker, found = _ArgminTracker(family), {}
+        for r in range(p * (restarts + 1), (p + 1) * (restarts + 1)):
+            # obj[r] is the exact objective of the final labels
+            s = Bicluster(_label_blocks(labels[0][r], k1), _label_blocks(labels[1][r], k2))
+            history[r].append(obj[r])
+            tracker.offer(s, obj[r])
+            found.setdefault(s, AlternatingTrace(s, obj[r], history[r]))
+        traces.append(found[tracker.result()[0]])
+    return traces
 
-    def score(row_labels, col_labels):
-        # the bytes of `objective` of structure(row_labels, col_labels)
-        return family.label_rss(proj.y, row_labels, col_labels) + pen(
-            len(set(row_labels.tolist())), len(set(col_labels.tolist())))
 
-    tracker, traces = _ArgminTracker(family), {}
-    for row_labels, col_labels in inits:
-        row_labels = row_labels.copy()
-        col_labels = col_labels.copy()
-        obj = score(row_labels, col_labels)
-        history = [obj]
-        for _ in range(max_iter):
-            improved = False
-            for lines, labels, k, other, k_other, axis_pen in (
-                    (mat, row_labels, k1, col_labels, k2, pen),
-                    (mat.T, col_labels, k2, row_labels, k1, lambda s2, s1: pen(s1, s2))):
-                approx_of = _approx_move_objectives(lines, k, other, k_other, ysq, axis_pen)
-                approx, first = approx_of(labels), 0
-                while first < labels.size:
-                    # screen the lines from `first` on at once; visit those
-                    # with a kept target, up to the first that moves
-                    margin = 1e-9 * k * (1.0 + ysq + abs(obj))
-                    rest = approx[first:]
-                    kept = rest < np.fmin(obj + margin, rest.min(axis=1) + 2.0 * margin)[:, None]
-                    start, first = first, labels.size
-                    for j in np.flatnonzero(kept.any(axis=1)).tolist():
-                        i = start + j
-                        old = labels[i]
-                        best_b, best_obj = old, obj
-                        for b in np.flatnonzero(kept[j]):
-                            labels[i] = b
-                            cand = score(row_labels, col_labels)
-                            if _improves(cand, best_obj):
-                                best_b, best_obj = b, cand
-                        labels[i] = best_b
-                        if best_b != old:
-                            obj = best_obj
-                            history.append(obj)
-                            improved = True
-                            approx, first = approx_of(labels), i + 1
-                            break
-            if not improved:
-                break
-        # obj is the exact objective of the final labels
-        s = structure(row_labels, col_labels)
-        history.append(obj)
-        tracker.offer(s, obj)
-        traces.setdefault(s, AlternatingTrace(s, obj, history))
-    return traces[tracker.result()[0]]
-
-
-def _bicluster_search(proj, sigma, kappa, pen_variant, rng, max_blocks):
-    """Best alternating trace for every block-count pair up to max_blocks."""
+def _bicluster_search(proj, sigma, kappa, pen_variant, rng, max_blocks, restarts=10):
+    """Best alternating trace for every block-count pair up to max_blocks,
+    all pairs' restarts in lockstep."""
     family = proj.family
-    visited = []
-    for k1 in range(1, min(max_blocks, family.n1) + 1):
-        for k2 in range(1, min(max_blocks, family.n2) + 1):
-            trace = alternating_bicluster(proj.y, family, sigma, kappa, k1, k2, rng,
-                                          pen_variant=pen_variant, proj=proj)
-            visited.append((trace.structure, trace.objective))
-    return visited
+    pairs = list(itertools.product(range(1, min(max_blocks, family.n1) + 1),
+                                   range(1, min(max_blocks, family.n2) + 1)))
+    return [(trace.structure, trace.objective)
+            for trace in _alternations(proj, sigma, kappa, pen_variant, rng, pairs, restarts)]
 
 
 def _clustering_cells(y, sigma, kappa, max_clusters: int):

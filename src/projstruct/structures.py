@@ -42,6 +42,10 @@ from .linalg import as_vector, span_rank
 
 LOG = math.log
 
+# floats in one chunk of `BiclusterFamily.label_rss`, one copy of y per
+# labeling, and of the bicluster search's block-sum screen (512 KB)
+LABEL_BLOCK = 1 << 16
+
 
 def xlog(count: int, total_scaled: float) -> float:
     # 0 * log(a/0) = 0 convention
@@ -1088,32 +1092,45 @@ class BiclusterFamily(_BlockMeanFamily):
         cells = [tuple(r * self.n2 + c for r in rb for c in cb) for rb in s.rows for cb in s.cols]
         return [c[0] for c in cells if len(c) == 1], [c for c in cells if len(c) > 1]
 
-    def label_rss(self, y, row_labels, col_labels) -> float:
-        """||y - P_I y||^2 with the bytes of `Projections.rss`, for the
-        structure I that puts row i in row block row_labels[i] and column j
-        in column block col_labels[j] (labels >= 0; a label no line carries
-        is no block), read off the labels without building I.
+    def label_rss(self, y, row_labels, col_labels) -> list[float]:
+        """||y - P_I y||^2 with the bytes of `Projections.rss` for each
+        labeling: row c of the (C, n1) and (C, n2) label stacks is the
+        structure I that puts row i in row block row_labels[c, i] and column
+        j in column block col_labels[c, j] (labels >= 0; a label no line
+        carries is no block), read off the labels without building I.  The
+        labelings are scored in chunks of at most `LABEL_BLOCK` floats of
+        y, one copy per labeling, unless one labeling alone needs more.
 
-        A stable argsort by block size, then by cell id row_label * k2 +
-        col_label, makes each block contiguous and in ascending flat order,
-        the order of `_blocks`, and lays the G blocks of one size side by
-        side.  Each block mean is `.mean(axis=1)` over that (G, size) gather,
-        as `_project_stack` takes it (not `np.add.reduceat`, which sums a
-        block of 3 or more in another order), so P_I y and the residual have
-        the bytes of the stacked kernel's."""
-        cells = (row_labels[:, None] * (int(col_labels.max()) + 1) + col_labels).reshape(-1)
-        sizes = np.bincount(cells)
-        order = np.argsort(sizes[cells] * sizes.size + cells, kind="stable")
-        p = y.copy()  # a 1 x 1 block keeps its coordinate
-        lo = 0
-        for size, count in enumerate(np.bincount(sizes).tolist()):
-            hi = lo + size * count
-            if size > 1 and count:
-                blocks = order[lo:hi].reshape(count, size)
-                p[blocks] = y[blocks].mean(axis=1)[:, None]
-            lo = hi
-        r = y - p
-        return float(np.dot(r, r))
+        Within a chunk each labeling's cells get ids of their own,
+        c * k1 * k2 + row_label * k2 + col_label for the chunk's largest label
+        counts k1 and k2.  A stable argsort by block size, then by cell id,
+        makes each block contiguous and in ascending flat order, the
+        order of `_blocks`, and lays the G blocks of one size, of every
+        labeling, side by side.  Each block mean is `.mean(axis=1)` over that
+        (G, size) gather, as `_project_stack` takes it (not
+        `np.add.reduceat`, which sums a block of 3 or more in another order),
+        and each residual norm is one `np.dot` of a row, as in `rss_all`, so
+        P_I y and the norm have the bytes of the stacked kernel's."""
+        step = max(LABEL_BLOCK // y.size, 1)
+        out = []
+        for lo in range(0, len(row_labels), step):
+            rows, cols = row_labels[lo:lo + step], col_labels[lo:lo + step]
+            k2 = int(cols.max()) + 1
+            per = (int(rows.max()) + 1) * k2  # cell ids per labeling
+            cells = (rows[:, :, None] * k2 + cols[:, None, :]).reshape(len(rows), -1)
+            cells = (cells + per * np.arange(len(rows))[:, None]).reshape(-1)
+            sizes = np.bincount(cells)
+            order = np.argsort(sizes[cells] * sizes.size + cells, kind="stable")
+            ys = np.tile(y, len(rows))
+            p = ys.copy()  # a 1 x 1 block keeps its coordinate
+            counts = np.bincount(sizes)  # blocks of each size
+            ends = np.cumsum(counts * np.arange(counts.size))  # each size's end in order
+            for size in (np.flatnonzero(counts[2:]) + 2).tolist():
+                blocks = order[ends[size] - size * counts[size]:ends[size]].reshape(-1, size)
+                p[blocks] = ys[blocks].mean(axis=1)[:, None]
+            ys -= p
+            out += [float(np.dot(r, r)) for r in ys.reshape(len(rows), -1)]
+        return out
 
     def block_counts(self, s):
         return len(s.rows), len(s.cols)

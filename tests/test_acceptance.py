@@ -23,7 +23,7 @@ from projstruct.ddm import (DdmConfig, _log_esp_table, _sparsity_terms, sparsity
 from projstruct.experiments import run_experiment
 from projstruct.noise import NoiseModel, check_a1, check_a2, check_a3
 from projstruct.oracle import oracle_rate
-from projstruct.selection import select_bruteforce, select_penalized
+from projstruct.selection import EXACT_CAPS, select_bruteforce, select_penalized
 from projstruct.structures import (
     BandingFamily,
     BiclusterFamily,
@@ -209,14 +209,20 @@ def test_criterion_4c_a1_gaussian_and_bernoulli_sbm():
 def test_criterion_5_tau_oracle_sandwich():
     rng = np.random.default_rng(505)
     fams, caps = acceptance_families(rng)
+    # the exact bicluster oracle enumerates under EXACT_CAPS, which on 3 x 3
+    # holds the same 25 structures as the acceptance caps
+    bicluster = fams["bicluster"]
+    want = list(bicluster.enumerate_structures(caps["bicluster"]))
+    assert len(want) == 25
+    assert list(bicluster.enumerate_structures(EXACT_CAPS["bicluster"])) == want
     for name, fam in fams.items():
         for _ in range(100):
             theta = rng.standard_normal(fam.ambient_dim) * rng.uniform(0.2, 4.0)
             sigma = float(rng.uniform(0.3, 2.0))
-            base = oracle_rate(theta, fam, sigma, tau=1.0, caps=caps.get(name))
+            base = oracle_rate(theta, fam, sigma, tau=1.0)
             prev_rho = math.inf
             for tau in (1.0, 2.0, 5.0):
-                rep = oracle_rate(theta, fam, sigma, tau=tau, caps=caps.get(name))
+                rep = oracle_rate(theta, fam, sigma, tau=tau)
                 plain = rep.approx_sq + sigma**2 * fam.majorant(rep.structure)
                 assert base.rate_sq <= plain + 1e-10 * (1.0 + plain), name
                 assert plain <= tau * base.rate_sq + 1e-10 * (1.0 + plain), name

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from projstruct import selection
+from projstruct import selection, structures
 from projstruct.errors import DimensionMismatchError, InvalidStructureError
 from projstruct.linalg import sq_norm
 from projstruct.selection import (
@@ -368,8 +368,27 @@ def test_label_rss_has_the_bytes_of_projections_rss():
     for fam, row_labels, col_labels, k1, k2, y in _label_cases():
         s = Bicluster(_label_blocks(row_labels, k1), _label_blocks(col_labels, k2))
         want = Projections(y, fam).rss(s)
-        got = fam.label_rss(y, row_labels, col_labels)
+        [got] = fam.label_rss(y, row_labels[None], col_labels[None])
         assert type(got) is float and got.hex() == want.hex(), (fam.n1, fam.n2, s)
+
+
+def test_label_rss_batches_have_the_bytes_of_projections_rss(monkeypatch):
+    """Many labelings of one y in one `label_rss` call, with label maxima
+    from 1 to 6 mixed in the batch and blocks left empty, give each
+    labeling the bytes of `Projections.rss`, also when the chunk budget
+    puts chunk boundaries inside the batch."""
+    rng = np.random.default_rng(2028)
+    for case, (fam, *_, y) in enumerate(_label_cases()):
+        count = int(rng.integers(20, 60))
+        rows = rng.integers(0, rng.integers(1, 7, size=(count, 1)), (count, fam.n1))
+        cols = rng.integers(0, rng.integers(1, 7, size=(count, 1)), (count, fam.n2))
+        if case % 2:
+            monkeypatch.setattr(structures, "LABEL_BLOCK", int(rng.integers(1, 8)) * y.size)
+        got = fam.label_rss(y, rows, cols)
+        monkeypatch.undo()
+        want = Projections(y, fam).rss_all(
+            [Bicluster(_label_blocks(r, 6), _label_blocks(c, 6)) for r, c in zip(rows, cols)])
+        assert [g.hex() for g in got] == [w.hex() for w in want], (case, fam.n1, fam.n2)
 
 
 def test_screened_alternation_matches_full_rescoring():
@@ -429,11 +448,85 @@ def test_screened_alternation_is_exact_when_the_penalty_dominates():
             (want.structure, want.objective, want.history), case
 
 
+def test_lockstep_bicluster_search_matches_per_pair_full_rescoring():
+    """The bicluster search runs every restart of every block-count pair in
+    lockstep; it visits what a pair-by-pair loop of the sequential search
+    that scores every move in full visits, (structure, objective) with exact
+    floats, and leaves the rng in the same state.  Covers shapes up to
+    8 x 8, max_blocks 1-5 (more blocks than lines on the small shapes),
+    1-10 restarts, so that restarts end at different steps, both
+    penalties, rounded data with exact ties, offsets of 1e6 and penalties
+    that dominate the data (sigma^2 * pen >> ||Y||^2).  A few single pairs
+    with max_iter of 1 or 2 cut restarts off at the iteration count."""
+    rng = np.random.default_rng(2029)
+    shapes = [(1, 1), (1, 6), (5, 1), (2, 3)] + [
+        (int(a), int(b)) for a, b in rng.integers(1, 9, size=(20, 2))]
+    for case, (n1, n2) in enumerate(shapes):
+        fam = BiclusterFamily(n1, n2)
+        y = rng.standard_normal(n1 * n2) * rng.uniform(0.3, 4.0)
+        y = (y, np.round(y), np.round(2.0 * y) / 2.0 + 1e6, y + 1e6)[case % 4]
+        sigma = float(rng.uniform(0.2, 2.0)) * (30.0 if case % 5 == 2 else 1.0)
+        kappa = float(rng.uniform(0.1, 2.0))
+        pen_variant = ("main", "map")[case % 2]
+        max_blocks = int(rng.integers(1, 6))
+        restarts = int(rng.integers(1, 11))
+        seed = int(rng.integers(0, 2**31))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = selection._bicluster_search(Projections(y, fam), sigma, kappa, pen_variant,
+                                          got_rng, max_blocks, restarts)
+        want = []
+        for k1 in range(1, min(max_blocks, n1) + 1):
+            for k2 in range(1, min(max_blocks, n2) + 1):
+                trace = full_rescoring_alternating_bicluster(
+                    y, fam, sigma, kappa, k1, k2, want_rng, pen_variant=pen_variant,
+                    restarts=restarts)
+                want.append((trace.structure, trace.objective))
+        assert got == want, (case, n1, n2, max_blocks, restarts)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+    for case in range(12):
+        n1, n2 = (int(n) for n in rng.integers(3, 9, size=2))
+        k1, k2 = (int(k) for k in rng.integers(2, 5, size=2))
+        args = (np.round(rng.standard_normal(n1 * n2)), BiclusterFamily(n1, n2), 1.0, 0.5,
+                k1, k2)
+        seed, max_iter = int(rng.integers(0, 2**31)), case % 2 + 1
+        got = alternating_bicluster(*args, np.random.default_rng(seed), restarts=4,
+                                    max_iter=max_iter)
+        want = full_rescoring_alternating_bicluster(*args, np.random.default_rng(seed),
+                                                    restarts=4, max_iter=max_iter)
+        assert (got.structure, got.objective, got.history) == \
+            (want.structure, want.objective, want.history), case
+
+
+def test_large_heuristic_bicluster_stays_within_the_chunk_budget(monkeypatch):
+    """The lockstep search scores its labelings (`label_rss`) and screens
+    its restarts in chunks of `LABEL_BLOCK` floats, so a heuristic select
+    on a 40 x 40 bicluster peaks at about eleven chunks of a 4,096-float
+    budget in traced memory; one unchunked stack of its 44 restarts'
+    labelings takes some 2.4 MB."""
+    import tracemalloc
+
+    budget = 4096
+    monkeypatch.setattr(structures, "LABEL_BLOCK", budget)
+    monkeypatch.setattr(selection, "LABEL_BLOCK", budget)
+    fam = BiclusterFamily(40, 40)
+    y = np.random.default_rng(1).standard_normal(fam.ambient_dim)
+    proj = Projections(y, fam)
+    tracemalloc.start()
+    try:
+        select_penalized(y, fam, 1.0, 1.0, mode="heuristic", rng=np.random.default_rng(0),
+                         max_blocks=2, proj=proj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * budget
+
+
 def test_bicluster_select_scores_few_moves_exactly(tmp_path, monkeypatch):
     """The fixed 8x8 bicluster `select` of the benchmark (seed 20261018)
     scored 25,745 structures with `objective` when every move was scored in
-    full; screening by block sums must keep its exact scores, now label
-    kernel calls (`BiclusterFamily.label_rss`), under a third of that."""
+    full; screening by block sums must keep its exact scores, now the
+    labelings that the label kernel (`BiclusterFamily.label_rss`) scores,
+    under a third of that."""
     from projstruct.cli import main
 
     fixed = np.random.default_rng(20261018)
@@ -449,9 +542,9 @@ def test_bicluster_select_scores_few_moves_exactly(tmp_path, monkeypatch):
     calls = [0]
     real = BiclusterFamily.label_rss
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counting(self, y, row_labels, col_labels):
+        calls[0] += len(row_labels)
+        return real(self, y, row_labels, col_labels)
 
     monkeypatch.setattr(BiclusterFamily, "label_rss", counting)
     assert main(["select", "--config", str(config), "--seed", "20261018",
@@ -962,9 +1055,9 @@ def test_objective_validates_each_scored_structure_once(fam, mode, pen_variant, 
         tie_keys[s] += 1
         return tie_key(tracker, s)
 
-    def counting_label_rss(*args):
-        label_scores.append(args)
-        return label_rss(*args)
+    def counting_label_rss(y, row_labels, col_labels):
+        label_scores.extend(row_labels)
+        return label_rss(y, row_labels, col_labels)
 
     monkeypatch.setattr(fam, "validate", counting_validate)
     monkeypatch.setattr(selection, "_objective_value", counting_score)
