@@ -18,15 +18,22 @@ Smoothness, banding and sparsity weigh their candidates from the SSE array
 of their size path (`selection.SizePath`), the one the selector scores, and
 the enumerated sparsity supports by a 0/1 mask; smoothness and banding take
 theta_tilde = sum_k w_k P_k Y from one reverse cumulative sum of the
-weights.  None of them projects; `structure_posterior`, which projects each
-candidate once (a chunk of candidates per stacked projection,
-`Projections.project_all`), and `ma_mean`, which reads those rows from the
-memo, serve the other families and are the tests' oracle.
+weights.  None of them projects.  `structure_posterior` serves the other
+families.  Clustering, jump and bicluster, whose blocks partition the
+coordinates, are scored from arrays of block ids by the label kernel
+(`Projections.label_rss_all`), with the bytes of projecting and without
+validating candidates that their own enumeration or search made; knot and
+regression project each candidate once (a chunk of candidates per stacked
+projection, `Projections.project_all`).  Either way each P_I Y is stored in
+the memo, within its bound, and `ma_mean` reads those rows, adding
+w * P_I Y in candidate order.  Projecting each candidate stays the tests'
+oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -69,14 +76,18 @@ class DdmPosterior:
         return np.exp(self.log_weights)
 
     def export(self, top_k: int | None = None) -> list[dict]:
-        """JSON-ready [{structure, log_weight}], sorted by weight descending;
-        only the first top_k rows when top_k is given."""
-        order = sorted(range(len(self.candidates)),
-                       key=lambda i: (-self.log_weights[i], self.family.sort_key(self.candidates[i])))
+        """JSON-ready [{structure, log_weight}], sorted by weight descending,
+        then by the family's sort key; only the first top_k rows when top_k
+        is given, which `heapq.nsmallest` finds without sorting the rest."""
+        def key(i):
+            return -self.log_weights[i], self.family.sort_key(self.candidates[i])
+
+        order = range(len(self.candidates))
+        order = sorted(order, key=key) if top_k is None else heapq.nsmallest(top_k, order, key=key)
         return [
             {"structure": self.family.structure_to_json(self.candidates[i]),
              "log_weight": float(self.log_weights[i])}
-            for i in order[:top_k]
+            for i in order
         ]
 
 
@@ -173,7 +184,9 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates, method: s
     """Normalized structure measure over the candidates, which are the
     family's enumeration (method "enumeration") or the structures a search
     scored ("restricted-candidate-set"); either way the weights are
-    normalized over the candidates."""
+    normalized over the candidates.  A partition family's candidates are
+    scored by the label kernel (`Projections.label_rss_all`), unvalidated;
+    the others' through `Projections.project_all`, which validates each."""
     _check_sigma(cfg)
     if method not in ("enumeration", "restricted-candidate-set"):
         raise ValueError(f"unknown method {method!r}")
@@ -182,12 +195,16 @@ def structure_posterior(Y, family: Family, cfg: DdmConfig, candidates, method: s
         raise ValueError("candidate set is empty")
 
     proj = Projections.of(Y, family, proj)
-    rss = [r for chunk in chunks(candidates) for r in proj.rss_all(chunk)]
-    # project_all validated each candidate, now or when it stored its row
-    map_dim = cfg.pen_variant == "map"
-    pen = [_penalty_value(family._majorant(s), family._dim(s) if map_dim else 0,
-                          cfg.kappa, cfg.pen_variant) for s in candidates]
-    raw = _log_weights(np.array(rss), np.array(pen), cfg)
+    if family.partition:
+        rss = proj.label_rss_all(candidates)
+    else:
+        # project_all validates each candidate, now or when it stored its row
+        rss = [r for chunk in chunks(candidates) for r in proj.rss_all(chunk)]
+    # `penalty`'s float operations, elementwise
+    dims = [family._dim(s) for s in candidates] if cfg.pen_variant == "map" else 0
+    pen = _penalty_value(np.array([family._majorant(s) for s in candidates]), np.array(dims),
+                         cfg.kappa, cfg.pen_variant)
+    raw = _log_weights(np.array(rss), pen, cfg)
     log_z = logsumexp(raw)
     return DdmPosterior(family, candidates, raw - log_z, method, log_normalizer=log_z)
 
@@ -225,11 +242,15 @@ def ma_mean(Y, family: Family, post: DdmPosterior,
     candidate order over the candidates of nonzero weight, whose rows proj
     holds, within its bound, when `structure_posterior` built post on it."""
     proj = Projections.of(Y, family, proj)
-    weighted = [(w, s) for w, s in zip(post.weights(), post.candidates) if w != 0.0]
+    weights = post.weights()
     out = np.zeros(family.ambient_dim)
-    for chunk in chunks(weighted):
-        for (w, _), p in zip(chunk, proj.project_all(s for _, s in chunk)):
-            out += w * p
+    for chunk in chunks(np.flatnonzero(weights).tolist()):
+        # out, then each w * p: the running sums of cumsum are those of out += w * p
+        terms = np.empty((len(chunk) + 1, out.size))
+        terms[0] = out
+        np.multiply(weights[chunk, None], proj.project_all([post.candidates[k] for k in chunk]),
+                    out=terms[1:])
+        out = np.cumsum(terms, axis=0)[-1]
     return out
 
 
@@ -247,9 +268,9 @@ class StructureMeasure:
     the structures the selector's search scored on proj (`proj.searched`),
     else None.  Smoothness, banding and sparsity weigh their candidates from
     the size path's arrays (`_size_indexed_posterior`) and project nothing;
-    the other families project each candidate once into proj, a chunk per
-    stacked projection (`Projections.project_all`), and `ma_mean` reads
-    those rows.
+    the other families store each candidate's P_I Y in proj, from the label
+    kernel (clustering, jump, bicluster) or a stacked projection (knot,
+    regression), and `ma_mean` reads those rows.
     `theta_tilde`: for sparsity, Y times the inclusion marginals, with no
     posterior built; for smoothness and banding, the size path's mean under
     the posterior weights (`SizePath.mean`); otherwise `ma_mean` over the

@@ -198,7 +198,9 @@ def _block_mean_sq_norms(family: _BlockMeanFamily, block, draws: np.ndarray,
     coordinates, and each block B of I adds (sum_{i in B} xi_i / sqrt|B|)^2,
     from one product of the indicators of the blocks of each size with the
     draws.  Each sum is scaled before it is squared, so it overflows only
-    if the norm does."""
+    if the norm does.  The squared sums are added row by row, in block
+    order, each into a view of its structure's row: the additions of
+    `np.add.at`, in its order, with no copy of the sums or of the norms."""
     keep, by_size = family.masks(block)
     norms = keep @ sq.T
     for rows, blocks in by_size.values():
@@ -207,7 +209,8 @@ def _block_mean_sq_norms(family: _BlockMeanFamily, block, draws: np.ndarray,
         sums = indicators @ draws.T
         sums /= math.sqrt(blocks.shape[1])
         np.square(sums, out=sums)
-        np.add.at(norms, rows, sums)
+        for k, row in zip(rows.tolist(), sums):
+            norms[k] += row
     return norms
 
 

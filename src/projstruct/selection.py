@@ -129,10 +129,14 @@ class Projections:
     is stored read-only while the memo holds fewer than
     `POSTERIOR_CAPS.max_count` rows, at 8 * N bytes each plus array overhead
     (a stored row holds the array of the rows projected with it, at most one
-    chunk more); past that rows are computed and not kept.  So `ma_mean`
-    reads the rows the posterior projected, and the posterior those the
-    selector projected (the bicluster search scores its moves from labels
-    and projects only the selected structure).  Size-indexed families
+    chunk more); past that rows are computed and not kept.  The posterior of
+    a partition family (clustering, jump, bicluster) scores its candidates
+    through `label_rss_all` instead, which computes each P_I Y by the label
+    kernel, with the same bytes, and stores it under the same bound, without
+    validating.  So `ma_mean` reads the rows the posterior stored, and a
+    span family's posterior those the selector projected (the bicluster
+    search scores its moves from labels and projects only the selected
+    structure).  Size-indexed families
     (`size_path`) score their sizes, and weigh their posterior candidates,
     from the path's SSE array, so only their selected structure is
     projected.
@@ -180,22 +184,19 @@ class Projections:
         rows have the bytes of `family.project`, and stored, within the
         memo's bound."""
         y, structures = self.y, list(structures)
-        out = np.empty((len(structures), y.size))
-        missing = []
-        for k, s in enumerate(structures):
-            row = self.stored.get(s)
-            if row is None:
-                self.family.validate(s)
-                missing.append(k)
-            else:
-                out[k] = row
+        found = list(map(self.stored.get, structures))
+        missing = [k for k, row in enumerate(found) if row is None]
+        for k in missing:
+            self.family.validate(structures[k])
         if missing:
             rows = self.family._project_stack([structures[k] for k in missing], y)
-            out[missing] = rows
             rows.flags.writeable = False
+            for k, row in zip(missing, rows):
+                found[k] = row
             room = max(0, POSTERIOR_CAPS.max_count - len(self.stored))
             for k, row in zip(missing[:room], rows):
                 self.stored.setdefault(structures[k], row)
+        out = np.array(found).reshape(len(structures), y.size)
         out.flags.writeable = False
         return out
 
@@ -208,6 +209,23 @@ class Projections:
         finite energy, so no residual overflows and none needs `sq_norm`'s
         check."""
         return [float(np.dot(r, r)) for r in self.y - self.project_all(structures)]
+
+    def label_rss_all(self, structures) -> list[float]:
+        """`rss_all` of a partition family's structures, from their block ids
+        (`family._labels`) through the label kernel
+        (`_BlockMeanFamily._label_chunks`), with its bytes.  Each P_I Y is
+        stored as `project_all` stores it, within the memo's bound, and
+        nothing is validated: the structures come from the family's own
+        enumeration or search."""
+        family, structures, out = self.family, list(structures), []
+        for lo, rss, rows in family._label_chunks(
+                self.y, len(structures), lambda lo, hi: family._labels(structures[lo:hi]),
+                PROJECTION_CHUNK):
+            rows.flags.writeable = False
+            room = max(0, POSTERIOR_CAPS.max_count - len(self.stored))
+            self.stored.update(zip(structures[lo:lo + room], rows[:room]))
+            out += rss
+        return out
 
 
 # structures per `Projections.project_all` call where a caller walks an

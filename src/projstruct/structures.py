@@ -42,8 +42,9 @@ from .linalg import as_vector, span_rank
 
 LOG = math.log
 
-# floats in one chunk of `BiclusterFamily.label_rss`, one copy of y per
-# labeling, and of the bicluster search's block-sum screen (512 KB)
+# floats in one chunk of the label kernel (`_BlockMeanFamily._label_chunks`),
+# one copy of y per labeling, and of the bicluster search's block-sum screen
+# (512 KB)
 LABEL_BLOCK = 1 << 16
 
 
@@ -227,6 +228,8 @@ class Family:
     tag: str = ""
     ambient_dim: int = 0
     supports_union: bool = True
+    # every coordinate in exactly one block of P_I (see `_BlockMeanFamily`)
+    partition: bool = False
 
     # -- contract surface ---------------------------------------------------
 
@@ -379,10 +382,60 @@ class _BlockMeanFamily(Family):
     rest.  With no blocks P_I is a coordinate mask: smoothness, sparsity and
     leveled; clustering, jump, bicluster and banding have blocks.  The row
     kernel, the stack and `noise.check_a1` all read `masks`; the kernels
-    write the means of all blocks of one size at once."""
+    write the means of all blocks of one size at once.
+
+    In a partition family (`partition`: clustering, jump and bicluster)
+    every coordinate lies in exactly one block, a kept coordinate being a
+    block of 1, so a structure is also an array of block ids (`_labels`).
+    The label kernel `_label_chunks` scores many structures from such
+    arrays, with the bytes of the stack and without building masks; the
+    bicluster search and the structure posterior read it."""
 
     def _blocks(self, s) -> tuple:
         raise NotImplementedError
+
+    def _labels(self, structures) -> np.ndarray:
+        """The (C, ambient_dim) array of block ids of a partition family's
+        structures: row k gives two coordinates the same id if and only if
+        structures[k] puts them in one block."""
+        raise NotImplementedError
+
+    def _label_chunks(self, y, count: int, labels, most: int | None = None):
+        """For `count` labelings of the coordinates, yield (lo, rss, p) per
+        chunk: rss lists ||y - P_I y||^2, and the (c, ambient_dim) array p
+        holds P_I y, for the labelings lo..lo+c-1, whose (c, ambient_dim)
+        array of block ids is labels(lo, lo + c) (ids >= 0; an id no
+        coordinate carries is no block).  Chunks hold at most `LABEL_BLOCK`
+        floats of y, one copy per labeling, unless one labeling alone needs
+        more, and at most `most` labelings when it is given.
+
+        Within a chunk each labeling's ids are shifted to be its own.  A
+        stable argsort by block size, then by id, makes each block
+        contiguous and in ascending coordinate order, the order of
+        `_blocks`, and lays the G blocks of one size, of every labeling,
+        side by side.  Each block mean is `.mean(axis=1)` over that
+        (G, size) gather, as `_project_stack` takes it (not
+        `np.add.reduceat`, which sums a block of 3 or more in another
+        order), and each residual norm is one `np.dot` of a row, as in
+        `Projections.rss_all`, so p and rss have the bytes of the stack's
+        rows and of `rss_all`."""
+        step = max(LABEL_BLOCK // y.size, 1)
+        step = step if most is None else min(step, most)
+        for lo in range(0, count, step):
+            ids = labels(lo, min(lo + step, count))
+            c = len(ids)
+            cells = (ids + (int(ids.max()) + 1) * np.arange(c)[:, None]).reshape(-1)
+            sizes = np.bincount(cells)
+            order = np.argsort(sizes[cells] * sizes.size + cells, kind="stable")
+            ys = np.tile(y, c)
+            p = ys.copy()  # a block of 1 keeps its coordinate
+            counts = np.bincount(sizes)  # blocks of each size
+            ends = np.cumsum(counts * np.arange(counts.size))  # each size's end in order
+            for size in (np.flatnonzero(counts[2:]) + 2).tolist():
+                blocks = order[ends[size] - size * counts[size]:ends[size]].reshape(-1, size)
+                p[blocks] = ys[blocks].mean(axis=1)[:, None]
+            ys -= p
+            yield lo, [float(np.dot(r, r)) for r in ys.reshape(c, -1)], p.reshape(c, -1)
 
     def masks(self, structures) -> tuple[np.ndarray, dict]:
         """(keep, by_size): keep is the (K, ambient_dim) bool array whose row
@@ -743,6 +796,24 @@ def _min2_partition_counts(n: int, max_blocks: int) -> list[int]:
     return [sum(row) for row in table]
 
 
+def _min2_partitions(n: int, max_blocks: int) -> list[list[tuple]]:
+    """parts[m] for m = 0..n: the canonical set partitions of range(m) into
+    at most max_blocks blocks, each of size >= 2, by the recurrence of
+    `_min2_partition_counts`: item m - 1 joins a block of a partition of
+    range(m - 1), or pairs with an item j < m - 1 beside a partition of the
+    other m - 2 items, mapped onto them."""
+    parts: list[list[tuple]] = [[()], []]
+    for m in range(2, n + 1):
+        last = m - 1
+        out = [p[:b] + (p[b] + (last,),) + p[b + 1:] for p in parts[m - 1] for b in range(len(p))]
+        for j in range(last):
+            others = [x for x in range(last) if x != j]
+            out += [tuple(sorted([(j, last)] + [tuple(others[i] for i in b) for b in p]))
+                    for p in parts[m - 2] if len(p) < max_blocks]
+        parts.append(out)
+    return parts[:n + 1]
+
+
 class ClusteringFamily(_BlockMeanFamily):
     """Free coordinates plus clusters replaced by their group averages.
 
@@ -754,12 +825,15 @@ class ClusteringFamily(_BlockMeanFamily):
 
     tag = "clustering"
     supports_union = False
+    partition = True
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n >= 1 required")
         self.n = n
         self.ambient_dim = n
+        # majorant by (free count, cluster sizes in cluster order)
+        self._majorants: dict[tuple, float] = {}
 
     def validate(self, s):
         if not isinstance(s, MultiLevelPartition):
@@ -773,48 +847,58 @@ class ClusteringFamily(_BlockMeanFamily):
     def _blocks(self, s):
         return s.free, s.clusters
 
+    def _labels(self, structures):
+        # a coordinate's block id is the first coordinate of its block
+        out = np.tile(np.arange(self.n), (len(structures), 1))
+        out[np.repeat(np.arange(len(structures)),
+                      [self.n - len(s.free) for s in structures]),
+            np.array([i for s in structures for c in s.clusters for i in c], dtype=np.intp)] = \
+            [c[0] for s in structures for c in s.clusters for _ in c]
+        return out
+
     def _dim(self, s):
         return min(len(s.free) + len(s.clusters), self.n)
 
     def _majorant(self, s):
-        m = len(s.clusters)
-        sizes = [len(s.free)] + [len(c) for c in s.clusters]
-        return (
-            float(min(len(s.free) + m, self.n))
-            + log_multinom(self.n, sizes)
-            + log_binom(self.n + m, m)
-        )
+        key = (len(s.free), tuple(map(len, s.clusters)))
+        out = self._majorants.get(key)
+        if out is None:
+            m = len(key[1])
+            # log_multinom sums the sizes in this order, so the key keeps it
+            out = self._majorants[key] = (float(min(key[0] + m, self.n))
+                                          + log_multinom(self.n, (key[0],) + key[1])
+                                          + log_binom(self.n + m, m))
+        return out
 
     def enumerate_structures(self, caps=None):
+        """Every free set with every canonical partition of its sorted
+        complement into clusters of at least 2: the partitions of range(m),
+        mapped through the complement, which keeps them canonical and keeps
+        their lexicographic order.  So the structures are built in
+        `sort_key` order, with no sort: by dimension, then by free set, then
+        by clusters.  The count is checked against caps before any
+        structure is built."""
         caps = caps or Caps()
-        max_blocks = caps.max_blocks if caps.max_blocks is not None else self.n
-
-        def partitions_min2(items, blocks_left):
-            # set partitions of `items` into at most blocks_left blocks, each of size >= 2
-            if not items:
-                yield []
-                return
-            if blocks_left <= 0 or len(items) < 2:
-                return
-            first, rest = items[0], items[1:]
-            for r in range(1, len(rest) + 1):
-                for mates in itertools.combinations(rest, r):
-                    block = (first,) + mates
-                    remaining = [x for x in rest if x not in mates]
-                    for tail in partitions_min2(remaining, blocks_left - 1):
-                        yield [block] + tail
-
-        def gen():
-            items = list(range(self.n))
-            for free_size in range(self.n + 1):
-                for free in itertools.combinations(items, free_size):
-                    rest = [x for x in items if x not in free]
-                    for blocks in partitions_min2(rest, max_blocks):
-                        yield MultiLevelPartition(tuple(free), canonical_partition(blocks))
-
-        clustered = _min2_partition_counts(self.n, max_blocks)
-        projected = sum(math.comb(self.n, f) * clustered[self.n - f] for f in range(self.n + 1))
-        out = sorted(_capped(gen(), caps, projected), key=self.sort_key)
+        n = self.n
+        max_blocks = caps.max_blocks if caps.max_blocks is not None else n
+        clustered = _min2_partition_counts(n, max_blocks)
+        projected = sum(math.comb(n, f) * clustered[n - f] for f in range(n + 1))
+        _check_projected(caps, projected)
+        patterns: dict[tuple[int, int], list[tuple]] = {}  # (items, clusters) -> partitions
+        for m, same_m in enumerate(_min2_partitions(n, max_blocks)):
+            for blocks in sorted(same_m):
+                patterns.setdefault((m, len(blocks)), []).append(blocks)
+        frees = sorted(itertools.chain.from_iterable(
+            itertools.combinations(range(n), f) for f in range(n + 1)))
+        rests = [[x for x in range(n) if x not in free] for free in frees]
+        out = []
+        for dim in range(n + 1):
+            for free, rest in zip(frees, rests):
+                same = patterns.get((len(rest), dim - len(free)))
+                if same:
+                    at = rest.__getitem__
+                    out += [MultiLevelPartition(free, tuple([tuple(map(at, b)) for b in blocks]))
+                            for blocks in same]
         return iter(out)
 
     def sort_key(self, s):
@@ -838,6 +922,7 @@ class JumpFamily(_BlockMeanFamily, _PositionSetFamily):
     P_I takes the mean of each segment between breaks."""
 
     tag = "jump"
+    partition = True
     structure_type, field, first, from_end = JumpSet, "breaks", 0, 2
 
     def segments(self, s):
@@ -848,6 +933,13 @@ class JumpFamily(_BlockMeanFamily, _PositionSetFamily):
         segments = self.segments(s)
         return ([lo for lo, hi in segments if hi - lo == 1],
                 [tuple(range(lo, hi)) for lo, hi in segments if hi - lo > 1])
+
+    def _labels(self, structures):
+        # the segment index: the count of segment starts b + 1 up to each position
+        starts = np.zeros((len(structures), self.n), dtype=np.intp)
+        starts[np.repeat(np.arange(len(structures)), [len(s.breaks) for s in structures]),
+               np.array([b for s in structures for b in s.breaks], dtype=np.intp) + 1] = 1
+        return np.cumsum(starts, axis=1)
 
     def _dim(self, s):
         return len(s.breaks) + 1
@@ -1071,6 +1163,7 @@ class BiclusterFamily(_BlockMeanFamily):
     """
 
     tag = "bicluster"
+    partition = True
 
     def __init__(self, n1: int, n2: int):
         if n1 < 1 or n2 < 1:
@@ -1097,40 +1190,30 @@ class BiclusterFamily(_BlockMeanFamily):
         labeling: row c of the (C, n1) and (C, n2) label stacks is the
         structure I that puts row i in row block row_labels[c, i] and column
         j in column block col_labels[c, j] (labels >= 0; a label no line
-        carries is no block), read off the labels without building I.  The
-        labelings are scored in chunks of at most `LABEL_BLOCK` floats of
-        y, one copy per labeling, unless one labeling alone needs more.
+        carries is no block), read off the labels without building I, by the
+        label kernel `_label_chunks`."""
+        def cells(lo, hi):
+            return self._cells(row_labels[lo:hi], col_labels[lo:hi])
 
-        Within a chunk each labeling's cells get ids of their own,
-        c * k1 * k2 + row_label * k2 + col_label for the chunk's largest label
-        counts k1 and k2.  A stable argsort by block size, then by cell id,
-        makes each block contiguous and in ascending flat order, the
-        order of `_blocks`, and lays the G blocks of one size, of every
-        labeling, side by side.  Each block mean is `.mean(axis=1)` over that
-        (G, size) gather, as `_project_stack` takes it (not
-        `np.add.reduceat`, which sums a block of 3 or more in another order),
-        and each residual norm is one `np.dot` of a row, as in `rss_all`, so
-        P_I y and the norm have the bytes of the stacked kernel's."""
-        step = max(LABEL_BLOCK // y.size, 1)
-        out = []
-        for lo in range(0, len(row_labels), step):
-            rows, cols = row_labels[lo:lo + step], col_labels[lo:lo + step]
-            k2 = int(cols.max()) + 1
-            per = (int(rows.max()) + 1) * k2  # cell ids per labeling
-            cells = (rows[:, :, None] * k2 + cols[:, None, :]).reshape(len(rows), -1)
-            cells = (cells + per * np.arange(len(rows))[:, None]).reshape(-1)
-            sizes = np.bincount(cells)
-            order = np.argsort(sizes[cells] * sizes.size + cells, kind="stable")
-            ys = np.tile(y, len(rows))
-            p = ys.copy()  # a 1 x 1 block keeps its coordinate
-            counts = np.bincount(sizes)  # blocks of each size
-            ends = np.cumsum(counts * np.arange(counts.size))  # each size's end in order
-            for size in (np.flatnonzero(counts[2:]) + 2).tolist():
-                blocks = order[ends[size] - size * counts[size]:ends[size]].reshape(-1, size)
-                p[blocks] = ys[blocks].mean(axis=1)[:, None]
-            ys -= p
-            out += [float(np.dot(r, r)) for r in ys.reshape(len(rows), -1)]
-        return out
+        return [r for _, rss, _ in self._label_chunks(y, len(row_labels), cells) for r in rss]
+
+    @staticmethod
+    def _cells(row_labels, col_labels) -> np.ndarray:
+        """Block ids row_label * k2 + col_label, row-major, for the largest
+        column label count k2 of the stack."""
+        k2 = int(col_labels.max()) + 1
+        return (row_labels[:, :, None] * k2 + col_labels[:, None, :]).reshape(len(row_labels), -1)
+
+    def _labels(self, structures):
+        def axis_labels(parts, n):
+            out = np.empty((len(parts), n), dtype=np.intp)
+            out[np.repeat(np.arange(len(parts)), n),
+                [i for part in parts for block in part for i in block]] = \
+                [b for part in parts for b, block in enumerate(part) for _ in block]
+            return out
+
+        return self._cells(axis_labels([s.rows for s in structures], self.n1),
+                           axis_labels([s.cols for s in structures], self.n2))
 
     def block_counts(self, s):
         return len(s.rows), len(s.cols)

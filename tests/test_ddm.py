@@ -560,10 +560,15 @@ def test_size_indexed_measure_projects_nothing(fam, monkeypatch):
 
 def _measure_counts(fam, y, monkeypatch):
     """theta_tilde after the posterior on a fresh memo, the memo, and per
-    structure the rows given to `_project_stack` and the `validate` calls,
-    those made through `majorant` included."""
-    stacked, validated = Counter(), Counter()
-    stack, validate = fam._project_stack, fam.validate
+    structure the labelings scored by the label kernel, the rows given to
+    `_project_stack` and the `validate` calls, those made through
+    `majorant` included."""
+    labeled, stacked, validated = Counter(), Counter(), Counter()
+    labels, stack, validate = fam._labels, fam._project_stack, fam.validate
+
+    def counting_labels(structures):
+        labeled.update(structures)
+        return labels(structures)
 
     def counting_stack(structures, y):
         stacked.update(structures)
@@ -574,30 +579,139 @@ def _measure_counts(fam, y, monkeypatch):
         return validate(s)
 
     with monkeypatch.context() as m:
+        m.setattr(fam, "_labels", counting_labels)
         m.setattr(fam, "_project_stack", counting_stack)
         m.setattr(fam, "validate", counting_validate)
         proj = Projections(y, fam)
         measure = StructureMeasure(proj, cfg())
         assert measure.posterior.method == "enumeration"
         theta = measure.theta_tilde
-    return measure.posterior, theta, proj, stacked, validated
+    return measure.posterior, theta, proj, labeled, stacked, validated
 
 
 @pytest.mark.parametrize("fam", [ClusteringFamily(8), JumpFamily(10)],
                          ids=lambda f: f"{f.tag}-{f.ambient_dim}")
-def test_posterior_and_theta_tilde_project_and_validate_each_candidate_once(fam, monkeypatch):
-    """The enumerated posterior projects and validates each candidate once,
-    scoring its penalty without a second `validate`, storing every row, and
-    theta_tilde reads those rows: it has the bytes of `ma_mean` on a fresh
-    memo.  With a smaller memo bound the memo stores no more rows than the
-    bound and theta_tilde keeps its bytes."""
+def test_posterior_scores_each_candidate_once_by_the_label_kernel(fam, monkeypatch):
+    """The enumerated posterior of a partition family scores each candidate
+    once, from its block ids, stacks none and stores every row; theta_tilde
+    reads those rows, projecting nothing, and has the bytes of `ma_mean` on
+    a fresh memo.  With a smaller memo bound the memo stores no more rows
+    than the bound and theta_tilde keeps its bytes.  (That every enumerated
+    candidate validates is
+    `test_every_enumerated_partition_structure_validates_and_labels_its_blocks`.)"""
     y = np.random.default_rng(fam.ambient_dim).standard_normal(fam.ambient_dim)
-    post, theta, proj, stacked, validated = _measure_counts(fam, y, monkeypatch)
-    want = dict.fromkeys(post.candidates, 1)
-    assert np.count_nonzero(post.weights()) > len(want) // 2
-    assert stacked == want and validated == want
+    post, theta, proj, labeled, stacked, validated = _measure_counts(fam, y, monkeypatch)
+    assert np.count_nonzero(post.weights()) > len(post.candidates) // 2
+    assert labeled == dict.fromkeys(post.candidates, 1)
+    assert not stacked and not validated
     assert list(proj.stored) == post.candidates
     assert theta.tobytes() == ma_mean(y, fam, post).tobytes()
     monkeypatch.setattr(selection, "POSTERIOR_CAPS", Caps(max_count=100))
-    _, bounded, proj, *_ = _measure_counts(fam, y, monkeypatch)
-    assert len(proj.stored) == 100 and bounded.tobytes() == theta.tobytes()
+    _, bounded, proj, labeled, stacked, _ = _measure_counts(fam, y, monkeypatch)
+    assert labeled == dict.fromkeys(post.candidates, 1)
+    assert list(proj.stored) == post.candidates[:100]
+    assert stacked == dict.fromkeys(post.candidates[100:], 1)  # theta_tilde projects the rest
+    assert bounded.tobytes() == theta.tobytes()
+
+
+def _projection_posterior(y, fam, c, candidates, method):
+    """`structure_posterior` as it was before partition families were scored
+    from labels: every candidate projected by `Projections.project_all`, its
+    penalty from the validating `penalty`.  It stays as the oracle, with
+    its memo."""
+    proj = Projections(y, fam)
+    rss = [r for chunk in selection.chunks(candidates) for r in proj.rss_all(chunk)]
+    pen = [penalty(fam, s, c.kappa, c.pen_variant) for s in candidates]
+    raw = -0.5 * (np.array(rss) / c.sigma**2 + np.array(pen))
+    log_z = logsumexp(raw)
+    return DdmPosterior(fam, candidates, raw - log_z, method, log_z), proj
+
+
+def _projection_ma_mean(y, fam, post):
+    """`ma_mean` as it was: out += w * P_I y, one candidate at a time, in
+    candidate order, over the nonzero weights."""
+    out = np.zeros(fam.ambient_dim)
+    for w, s in zip(post.weights(), post.candidates):
+        if w != 0.0:
+            out += w * fam.project(s, y)
+    return out
+
+
+def _partition_cases():
+    """Clustering n <= 8 under every max_blocks, jump n <= 12 and bicluster
+    up to 3 x 4, each on rounded (tied) data, half of it offset by 1e6."""
+    rng = np.random.default_rng(2033)
+    enumerations = [(ClusteringFamily(n), Caps(max_blocks=b))
+                    for n in range(1, 9) for b in (None, *range(0, n // 2 + 1))]
+    enumerations += [(JumpFamily(n), Caps()) for n in range(2, 13)]
+    enumerations += [(BiclusterFamily(n1, n2), Caps(max_blocks=b))
+                     for n1, n2 in ((1, 3), (2, 2), (3, 3), (3, 4)) for b in (None, 2)]
+    for case, (fam, caps) in enumerate(enumerations):
+        scale = float(rng.choice([0.3, 1.0, 4.0]))
+        y = np.round(scale * rng.standard_normal(fam.ambient_dim), case % 2)
+        yield fam, list(fam.enumerate_structures(caps)), y + (1e6 if case % 4 >= 2 else 0.0)
+
+
+@pytest.mark.parametrize("bound", [None, 100])
+@pytest.mark.parametrize("pen_variant", ["main", "map"])
+def test_partition_posterior_has_the_bytes_of_the_projection_oracle(pen_variant, bound,
+                                                                    monkeypatch):
+    """Log weights, log normalizer, theta_tilde and every stored memo row of
+    the label-kernel posterior, enumerated and restricted, against
+    projecting each candidate; bound patches the memo's row bound."""
+    if bound is not None:
+        monkeypatch.setattr(selection, "POSTERIOR_CAPS", Caps(max_count=bound))
+    rng = np.random.default_rng(7)
+    for fam, candidates, y in _partition_cases():
+        c = cfg(kappa=float(rng.uniform(0.3, 2.0)), sigma=float(rng.uniform(0.3, 2.0)),
+                pen_variant=pen_variant)
+        some = sorted(rng.choice(len(candidates), (len(candidates) + 1) // 2, replace=False))
+        for method, subset in (("enumeration", candidates),
+                               ("restricted-candidate-set", [candidates[k] for k in some])):
+            want, _ = _projection_posterior(y, fam, c, subset, method)
+            proj = Projections(y, fam)
+            got = structure_posterior(y, fam, c, subset, method, proj=proj)
+            assert got.candidates == subset and got.method == method
+            assert got.log_weights.tobytes() == want.log_weights.tobytes(), (fam.tag, method)
+            assert got.log_normalizer.hex() == want.log_normalizer.hex()
+            assert list(proj.stored) == subset[:bound]
+            for s, row in proj.stored.items():
+                assert row.tobytes() == fam.project(s, y).tobytes() and not row.flags.writeable
+            theta = ma_mean(y, fam, got, proj)
+            assert theta.tobytes() == _projection_ma_mean(y, fam, want).tobytes(), fam.tag
+
+
+@pytest.mark.parametrize("name", sorted(set(SEARCHED) - {"regression-heuristic"}))
+def test_restricted_partition_posterior_has_the_bytes_of_the_projection_oracle(name):
+    """Past the cap the posterior of a search ranges over what it scored;
+    the label kernel scores those candidates with the bytes of projecting
+    them, and theta_tilde keeps the bytes of `ma_mean` as it was."""
+    make, mode = SEARCHED[name]
+    fam = make()
+    y = np.round(np.random.default_rng(4).standard_normal(fam.ambient_dim), 1)
+    proj = Projections(y, fam)
+    select_penalized(y, fam, 1.0, 1.0, mode=mode, rng=np.random.default_rng(3), proj=proj)
+    measure = StructureMeasure(proj, cfg())
+    want, _ = _projection_posterior(y, fam, cfg(), proj.searched, "restricted-candidate-set")
+    assert measure.posterior.log_weights.tobytes() == want.log_weights.tobytes()
+    assert measure.posterior.log_normalizer.hex() == want.log_normalizer.hex()
+    assert measure.theta_tilde.tobytes() == _projection_ma_mean(y, fam, want).tobytes()
+
+
+def test_export_top_k_is_the_sorted_prefix_with_tied_weights():
+    """export(k) is the first k rows of sorting every candidate by weight,
+    then by sort key, also when many weights tie at the cut."""
+    fam = ClusteringFamily(5)
+    candidates = list(fam.enumerate_structures())
+    rng = np.random.default_rng(11)
+    for ties in (1, 2, 5, len(candidates)):
+        log_weights = rng.integers(0, ties, len(candidates)) * -0.5
+        log_weights[rng.integers(0, len(candidates), 3)] = -np.inf
+        order = rng.permutation(len(candidates))  # candidates in no sort-key order
+        post = DdmPosterior(fam, [candidates[k] for k in order], log_weights, "enumeration")
+        rows = sorted(zip(post.candidates, post.log_weights),
+                      key=lambda row: (-row[1], fam.sort_key(row[0])))
+        want = [{"structure": fam.structure_to_json(s), "log_weight": float(w)} for s, w in rows]
+        assert post.export() == want
+        for top_k in (0, 1, 2, 3, 7, len(candidates) - 1, len(candidates), len(candidates) + 5):
+            assert post.export(top_k) == want[:top_k], (ties, top_k)

@@ -912,3 +912,117 @@ def test_size_vectors_hold_each_size_majorant_and_dimension(family, structure):
         rho[0] = 1.0
     with pytest.raises(ValueError):
         dim[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# partition families: the pattern enumeration and the label kernel
+# ---------------------------------------------------------------------------
+
+
+def _recursive_clustering_enumeration(fam, caps):
+    """The clustering enumeration as it was written before the partitions
+    of range(m) were mapped through each complement: a recursion over the
+    clusters holding each first item, then one sort.  It stays as the
+    oracle."""
+    max_blocks = caps.max_blocks if caps.max_blocks is not None else fam.n
+
+    def partitions_min2(items, blocks_left):
+        if not items:
+            yield []
+            return
+        if blocks_left <= 0 or len(items) < 2:
+            return
+        first, rest = items[0], items[1:]
+        for r in range(1, len(rest) + 1):
+            for mates in itertools.combinations(rest, r):
+                remaining = [x for x in rest if x not in mates]
+                for tail in partitions_min2(remaining, blocks_left - 1):
+                    yield [(first,) + mates] + tail
+
+    def gen():
+        items = list(range(fam.n))
+        for free_size in range(fam.n + 1):
+            for free in itertools.combinations(items, free_size):
+                rest = [x for x in items if x not in free]
+                for blocks in partitions_min2(rest, max_blocks):
+                    yield MultiLevelPartition(tuple(free), canonical_partition(blocks))
+
+    counts = structures._min2_partition_counts(fam.n, max_blocks)
+    projected = sum(math.comb(fam.n, f) * counts[fam.n - f] for f in range(fam.n + 1))
+    return sorted(structures._capped(gen(), caps, projected), key=fam.sort_key)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_clustering_enumeration_matches_the_recursion(n):
+    """The same structures in the same order, and the same projected count
+    in the cap error, for every max_blocks."""
+    fam = ClusteringFamily(n)
+    for max_blocks in (None, *range(-1, n // 2 + 2)):
+        for max_count in (10**6, 50, 0):
+            caps = Caps(max_count=max_count, max_blocks=max_blocks)
+            try:
+                want = _recursive_clustering_enumeration(fam, caps)
+            except CapExceededError as err:
+                with pytest.raises(CapExceededError) as got:
+                    fam.enumerate_structures(caps)
+                assert got.value.projected_count == err.projected_count, (max_blocks, max_count)
+                continue
+            got = list(fam.enumerate_structures(caps))
+            assert got == want, (max_blocks, max_count)
+            assert [type(i) for s in got for i in s.free + sum(s.clusters, ())] == \
+                [int] * (n * len(got))
+
+
+def _partition_enumerations():
+    """Every enumeration of a partition family that the posterior tests
+    score: clustering n <= 8 under every max_blocks, jump n <= 12 and
+    bicluster up to 3 x 4 under every max_blocks."""
+    for n in range(1, 9):
+        for max_blocks in (None, *range(0, n // 2 + 1)):
+            yield ClusteringFamily(n), Caps(max_blocks=max_blocks)
+    for n in range(2, 13):
+        yield JumpFamily(n), Caps()
+    for n1, n2 in ((1, 1), (1, 4), (2, 3), (3, 1), (3, 3), (3, 4)):
+        for max_blocks in (None, 1, 2, 3):
+            yield BiclusterFamily(n1, n2), Caps(max_blocks=max_blocks)
+
+
+def test_every_enumerated_partition_structure_validates_and_labels_its_blocks():
+    """The label-kernel posterior validates nothing, since its candidates
+    come from the family's own enumeration: so every enumerated structure
+    validates, and its block ids (`_labels`) group the coordinates as
+    `_blocks` does."""
+    for fam, caps in _partition_enumerations():
+        assert fam.partition
+        listed = list(fam.enumerate_structures(caps))
+        labels = fam._labels(listed)
+        assert labels.shape == (len(listed), fam.ambient_dim)
+        for s, row in zip(listed, labels):
+            fam.validate(s)
+            kept, blocks = fam._blocks(s)
+            want = sorted([(int(i),) for i in kept] + [tuple(b) for b in blocks])
+            got = collections.defaultdict(list)
+            for i, b in enumerate(row.tolist()):
+                got[b].append(i)
+            assert sorted(map(tuple, got.values())) == want, (fam.tag, s)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_label_kernel_rows_have_the_bytes_of_the_stack(offset, monkeypatch):
+    """P_I y and ||y - P_I y||^2 from the label kernel, against the stacked
+    projection and `Projections.rss_all`, on tied data (rounded, so blocks
+    hold equal entries) and with chunk boundaries inside the list."""
+    rng = np.random.default_rng(33)
+    for case, (fam, caps) in enumerate(_partition_enumerations()):
+        listed = list(fam.enumerate_structures(caps))
+        y = np.round(rng.standard_normal(fam.ambient_dim), case % 2) + offset
+        if case % 3 == 0:
+            monkeypatch.setattr(structures, "LABEL_BLOCK", int(rng.integers(1, 9)) * y.size)
+        chunks = list(fam._label_chunks(y, len(listed), lambda lo, hi: fam._labels(listed[lo:hi])))
+        monkeypatch.undo()
+        rows = np.concatenate([p for *_, p in chunks])
+        assert [lo for lo, *_ in chunks] == list(np.cumsum([0] + [len(p) for *_, p in chunks])[:-1])
+        assert rows.tobytes() == fam._project_stack(listed, y).tobytes(), (fam.tag, caps)
+        rss = [r for _, part, _ in chunks for r in part]
+        want = selection.Projections(y, fam).rss_all(listed)
+        assert [r.hex() for r in rss] == [w.hex() for w in want], (fam.tag, caps)
